@@ -1,23 +1,17 @@
 """Hot numeric kernels: theta q-series summation and mod-4 matrix products.
 
-Each kernel has a numba @njit implementation and a pure-numpy fallback with
-identical semantics: theta sums accumulate terms for r = -R..R in ascending
-order in both backends, so each backend is deterministic run to run and the
-two agree to machine precision.  The backend is selected once at import time
-from the environment:
-
-    THETA_LAB_BACKEND=numba   force the jit kernels (ImportError at import if
-                              numba is missing)
-    THETA_LAB_BACKEND=numpy   force the pure-numpy fallbacks
-
-Unset, numba is used when importable.  `benchmarks/bench_kernels.py` times
-the two backends against each other.
+There is one vectorised numpy implementation of each kernel.  The theta
+sums add the terms for r = -R..R in ascending order of r (``np.bincount``
+accumulates its weights in input order), so every result is deterministic
+run to run and equal, bit for bit, to the plain loop that adds
+e^{pi i tau r^2 / m} into ``out[r % m]`` for r = -R, ..., R.  The mod-4
+products are exact: they multiply in uint8, which wraps modulo 256, and 4
+divides 256.
 """
 
 from __future__ import annotations
 
 import cmath
-import os
 
 import numpy as np
 
@@ -29,126 +23,39 @@ __all__ = [
     "pack_mod4",
 ]
 
-_requested = os.environ.get("THETA_LAB_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"THETA_LAB_BACKEND={_requested!r}: expected 'numba' or 'numpy'"
-    )
-
-_njit = None
-if _requested in ("", "numba"):
-    try:
-        from numba import njit as _njit
-    except ImportError as exc:
-        if _requested == "numba":
-            raise ImportError(
-                "THETA_LAB_BACKEND=numba, but numba is not importable"
-            ) from exc
-        _njit = None
-
-BACKEND = "numba" if _njit is not None else "numpy"
+# The one implementation; benchmark run metadata records it.
+BACKEND = "numpy"
 
 
-# --- pure-numpy reference implementations --------------------------------------
-
-def _theta_class_sums_np(m: int, tau: complex, radius: int) -> np.ndarray:
+def theta_class_sums(m: int, tau: complex, radius: int) -> np.ndarray:
     """Sum e^{pi i tau r^2 / m} into residue classes r mod m, |r| <= radius."""
-    out = np.zeros(m, dtype=np.complex128)
     w = 1j * cmath.pi * tau / m
-    for r in range(-radius, radius + 1):
-        out[r % m] += cmath.exp(w * (r * r))
+    r = np.arange(-radius, radius + 1)
+    terms = np.exp(w * (r * r))
+    classes = r % m
+    out = np.empty(m, dtype=np.complex128)
+    out.real = np.bincount(classes, weights=terms.real, minlength=m)
+    out.imag = np.bincount(classes, weights=terms.imag, minlength=m)
     return out
 
 
-def _riemann_theta_sum_np(tau: complex, radius: int) -> complex:
-    acc = 0.0 + 0.0j
-    w = 1j * cmath.pi * tau
-    for n in range(-radius, radius + 1):
-        acc += cmath.exp(w * (n * n))
-    return acc
+def riemann_theta_sum(tau: complex, radius: int) -> complex:
+    """sum_{|n| <= radius} e^{pi i tau n^2}, the single class sum at m = 1."""
+    return complex(theta_class_sums(1, tau, radius)[0])
 
 
-def _mod4_products_np(mats: np.ndarray, gens: np.ndarray) -> np.ndarray:
+def mod4_products(mats: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Products mats[i] @ gens[j] mod 4; result shape (n*g, k, k), i-major."""
-    prod = np.einsum("nab,gbc->ngac", mats.astype(np.int64), gens.astype(np.int64))
+    a = np.asarray(mats, dtype=np.uint8)
+    b = np.asarray(gens, dtype=np.uint8)
+    prod = np.matmul(a[:, None], b[None]) & 3
     n, g, k, _ = prod.shape
-    return (prod % 4).astype(np.uint8).reshape(n * g, k, k)
+    return prod.reshape(n * g, k, k)
 
 
-def _pack_mod4_np(mats: np.ndarray) -> np.ndarray:
+def pack_mod4(mats: np.ndarray) -> np.ndarray:
     """Pack (n, k, k) mod-4 matrices into uint64 keys (base-4 digits)."""
     n = mats.shape[0]
     flat = mats.reshape(n, -1).astype(np.uint64)
     weights = np.uint64(4) ** np.arange(flat.shape[1], dtype=np.uint64)
     return flat @ weights
-
-
-# --- numba versions -------------------------------------------------------------
-
-if BACKEND == "numba":
-
-    @_njit(cache=True)
-    def _theta_class_sums_nb(m, tau, radius):  # pragma: no cover - jit
-        out = np.zeros(m, dtype=np.complex128)
-        w = 1j * np.pi * tau / m
-        for r in range(-radius, radius + 1):
-            out[r % m] += np.exp(w * (r * r))
-        return out
-
-    @_njit(cache=True)
-    def _riemann_theta_sum_nb(tau, radius):  # pragma: no cover - jit
-        acc = 0.0 + 0.0j
-        w = 1j * np.pi * tau
-        for n in range(-radius, radius + 1):
-            acc += np.exp(w * (n * n))
-        return acc
-
-    @_njit(cache=True)
-    def _mod4_products_nb(mats, gens):  # pragma: no cover - jit
-        n, k, _ = mats.shape
-        g = gens.shape[0]
-        out = np.empty((n * g, k, k), dtype=np.uint8)
-        for i in range(n):
-            for j in range(g):
-                for a in range(k):
-                    for c in range(k):
-                        acc = 0
-                        for b in range(k):
-                            acc += int(mats[i, a, b]) * int(gens[j, b, c])
-                        out[i * g + j, a, c] = acc % 4
-        return out
-
-    @_njit(cache=True)
-    def _pack_mod4_nb(mats):  # pragma: no cover - jit
-        n, k, _ = mats.shape
-        out = np.empty(n, dtype=np.uint64)
-        for i in range(n):
-            acc = np.uint64(0)
-            w = np.uint64(1)
-            for a in range(k):
-                for b in range(k):
-                    acc += w * np.uint64(mats[i, a, b])
-                    w *= np.uint64(4)
-            out[i] = acc
-        return out
-
-    def theta_class_sums(m: int, tau: complex, radius: int) -> np.ndarray:
-        return _theta_class_sums_nb(m, complex(tau), radius)
-
-    def riemann_theta_sum(tau: complex, radius: int) -> complex:
-        return complex(_riemann_theta_sum_nb(complex(tau), radius))
-
-    def mod4_products(mats: np.ndarray, gens: np.ndarray) -> np.ndarray:
-        return _mod4_products_nb(
-            np.ascontiguousarray(mats, dtype=np.uint8),
-            np.ascontiguousarray(gens, dtype=np.uint8),
-        )
-
-    def pack_mod4(mats: np.ndarray) -> np.ndarray:
-        return _pack_mod4_nb(np.ascontiguousarray(mats, dtype=np.uint8))
-
-else:
-    theta_class_sums = _theta_class_sums_np
-    riemann_theta_sum = _riemann_theta_sum_np
-    mod4_products = _mod4_products_np
-    pack_mod4 = _pack_mod4_np

@@ -145,11 +145,17 @@ def reduce_mod2_and_membership(mat, parity: str) -> MembershipReport:
     return MembershipReport(in_sp4, in_pm, in_g2)
 
 
-def _f2_rank(mat: np.ndarray) -> int:
-    a = (np.asarray(mat, dtype=np.int64) % 2).astype(np.uint8).copy()
-    rank = 0
-    rows, cols = a.shape
+def _f2_eliminate(a: np.ndarray, cols: int) -> list[int]:
+    """Reduce the uint8 0/1 matrix `a` in place over F_2 (Gauss-Jordan).
+
+    Pivots are sought in the first `cols` columns only, so an augmented
+    column beyond them is carried along.  Returns the pivot columns; pivot
+    i sits in row i.
+    """
+    rows = a.shape[0]
+    pivots: list[int] = []
     for col in range(cols):
+        rank = len(pivots)
         pivot = None
         for r in range(rank, rows):
             if a[r, col]:
@@ -161,10 +167,15 @@ def _f2_rank(mat: np.ndarray) -> int:
         mask = a[:, col] == 1
         mask[rank] = False
         a[mask] ^= a[rank]
-        rank += 1
-        if rank == rows:
+        pivots.append(col)
+        if rank + 1 == rows:
             break
-    return rank
+    return pivots
+
+
+def _f2_rank(mat: np.ndarray) -> int:
+    a = (np.asarray(mat, dtype=np.int64) % 2).astype(np.uint8)
+    return len(_f2_eliminate(a, a.shape[1]))
 
 
 def dickson(mbar, parity: str) -> RootOfUnity:
@@ -278,26 +289,10 @@ def _f2_solve(a: np.ndarray, b: np.ndarray):
     """All solutions of a x = b over F_2: (particular, nullspace basis) or None."""
     a = (np.asarray(a, dtype=np.int64) % 2).astype(np.uint8)
     b = (np.asarray(b, dtype=np.int64) % 2).astype(np.uint8)
-    rows, cols = a.shape
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1).copy()
-    pivots: list[int] = []
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[[rank, pivot]] = aug[[pivot, rank]]
-        mask = aug[:, col] == 1
-        mask[rank] = False
-        aug[mask] ^= aug[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
+    cols = a.shape[1]
+    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
+    pivots = _f2_eliminate(aug, cols)
+    rank = len(pivots)
     if np.any(aug[rank:, cols]):
         return None
     particular = np.zeros(cols, dtype=np.uint8)

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetalab.cyclo import MINUS_ONE, ONE, RootOfUnity, ZETA4
 from thetalab.symplectic4 import (
@@ -19,6 +23,8 @@ from thetalab.symplectic4 import (
     preserves_quad_form,
     quad_form_value,
     reduce_mod2_and_membership,
+    _f2_rank,
+    _f2_solve,
     _solve_mod4,
     symplectic_form_matrix,
     transvection,
@@ -208,6 +214,50 @@ def test_solver_reports_nonuniqueness():
     assert len(sols) == 4
     with pytest.raises(NonUnique):
         _solve_mod4(np.zeros((1, 30), dtype=int), np.zeros(1, dtype=int), cap=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda rows: st.integers(1, 5).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+    )
+)
+def test_f2_elimination_against_brute_force(entries):
+    """Rank, solutions and nullspace of the shared F_2 elimination, by enumeration."""
+    a = np.array(entries, dtype=np.int64)
+    rows, cols = a.shape
+    a2 = a % 2
+    span = {
+        tuple(np.array(bits) @ a2 % 2)
+        for bits in itertools.product((0, 1), repeat=rows)
+    }
+    rank = _f2_rank(a)
+    assert 2**rank == len(span)
+
+    xs = [np.array(x) for x in itertools.product((0, 1), repeat=cols)]
+    for b in itertools.product((0, 1), repeat=rows):
+        b = np.array(b)
+        brute = {tuple(x) for x in xs if np.array_equal(a2 @ x % 2, b)}
+        sol = _f2_solve(a, b)
+        if not brute:
+            assert sol is None
+            continue
+        particular, null = sol
+        assert len(null) == cols - rank
+        found = set()
+        for bits in itertools.product((0, 1), repeat=len(null)):
+            x = particular.astype(np.int64)
+            for bit, v in zip(bits, null):
+                x = (x + bit * v) % 2
+            assert np.array_equal(a2 @ x % 2, b)
+            found.add(tuple(x))
+        assert found == brute
 
 
 def test_g2_even_needed_extended_generators():
