@@ -18,6 +18,10 @@ on generators are solved from the order relations and then every candidate
 is verified against the defining relation on all pairs, so the enumerations
 are self-checking.  The intended regimes are small types like (2), (4),
 (2,2), (4,4); a hard bound |K(delta)| <= 2^12 is enforced.
+
+All enumeration runs on integer tables indexed by the rank of an element of
+K(delta) (see `_KTable`); `KVector` and `HeisenbergElement` objects appear
+only in arguments and results.
 """
 
 from __future__ import annotations
@@ -271,9 +275,11 @@ def h2_map(a: HeisenbergElement) -> HeisenbergElement:
 
 # --- index tables -----------------------------------------------------------------
 #
-# The enumerations below work on integer tables indexed by the lexicographic
-# rank of K(delta) elements: coordinate matrix, pairwise sum ranks, and the
-# group-law pairing exponent over the scalar modulus.
+# Every enumeration below works on integer tables indexed by the lexicographic
+# rank of K(delta) elements: coordinate matrix, element orders, pairwise sum
+# and negation ranks, the group-law scalar exponent and the symplectic pairing
+# exponent over the scalar modulus.  A subgroup, a span or an automorphism is
+# an array of ranks; `KVector`s are looked up in `elements` only for results.
 
 class _KTable:
     def __init__(self, typ: ThetaType):
@@ -283,6 +289,9 @@ class _KTable:
         self.n = len(self.elements)
         self.divisors = np.array(typ.divisors * 2, dtype=np.int64)
         self.coords = np.array([z.coords for z in self.elements], dtype=np.int64)
+        self.orders = np.lcm.reduce(
+            self.divisors // np.gcd(self.coords, self.divisors), axis=1
+        )
         # mixed-radix place values for ranking a coordinate vector
         place = np.ones(2 * typ.g, dtype=np.int64)
         for i in range(2 * typ.g - 2, -1, -1):
@@ -293,14 +302,20 @@ class _KTable:
         self.neg_index = self.rank((-self.coords) % self.divisors)
         m = typ.scalar_modulus
         g = typ.g
-        pair = np.zeros((self.n, self.n), dtype=np.int64)
+        xy = np.zeros((self.n, self.n), dtype=np.int64)
         for nu in range(g):
             weight = -(m // typ.divisors[nu])
-            pair += weight * np.outer(self.coords[:, nu], self.coords[:, g + nu])
-        self.xy_exponent = pair % m  # M * exponent of the group-law scalar <x, y>
+            xy += weight * np.outer(self.coords[:, nu], self.coords[:, g + nu])
+        self.xy_exponent = xy % m  # M * exponent of the group-law scalar <x, y>
+        # pair[i, j] = M * exponent of the symplectic pairing <z_j, z_i>
+        self.pair = (self.xy_exponent.T - self.xy_exponent) % m
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
         return (coords % self.divisors) @ self.place
+
+    def basis_ranks(self) -> np.ndarray:
+        """Ranks of the standard basis e_1..e_2g."""
+        return self.rank(np.eye(2 * self.type.g, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -451,10 +466,10 @@ class HeisenbergAutomorphism:
     chi_exponents: tuple[int, ...]
 
     def eta(self, z: KVector) -> KVector:
-        out = k_zero(self.type)
-        for c, img in zip(z.coords, self.eta_images):
-            out = out + img.scale(c)
-        return out
+        _same_type(self, z)
+        table = _ktable(self.type)
+        coords = np.array(z.coords, dtype=np.int64)
+        return table.elements[int(table.rank(coords @ _eta_matrix(self)))]
 
     def chi(self, z: KVector) -> RootOfUnity:
         table = _ktable(self.type)
@@ -472,7 +487,8 @@ class HeisenbergAutomorphism:
         self_exp = np.array(self.chi_exponents, dtype=np.int64)
         other_exp = np.array(other.chi_exponents, dtype=np.int64)
         exps = (other_exp + self_exp[other_perm]) % self.type.scalar_modulus
-        images = tuple(self.eta(img) for img in other.eta_images)
+        ranks = table.rank(_eta_matrix(other) @ _eta_matrix(self))
+        images = tuple(table.elements[i] for i in ranks)
         return HeisenbergAutomorphism(self.type, images, tuple(int(e) for e in exps))
 
     def is_identity(self) -> bool:
@@ -506,9 +522,13 @@ class HeisenbergAutomorphism:
         }
 
 
+def _eta_matrix(u: HeisenbergAutomorphism) -> np.ndarray:
+    """Rows are the coordinates of the basis images, so eta(z) = z.coords @ matrix."""
+    return np.array([v.coords for v in u.eta_images], dtype=np.int64)
+
+
 def _eta_permutation(u: HeisenbergAutomorphism, table: _KTable) -> np.ndarray:
-    img = np.array([v.coords for v in u.eta_images], dtype=np.int64)
-    return table.rank(table.coords @ img)
+    return table.rank(table.coords @ _eta_matrix(u))
 
 
 def identity_automorphism(typ: ThetaType) -> HeisenbergAutomorphism:
@@ -518,50 +538,37 @@ def identity_automorphism(typ: ThetaType) -> HeisenbergAutomorphism:
 
 def inner_automorphism(z: KVector) -> HeisenbergAutomorphism:
     """i(z) as a HeisenbergAutomorphism: eta = id, chi = <z, .>."""
-    typ = z.type
-    table = _ktable(typ)
-    m = typ.scalar_modulus
-    exps = tuple(int(pairing(z, w).exponent * m) % m for w in table.elements)
-    return HeisenbergAutomorphism(typ, tuple(k_basis(typ)), exps)
+    table = _ktable(z.type)
+    exps = tuple(int(e) for e in table.pair[:, table.index[z]])
+    return HeisenbergAutomorphism(z.type, tuple(k_basis(z.type)), exps)
 
 
-def _symplectic_images(typ: ThetaType) -> Iterator[tuple[KVector, ...]]:
-    """All pairing-preserving automorphisms of K(delta), by basis images.
+def _symplectic_images(typ: ThetaType) -> Iterator[tuple[int, ...]]:
+    """All pairing-preserving automorphisms of K(delta), by ranks of the basis images.
 
     Backtracks over images f_j of the standard basis subject to the order
     conditions d_j f_j = 0 and the pairing conditions <f_j, f_k> = <e_j, e_k>;
     any such map is bijective because the pairing is non-degenerate.
     """
     table = _ktable(typ)
-    basis = k_basis(typ)
-    orders = list(typ.divisors) * 2
-    m = typ.scalar_modulus
     g = typ.g
-
-    # full symplectic pairing exponent over M, from the group-law table
-    full_pair = (table.xy_exponent.T - table.xy_exponent) % m
-    basis_idx = [table.index[b] for b in basis]
-    candidates = [
-        [i for i, z in enumerate(table.elements) if z.scale(o).is_zero()]
-        for o in orders
-    ]
-    target = {
-        (j, k): full_pair[basis_idx[j], basis_idx[k]]
-        for j in range(2 * g)
-        for k in range(j)
-    }
+    basis_idx = table.basis_ranks()
+    candidates = [np.flatnonzero(o % table.orders == 0) for o in typ.divisors * 2]
+    target = table.pair[np.ix_(basis_idx, basis_idx)]
 
     images: list[int] = []
 
     def backtrack(j: int):
         if j == 2 * g:
-            yield tuple(table.elements[i] for i in images)
+            yield tuple(images)
             return
-        for f in candidates[j]:
-            if all(full_pair[f, images[k]] == target[(j, k)] for k in range(j)):
-                images.append(f)
-                yield from backtrack(j + 1)
-                images.pop()
+        cand = candidates[j]
+        prev = np.array(images, dtype=np.intp)
+        ok = (table.pair[np.ix_(cand, prev)] == target[j, :j]).all(axis=1)
+        for f in cand[ok]:
+            images.append(int(f))
+            yield from backtrack(j + 1)
+            images.pop()
 
     yield from backtrack(0)
 
@@ -581,21 +588,21 @@ def enumerate_automorphisms(
     """
     table = _ktable(typ)
     m = typ.scalar_modulus
-    gen_positions = [table.index[b] for b in k_basis(typ)]
+    gen_positions = [int(i) for i in table.basis_ranks()]
     orders = list(typ.divisors) * 2
 
     out = []
-    for images in _symplectic_images(typ):
-        img = np.array([v.coords for v in images], dtype=np.int64)
-        perm = table.rank(table.coords @ img)
+    for ranks in _symplectic_images(typ):
+        perm = table.rank(table.coords @ table.coords[list(ranks)])
         beta = (table.xy_exponent[np.ix_(perm, perm)] - table.xy_exponent) % m
+        eta_images = tuple(table.elements[i] for i in ranks)
         for values in _solve_twisted_characters(
             table.coords, gen_positions, orders, table.sum_index, beta, m
         ):
             if symmetric and not np.array_equal(values[table.neg_index], values):
                 continue
             out.append(
-                HeisenbergAutomorphism(typ, images, tuple(int(v) for v in values))
+                HeisenbergAutomorphism(typ, eta_images, tuple(int(v) for v in values))
             )
     out.sort(key=lambda u: u.sort_key())
     return out
@@ -620,71 +627,64 @@ def stabilizer_u0sym(
     """
     if automorphisms is None:
         automorphisms = enumerate_sym_automorphisms(typ)
-    can = canonical_splitting(typ)
-    h_range = list(itertools.product(*(range(d) for d in typ.divisors)))
+    table = _ktable(typ)
+    g = typ.g
+    m = typ.scalar_modulus
+    # ranks of the lifts (1, h, 0): the elements with zero y-part
+    hidx = np.flatnonzero(~table.coords[:, g:].any(axis=1))
     out = []
     for u in automorphisms:
-        ok = True
-        for h in h_range:
-            image = u.apply(can.sigma(h))
-            if not image.scalar.is_one() or any(c != 0 for c in image.z.y):
-                ok = False
-                break
-            if pointwise and image.z.x != can.sigma(h).z.x:
-                ok = False
-                break
-        if ok:
-            out.append(u)
+        image = _eta_permutation(u, table)[hidx]
+        chi = np.array(u.chi_exponents, dtype=np.int64)[hidx]
+        if (chi % m).any() or table.coords[image, g:].any():
+            continue
+        if pointwise and not np.array_equal(image, hidx):
+            continue
+        out.append(u)
     return out
 
 
 # --- splitting pairs over arbitrary maximal isotropic subgroups --------------------
 
+_SPAN_CHUNK = 2**17  # span elements materialized at once while enumerating subgroups
+
+
 def maximal_isotropic_subgroups(typ: ThetaType) -> list[tuple[KVector, ...]]:
     """Subgroups of K(delta) isomorphic to H(delta) with H-perp = H.
 
     Each subgroup is returned once, as a generating tuple realizing it as
-    prod Z/d_i.
+    prod Z/d_i: the first such tuple, in product order over the elements of
+    order dividing d_i, whose span has d elements.
     """
     table = _ktable(typ)
-    m = typ.scalar_modulus
-    full_pair = (table.xy_exponent.T - table.xy_exponent) % m
-    elements = table.elements
     d = typ.degree
-    seen: dict[frozenset, tuple[KVector, ...]] = {}
-    order_ok = [
-        [z for z in elements if z.scale(o).is_zero()] for o in typ.divisors
-    ]
-    for gens in itertools.product(*order_ok):
-        span = _span(gens, typ)
-        if len(span) != d:
-            continue
-        key = frozenset(span)
-        if key in seen:
-            continue
-        idx = [table.index[z] for z in span]
-        if np.any(full_pair[np.ix_(idx, idx)]):
-            continue
-        perp_count = int(np.sum(~np.any(full_pair[:, idx], axis=1)))
-        if perp_count != d:
-            continue
-        seen[key] = gens
-    return sorted(seen.values(), key=lambda gs: tuple(g_.coords for g_ in gs))
-
-
-def _span(gens: Sequence[KVector], typ: ThetaType) -> list[KVector]:
-    out = {k_zero(typ)}
-    frontier = [k_zero(typ)]
-    while frontier:
-        nxt = []
-        for z in frontier:
-            for g_ in gens:
-                w = z + g_
-                if w not in out:
-                    out.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(out, key=lambda z: z.coords)
+    # span of gens: sum_i mult_i gens_i for mult in prod range(d_i)
+    mult = np.array(
+        list(itertools.product(*(range(o) for o in typ.divisors))), dtype=np.int64
+    )
+    candidates = [np.flatnonzero(o % table.orders == 0) for o in typ.divisors]
+    shape = tuple(len(c) for c in candidates)
+    total = prod(shape)
+    step = max(1, _SPAN_CHUNK // d)
+    seen: dict[bytes, tuple[int, ...] | None] = {}
+    for start in range(0, total, step):
+        pos = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+        gens = np.stack([c[p] for c, p in zip(candidates, pos)], axis=1)
+        spans = np.sort(table.rank(mult @ table.coords[gens]), axis=1)
+        full = (np.diff(spans, axis=1) != 0).all(axis=1)
+        gens, spans = gens[full], spans[full]
+        keys, first = np.unique(spans, axis=0, return_index=True)
+        for span, i in zip(keys, first):
+            key = span.tobytes()
+            if key in seen:
+                continue
+            isotropic = not table.pair[np.ix_(span, span)].any()
+            perp_count = int(np.sum(~table.pair[:, span].any(axis=1)))
+            lagrangian = isotropic and perp_count == d
+            seen[key] = tuple(gens[i].tolist()) if lagrangian else None
+    # ranks are lexicographic in the coordinates, so this is the coordinate order
+    found = sorted(gs for gs in seen.values() if gs is not None)
+    return [tuple(table.elements[i] for i in gs) for gs in found]
 
 
 def symmetric_splittings_over(
@@ -696,36 +696,29 @@ def symmetric_splittings_over(
     group-law cocycle relation s(h1 + h2) = s(h1) s(h2) <x(h1), y(h2)>, and is
     symmetric when s(-h) = s(h).  Returns the scalar maps s.
     """
+    for g_ in gens:
+        if g_.type != typ:
+            raise TypeMismatch(f"types differ: {g_.type} vs {typ}")
     table = _ktable(typ)
     m = typ.scalar_modulus
-    span = _span(gens, typ)
-    orders = [_element_order(g_) for g_ in gens]
-    if prod(orders) != len(span):
+    gen_coords = np.array([g_.coords for g_ in gens], dtype=np.int64)
+    gen_ranks = table.rank(gen_coords.reshape(len(gens), 2 * typ.g))
+    orders = [int(o) for o in table.orders[gen_ranks]]
+    # the element at local coordinates c is sum c_j gens_j, of global rank gidx
+    coords = np.array(
+        list(itertools.product(*(range(o) for o in orders))), dtype=np.int64
+    )
+    gidx = table.rank(coords @ table.coords[gen_ranks])
+    if len(np.unique(gidx)) != len(gidx):
         raise ValueError("generators do not realize the subgroup as a direct product")
 
-    idx = np.array([table.index[z] for z in span], dtype=np.int64)
-    local = {int(i): j for j, i in enumerate(idx)}
-    coords = np.array(
-        [c for c in itertools.product(*(range(o) for o in orders))], dtype=np.int64
-    )
-    # element at local coordinates c is sum c_j gens_j: build the local tables
-    elems = []
-    for c in coords:
-        acc = k_zero(typ)
-        for k, g_ in zip(c, gens):
-            acc = acc + g_.scale(int(k))
-        elems.append(acc)
-    n = len(elems)
-    lidx = {z: i for i, z in enumerate(elems)}
-    sum_index = np.array(
-        [[lidx[a + b] for b in elems] for a in elems], dtype=np.int64
-    )
-    gidx = np.array([table.index[z] for z in elems], dtype=np.int64)
-    beta = table.xy_exponent[np.ix_(gidx, gidx)] % m
-    gen_positions = [
-        lidx[g_] for g_ in gens
-    ]
-    neg_index = np.array([lidx[-z] for z in elems], dtype=np.int64)
+    local = np.full(table.n, -1, dtype=np.int64)
+    local[gidx] = np.arange(len(gidx))
+    sum_index = local[table.sum_index[np.ix_(gidx, gidx)]]
+    neg_index = local[table.neg_index[gidx]]
+    beta = table.xy_exponent[np.ix_(gidx, gidx)]
+    gen_positions = [int(i) for i in local[gen_ranks]]
+    elems = [table.elements[i] for i in gidx]
 
     out = []
     for values in _solve_twisted_characters(
@@ -737,12 +730,3 @@ def symmetric_splittings_over(
             {z: RootOfUnity(Fraction(int(v), m)) for z, v in zip(elems, values)}
         )
     return out
-
-
-def _element_order(z: KVector) -> int:
-    o = 1
-    acc = z
-    while not acc.is_zero():
-        acc = acc + z
-        o += 1
-    return o

@@ -485,6 +485,9 @@ def _bfs_closure(gens: list[np.ndarray]):
     Membership testing is vectorized by keeping the discovered keys in a
     sorted array with a companion index array; per batch, already-seen
     products become constraint edges and unseen ones become tree nodes.
+    Elements are numbered level by level, and the last return value holds the
+    end index of each BFS level: level L is range(ends[L-1], ends[L]), and
+    every parent lies on the level before.
     """
     k = gens[0].shape[0]
     gen_arr = np.ascontiguousarray(np.array(gens, dtype=np.uint8) % 4)
@@ -553,6 +556,7 @@ def _bfs_closure(gens: list[np.ndarray]):
         np.concatenate(e_par),
         np.concatenate(e_gen),
         np.concatenate(e_tgt),
+        np.cumsum([len(c) for c in parent_chunks]),
     )
 
 
@@ -576,7 +580,9 @@ def group_data(g: int, parity: str) -> GroupData:
     target = (2 ** (g * (2 * g + 1))) * len(ortho)
     extended = False
     while True:
-        mats, key_index, parent_of, gen_of, e_par, e_gen, e_tgt = _bfs_closure(gens)
+        (
+            mats, key_index, parent_of, gen_of, e_par, e_gen, e_tgt, level_ends
+        ) = _bfs_closure(gens)
         if len(mats) == target:
             break
         if len(mats) > target:
@@ -599,11 +605,13 @@ def group_data(g: int, parity: str) -> GroupData:
 
     n_gens = len(gens)
     n = len(mats)
-    # exponent vectors with respect to the generators, along the search tree
+    # exponent vectors with respect to the generators, along the search tree,
+    # one BFS level at a time: a node is its parent times one generator
     tvecs = np.zeros((n, n_gens), dtype=np.int8)
-    for i in range(1, n):
-        tvecs[i] = tvecs[parent_of[i]]
-        tvecs[i, gen_of[i]] = (tvecs[i, gen_of[i]] + 1) % 4
+    for start, end in zip(level_ends[:-1], level_ends[1:]):
+        level = np.arange(start, end)
+        tvecs[level] = tvecs[parent_of[level]]
+        tvecs[level, gen_of[level]] = (tvecs[level, gen_of[level]] + 1) % 4
 
     # every non-tree edge parent*gen = target is a character constraint
     rows = (

@@ -6,6 +6,7 @@ import pytest
 
 from thetalab.cyclo import MINUS_ONE, ONE, RootOfUnity, ZETA4, mu_group
 from thetalab.heisenberg import (
+    HeisenbergAutomorphism,
     HeisenbergElement,
     KVector,
     OddType,
@@ -32,7 +33,6 @@ from thetalab.heisenberg import (
     pairing,
     stabilizer_u0sym,
     symmetric_splittings_over,
-    _span,
 )
 
 T2 = ThetaType((2,))
@@ -47,6 +47,128 @@ def kv(typ, *coords):
 
 def he(scalar, z):
     return HeisenbergElement(scalar, z)
+
+
+# --- object-built oracles: slow and obvious, on KVector/HeisenbergElement ---------
+
+def span_oracle(gens, typ):
+    """The subgroup generated by `gens`, by breadth-first closure under addition."""
+    out = {k_zero(typ)}
+    frontier = [k_zero(typ)]
+    while frontier:
+        nxt = []
+        for z in frontier:
+            for g_ in gens:
+                w = z + g_
+                if w not in out:
+                    out.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(out, key=lambda z: z.coords)
+
+
+def maximal_isotropic_oracle(typ):
+    """First generating tuple, in product order, of every Lagrangian subgroup."""
+    elements = k_elements(typ)
+    seen = {}
+    order_ok = [[z for z in elements if z.scale(o).is_zero()] for o in typ.divisors]
+    for gens in itertools.product(*order_ok):
+        key = frozenset(span_oracle(gens, typ))
+        if len(key) != typ.degree or key in seen:
+            continue
+        isotropic = all(pairing(a, b).is_one() for a in key for b in key)
+        perp = [w for w in elements if all(pairing(w, z).is_one() for z in key)]
+        seen[key] = gens if isotropic and len(perp) == typ.degree else None
+    return sorted(
+        (gs for gs in seen.values() if gs is not None),
+        key=lambda gs: tuple(z.coords for z in gs),
+    )
+
+
+def _power(a, k):
+    out = h_identity(a.type)
+    for _ in range(k):
+        out = hmul(out, a)
+    return out
+
+
+def splittings_oracle(gens, typ):
+    """Symmetric homomorphic lifts of span(gens), by brute force over mu_M values.
+
+    A generator lift (lambda, g) must have the order of g; every product of
+    such lifts is then extended along a BFS and checked on all steps.
+    """
+    m = typ.scalar_modulus
+    span = span_oracle(gens, typ)
+    options = []
+    for g_ in gens:
+        lifts = [he(RootOfUnity(Fraction(e, m)), g_) for e in range(m)]
+        options.append(
+            [a for a in lifts if _power(a, g_.order()) == h_identity(typ)]
+        )
+    out = []
+    for lifts in itertools.product(*options):
+        sigma = {k_zero(typ): h_identity(typ)}
+        frontier = [k_zero(typ)]
+        while frontier:
+            nxt = []
+            for z in frontier:
+                for lift in lifts:
+                    if z + lift.z not in sigma:
+                        sigma[z + lift.z] = hmul(sigma[z], lift)
+                        nxt.append(z + lift.z)
+            frontier = nxt
+        # a homomorphism iff every generator step agrees with the BFS values
+        steps = all(
+            hmul(sigma[a], lift) == sigma[a + lift.z] for a in span for lift in lifts
+        )
+        if steps and all(d_minus_one(sigma[z]) == sigma[-z] for z in span):
+            out.append({z: sigma[z].scalar for z in span})
+    return out
+
+
+def eta_oracle(u, z):
+    out = k_zero(u.type)
+    for c, img in zip(z.coords, u.eta_images):
+        out = out + img.scale(c)
+    return out
+
+
+def apply_oracle(u, a):
+    return he(a.scalar * u.chi(a.z), eta_oracle(u, a.z))
+
+
+def stabilizer_oracle(typ, automorphisms):
+    """(setwise, pointwise) stabilizers of the canonical lifts (1, h, 0)."""
+    can = canonical_splitting(typ)
+    hs = list(itertools.product(*(range(d) for d in typ.divisors)))
+    lifts = [can.sigma(h) for h in hs]
+    setwise, pointwise = [], []
+    for u in automorphisms:
+        images = []
+        for lift in lifts:
+            image = apply_oracle(u, lift)
+            if not image.scalar.is_one() or any(image.z.y):
+                break
+            images.append(image.z.x)
+        else:
+            setwise.append(u)
+            if images == hs:
+                pointwise.append(u)
+    return setwise, pointwise
+
+
+def automorphism_sample(typ):
+    """All symmetric automorphisms up to |K| = 36; above that (the full
+    enumeration of (2,4) takes about 18 s) the inner automorphisms and their
+    composites with the inversion d_minus_one, which moves the lifts setwise."""
+    if typ.k_order <= 36:
+        return enumerate_sym_automorphisms(typ)
+    minus = HeisenbergAutomorphism(
+        typ, tuple(-b for b in k_basis(typ)), (0,) * typ.k_order
+    )
+    inner = [inner_automorphism(z) for z in k_elements(typ)]
+    return inner + [minus.compose(u) for u in inner]
 
 
 def test_type_validation():
@@ -325,7 +447,7 @@ def test_covering_degrees_from_doubled_type():
     assert len(subs) == 120
 
     def mod2_span(gens):
-        span = _span(gens, typ44)
+        span = span_oracle(gens, typ44)
         return frozenset(
             (tuple(c % 2 for c in z.x), tuple(c % 2 for c in z.y)) for z in span
         )
@@ -342,7 +464,7 @@ def test_covering_degrees_from_doubled_type():
     assert len(subs4) == 6
 
     def mod2_span4(gens):
-        span = _span(gens, typ4)
+        span = span_oracle(gens, typ4)
         return frozenset(
             (tuple(c % 2 for c in z.x), tuple(c % 2 for c in z.y)) for z in span
         )
@@ -356,6 +478,60 @@ def test_covering_degrees_from_doubled_type():
 def test_enumeration_bound():
     with pytest.raises(TooLarge):
         enumerate_sym_automorphisms(ThetaType((64, 64)))
+    with pytest.raises(TooLarge):
+        maximal_isotropic_subgroups(ThetaType((64, 64)))
+
+
+def test_splittings_over_non_direct_product_rejected():
+    z = kv(T22, 1, 0, 0, 1)
+    with pytest.raises(ValueError, match="direct product"):
+        symmetric_splittings_over((z, z), T22)
+
+
+def _lift_key(s):
+    return sorted((z.coords, v.exponent) for z, v in s.items())
+
+
+@pytest.mark.parametrize("divisors", ((2,), (3,), (4,), (6,), (2, 2), (2, 4)))
+def test_enumerations_match_object_oracles(divisors):
+    typ = ThetaType(divisors)
+    subs = maximal_isotropic_subgroups(typ)
+    assert subs == maximal_isotropic_oracle(typ)
+    for gens in subs:
+        lifts = symmetric_splittings_over(gens, typ)
+        assert sorted(map(_lift_key, lifts)) == sorted(
+            map(_lift_key, splittings_oracle(gens, typ))
+        )
+
+    auts = automorphism_sample(typ)
+    setwise, pointwise = stabilizer_oracle(typ, auts)
+    assert stabilizer_u0sym(typ, auts) == setwise
+    assert stabilizer_u0sym(typ, auts, pointwise=True) == pointwise
+
+    m = typ.scalar_modulus
+    elems = k_elements(typ)
+    for z in elems:
+        expected = tuple(int(pairing(z, w).exponent * m) % m for w in elems)
+        assert inner_automorphism(z).chi_exponents == expected
+
+
+@pytest.mark.parametrize("divisors", ((2,), (2, 2)))
+def test_eta_and_apply_match_object_loops(divisors):
+    typ = ThetaType(divisors)
+    elems = [he(lam, z) for lam in mu_group(4) for z in k_elements(typ)]
+    if typ == T2:
+        # every automorphism on every element
+        cases = [
+            (u, e) for u in enumerate_automorphisms(typ, symmetric=False) for e in elems
+        ]
+    else:
+        # every symmetric automorphism, on an element cycling through mu_4 x K
+        auts = enumerate_sym_automorphisms(typ)
+        cases = [(u, elems[(7 * i) % len(elems)]) for i, u in enumerate(auts)]
+    for u, e in cases:
+        expected = apply_oracle(u, e)
+        assert u.eta(e.z) == expected.z
+        assert u.apply(e) == expected
 
 
 def test_automorphism_composition_and_sorting():
@@ -366,3 +542,5 @@ def test_automorphism_composition_and_sorting():
     for u in auts[:6]:
         for v in auts[:6]:
             assert u.compose(v) in index
+    with pytest.raises(TypeMismatch):
+        auts[0].eta(kv(T4, 1, 0))
