@@ -169,7 +169,7 @@ def word_to_matrix(tokens: list[tuple[str, int]]) -> SL2Matrix:
         elif name == "S":
             for _ in range(k):
                 out = out * SL2_S
-        else:
+        elif name != "Z":  # the central (I, -) covers the identity matrix
             raise ValueError(f"unknown token {name!r}")
     return out
 

@@ -10,15 +10,17 @@ and carry a distinguished mu_4-valued character, the discriminant: the
 unique character that takes the value i on every anisotropic transvection
 (oriented by the mu_4-valued standard pairing) and restricts on the kernel
 to the linearization of the quadratic form.  The character is computed, not
-assumed: the group is enumerated by breadth-first closure, every product
-relation discovered during the closure becomes a linear constraint mod 4 on
-candidate characters, and the solver asserts that exactly one character
-satisfies all constraints together with the normalizations.  Non-uniqueness
-is reported as an error (`NonUnique`), never resolved silently.  The
-normalization is pinned so that the character agrees on the nose with the
-mu_4 factor in the classical theta functional equation (e.g. [[0,3],[1,0]]
-maps to i); the complex-conjugate character is the one normalized on the
-opposite pairing orientation.
+assumed: the group is enumerated by breadth-first closure from a generating
+set, and the prescribed values fix the character on every generator they
+reach (only the orthogonal lift appended at g = 2, even parity, is left
+free and ranges over Z/4).  Each choice of generator values is propagated
+down the search tree and kept only if it respects every product relation
+found during the closure and every prescribed value; exactly one choice must
+survive.  Non-uniqueness is reported as an error (`NonUnique`), never
+resolved silently.  The normalization is pinned so that the character agrees
+on the nose with the mu_4 factor in the classical theta functional equation
+(e.g. [[0,3],[1,0]] maps to i); the complex-conjugate character is the one
+normalized on the opposite pairing orientation.
 
 Only g <= 2 is supported; the largest enumeration (g = 2, odd parity) has
 122880 elements.
@@ -72,7 +74,7 @@ class NotMember(ValueError):
 
 
 class NonUnique(ArithmeticError):
-    """The character solve found a number of solutions different from one."""
+    """The discriminant check left a number of characters different from one."""
 
 
 def _parity(parity: str) -> str:
@@ -283,7 +285,7 @@ def gamma2_elements(g: int) -> list[np.ndarray]:
     return out
 
 
-# --- F2 and mod-4 linear algebra ---------------------------------------------------
+# --- F2 linear algebra -------------------------------------------------------------
 
 def _f2_solve(a: np.ndarray, b: np.ndarray):
     """All solutions of a x = b over F_2: (particular, nullspace basis) or None."""
@@ -309,47 +311,12 @@ def _f2_solve(a: np.ndarray, b: np.ndarray):
     return particular, null
 
 
-def _solve_mod4(a: np.ndarray, b: np.ndarray, cap: int = 4096) -> list[np.ndarray]:
-    """All solutions of a x = b (mod 4), by solving mod 2 and lifting."""
-    a = np.asarray(a, dtype=np.int64) % 4
-    b = np.asarray(b, dtype=np.int64) % 4
-    first = _f2_solve(a, b)
-    if first is None:
-        return []
-    part0, null0 = first
-    if 2 ** len(null0) > cap:
-        raise NonUnique(
-            f"mod-2 solution space has dimension {len(null0)}; character is far from unique"
-        )
-    sols = []
-    for bits in itertools.product((0, 1), repeat=len(null0)):
-        x0 = part0.copy()
-        for bit, v in zip(bits, null0):
-            if bit:
-                x0 ^= v
-        r = (b - a @ x0.astype(np.int64)) % 4
-        if np.any(r % 2):
-            continue
-        second = _f2_solve(a, r // 2)
-        if second is None:
-            continue
-        part1, null1 = second
-        if 2 ** len(null1) > cap:
-            raise NonUnique(
-                f"lift solution space has dimension {len(null1)}; character is far from unique"
-            )
-        for bits1 in itertools.product((0, 1), repeat=len(null1)):
-            x1 = part1.copy()
-            for bit, v in zip(bits1, null1):
-                if bit:
-                    x1 ^= v
-            sols.append((x0.astype(np.int64) + 2 * x1.astype(np.int64)) % 4)
-            if len(sols) > cap:
-                raise NonUnique("too many candidate characters")
-    return sols
+# --- group enumeration with character check ----------------------------------------
 
+def _key(mat) -> int:
+    """The packed key of one mod-4 matrix, as stored in `GroupData.key_index`."""
+    return int(_kernels.pack_mod4(np.asarray(mat).astype(np.uint8)[None, :, :])[0])
 
-# --- group enumeration with character solve ----------------------------------------
 
 @dataclass
 class GroupData:
@@ -357,8 +324,9 @@ class GroupData:
 
     matrices[i] is the i-th element (uint8, mod 4); key_index maps packed
     keys to indices; lam[i] is the exponent e with discriminant = i^e; and
-    solution_count records how many characters survived the solve (asserted
-    to be one before this object is built).
+    solution_count records how many characters passed the check on every
+    closure edge and prescribed value (`group_data` raises `NonUnique`
+    unless it is one).
     """
 
     g: int
@@ -375,9 +343,7 @@ class GroupData:
         return len(self.matrices)
 
     def index_of(self, mat) -> int:
-        m = _as_matrix(mat).astype(np.uint8)
-        key = int(_kernels.pack_mod4(m[None, :, :])[0])
-        idx = self.key_index.get(key)
+        idx = self.key_index.get(_key(_as_matrix(mat)))
         if idx is None:
             raise NotMember("matrix is not in the enumerated group")
         return idx
@@ -429,8 +395,7 @@ def _all_anisotropic_transvections(g: int, parity: str) -> list[np.ndarray]:
     for v in itertools.product(range(4), repeat=2 * g):
         if quad_form_value(np.array(v) % 2, parity) == 1:
             t = transvection(np.array(v)).np.astype(np.uint8)
-            key = int(_kernels.pack_mod4(t[None, :, :])[0])
-            seen[key] = t
+            seen[_key(t)] = t
     return list(seen.values())
 
 
@@ -475,7 +440,8 @@ def _lift_orthogonal(obar: np.ndarray, g: int) -> np.ndarray:
         raise ArithmeticError("orthogonal element does not lift; form data inconsistent")
     e = sol[0].astype(np.int64).reshape(n, n)
     lifted = (o + 2 * e) % 4
-    assert is_symplectic_mod4(lifted)
+    if not is_symplectic_mod4(lifted):
+        raise ArithmeticError("lifted orthogonal element is not symplectic mod 4")
     return lifted
 
 
@@ -560,9 +526,46 @@ def _bfs_closure(gens: list[np.ndarray]):
     )
 
 
+def _characters(
+    parent_of, gen_of, e_par, e_gen, e_tgt, level_ends, n_gens, constraints
+) -> list[np.ndarray]:
+    """Every mod-4 character of a closure with the prescribed values.
+
+    The first six arguments are what `_bfs_closure` returns after the matrices
+    and the key index; `constraints` lists (element index, exponent) pairs.
+    A constraint on a level-1 tree node fixes the value of that node's
+    generator; every other generator ranges over Z/4.  Each candidate is
+    propagated down the search tree, lam(h * s) = lam(h) + x(s), and kept only
+    if it holds on every non-tree edge, which makes it a homomorphism, and on
+    every constraint.  Returns the exponent arrays lam (int8) of the survivors.
+    """
+    cons_idx = np.array([i for i, _ in constraints], dtype=np.int64)
+    cons_exp = np.array([e for _, e in constraints], dtype=np.int64) % 4
+    pins = {
+        int(gen_of[i]): e for i, e in zip(cons_idx, cons_exp) if i and parent_of[i] == 0
+    }
+    free = [s for s in range(n_gens) if s not in pins]
+
+    survivors = []
+    for values in itertools.product(range(4), repeat=len(free)):
+        x = np.zeros(n_gens, dtype=np.int8)
+        x[list(pins)] = list(pins.values())
+        x[free] = values
+        lam = np.zeros(len(parent_of), dtype=np.int8)
+        for start, end in zip(level_ends[:-1], level_ends[1:]):
+            level = np.arange(start, end)
+            lam[level] = (lam[parent_of[level]] + x[gen_of[level]]) % 4
+        if np.any((lam[e_par] + x[e_gen] - lam[e_tgt]) % 4):
+            continue
+        if np.any(lam[cons_idx] != cons_exp):
+            continue
+        survivors.append(lam)
+    return survivors
+
+
 @lru_cache(maxsize=None)
 def group_data(g: int, parity: str) -> GroupData:
-    """Enumerate the mod-4 group with theta characteristic and solve for its discriminant.
+    """Enumerate the mod-4 group with theta characteristic and decide its discriminant.
 
     Generators: a basis of the mod-2 congruence kernel together with one
     anisotropic transvection lift per mod-2 class.  If the closure falls
@@ -588,41 +591,12 @@ def group_data(g: int, parity: str) -> GroupData:
         if len(mats) > target:
             raise ArithmeticError("closure exceeds the extension order; form data wrong")
         # find an orthogonal element not represented mod 2 and append a lift
-        reduced = {
-            int(_kernels.pack_mod4((m % 2).astype(np.uint8)[None, :, :])[0])
-            for m in mats
-        }
-        missing = None
-        for obar in ortho:
-            o = np.array(obar, dtype=np.uint8)
-            if int(_kernels.pack_mod4(o[None, :, :])[0]) not in reduced:
-                missing = o
-                break
+        reduced = set(_kernels.pack_mod4(mats % 2).tolist())
+        missing = next((obar for obar in ortho if _key(obar) not in reduced), None)
         if missing is None:
             raise ArithmeticError("closure is short but covers O; kernel data wrong")
-        gens = gens + [_lift_orthogonal(missing.astype(np.int64), g)]
+        gens = gens + [_lift_orthogonal(np.array(missing, dtype=np.int64), g)]
         extended = True
-
-    n_gens = len(gens)
-    n = len(mats)
-    # exponent vectors with respect to the generators, along the search tree,
-    # one BFS level at a time: a node is its parent times one generator
-    tvecs = np.zeros((n, n_gens), dtype=np.int8)
-    for start, end in zip(level_ends[:-1], level_ends[1:]):
-        level = np.arange(start, end)
-        tvecs[level] = tvecs[parent_of[level]]
-        tvecs[level, gen_of[level]] = (tvecs[level, gen_of[level]] + 1) % 4
-
-    # every non-tree edge parent*gen = target is a character constraint
-    rows = (
-        tvecs[e_par].astype(np.int64)
-        + np.eye(n_gens, dtype=np.int64)[e_gen]
-        - tvecs[e_tgt].astype(np.int64)
-    ) % 4
-    weights = np.int64(4) ** np.arange(n_gens, dtype=np.int64)
-    packed = rows @ weights
-    _, first = np.unique(packed, return_index=True)
-    edge_rows = rows[first]
 
     # The normalizing transvections are the ones built from the mu_4-valued
     # standard pairing, whose additive exponent is -B for the bilinear form
@@ -630,20 +604,15 @@ def group_data(g: int, parity: str) -> GroupData:
     # t_v the character takes the value i^{-1} = i^3.  (The opposite choice
     # is the complex-conjugate character, which fails the theta functional
     # equation oracle: it sends [[0,3],[1,0]] to -i instead of i.)
-    trans_rows = []
-    for t in _all_anisotropic_transvections(g, parity):
-        key = int(_kernels.pack_mod4(t[None, :, :])[0])
-        trans_rows.append(tvecs[key_index[key]].astype(np.int64))
-    trans_rows = np.array(trans_rows, dtype=np.int64) % 4
+    constraints = [
+        (key_index[_key(t)], 3) for t in _all_anisotropic_transvections(g, parity)
+    ]
 
     # restriction to the congruence kernel: the quadratic-form linearization
-    kernel_rows = []
-    kernel_rhs = []
-    for u in gamma2_basis(g):
-        key = int(_kernels.pack_mod4(u.astype(np.uint8)[None, :, :])[0])
-        kernel_rows.append(tvecs[key_index[key]].astype(np.int64))
-        kernel_rhs.append(2 * gamma2_character_exponent(u, parity))
-    kernel_rows = np.array(kernel_rows, dtype=np.int64) % 4
+    constraints += [
+        (key_index[_key(u)], 2 * gamma2_character_exponent(u, parity))
+        for u in gamma2_basis(g)
+    ]
 
     # stabilization: on block-diagonal embeddings of the g=1 groups the
     # character restricts to the g=1 discriminant, and on the plane swap
@@ -652,61 +621,40 @@ def group_data(g: int, parity: str) -> GroupData:
     # functional equation.  Needed at g=2 even, where transvections generate
     # a proper subgroup of the orthogonal quotient (the classical O_4^+(F_2)
     # exception) and would leave a residual sign twist otherwise.
-    stab_rows = []
-    stab_rhs = []
     if g == 2:
         plane_parities = ("even", "even") if parity == "even" else ("odd", "even")
         for plane, p1 in enumerate(plane_parities):
             sub = group_data(1, p1)
             for i in range(sub.order):
                 emb = _embed_block(sub.matrices[i].astype(np.int64), plane)
-                key = int(_kernels.pack_mod4(emb.astype(np.uint8)[None, :, :])[0])
-                stab_rows.append(tvecs[key_index[key]].astype(np.int64))
-                stab_rhs.append(int(sub.lam[i]))
+                constraints.append((key_index[_key(emb)], int(sub.lam[i])))
         if parity == "even":
-            swap = np.array(
-                [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                dtype=np.uint8,
-            )
-            key = int(_kernels.pack_mod4(swap[None, :, :])[0])
-            stab_rows.append(tvecs[key_index[key]].astype(np.int64))
-            stab_rhs.append(2)
-    stab_rows = (
-        np.array(stab_rows, dtype=np.int64) % 4
-        if stab_rows
-        else np.zeros((0, n_gens), dtype=np.int64)
-    )
+            swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+            constraints.append((key_index[_key(swap)], 2))
 
-    a = np.concatenate([edge_rows, trans_rows, kernel_rows, stab_rows])
-    b = np.concatenate(
-        [
-            np.zeros(len(edge_rows), dtype=np.int64),
-            3 * np.ones(len(trans_rows), dtype=np.int64),
-            np.array(kernel_rhs, dtype=np.int64),
-            np.array(stab_rhs, dtype=np.int64),
-        ]
+    n_gens = len(gens)
+    lams = _characters(
+        parent_of, gen_of, e_par, e_gen, e_tgt, level_ends, n_gens, constraints
     )
-    solutions = _solve_mod4(a, b)
-    if len(solutions) != 1:
+    if len(lams) != 1:
         raise NonUnique(
-            f"discriminant solve for g={g}, parity={parity} found "
-            f"{len(solutions)} characters instead of one"
+            f"discriminant check for g={g}, parity={parity} found "
+            f"{len(lams)} characters instead of one"
         )
-    lam = (tvecs.astype(np.int64) @ solutions[0]) % 4
     return GroupData(
         g=g,
         parity=parity,
         matrices=mats,
         key_index=key_index,
-        lam=lam.astype(np.int8),
-        solution_count=len(solutions),
+        lam=lams[0],
+        solution_count=len(lams),
         generator_count=n_gens,
         extended_generators=extended,
     )
 
 
 def character_solution_count(g: int, parity: str) -> int:
-    """How many characters survived the discriminant solve (must be one)."""
+    """How many characters survived the discriminant check (must be one)."""
     return group_data(g, parity).solution_count
 
 

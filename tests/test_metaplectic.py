@@ -114,6 +114,8 @@ def test_mp_lift_word_round_trip():
         assert sum(1 for name, _ in lifted if name == "Z") <= 1
         if lifted and lifted[-1][0] != "Z":
             assert all(name != "Z" for name, _ in lifted)
+        for eps in (1, -1):
+            assert word_to_matrix(mp_lift_word(p.gamma, eps)) == p.gamma
 
 
 def test_mp_lift_word_trivial_cases():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetalab import symplectic4
 from thetalab.cyclo import MINUS_ONE, ONE, RootOfUnity, ZETA4
 from thetalab.symplectic4 import (
     BadShape,
-    NonUnique,
     NotMember,
     NotOrthogonal,
     character_solution_count,
@@ -23,9 +23,12 @@ from thetalab.symplectic4 import (
     preserves_quad_form,
     quad_form_value,
     reduce_mod2_and_membership,
+    _bfs_closure,
+    _characters,
     _f2_rank,
     _f2_solve,
-    _solve_mod4,
+    _key,
+    _lift_orthogonal,
     symplectic_form_matrix,
     transvection,
 )
@@ -208,12 +211,37 @@ def test_transvection_squares():
             assert discriminant(sq, parity) == MINUS_ONE
 
 
-def test_solver_reports_nonuniqueness():
-    # an underdetermined system: one unknown, no constraints
-    sols = _solve_mod4(np.zeros((1, 1), dtype=int), np.zeros(1, dtype=int))
-    assert len(sols) == 4
-    with pytest.raises(NonUnique):
-        _solve_mod4(np.zeros((1, 30), dtype=int), np.zeros(1, dtype=int), cap=8)
+def test_character_check_toy_cases():
+    """Exact character counts on the cyclic group of a transvection.
+
+    t_v^k = I + k v v^T J, so t has order 4.
+    """
+    t = transvection([1, 1]).np
+    powers = [np.linalg.matrix_power(t, k) % 4 for k in range(4)]
+
+    def characters(gens, values):
+        _, key_index, *tree = _bfs_closure(gens)
+        constraints = [(key_index[_key(m)], e) for m, e in values]
+        return key_index, _characters(*tree, len(gens), constraints)
+
+    assert len(characters([t], [])[1]) == 4
+    key_index, lams = characters([t], [(t, 1)])
+    assert len(lams) == 1
+    assert [int(lams[0][key_index[_key(p)]]) for p in powers] == [0, 1, 2, 3]
+    assert len(characters([t], [(powers[2], 1)])[1]) == 0
+    # both generators are pinned and both constraints hold; only the closure
+    # edge t * t^3 = I rules the choice out
+    assert len(characters([t, powers[3]], [(t, 1), (powers[3], 1)])[1]) == 0
+
+
+def test_lift_orthogonal_rejects_non_symplectic_lift(monkeypatch):
+    """A failed lift raises ArithmeticError, which survives python -O."""
+    monkeypatch.setattr(
+        symplectic4, "_f2_solve", lambda a, b: (np.zeros(a.shape[1], dtype=np.uint8), [])
+    )
+    # det = -1, so the lift with zero correction is not symplectic mod 4
+    with pytest.raises(ArithmeticError):
+        _lift_orthogonal(np.array([[1, 1], [1, 0]]), 1)
 
 
 @settings(max_examples=80, deadline=None)
