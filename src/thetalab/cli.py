@@ -3,8 +3,11 @@
 JSON goes to stdout (one object per invocation, numbers at 15 significant
 digits, complex values as "a+bi" strings); human summaries go to stderr.
 Exit codes: 0 success (and every suite check passed), 1 a suite check
-failed, 2 malformed input.  THETA_LAB_SEED fixes the generator for sampled
-sweeps.
+failed, 2 malformed input or an input outside the documented domain, 3 an
+internal failure (an ArithmeticError such as an unresolved branch sign or a
+non-unique solve, or a ConventionFlip), reported on stdout as
+{"error": <message>, "kind": <exception class name>}.  THETA_LAB_SEED fixes
+the generator for sampled sweeps.
 
 Principal branch convention: square roots take arg in (-pi, pi], so
 sqrt(-1) = i; every branch sign in `mp` and `verify` output depends on it.
@@ -293,9 +296,13 @@ def main(argv: list[str] | None = None) -> int:
             payload, exit_code = _cmd_verify(ns)
         else:  # pragma: no cover - argparse enforces choices
             raise ValueError(f"unknown command {ns.command!r}")
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, tn.ConventionFlip) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
+        return 3
     print(json.dumps(payload))
     return exit_code
 

@@ -13,10 +13,11 @@ product with the lattice, and the central transformation-law check
 
     theta(gamma tau) = phi(tau) . rho_m(gamma, phi) . theta(tau),
 
-which is tested against the composed unitary matrix and its entrywise
-conjugate.  Which of the two conventions holds is measured, not asserted;
-it must be the same for every decisive query in a run, and a flip raises
-an error.  The summation order is fixed (r ascending), so results are
+which is tested against rho_m and its entrywise conjugate, both applied to
+the theta vector by the Weil-representation word fold without forming the
+matrix.  Which of the two conventions holds is measured, not asserted; it
+must be the same for every decisive query in a run, and a flip raises an
+error.  The summation order is fixed (r ascending), so results are
 reproducible bit for bit run to run.
 """
 
@@ -37,8 +38,8 @@ from .congruence import (
     member,
 )
 from .cyclo import RootOfUnity, ru_snap
-from .metaplectic import MpElement, phi_eval
-from .weilrep import weil_rep
+from .metaplectic import MpElement, mp_lift_word, phi_eval
+from .weilrep import _fold
 
 __all__ = [
     "TauTooLow",
@@ -286,7 +287,8 @@ def verify_transformation(
 ) -> TransformCheck:
     """Check theta(gamma tau) = phi(tau) . rho_m(p) . theta(tau) at tau.
 
-    Both the composed matrix and its entrywise conjugate are tried; the
+    Both rho_m(p) and its entrywise conjugate are tried, each applied to
+    theta(tau) by the word fold (conj(rho) theta = conj(rho conj(theta))); the
     residual is the smaller max-norm deviation and the convention records
     which side achieved it.  A query is decisive when exactly one side is
     below tol; all decisive queries in a run must agree, otherwise
@@ -303,9 +305,10 @@ def verify_transformation(
     theta_here, _ = _theta_vector_unchecked(m, tau, eval_tol)
     theta_moved, _ = _theta_vector_unchecked(m, gt, eval_tol)
     phi = phi_eval(p, tau)
-    mat = weil_rep(m, p)
-    r_direct = float(np.max(np.abs(theta_moved - phi * (mat @ theta_here))))
-    r_conj = float(np.max(np.abs(theta_moved - phi * (mat.conj() @ theta_here))))
+    word = mp_lift_word(p.gamma, p.eps)[::-1]
+    direct, conj = _fold(m, word, np.array([theta_here, theta_here.conj()]))
+    r_direct = float(np.abs(theta_moved - phi * direct).max())
+    r_conj = float(np.abs(theta_moved - phi * conj.conj()).max())
     if r_direct <= r_conj:
         residual, convention = r_direct, "direct"
     else:

@@ -10,9 +10,16 @@ assumed: of the two candidates e^{+- i pi/4} exactly one makes the defining
 relations (S T)^3 = S^2 and S^8 = 1 hold as matrices, and the constructor
 selects that one at runtime (it is e^{-i pi/4}, the square root of -i, for
 every even m; an error is raised if the relation check ever fails to single
-out one candidate).  General elements are then word-composed along the
-continued-fraction factorization from the metaplectic module, with the
-central element acting as S^4 = -1.
+out one candidate).
+
+No generator is stored as a matrix.  A word over T^k, S^k and the central
+Z = S^4 = -1 (the continued-fraction factorization from the metaplectic
+module) acts on a block of rows by one fold, token by token: T^k scales the
+columns by a cached phase table at the exact index (j^2 k) mod 2m, S is an
+FFT along the rows, and Z flips a sign.  `weil_rep` folds the word over the
+identity; since every generator is symmetric, rho(p) v is the fold of the
+reversed word over the row v, which is how vectors are transformed without
+forming rho.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -49,48 +57,88 @@ def _check_m(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _generators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, S, S^4) matrices with the relation-consistent S prefactor."""
+def _generators(m: int) -> tuple[complex, np.ndarray, np.ndarray]:
+    """(prefactor / sqrt(m), j^2 mod 2m for j < m, e^{i pi n / m} for n < 2m).
+
+    The prefactor is the one candidate for which (S T)^3 = S^2 and S^8 = 1
+    hold as matrices; both relations are checked by folding over the
+    identity.
+    """
     _check_m(m)
-    k = np.arange(m)
-    t = np.diag(np.exp(1j * np.pi * (k * k) / m))
-    base = np.exp(-2j * np.pi * np.outer(k, k) / m) / np.sqrt(m)
+    j = np.arange(m, dtype=np.int64)
+    squares = (j * j) % (2 * m)
+    phases = np.exp(1j * np.pi * np.arange(2 * m) / m)
+    eye = np.eye(m, dtype=np.complex128)
     consistent = []
     for pref in (cmath.exp(-1j * np.pi / 4), cmath.exp(1j * np.pi / 4)):
-        s = pref * base
-        st = s @ t
-        braid = np.linalg.norm(st @ st @ st - s @ s, ord=np.inf)
-        s4 = s @ s @ s @ s
-        octic = np.linalg.norm(s4 @ s4 - np.eye(m), ord=np.inf)
+        gens = (pref / m**0.5, squares, phases)
+        s2 = _apply(gens, [("S", 2)], eye)
+        st3 = _apply(gens, [("S", 1), ("T", 1)] * 3, eye)
+        braid = np.linalg.norm(st3 - s2, ord=np.inf)
+        octic = np.linalg.norm(_apply(gens, [("S", 6)], s2) - eye, ord=np.inf)
         if braid < 1e-9 and octic < 1e-9:
-            consistent.append((pref, s, s4))
+            consistent.append(gens)
     if len(consistent) != 1:
         raise ArithmeticError(
             f"relation check selected {len(consistent)} prefactors for m={m}"
         )
-    _, s, s4 = consistent[0]
-    for a in (t, s, s4):
+    for a in consistent[0][1:]:
         a.setflags(write=False)
-    return t, s, s4
+    return consistent[0]
+
+
+def _apply(
+    gens: tuple[complex, np.ndarray, np.ndarray],
+    tokens: Iterable[tuple[str, int]],
+    rows: np.ndarray,
+) -> np.ndarray:
+    """rows @ X_1 @ ... @ X_n, X_i the generator matrix of the i-th token.
+
+    T^k scales column j by e^{i pi j^2 k / m}, read from the phase table at
+    the exact integer index (j^2 k) mod 2m; S is the FFT along the rows (its
+    kernel e^{-2 pi i k l / m} is symmetric) times prefactor / sqrt(m); Z is
+    -1.  The scalars of S and Z commute with everything and are applied
+    once, at the end.
+    """
+    s_scale, squares, phases = gens
+    two_m = len(phases)
+    scale = 1
+    out = rows
+    for name, k in tokens:
+        if name == "T":
+            out = out * phases[(squares * (k % two_m)) % two_m]
+        elif name == "S":
+            for _ in range(k):
+                out = np.fft.fft(out, axis=-1)
+                scale *= s_scale
+        elif name == "Z":
+            if k > 0 and k % 2:
+                scale = -scale
+        else:
+            raise ValueError(f"unknown token {name!r}")
+    return out if scale == 1 else out * scale
+
+
+def _fold(m: int, tokens: Iterable[tuple[str, int]], rows: np.ndarray) -> np.ndarray:
+    """rows @ rho_m(word) for a (k, m) block of rows.
+
+    Every generator matrix is symmetric, so rho_m(word) @ v is the fold of
+    the reversed word over the row v.
+    """
+    return _apply(_generators(m), tokens, rows)
 
 
 def weil_generator(m: int, which: str) -> np.ndarray:
     """Generator matrix: 'T', 'S', or 'Zminus' (the central element, S^4 = -1)."""
-    t, s, s4 = _generators(m)
-    table = {"T": t, "S": s, "Zminus": s4}
-    if which not in table:
+    _check_m(m)
+    tokens = {"T": ("T", 1), "S": ("S", 1), "Zminus": ("Z", 1)}
+    if which not in tokens:
         raise ValueError(f"which must be 'T', 'S' or 'Zminus', got {which!r}")
-    return table[which].copy()
-
-
-def _t_power(m: int, k: int) -> np.ndarray:
-    """T^k directly as a diagonal (avoids k matrix products for large shifts)."""
-    j = np.arange(m)
-    return np.diag(np.exp(1j * np.pi * (j * j) * (k % (2 * m)) / m))
+    return _fold(m, [tokens[which]], np.eye(m, dtype=np.complex128))
 
 
 def weil_rep(m: int, p: MpElement) -> np.ndarray:
-    """Matrix of an arbitrary metaplectic element, composed along its word.
+    """Matrix of an arbitrary metaplectic element, folded along its word.
 
     The word comes from the continued-fraction factorization of gamma into
     S and T with an optional trailing central correction; because the
@@ -98,20 +146,7 @@ def weil_rep(m: int, p: MpElement) -> np.ndarray:
     depend on the word chosen, and the representation is a homomorphism.
     """
     _check_m(m)
-    _, s, s4 = _generators(m)
-    out = np.eye(m, dtype=np.complex128)
-    for name, k in mp_lift_word(p.gamma, p.eps):
-        if name == "T":
-            out = out @ _t_power(m, k)
-        elif name == "S":
-            for _ in range(k):
-                out = out @ s
-        elif name == "Z":
-            for _ in range(k):
-                out = out @ (-np.eye(m))
-        else:
-            raise ValueError(f"unknown token {name!r}")
-    return out
+    return _fold(m, mp_lift_word(p.gamma, p.eps), np.eye(m, dtype=np.complex128))
 
 
 def det_character(m: int, p: MpElement) -> complex:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from thetalab import metaplectic, suite, symplectic4, thetanum
 from thetalab.cli import main
 
 
@@ -147,3 +148,41 @@ def test_json_round_trips(capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert json.loads(out) == json.loads(out)
+
+
+def test_internal_arithmetic_errors_exit_3(capsys, monkeypatch):
+    def unresolved(left, right):
+        raise metaplectic.BranchResolutionFailure("branch sign not resolved")
+
+    monkeypatch.setattr(metaplectic, "mp_mul", unresolved)
+    code, payload, err = run_cli(
+        capsys, "mp", "mul", "--left", "0,-1,1,0:+", "--right", "0,-1,1,0:+"
+    )
+    assert code == 3 and "internal error" in err
+    assert payload == {
+        "error": "branch sign not resolved",
+        "kind": "BranchResolutionFailure",
+    }
+
+    def non_unique(gamma, parity):
+        raise symplectic4.NonUnique("two characters pass")
+
+    monkeypatch.setattr(symplectic4, "discriminant", non_unique)
+    code, payload, _ = run_cli(
+        capsys, "discriminant", "--g", "1", "--parity", "even", "--gamma", "0,3,1,0"
+    )
+    assert code == 3
+    assert payload == {"error": "two characters pass", "kind": "NonUnique"}
+
+
+def test_convention_flip_exits_3(capsys, monkeypatch):
+    def flipped(level, seed):
+        raise thetanum.ConventionFlip("convention flipped from direct to conjugate")
+
+    monkeypatch.setattr(suite, "run_suite", flipped)
+    code, payload, err = run_cli(capsys, "verify", "suite", "--level", "quick")
+    assert code == 3 and "internal error" in err
+    assert payload == {
+        "error": "convention flipped from direct to conjugate",
+        "kind": "ConventionFlip",
+    }

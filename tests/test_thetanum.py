@@ -17,6 +17,7 @@ from thetalab.congruence import (
 )
 from thetalab.cyclo import NoSnap, ONE, RootOfUnity, ZETA4
 from thetalab.metaplectic import MP_I, MP_S, MP_T, MP_Z, MpElement, mp_from_word, mp_mul
+from thetalab.metaplectic import phi_eval
 from thetalab.symplectic4 import discriminant
 from thetalab.thetanum import (
     ConventionFlip,
@@ -35,7 +36,9 @@ from thetalab.thetanum import (
     truncation_radius,
     verify_transformation,
     _tail_bound,
+    _theta_vector_unchecked,
 )
+from test_weilrep import dense_weil_rep
 
 
 @pytest.fixture(autouse=True)
@@ -275,6 +278,33 @@ def test_verify_transformation_random_words():
                 check = verify_transformation(m, p, tau, 1e-9)
                 assert check.passed, (p, m, tau, check)
     assert get_convention() == "direct"
+
+
+def test_verify_transformation_large_m_matches_dense():
+    rng = np.random.default_rng(11)
+    taus = (0.3 + 1.1j, 2j)
+    words = []
+    while len(words) < 8:
+        word = [
+            [("S", 1), ("T", 1), ("T", -1)][int(rng.integers(0, 3))]
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        p = mp_from_word(word)
+        if all(p.gamma.moebius(t).imag >= 0.1 for t in taus):
+            words.append(p)
+    for m in (64, 512):
+        for p in words:
+            mat = dense_weil_rep(m, p)
+            for tau in taus:
+                check = verify_transformation(m, p, tau, 1e-9)
+                assert check.passed and check.convention == "direct", (m, p, tau, check)
+                here, _ = _theta_vector_unchecked(m, tau, 1e-12)
+                moved, _ = _theta_vector_unchecked(m, p.gamma.moebius(tau), 1e-12)
+                phi = phi_eval(p, tau)
+                r_direct = np.max(np.abs(moved - phi * (mat @ here)))
+                r_conj = np.max(np.abs(moved - phi * (mat.conj() @ here)))
+                assert abs(check.residual_direct - r_direct) < 1e-12
+                assert abs(check.residual_conjugate - r_conj) < 1e-12
 
 
 def test_verify_transformation_preconditions():

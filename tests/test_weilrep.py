@@ -1,16 +1,80 @@
+import cmath
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetalab.congruence import SL2Matrix
-from thetalab.metaplectic import MP_I, MP_S, MP_T, MP_Z, MpElement, mp_from_word, mp_mul
+from thetalab.metaplectic import (
+    MP_I,
+    MP_S,
+    MP_T,
+    MP_Z,
+    MpElement,
+    mp_from_word,
+    mp_lift_word,
+    mp_mul,
+)
 from thetalab.weilrep import (
     BadIndex,
+    _fold,
     det_character,
     det_character_order,
     det_character_square_order,
     weil_generator,
     weil_rep,
 )
+
+
+# --- dense oracle: the representation as explicit m x m matrix products --------------
+
+@lru_cache(maxsize=None)
+def _dense_s(m: int) -> np.ndarray:
+    """Dense S matrix; of the two prefactors e^{-+ i pi/4}, the one for which
+    (S T)^3 = S^2 and S^8 = 1 hold as dense matrix products."""
+    k = np.arange(m)
+    t = np.diag(np.exp(1j * np.pi * (k * k) / m))
+    base = np.exp(-2j * np.pi * (np.outer(k, k) % m) / m) / np.sqrt(m)
+    consistent = []
+    for pref in (cmath.exp(-1j * np.pi / 4), cmath.exp(1j * np.pi / 4)):
+        s = pref * base
+        st_ = s @ t
+        braid = np.linalg.norm(st_ @ st_ @ st_ - s @ s, ord=np.inf)
+        s4 = s @ s @ s @ s
+        octic = np.linalg.norm(s4 @ s4 - np.eye(m), ord=np.inf)
+        if braid < 1e-9 and octic < 1e-9:
+            consistent.append(s)
+    assert len(consistent) == 1
+    return consistent[0]
+
+
+def _dense_t_power(m: int, k: int) -> np.ndarray:
+    j = np.arange(m)
+    return np.diag(np.exp(1j * np.pi * ((j * j * (k % (2 * m))) % (2 * m)) / m))
+
+
+def dense_word(m: int, tokens) -> np.ndarray:
+    """Product of the dense generator matrices along a token word."""
+    out = np.eye(m, dtype=np.complex128)
+    for name, k in tokens:
+        if name == "T":
+            out = out @ _dense_t_power(m, k)
+        elif name == "S":
+            for _ in range(k):
+                out = out @ _dense_s(m)
+        elif name == "Z":
+            for _ in range(k):
+                out = out @ (-np.eye(m))
+        else:
+            raise ValueError(f"unknown token {name!r}")
+    return out
+
+
+def dense_weil_rep(m: int, p: MpElement) -> np.ndarray:
+    """rho_m(p) composed densely along the same word as weil_rep."""
+    return dense_word(m, mp_lift_word(p.gamma, p.eps))
 
 
 def test_generator_examples_m2():
@@ -149,3 +213,38 @@ def test_det_is_a_character():
                 )
                 < 1e-9
             )
+
+
+# --- the word fold against the dense oracle -------------------------------------------
+
+FOLD_DIMS = (2, 4, 6, 8, 64, 512)
+
+
+@st.composite
+def dims_and_words(draw, max_tokens: int, max_t: int):
+    """An m from FOLD_DIMS and a word over S^k, Z and T^k with |k| up to max_t."""
+    m = draw(st.sampled_from(FOLD_DIMS))
+    token = st.one_of(
+        st.tuples(st.just("S"), st.integers(1, 2)),
+        st.tuples(st.just("Z"), st.integers(1, 3)),
+        st.tuples(st.just("T"), st.integers(-max_t, max_t)),
+    )
+    return m, draw(st.lists(token, max_size=max_tokens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims_and_words(max_tokens=6, max_t=1500))
+def test_weil_rep_matches_dense_oracle(case):
+    m, word = case
+    p = mp_from_word(word)
+    assert np.max(np.abs(weil_rep(m, p) - dense_weil_rep(m, p))) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims_and_words(max_tokens=10, max_t=5000), st.integers(1, 3), st.integers(0, 2**32))
+def test_fold_matches_dense_oracle_on_blocks(case, rows, seed):
+    m, word = case
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    expected = block @ dense_word(m, word)
+    assert np.max(np.abs(_fold(m, word, block) - expected)) < 1e-10
