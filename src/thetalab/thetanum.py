@@ -38,8 +38,8 @@ from .congruence import (
     member,
 )
 from .cyclo import RootOfUnity, ru_snap
-from .metaplectic import MpElement, mp_lift_word, phi_eval
-from .weilrep import _fold
+from .metaplectic import MpElement, phi_eval
+from .weilrep import weil_rep
 
 __all__ = [
     "TauTooLow",
@@ -288,9 +288,9 @@ def verify_transformation(
     """Check theta(gamma tau) = phi(tau) . rho_m(p) . theta(tau) at tau.
 
     Both rho_m(p) and its entrywise conjugate are tried, each applied to
-    theta(tau) by the word fold (conj(rho) theta = conj(rho conj(theta))); the
-    residual is the smaller max-norm deviation and the convention records
-    which side achieved it.  A query is decisive when exactly one side is
+    theta(tau) by `weil_rep`'s word fold, which forms no matrix (and
+    conj(rho) theta = conj(rho conj(theta))); the residual is the smaller
+    max-norm deviation and the convention records which side achieved it.  A query is decisive when exactly one side is
     below tol; all decisive queries in a run must agree, otherwise
     ConventionFlip is raised.
     """
@@ -305,8 +305,7 @@ def verify_transformation(
     theta_here, _ = _theta_vector_unchecked(m, tau, eval_tol)
     theta_moved, _ = _theta_vector_unchecked(m, gt, eval_tol)
     phi = phi_eval(p, tau)
-    word = mp_lift_word(p.gamma, p.eps)[::-1]
-    direct, conj = _fold(m, word, np.array([theta_here, theta_here.conj()]))
+    direct, conj = weil_rep(m, p, np.array([theta_here, theta_here.conj()]))
     r_direct = float(np.abs(theta_moved - phi * direct).max())
     r_conj = float(np.abs(theta_moved - phi * conj.conj()).max())
     if r_direct <= r_conj:

@@ -16,10 +16,10 @@ No generator is stored as a matrix.  A word over T^k, S^k and the central
 Z = S^4 = -1 (the continued-fraction factorization from the metaplectic
 module) acts on a block of rows by one fold, token by token: T^k scales the
 columns by a cached phase table at the exact index (j^2 k) mod 2m, S is an
-FFT along the rows, and Z flips a sign.  `weil_rep` folds the word over the
-identity; since every generator is symmetric, rho(p) v is the fold of the
-reversed word over the row v, which is how vectors are transformed without
-forming rho.
+FFT along the rows, and Z flips a sign.  `weil_rep(m, p)` folds the word over
+the identity; since every generator is symmetric, rho(p) v is the fold of the
+reversed word over the row v, which is how `weil_rep(m, p, vectors)`
+transforms vectors without forming rho.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ def _generators(m: int) -> tuple[complex, np.ndarray, np.ndarray]:
     consistent = []
     for pref in (cmath.exp(-1j * np.pi / 4), cmath.exp(1j * np.pi / 4)):
         gens = (pref / m**0.5, squares, phases)
-        s2 = _apply(gens, [("S", 2)], eye)
-        st3 = _apply(gens, [("S", 1), ("T", 1)] * 3, eye)
+        s2 = _fold(gens, [("S", 2)], eye)
+        st3 = _fold(gens, [("S", 1), ("T", 1)] * 3, eye)
         braid = np.linalg.norm(st3 - s2, ord=np.inf)
-        octic = np.linalg.norm(_apply(gens, [("S", 6)], s2) - eye, ord=np.inf)
+        octic = np.linalg.norm(_fold(gens, [("S", 6)], s2) - eye, ord=np.inf)
         if braid < 1e-9 and octic < 1e-9:
             consistent.append(gens)
     if len(consistent) != 1:
@@ -87,7 +87,7 @@ def _generators(m: int) -> tuple[complex, np.ndarray, np.ndarray]:
     return consistent[0]
 
 
-def _apply(
+def _fold(
     gens: tuple[complex, np.ndarray, np.ndarray],
     tokens: Iterable[tuple[str, int]],
     rows: np.ndarray,
@@ -119,34 +119,37 @@ def _apply(
     return out if scale == 1 else out * scale
 
 
-def _fold(m: int, tokens: Iterable[tuple[str, int]], rows: np.ndarray) -> np.ndarray:
-    """rows @ rho_m(word) for a (k, m) block of rows.
-
-    Every generator matrix is symmetric, so rho_m(word) @ v is the fold of
-    the reversed word over the row v.
-    """
-    return _apply(_generators(m), tokens, rows)
-
-
 def weil_generator(m: int, which: str) -> np.ndarray:
     """Generator matrix: 'T', 'S', or 'Zminus' (the central element, S^4 = -1)."""
-    _check_m(m)
     tokens = {"T": ("T", 1), "S": ("S", 1), "Zminus": ("Z", 1)}
     if which not in tokens:
         raise ValueError(f"which must be 'T', 'S' or 'Zminus', got {which!r}")
-    return _fold(m, [tokens[which]], np.eye(m, dtype=np.complex128))
+    return _fold(_generators(m), [tokens[which]], np.eye(m, dtype=np.complex128))
 
 
-def weil_rep(m: int, p: MpElement) -> np.ndarray:
+def weil_rep(m: int, p: MpElement, vectors: np.ndarray | None = None) -> np.ndarray:
     """Matrix of an arbitrary metaplectic element, folded along its word.
 
     The word comes from the continued-fraction factorization of gamma into
     S and T with an optional trailing central correction; because the
     generator matrices satisfy the defining relations, the result does not
     depend on the word chosen, and the representation is a homomorphism.
+
+    Given `vectors` (one vector of length m or a (k, m) stack of them), the
+    result has their shape and holds rho_m(p) v for each vector v, that is
+    vectors @ rho_m(p).T: the reversed word is folded over the vectors, and
+    the matrix is never formed.
     """
-    _check_m(m)
-    return _fold(m, mp_lift_word(p.gamma, p.eps), np.eye(m, dtype=np.complex128))
+    gens = _generators(m)
+    word = mp_lift_word(p.gamma, p.eps)
+    if vectors is None:
+        return _fold(gens, word, np.eye(m, dtype=np.complex128))
+    vectors = np.asarray(vectors)
+    if vectors.ndim not in (1, 2) or vectors.shape[-1] != m:
+        raise ValueError(
+            f"vectors must have shape (m,) or (k, m) with m={m}, got {vectors.shape}"
+        )
+    return _fold(gens, word[::-1], vectors)
 
 
 def det_character(m: int, p: MpElement) -> complex:

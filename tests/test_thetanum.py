@@ -38,7 +38,8 @@ from thetalab.thetanum import (
     _tail_bound,
     _theta_vector_unchecked,
 )
-from test_weilrep import dense_weil_rep
+
+from dense_oracle import dense_weil_rep
 
 
 @pytest.fixture(autouse=True)

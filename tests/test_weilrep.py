@@ -1,25 +1,14 @@
-import cmath
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalab.congruence import SL2Matrix
-from thetalab.metaplectic import (
-    MP_I,
-    MP_S,
-    MP_T,
-    MP_Z,
-    MpElement,
-    mp_from_word,
-    mp_lift_word,
-    mp_mul,
-)
+from thetalab.metaplectic import MP_I, MP_S, MP_T, MP_Z, MpElement, mp_from_word, mp_mul
 from thetalab.weilrep import (
     BadIndex,
     _fold,
+    _generators,
     det_character,
     det_character_order,
     det_character_square_order,
@@ -27,54 +16,7 @@ from thetalab.weilrep import (
     weil_rep,
 )
 
-
-# --- dense oracle: the representation as explicit m x m matrix products --------------
-
-@lru_cache(maxsize=None)
-def _dense_s(m: int) -> np.ndarray:
-    """Dense S matrix; of the two prefactors e^{-+ i pi/4}, the one for which
-    (S T)^3 = S^2 and S^8 = 1 hold as dense matrix products."""
-    k = np.arange(m)
-    t = np.diag(np.exp(1j * np.pi * (k * k) / m))
-    base = np.exp(-2j * np.pi * (np.outer(k, k) % m) / m) / np.sqrt(m)
-    consistent = []
-    for pref in (cmath.exp(-1j * np.pi / 4), cmath.exp(1j * np.pi / 4)):
-        s = pref * base
-        st_ = s @ t
-        braid = np.linalg.norm(st_ @ st_ @ st_ - s @ s, ord=np.inf)
-        s4 = s @ s @ s @ s
-        octic = np.linalg.norm(s4 @ s4 - np.eye(m), ord=np.inf)
-        if braid < 1e-9 and octic < 1e-9:
-            consistent.append(s)
-    assert len(consistent) == 1
-    return consistent[0]
-
-
-def _dense_t_power(m: int, k: int) -> np.ndarray:
-    j = np.arange(m)
-    return np.diag(np.exp(1j * np.pi * ((j * j * (k % (2 * m))) % (2 * m)) / m))
-
-
-def dense_word(m: int, tokens) -> np.ndarray:
-    """Product of the dense generator matrices along a token word."""
-    out = np.eye(m, dtype=np.complex128)
-    for name, k in tokens:
-        if name == "T":
-            out = out @ _dense_t_power(m, k)
-        elif name == "S":
-            for _ in range(k):
-                out = out @ _dense_s(m)
-        elif name == "Z":
-            for _ in range(k):
-                out = out @ (-np.eye(m))
-        else:
-            raise ValueError(f"unknown token {name!r}")
-    return out
-
-
-def dense_weil_rep(m: int, p: MpElement) -> np.ndarray:
-    """rho_m(p) composed densely along the same word as weil_rep."""
-    return dense_word(m, mp_lift_word(p.gamma, p.eps))
+from dense_oracle import dense_weil_rep, dense_word
 
 
 def test_generator_examples_m2():
@@ -233,11 +175,16 @@ def dims_and_words(draw, max_tokens: int, max_t: int):
 
 
 @settings(max_examples=40, deadline=None)
-@given(dims_and_words(max_tokens=6, max_t=1500))
-def test_weil_rep_matches_dense_oracle(case):
+@given(dims_and_words(max_tokens=6, max_t=1500), st.integers(0, 2**32))
+def test_weil_rep_matches_dense_oracle(case, seed):
     m, word = case
     p = mp_from_word(word)
-    assert np.max(np.abs(weil_rep(m, p) - dense_weil_rep(m, p))) < 1e-10
+    dense = dense_weil_rep(m, p)
+    assert np.max(np.abs(weil_rep(m, p) - dense)) < 1e-10
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    assert np.max(np.abs(weil_rep(m, p, vectors) - vectors @ dense.T)) < 1e-10
+    assert np.max(np.abs(weil_rep(m, p, vectors[0]) - dense @ vectors[0])) < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,4 +194,10 @@ def test_fold_matches_dense_oracle_on_blocks(case, rows, seed):
     rng = np.random.default_rng(seed)
     block = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
     expected = block @ dense_word(m, word)
-    assert np.max(np.abs(_fold(m, word, block) - expected)) < 1e-10
+    assert np.max(np.abs(_fold(_generators(m), word, block) - expected)) < 1e-10
+
+
+def test_weil_rep_rejects_misshapen_vectors():
+    for bad in (np.zeros(5), np.zeros((2, 5)), np.zeros((1, 2, 6)), np.zeros(())):
+        with pytest.raises(ValueError):
+            weil_rep(6, MP_S, bad)
