@@ -2,8 +2,8 @@
 
 The generators are built as dense matrices (S with the prefactor that the
 defining relations select, T^k with `np.diag` at an exactly reduced
-exponent, Z as -I) and composed along a token word, the way `weilrep` worked
-before it folded words with FFTs.  Shared by the weilrep and thetanum tests.
+exponent, Z as -I) and multiplied along a token word, independently of the
+FFT fold in `weilrep`.  Shared by the weilrep and thetanum tests.
 """
 
 import cmath
