@@ -325,6 +325,20 @@ def _ktable(typ: ThetaType) -> _KTable:
     return _KTable(typ)
 
 
+def _check_additive(
+    coords: np.ndarray, sum_index: np.ndarray, orders: Sequence[int]
+) -> None:
+    """Check coords[a + b] = coords[a] + coords[b] mod the generator orders, all a, b.
+
+    `_solve_twisted_characters` relies on this to decide all candidates of a
+    map by checking one; callers run it once per table.
+    """
+    for j, o in enumerate(orders):
+        col = coords[:, j]
+        if not np.array_equal(col[sum_index], (col[:, None] + col[None, :]) % o):
+            raise ArithmeticError(f"coordinate {j} is not additive mod {o}")
+
+
 def _solve_twisted_characters(
     coords: np.ndarray,
     gen_positions: list[int],
@@ -338,9 +352,12 @@ def _solve_twisted_characters(
     The group is given by tables over its elements 0..n-1: `coords` holds the
     exponents of each element with respect to a generating tuple realizing
     the group as a direct product of cyclic groups of the given orders, the
-    generators themselves sitting at `gen_positions`.  Candidate generator
-    values come from the order relations; all candidates are then verified on
-    every pair, so no structure beyond the tables is assumed.
+    generators themselves sitting at `gen_positions`; `coords` must be
+    additive (`_check_additive`).  Candidate generator values come from the
+    order relations: each ranges over one coset of (modulus / o_j) Z, so two
+    candidates differ by a homomorphism to Z/modulus and either all of them
+    satisfy the relation or none does.  The first candidate is verified on
+    every pair and decides for all.
     """
     n = coords.shape[0]
     zero = int(np.flatnonzero((coords == 0).all(axis=1))[0])
@@ -370,13 +387,13 @@ def _solve_twisted_characters(
             chain[active] = (chain[active] + beta[acc_idx[active], pos]) % modulus
             acc_idx[active] = sum_index[acc_idx[active], pos]
 
-    results = []
-    for choice in itertools.product(*value_options):
-        values = (coords @ np.array(choice, dtype=np.int64) + chain) % modulus
-        rhs = (values[:, None] + values[None, :] + beta) % modulus
-        if np.array_equal(values[sum_index], rhs):
-            results.append(values)
-    return results
+    choices = np.array(list(itertools.product(*value_options)), dtype=np.int64)
+    candidates = (choices @ coords.T + chain) % modulus
+    first = candidates[0]
+    rhs = (first[:, None] + first[None, :] + beta) % modulus
+    if not np.array_equal(first[sum_index], rhs):
+        return []
+    return list(candidates)
 
 
 # --- symmetric splittings ----------------------------------------------------------
@@ -590,6 +607,7 @@ def enumerate_automorphisms(
     m = typ.scalar_modulus
     gen_positions = [int(i) for i in table.basis_ranks()]
     orders = list(typ.divisors) * 2
+    _check_additive(table.coords, table.sum_index, orders)
 
     out = []
     for ranks in _symplectic_images(typ):
@@ -719,6 +737,7 @@ def symmetric_splittings_over(
     beta = table.xy_exponent[np.ix_(gidx, gidx)]
     gen_positions = [int(i) for i in local[gen_ranks]]
     elems = [table.elements[i] for i in gidx]
+    _check_additive(coords, sum_index, orders)
 
     out = []
     for values in _solve_twisted_characters(

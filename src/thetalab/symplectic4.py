@@ -22,6 +22,15 @@ on the nose with the mu_4 factor in the classical theta functional equation
 (e.g. [[0,3],[1,0]] maps to i); the complex-conjugate character is the one
 normalized on the opposite pairing orientation.
 
+The enumeration works on packed uint64 keys (base-4 digits, row i of a
+k x k matrix in bit field i) from start to end: right multiplication by a
+generator maps each row field through a 4^k-entry table, so a BFS level is
+k table gathers, one sort and one `searchsorted`, and the matrices are
+unpacked once at the end.  The orthogonal quotient O(2g, +-) over F_2 is
+the same closure taken mod 2, over the transvections x -> x + B(x, v) v
+with q(v) = 1; at g = 2, even parity (Dieudonne's exception, O+(4, F_2))
+they generate a subgroup of index 2, and the plane swap completes it.
+
 Only g <= 2 is supported; the largest enumeration (g = 2, odd parity) has
 122880 elements.
 """
@@ -230,25 +239,44 @@ def transvection(v) -> Mod4SymplecticElement:
     return Mod4SymplecticElement(tuple(map(tuple, t)))
 
 
+# The plane swap (x_1, y_1) <-> (x_2, y_2); it lies in O(4, +) but outside the
+# subgroup generated by its transvections (Dieudonne's exception).
+_PLANE_SWAP = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+
+_ORTHOGONAL_ORDERS = {(1, "even"): 2, (1, "odd"): 6, (2, "even"): 72, (2, "odd"): 120}
+
+
+def _f2_transvection_gens(g: int, parity: str) -> list[np.ndarray]:
+    """The F_2 transvections x -> x + B(x, v) v, one per v with q(v) = 1."""
+    return [t % 2 for t in _anisotropic_transvection_gens(g, parity)]
+
+
+@lru_cache(maxsize=None)
+def _f2_transvection_closure(g: int, parity: str) -> frozenset[int]:
+    """Packed keys of the subgroup of O(2g, +-) generated by its transvections."""
+    mats = _bfs_closure(_f2_transvection_gens(g, parity), modulus=2)[0]
+    return frozenset(_kernels.pack_mod4(mats).tolist())
+
+
 @lru_cache(maxsize=None)
 def orthogonal_group(g: int, parity: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All of O(2g, +-) over F_2, by brute force over binary matrices."""
+    """All of O(2g, +-) over F_2 in lexicographic order, by closure under products.
+
+    The transvections of anisotropic vectors generate the group except at
+    (2, even), where they generate a subgroup of index 2 and the plane swap
+    is added.  The order is checked against |O(2, +)| = 2, |O(2, -)| = 6,
+    |O(4, +)| = 72 and |O(4, -)| = 120.
+    """
     parity = _parity(parity)
     if g not in (1, 2):
         raise ValueError(f"only g <= 2 is supported, got g={g}")
-    n = 2 * g
-    cand = _f2_vectors(n * n).reshape(-1, n, n)
-    vs = _f2_vectors(n)
-    qv = np.array([quad_form_value(v, parity) for v in vs], dtype=np.int64)
-    images = np.einsum("nij,vj->nvi", cand, vs) % 2
-    qi = np.sum(images[:, :, :g] * images[:, :, g:], axis=2)
-    if parity == "odd":
-        qi = qi + images[:, :, 0] + images[:, :, g]
-    preserves = np.all(qi % 2 == qv[None, :], axis=1)
-    dets = np.rint(np.linalg.det(cand.astype(np.float64))).astype(np.int64)
-    invertible = dets % 2 != 0
-    out = [tuple(map(tuple, m)) for m in cand[preserves & invertible]]
-    return tuple(out)
+    gens = _f2_transvection_gens(g, parity)
+    if (g, parity) == (2, "even"):
+        gens.append(np.array(_PLANE_SWAP, dtype=np.int64))
+    mats = _bfs_closure(gens, modulus=2)[0]
+    if len(mats) != _ORTHOGONAL_ORDERS[(g, parity)]:
+        raise ArithmeticError(f"O({2 * g}, {parity}) closure has order {len(mats)}")
+    return tuple(sorted(tuple(map(tuple, m)) for m in mats.tolist()))
 
 
 def gamma2_basis(g: int) -> list[np.ndarray]:
@@ -445,75 +473,117 @@ def _lift_orthogonal(obar: np.ndarray, g: int) -> np.ndarray:
     return lifted
 
 
-def _bfs_closure(gens: list[np.ndarray]):
-    """Breadth-first closure; returns matrices, key index, parent/gen trees, edges.
+def _unpack(keys: np.ndarray, k: int) -> np.ndarray:
+    """The inverse of `_kernels.pack_mod4`: (n, k, k) uint8 matrices from keys."""
+    shifts = np.uint64(2) * np.arange(k * k, dtype=np.uint64)
+    return ((keys[:, None] >> shifts) & np.uint64(3)).astype(np.uint8).reshape(-1, k, k)
 
-    Membership testing is vectorized by keeping the discovered keys in a
-    sorted array with a companion index array; per batch, already-seen
-    products become constraint edges and unseen ones become tree nodes.
-    Elements are numbered level by level, and the last return value holds the
-    end index of each BFS level: level L is range(ends[L-1], ends[L]), and
-    every parent lies on the level before.
+
+def _row_tables(gens: list[np.ndarray], modulus: int) -> list[np.ndarray]:
+    """Per-row product tables for right multiplication by each generator.
+
+    In a packed key, row i of a k x k matrix is the 2k-bit field i.  Entry
+    [r, s] of table i is the packed row (r @ gens[s]) mod `modulus`, shifted
+    into field i, so key(M @ gens[s]) is the OR over i of table i at row i
+    of M.  There are 4^k rows, 256 at k = 4.
     """
     k = gens[0].shape[0]
-    gen_arr = np.ascontiguousarray(np.array(gens, dtype=np.uint8) % 4)
-    n_gens = len(gens)
-    eye = np.eye(k, dtype=np.uint8)
+    rows = (np.arange(4**k)[:, None] >> (2 * np.arange(k))) & 3
+    images = (rows @ (np.array(gens, dtype=np.int64) % modulus)) % modulus
+    packed = (images << (2 * np.arange(k))).sum(axis=2).T.astype(np.uint64)
+    return [np.ascontiguousarray(packed << np.uint64(2 * k * i)) for i in range(k)]
 
-    sorted_keys = _kernels.pack_mod4(eye[None, :, :]).astype(np.uint64)
+
+def _bfs_closure(gens: list[np.ndarray], modulus: int = 4):
+    """Breadth-first closure; returns matrices, key index, parent/gen trees, edges.
+
+    Products are taken mod `modulus` (4, or 2 for subgroups of O(2g, +-)).
+    The whole search runs on packed uint64 keys: a frontier is expanded by k
+    gathers from `_row_tables`, so no product matrix is formed, and the
+    matrices are unpacked once at the end.  Per level, each product key is
+    tagged in its low bits with its frontier position and generator, so one
+    plain sort groups equal keys with the first product leading; the
+    distinct keys are looked up with one `searchsorted` in the sorted array
+    of keys seen so far.  The first product with an unseen key becomes a
+    tree node, numbered in key order; every other product is a constraint
+    edge.  Elements are numbered level by level, and the last return value
+    holds the end index of each BFS level: level L is range(ends[L-1],
+    ends[L]), and every parent lies on the level before.  A level too large
+    for the tag raises `ValueError`; at k <= 4 every closure here fits.
+    """
+    k = gens[0].shape[0]
+    n_gens = len(gens)
+    tables = _row_tables(gens, modulus)
+    field = np.uint64(4**k - 1)
+    shifts = [np.uint64(2 * k * i) for i in range(k)]
+    # tag layout: key in the high 2k^2 bits, then frontier position, then generator
+    tag_bits = 64 - 2 * k * k
+    gen_bits = (n_gens - 1).bit_length()
+    if tag_bits <= gen_bits:
+        raise ValueError(f"{k} x {k} keys leave no room for a 64-bit tag")
+    tag_mask = np.uint64((1 << tag_bits) - 1)
+    gen_mask = np.uint64((1 << gen_bits) - 1)
+    gen_tags = np.arange(n_gens, dtype=np.uint64)
+
+    sorted_keys = _kernels.pack_mod4(np.eye(k, dtype=np.uint8)[None, :, :])
     sorted_vals = np.array([0], dtype=np.int64)
-    mat_chunks = [eye[None, :, :]]
+    key_chunks = [sorted_keys]
     parent_chunks = [np.array([0], dtype=np.int64)]
     gen_chunks = [np.array([-1], dtype=np.int64)]
     e_par, e_gen, e_tgt = [], [], []
     count = 1
-    frontier_mats = eye[None, :, :]
-    frontier_idx = np.array([0], dtype=np.int64)
+    frontier_keys = sorted_keys
+    frontier_start = 0
 
-    while len(frontier_idx):
-        prods = _kernels.mod4_products(np.ascontiguousarray(frontier_mats), gen_arr)
-        keys = _kernels.pack_mod4(prods).astype(np.uint64)
-        parents = np.repeat(frontier_idx, n_gens)
-        gidx = np.tile(np.arange(n_gens, dtype=np.int64), len(frontier_idx))
+    while True:
+        n = len(frontier_keys)
+        if (n << gen_bits) >> tag_bits:
+            raise ValueError(f"{n} x {n_gens} products do not fit a 64-bit tag")
+        prods = tables[0][frontier_keys & field]
+        for table, shift in zip(tables[1:], shifts[1:]):
+            prods |= table[(frontier_keys >> shift) & field]
+        prods <<= np.uint64(tag_bits)
+        prods |= (np.arange(n, dtype=np.uint64)[:, None] << np.uint64(gen_bits)) | gen_tags
+        tagged = np.sort(prods, axis=None)
+        keys = tagged >> np.uint64(tag_bits)
+        tags = tagged & tag_mask
 
-        pos = np.searchsorted(sorted_keys, keys)
-        pos_clip = np.minimum(pos, len(sorted_keys) - 1)
-        found = sorted_keys[pos_clip] == keys
-        e_par.append(parents[found])
-        e_gen.append(gidx[found])
-        e_tgt.append(sorted_vals[pos_clip[found]])
+        starts = np.empty(len(keys), dtype=bool)
+        starts[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        uniq = keys[starts]
+        group = np.cumsum(starts) - 1
+        pos = np.searchsorted(sorted_keys, uniq)
+        new = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] != uniq
+        n_new = int(np.count_nonzero(new))
+        assigned = count + np.arange(n_new, dtype=np.int64)
+        target = np.empty(len(uniq), dtype=np.int64)
+        target[~new] = sorted_vals[pos[~new]]
+        target[new] = assigned
 
-        nk = keys[~found]
-        if len(nk) == 0:
+        tree = starts.copy()
+        tree[starts] = new
+        edge_tags = tags[~tree]
+        e_par.append(frontier_start + (edge_tags >> np.uint64(gen_bits)).astype(np.int64))
+        e_gen.append((edge_tags & gen_mask).astype(np.int64))
+        e_tgt.append(target[group[~tree]])
+        if n_new == 0:
             break
-        uniq, first_idx, inv = np.unique(nk, return_index=True, return_inverse=True)
-        is_first = np.zeros(len(nk), dtype=bool)
-        is_first[first_idx] = True
-        nparents = parents[~found]
-        ngens = gidx[~found]
-        nprods = prods[~found]
 
-        assigned = count + np.arange(len(uniq), dtype=np.int64)
-        mat_chunks.append(nprods[first_idx])
-        parent_chunks.append(nparents[first_idx])
-        gen_chunks.append(ngens[first_idx])
-        # duplicate occurrences of a new key in the same batch are edges too
-        e_par.append(nparents[~is_first])
-        e_gen.append(ngens[~is_first])
-        e_tgt.append(count + inv[~is_first])
+        tree_tags = tags[tree]
+        parent_chunks.append(
+            frontier_start + (tree_tags >> np.uint64(gen_bits)).astype(np.int64)
+        )
+        gen_chunks.append((tree_tags & gen_mask).astype(np.int64))
+        frontier_keys = uniq[new]
+        key_chunks.append(frontier_keys)
+        sorted_keys = np.insert(sorted_keys, pos[new], frontier_keys)
+        sorted_vals = np.insert(sorted_vals, pos[new], assigned)
+        frontier_start = count
+        count += n_new
 
-        merged_keys = np.concatenate([sorted_keys, uniq])
-        merged_vals = np.concatenate([sorted_vals, assigned])
-        order = np.argsort(merged_keys, kind="stable")
-        sorted_keys = merged_keys[order]
-        sorted_vals = merged_vals[order]
-
-        frontier_mats = nprods[first_idx]
-        frontier_idx = assigned
-        count += len(uniq)
-
-    mats = np.concatenate(mat_chunks)
-    key_index = {int(k_): int(v_) for k_, v_ in zip(sorted_keys, sorted_vals)}
+    mats = _unpack(np.concatenate(key_chunks), k)
+    key_index = dict(zip(sorted_keys.tolist(), sorted_vals.tolist()))
     return (
         mats,
         key_index,
@@ -568,11 +638,12 @@ def group_data(g: int, parity: str) -> GroupData:
     """Enumerate the mod-4 group with theta characteristic and decide its discriminant.
 
     Generators: a basis of the mod-2 congruence kernel together with one
-    anisotropic transvection lift per mod-2 class.  If the closure falls
-    short of the extension order |kernel| * |O(2g,+-)| (transvections need
-    not generate the orthogonal group in every case), lifted orthogonal
-    generators are appended until it does not; the `extended_generators`
-    flag records this.
+    anisotropic transvection lift per mod-2 class.  Mod 2 these generate the
+    transvection subgroup of O(2g,+-); where that is proper (only at g = 2,
+    even parity) the lift of the lexicographically first orthogonal element
+    outside it is appended before the one closure, and the
+    `extended_generators` flag records this.  The closure must reach the
+    extension order |kernel| * |O(2g,+-)|, or `ArithmeticError` is raised.
     """
     parity = _parity(parity)
     if g not in (1, 2):
@@ -581,22 +652,19 @@ def group_data(g: int, parity: str) -> GroupData:
     gens = gamma2_basis(g) + _anisotropic_transvection_gens(g, parity)
     ortho = orthogonal_group(g, parity)
     target = (2 ** (g * (2 * g + 1))) * len(ortho)
-    extended = False
-    while True:
-        (
-            mats, key_index, parent_of, gen_of, e_par, e_gen, e_tgt, level_ends
-        ) = _bfs_closure(gens)
-        if len(mats) == target:
-            break
-        if len(mats) > target:
-            raise ArithmeticError("closure exceeds the extension order; form data wrong")
-        # find an orthogonal element not represented mod 2 and append a lift
-        reduced = set(_kernels.pack_mod4(mats % 2).tolist())
-        missing = next((obar for obar in ortho if _key(obar) not in reduced), None)
-        if missing is None:
-            raise ArithmeticError("closure is short but covers O; kernel data wrong")
-        gens = gens + [_lift_orthogonal(np.array(missing, dtype=np.int64), g)]
-        extended = True
+    # mod 2 the closure of `gens` is the transvection subgroup of O(2g, +-)
+    reached = _f2_transvection_closure(g, parity)
+    extended = len(reached) < len(ortho)
+    if extended:
+        missing = next(obar for obar in ortho if _key(obar) not in reached)
+        gens.append(_lift_orthogonal(np.array(missing, dtype=np.int64), g))
+    (
+        mats, key_index, parent_of, gen_of, e_par, e_gen, e_tgt, level_ends
+    ) = _bfs_closure(gens)
+    if len(mats) != target:
+        raise ArithmeticError(
+            f"closure has order {len(mats)}, not the extension order {target}"
+        )
 
     # The normalizing transvections are the ones built from the mu_4-valued
     # standard pairing, whose additive exponent is -B for the bilinear form
@@ -629,8 +697,7 @@ def group_data(g: int, parity: str) -> GroupData:
                 emb = _embed_block(sub.matrices[i].astype(np.int64), plane)
                 constraints.append((key_index[_key(emb)], int(sub.lam[i])))
         if parity == "even":
-            swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-            constraints.append((key_index[_key(swap)], 2))
+            constraints.append((key_index[_key(_PLANE_SWAP)], 2))
 
     n_gens = len(gens)
     lams = _characters(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thetalab import heisenberg
 from thetalab.cyclo import MINUS_ONE, ONE, RootOfUnity, ZETA4, mu_group
 from thetalab.heisenberg import (
     HeisenbergAutomorphism,
@@ -156,6 +157,39 @@ def stabilizer_oracle(typ, automorphisms):
             if images == hs:
                 pointwise.append(u)
     return setwise, pointwise
+
+
+def twisted_characters_oracle(coords, gen_positions, gen_orders, sum_index, beta, modulus):
+    """`heisenberg._solve_twisted_characters` with every candidate checked on every pair."""
+    n = coords.shape[0]
+    zero = int(np.flatnonzero((coords == 0).all(axis=1))[0])
+    value_options = []
+    for pos, o in zip(gen_positions, gen_orders):
+        c = 0
+        acc = pos
+        for _ in range(o - 1):
+            c = (c + int(beta[acc, pos])) % modulus
+            acc = int(sum_index[acc, pos])
+        assert acc == zero
+        if c % o != 0:
+            return []
+        step = modulus // o
+        base = (-(c // o)) % step
+        value_options.append([(base + t * step) % modulus for t in range(o)])
+    chain = np.zeros(n, dtype=np.int64)
+    acc_idx = np.full(n, zero, dtype=np.int64)
+    for j, pos in enumerate(gen_positions):
+        for k in range(int(coords[:, j].max())):
+            active = coords[:, j] > k
+            chain[active] = (chain[active] + beta[acc_idx[active], pos]) % modulus
+            acc_idx[active] = sum_index[acc_idx[active], pos]
+    results = []
+    for choice in itertools.product(*value_options):
+        values = (coords @ np.array(choice, dtype=np.int64) + chain) % modulus
+        rhs = (values[:, None] + values[None, :] + beta) % modulus
+        if np.array_equal(values[sum_index], rhs):
+            results.append(values)
+    return results
 
 
 def automorphism_sample(typ):
@@ -513,6 +547,50 @@ def test_enumerations_match_object_oracles(divisors):
     for z in elems:
         expected = tuple(int(pairing(z, w).exponent * m) % m for w in elems)
         assert inner_automorphism(z).chi_exponents == expected
+
+
+def _same_solutions(got, want):
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("divisors", ((2,), (3,), (4,), (6,), (8,), (2, 2), (1, 4)))
+def test_twisted_characters_match_per_candidate_oracle(divisors, monkeypatch):
+    """Checking the first candidate of a map decides all of them: every solve
+    made by the enumerations returns what the per-candidate check returns."""
+    solve = heisenberg._solve_twisted_characters
+    calls = []
+
+    def checked(*args):
+        got = solve(*args)
+        assert _same_solutions(got, twisted_characters_oracle(*args))
+        calls.append(args)
+        return got
+
+    monkeypatch.setattr(heisenberg, "_solve_twisted_characters", checked)
+    typ = ThetaType(divisors)
+    enumerate_automorphisms(typ, symmetric=False)
+    for gens in maximal_isotropic_subgroups(typ):
+        symmetric_splittings_over(gens, typ)
+    assert calls
+
+    # break the relation on one pair of non-generators: the order relations
+    # still yield candidates, and the pair check must reject all of them
+    coords, gen_positions, orders, sum_index, beta, m = calls[0]
+    others = [i for i in range(len(coords)) if i not in gen_positions and coords[i].any()]
+    if others:
+        broken = beta.copy()
+        broken[others[0], others[-1]] += 1
+        args = (coords, gen_positions, orders, sum_index, broken, m)
+        assert solve(*args) == [] == twisted_characters_oracle(*args)
+
+
+def test_twisted_characters_require_additive_coordinates():
+    typ = T4
+    table = heisenberg._ktable(typ)
+    orders = list(typ.divisors) * 2
+    heisenberg._check_additive(table.coords, table.sum_index, orders)
+    with pytest.raises(ArithmeticError):
+        heisenberg._check_additive(table.coords, table.sum_index, [2] * len(orders))
 
 
 @pytest.mark.parametrize("divisors", ((2,), (2, 2)))

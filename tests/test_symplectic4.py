@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetalab import symplectic4
+from thetalab import _kernels, symplectic4
 from thetalab.cyclo import MINUS_ONE, ONE, RootOfUnity, ZETA4
 from thetalab.symplectic4 import (
     BadShape,
@@ -27,8 +28,11 @@ from thetalab.symplectic4 import (
     _characters,
     _f2_rank,
     _f2_solve,
+    _f2_transvection_closure,
     _key,
     _lift_orthogonal,
+    _row_tables,
+    _unpack,
     symplectic_form_matrix,
     transvection,
 )
@@ -82,11 +86,42 @@ def test_dickson():
                 )
 
 
+def orthogonal_group_oracle(g, parity):
+    """O(2g, +-) by brute force over all binary matrices, in lexicographic order."""
+    n = 2 * g
+    cand = np.array(list(itertools.product((0, 1), repeat=n * n))).reshape(-1, n, n)
+    vs = np.array(list(itertools.product((0, 1), repeat=n)))
+    qv = np.array([quad_form_value(v, parity) for v in vs])
+    images = np.einsum("nij,vj->nvi", cand, vs) % 2
+    qi = np.sum(images[:, :, :g] * images[:, :, g:], axis=2)
+    if parity == "odd":
+        qi = qi + images[:, :, 0] + images[:, :, g]
+    preserves = np.all(qi % 2 == qv[None, :], axis=1)
+    invertible = np.rint(np.linalg.det(cand.astype(np.float64))).astype(np.int64) % 2 != 0
+    return tuple(tuple(map(tuple, m.tolist())) for m in cand[preserves & invertible])
+
+
 def test_orthogonal_group_orders():
     assert len(orthogonal_group(1, "even")) == 2
     assert len(orthogonal_group(1, "odd")) == 6
     assert len(orthogonal_group(2, "even")) == 72
     assert len(orthogonal_group(2, "odd")) == 120
+
+
+@pytest.mark.parametrize("g, parity", ((1, "even"), (1, "odd"), (2, "even"), (2, "odd")))
+def test_orthogonal_group_matches_brute_force(g, parity):
+    assert orthogonal_group(g, parity) == orthogonal_group_oracle(g, parity)
+
+
+def test_transvection_closure_orders():
+    """Transvections generate O(4, -) but only an index-2 subgroup of O(4, +)."""
+    assert len(_f2_transvection_closure(2, "even")) == 36
+    assert len(_f2_transvection_closure(2, "odd")) == 120
+    assert len(_f2_transvection_closure(1, "even")) == 2
+    assert len(_f2_transvection_closure(1, "odd")) == 6
+    swap = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    assert swap in orthogonal_group(2, "even")
+    assert _key(swap) not in _f2_transvection_closure(2, "even")
 
 
 def test_transvection():
@@ -293,3 +328,66 @@ def test_g2_even_needed_extended_generators():
     assert group_data(2, "even").extended_generators
     assert not group_data(2, "odd").extended_generators
     assert not group_data(1, "even").extended_generators
+
+
+@pytest.mark.parametrize("k, modulus", ((2, 4), (4, 4), (4, 2)))
+def test_row_tables_match_matrix_products(k, modulus):
+    """key(M @ G) as the OR of per-row table entries, against the dense kernels."""
+    rng = np.random.default_rng(10 * k + modulus)
+    mats = rng.integers(0, modulus, size=(200, k, k)).astype(np.uint8)
+    gens = [rng.integers(0, modulus, size=(k, k)) for _ in range(7)]
+    tables = _row_tables(gens, modulus)
+    keys = _kernels.pack_mod4(mats)
+    field = np.uint64(4**k - 1)
+    got = tables[0][keys & field]
+    for i, table in enumerate(tables[1:], start=1):
+        got |= table[(keys >> np.uint64(2 * k * i)) & field]
+    prods = _kernels.mod4_products(mats, np.array(gens, dtype=np.uint8)) % modulus
+    assert np.array_equal(got.reshape(-1), _kernels.pack_mod4(prods))
+    assert np.array_equal(_unpack(keys, k), mats)
+
+
+def test_bfs_closure_tree_and_edges():
+    """Every tree node and every edge of a closure is a true product."""
+    gens = [transvection(v).np for v in ((1, 0, 1, 1), (0, 1, 2, 1), (1, 1, 0, 3))]
+    mats, key_index, parent_of, gen_of, e_par, e_gen, e_tgt, ends = _bfs_closure(gens)
+    m = mats.astype(np.int64)
+    g = np.array(gens) % 4
+    assert list(key_index) == sorted(key_index)
+    assert sorted(key_index.values()) == list(range(len(mats)))
+    assert all(key_index[_key(mats[i])] == i for i in range(len(mats)))
+    assert ends[-1] == len(mats) and ends[0] == 1
+    tree = np.einsum("nij,njk->nik", m[parent_of[1:]], g[gen_of[1:]]) % 4
+    assert np.array_equal(tree, m[1:])
+    edges = np.einsum("nij,njk->nik", m[e_par], g[e_gen]) % 4
+    assert np.array_equal(edges, m[e_tgt])
+    # every product is either a tree node or an edge
+    assert len(e_par) + len(mats) - 1 == len(mats) * len(gens)
+
+
+# sha256 prefixes of `matrices`, `lam` and the `key_index` items (in dict
+# order), recorded before the closure moved to packed keys, with the generator
+# count and whether an orthogonal lift was appended: all must stay identical
+FINGERPRINTS = {
+    (1, "even"): ("66252681c764", "38d9ac2e485c2a22", "7694cf2d8b558791", 4, False),
+    (1, "odd"): ("177bacb32f39", "c4546ee72a974e20", "d4e0b455fd260063", 6, False),
+    (2, "even"): ("5ba40e188d16", "4adcd5b473ab450e", "f3ba88c39a144974", 17, True),
+    (2, "odd"): ("899fb68345bf", "435442a344f4bccb", "8100c3cb34f58492", 20, False),
+}
+
+
+@pytest.mark.parametrize("g, parity", list(FINGERPRINTS))
+def test_group_data_fingerprints(g, parity):
+    data = group_data(g, parity)
+    mats_prefix, lam_prefix, index_prefix, n_gens, extended = FINGERPRINTS[(g, parity)]
+
+    def sha(b):
+        return hashlib.sha256(b).hexdigest()
+
+    assert data.matrices.dtype == np.uint8 and data.lam.dtype == np.int8
+    assert sha(data.matrices.tobytes()).startswith(mats_prefix)
+    assert sha(data.lam.tobytes()).startswith(lam_prefix)
+    assert sha(repr(list(data.key_index.items())).encode()).startswith(index_prefix)
+    assert data.generator_count == n_gens
+    assert data.extended_generators is extended
+    assert data.solution_count == 1
