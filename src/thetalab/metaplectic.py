@@ -2,11 +2,12 @@
 
 An element is a pair (gamma, phi) with phi a holomorphic square root of
 c tau + d on the upper half-plane; we store phi by its sign relative to the
-principal branch (argument in (-pi, pi], so sqrt(-1) = i).  Products track
-the branch by evaluating phi_1(gamma_2 tau) phi_2(tau) at a probe point and
-snapping the quotient against the principal branch to +-1; the cocycle is
-locally constant in tau, so one generic probe determines it, and a failed
-snap signals a precision bug rather than a mathematical ambiguity.
+principal branch (argument in (-pi, pi], so sqrt(-1) = i).  The product
+(gamma1, phi1)(gamma2, phi2) = (gamma1 gamma2, phi1(gamma2 tau) phi2(tau))
+multiplies the signs by Kubota's cocycle, two real Hilbert symbols of
+bottom-row entries, corrected for the principal-branch convention
+(`_cocycle`); the sign is decided in integer arithmetic, with no evaluation
+at any point.
 
 Also provided: factorization of SL2(Z) matrices into the standard
 generators S and T by a continued-fraction reduction, lifting of words to
@@ -26,7 +27,6 @@ from .congruence import SL2Matrix, SL2_I, SL2_S, SL2_T, THETA12, NotMember, memb
 from .cyclo import RootOfUnity, ru_snap
 
 __all__ = [
-    "BranchResolutionFailure",
     "MpElement",
     "MP_I",
     "MP_S",
@@ -45,11 +45,6 @@ __all__ = [
 
 PROBE = 2j
 SECOND_PROBE = 0.3 + 1.1j
-_SIGN_TOL = 1e-6
-
-
-class BranchResolutionFailure(ArithmeticError):
-    """Numeric branch-sign determination was not within tolerance of +-1."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,6 +81,7 @@ MP_I = MpElement(SL2_I, 1)
 MP_S = MpElement(SL2_S, 1)
 MP_T = MpElement(SL2_T, 1)
 MP_Z = MpElement(SL2_I, -1)  # the nontrivial central element
+_REPEATED = {"S": MP_S, "Z": MP_Z}  # word tokens applied k times
 
 
 def phi_eval(p: MpElement, tau: complex) -> complex:
@@ -95,36 +91,51 @@ def phi_eval(p: MpElement, tau: complex) -> complex:
     return p.eps * cmath.sqrt(p.gamma.c * tau + p.gamma.d)
 
 
+def _cocycle(g1: SL2Matrix, g2: SL2Matrix, g: SL2Matrix) -> int:
+    """sigma with phi1(g2 tau) phi2(tau) = sigma * eps1 eps2 * sqrt(c tau + d), g = g1 g2.
+
+    Kubota's cocycle (x(g1), x(g2)) (-x(g1) x(g2), x(g)), where x is the
+    bottom-left entry, or the bottom-right one when that is 0, and the real
+    Hilbert symbol (a, b) is -1 exactly when a and b are both negative.  That
+    formula is for the convention sqrt(-1) = -i, which differs from the
+    principal branch exactly when c = 0 and d < 0, hence one more sign for
+    each such matrix among g1, g2 and g.
+    """
+    x1, x2, x = g1.c or g1.d, g2.c or g2.d, g.c or g.d
+    sign = _hilbert(x1, x2) * _hilbert(-x1 * x2, x)
+    for h in (g1, g2, g):
+        if h.c == 0 and h.d < 0:
+            sign = -sign
+    return sign
+
+
+def _hilbert(a: int, b: int) -> int:
+    """The Hilbert symbol (a, b) over the reals, a and b nonzero."""
+    return -1 if a < 0 and b < 0 else 1
+
+
 def mp_mul(p: MpElement, q: MpElement) -> MpElement:
     """(gamma1, phi1)(gamma2, phi2) = (gamma1 gamma2, phi1(gamma2 tau) phi2(tau))."""
     gamma = p.gamma * q.gamma
-    value = phi_eval(p, q.gamma.moebius(PROBE)) * phi_eval(q, PROBE)
-    reference = cmath.sqrt(gamma.c * PROBE + gamma.d)
-    ratio = value / reference
-    if abs(ratio - 1) < _SIGN_TOL:
-        eps = 1
-    elif abs(ratio + 1) < _SIGN_TOL:
-        eps = -1
-    else:
-        raise BranchResolutionFailure(
-            f"branch ratio {ratio} is not within {_SIGN_TOL} of +-1"
-        )
-    return MpElement(gamma, eps)
+    return MpElement(gamma, p.eps * q.eps * _cocycle(p.gamma, q.gamma, gamma))
 
 
 def mp_inv(p: MpElement) -> MpElement:
-    candidate = MpElement(p.gamma.inverse(), 1)
-    if mp_mul(p, candidate) == MP_I:
-        return candidate
-    return MpElement(p.gamma.inverse(), -1)
+    inverse = p.gamma.inverse()
+    return MpElement(inverse, p.eps * _cocycle(p.gamma, inverse, SL2_I))
 
 
 def mp_pow(p: MpElement, n: int) -> MpElement:
+    """p^n by repeated squaring; negative n raises the inverse."""
     if n < 0:
-        return mp_pow(mp_inv(p), -n)
+        p, n = mp_inv(p), -n
     out = MP_I
-    for _ in range(n):
-        out = mp_mul(out, p)
+    while n:
+        if n & 1:
+            out = mp_mul(out, p)
+        n >>= 1
+        if n:
+            p = mp_mul(p, p)
     return out
 
 
@@ -162,16 +173,7 @@ def _nearest_quotient(a: int, c: int) -> int:
 
 
 def word_to_matrix(tokens: list[tuple[str, int]]) -> SL2Matrix:
-    out = SL2_I
-    for name, k in tokens:
-        if name == "T":
-            out = out * SL2Matrix(1, k, 0, 1)
-        elif name == "S":
-            for _ in range(k):
-                out = out * SL2_S
-        elif name != "Z":  # the central (I, -) covers the identity matrix
-            raise ValueError(f"unknown token {name!r}")
-    return out
+    return mp_from_word(tokens).gamma
 
 
 def mp_lift_word(gamma: SL2Matrix, eps: int = 1) -> list[tuple[str, int]]:
@@ -190,17 +192,18 @@ def mp_lift_word(gamma: SL2Matrix, eps: int = 1) -> list[tuple[str, int]]:
 
 
 def mp_from_word(tokens: list[tuple[str, int]]) -> MpElement:
-    """Multiply out a token word in the double cover."""
+    """Multiply out a token word in the double cover.
+
+    ("T", k) is (T^k, +); ("S", k) and ("Z", k) repeat (S, +) and the
+    central (I, -) k times.
+    """
     out = MP_I
     for name, k in tokens:
         if name == "T":
             out = mp_mul(out, MpElement(SL2Matrix(1, k, 0, 1), 1))
-        elif name == "S":
+        elif name in _REPEATED:
             for _ in range(k):
-                out = mp_mul(out, MP_S)
-        elif name == "Z":
-            for _ in range(k):
-                out = mp_mul(out, MP_Z)
+                out = mp_mul(out, _REPEATED[name])
         else:
             raise ValueError(f"unknown token {name!r}")
     return out

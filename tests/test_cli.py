@@ -51,6 +51,17 @@ def test_mp_mul(capsys):
     assert payload == {"mp": "-1,0,0,-1:+"}
 
 
+def test_mp_mul_large_entries(capsys):
+    """Entries near 1e15, where gamma(2i) rounds onto the real axis: the
+    product is exact, not an upper-half-plane error."""
+    x = "-15393440768503,45822502016896,-1062339659015906,3162324908378425:+"
+    code, payload, _ = run_cli(capsys, "mp", "mul", f"--left={x}", f"--right={x}")
+    assert code == 0
+    p = metaplectic.MpElement.from_string(x)
+    square = metaplectic.mp_from_word(metaplectic.mp_lift_word(p.gamma, p.eps) * 2)
+    assert payload == {"mp": square.as_string()}
+
+
 def test_discriminant(capsys):
     code, payload, _ = run_cli(
         capsys, "discriminant", "--g", "1", "--parity", "even", "--gamma", "0,3,1,0"
@@ -152,17 +163,14 @@ def test_json_round_trips(capsys):
 
 def test_internal_arithmetic_errors_exit_3(capsys, monkeypatch):
     def unresolved(left, right):
-        raise metaplectic.BranchResolutionFailure("branch sign not resolved")
+        raise ArithmeticError("branch sign not resolved")
 
     monkeypatch.setattr(metaplectic, "mp_mul", unresolved)
     code, payload, err = run_cli(
         capsys, "mp", "mul", "--left", "0,-1,1,0:+", "--right", "0,-1,1,0:+"
     )
     assert code == 3 and "internal error" in err
-    assert payload == {
-        "error": "branch sign not resolved",
-        "kind": "BranchResolutionFailure",
-    }
+    assert payload == {"error": "branch sign not resolved", "kind": "ArithmeticError"}
 
     def non_unique(gamma, parity):
         raise symplectic4.NonUnique("two characters pass")

@@ -1,7 +1,10 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetalab.congruence import (
     SL2Matrix,
@@ -31,6 +34,37 @@ from thetalab.metaplectic import (
     word_to_matrix,
 )
 from thetalab.thetanum import functional_eq_lambda
+
+
+def probe_mul(p: MpElement, q: MpElement) -> MpElement:
+    """The product with its branch sign read off numerically at tau = 2i.
+
+    phi1(gamma2 tau) phi2(tau) is compared against the principal square root
+    of c tau + d and snapped to +-1.  Well-conditioned only for small
+    entries; for large ones gamma2(2i) rounds onto the real axis.
+    """
+    gamma = p.gamma * q.gamma
+    value = phi_eval(p, q.gamma.moebius(2j)) * phi_eval(q, 2j)
+    ratio = value / cmath.sqrt(gamma.c * 2j + gamma.d)
+    for eps in (1, -1):
+        if abs(ratio - eps) < 1e-6:
+            return MpElement(gamma, eps)
+    raise AssertionError(f"branch ratio {ratio} is not near +-1")
+
+
+SMALL = [
+    MpElement(SL2Matrix(a, b, c, d), eps)
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
+    if a * d - b * c == 1
+    for eps in (1, -1)
+]
+
+# T^k S blocks, the shape the continued-fraction factorization produces
+blocks = st.lists(st.integers(-40, 40).map(lambda k: [("T", k), ("S", 1)]), max_size=40)
+words = blocks.map(lambda bs: [token for block in bs for token in block])
+elements = st.builds(
+    lambda word, eps: mp_from_word(word + [("Z", 1)] * eps), words, st.integers(0, 1)
+)
 
 
 def test_string_round_trip():
@@ -125,7 +159,6 @@ def test_mp_lift_word_trivial_cases():
 
 def test_mp_associativity_numeric():
     rng = np.random.default_rng(3)
-    worst = 0.0
     for _ in range(1000):
         ps = []
         for _ in range(3):
@@ -136,9 +169,38 @@ def test_mp_associativity_numeric():
             ps.append(mp_from_word(word))
         left = mp_mul(mp_mul(ps[0], ps[1]), ps[2])
         right = mp_mul(ps[0], mp_mul(ps[1], ps[2]))
-        assert left.gamma == right.gamma
-        worst = max(worst, abs(phi_eval(left, 2j) - phi_eval(right, 2j)))
-    assert worst < 1e-9
+        assert left == right
+
+
+def test_mp_mul_matches_probe_on_small_entries():
+    """Every pair with entries at most 3, both branches: the exact cocycle
+    agrees with the numeric probe where the probe is well-conditioned."""
+    for p in SMALL:
+        for q in SMALL:
+            assert mp_mul(p, q) == probe_mul(p, q), (p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, elements, elements)
+def test_mp_associativity_property(p, q, r):
+    assert mp_mul(mp_mul(p, q), r) == mp_mul(p, mp_mul(q, r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, words)
+def test_mp_mul_matches_word_concatenation(w1, w2):
+    assert mp_mul(mp_from_word(w1), mp_from_word(w2)) == mp_from_word(w1 + w2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements, st.integers(-12, 12))
+def test_mp_inv_and_pow_match_repeated_mul(p, n):
+    inv = mp_inv(p)
+    assert mp_mul(p, inv) == MP_I and mp_mul(inv, p) == MP_I
+    expected = MP_I
+    for _ in range(abs(n)):
+        expected = mp_mul(expected, p if n >= 0 else inv)
+    assert mp_pow(p, n) == expected
 
 
 def test_tilde_lambda_basics():

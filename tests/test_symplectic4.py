@@ -175,6 +175,38 @@ def test_discriminant_examples():
         discriminant([[1, 1], [0, 1]], "even")
 
 
+def _lookup_member(data, m) -> bool:
+    try:
+        data.index_of(m)
+    except NotMember:
+        return False
+    return True
+
+
+def test_group_lookup_decides_membership():
+    """The lookup in the enumerated group accepts exactly the matrices that
+    preserve the symplectic form mod 4 and the quadratic form mod 2:
+    exhaustively at g = 1, on sampled matrices at g = 2 (half of them group
+    elements with one entry perturbed)."""
+    for parity in ("even", "odd"):
+        data = group_data(1, parity)
+        for entries in itertools.product(range(4), repeat=4):
+            m = np.array(entries, dtype=np.int64).reshape(2, 2)
+            report = reduce_mod2_and_membership(m, parity)
+            assert _lookup_member(data, m) == report.in_gamma_pm, (parity, entries)
+    rng = np.random.default_rng(8)
+    for parity in ("even", "odd"):
+        data = group_data(2, parity)
+        for i in range(1000):
+            if i % 2:
+                m = rng.integers(0, 4, size=(4, 4))
+            else:
+                m = data.matrices[int(rng.integers(0, data.order))].astype(np.int64)
+                m[tuple(rng.integers(0, 4, size=2))] += int(rng.integers(0, 4))
+            report = reduce_mod2_and_membership(m, parity)
+            assert _lookup_member(data, m) == report.in_gamma_pm, (parity, m.tolist())
+
+
 def test_discriminant_multiplicative_exhaustive_g1():
     for parity in ("even", "odd"):
         data = group_data(1, parity)
