@@ -192,11 +192,7 @@ def mp_lift_word(gamma: SL2Matrix, eps: int = 1) -> list[tuple[str, int]]:
 
 
 def mp_from_word(tokens: list[tuple[str, int]]) -> MpElement:
-    """Multiply out a token word in the double cover.
-
-    ("T", k) is (T^k, +); ("S", k) and ("Z", k) repeat (S, +) and the
-    central (I, -) k times.
-    """
+    """Multiply out a token word; ("S", k) and ("Z", k) repeat their generator k times."""
     out = MP_I
     for name, k in tokens:
         if name == "T":

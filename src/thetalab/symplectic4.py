@@ -373,7 +373,7 @@ class GroupData:
     def index_of(self, mat) -> int:
         idx = self.key_index.get(_key(_as_matrix(mat)))
         if idx is None:
-            raise NotMember(f"matrix is not in the g={self.g} parity-{self.parity} group")
+            raise NotMember("matrix is not in the enumerated group")
         return idx
 
     def lambda_of(self, mat) -> RootOfUnity:
@@ -729,11 +729,14 @@ def discriminant(gamma, parity: str) -> RootOfUnity:
     """The mu_4-valued discriminant character, looked up in the enumerated group.
 
     `gamma` must preserve the symplectic form mod 4 and the parity's
-    quadratic form mod 2, g <= 2; the lookup raises `NotMember` otherwise.
+    quadratic form mod 2; g <= 2.
     """
     parity = _parity(parity)
     m = _as_matrix(gamma)
     g = m.shape[0] // 2
     if g not in (1, 2):
         raise ValueError(f"only g <= 2 is supported, got g={g}")
+    report = reduce_mod2_and_membership(m, parity)
+    if not report.in_gamma_pm:
+        raise NotMember(f"matrix is not in the parity-{parity} group")
     return group_data(g, parity).lambda_of(m)
