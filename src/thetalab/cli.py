@@ -1,7 +1,9 @@
 """Command-line interface: every operation as a subcommand with JSON output.
 
 JSON goes to stdout (one object per invocation, numbers at 15 significant
-digits, complex values as "a+bi" strings); human summaries go to stderr.
+digits, complex values as "a+bi" strings); human summaries go to stderr,
+and so do the per-stage suite timings that `thetalab --timings verify
+suite` adds.
 Exit codes: 0 success (and every suite check passed), 1 a suite check
 failed, 2 malformed input or an input outside the documented domain, 3 an
 internal failure (an ArithmeticError such as an unresolved branch sign or a
@@ -193,6 +195,13 @@ def _cmd_verify(ns) -> tuple[dict, int]:
         check["residual"] = _fmt_float(check["residual"])
         status = "pass" if check["pass"] else "FAIL"
         print(f"[{status}] {check['check_id']}: {check['observed']}", file=sys.stderr)
+    if ns.timings:
+        for stage in report["stages"]:
+            print(
+                f"[time] {stage['name']}: {stage['wall_time']:.3f} s, {stage['checks']} checks",
+                file=sys.stderr,
+            )
+        print(f"[time] total: {report['wall_time']:.3f} s", file=sys.stderr)
     return report, 0 if report["pass"] else 1
 
 
@@ -201,6 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="thetalab",
         description="Finite Heisenberg / metaplectic machinery with numerical "
         "verification of theta transformation laws.",
+    )
+    parser.add_argument(
+        "--timings",
+        action="store_true",
+        help="print the wall time of each `verify suite` stage to stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

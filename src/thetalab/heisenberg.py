@@ -14,19 +14,24 @@ pushforward under doubling, and exhaustive enumeration of the symmetric
 automorphism group together with the stabilizer of the canonical splitting.
 
 Semicharacters are never constructed from a closed form: candidate values
-on generators are solved from the order relations and then every candidate
-is verified against the defining relation on all pairs, so the enumerations
-are self-checking.  The intended regimes are small types like (2), (4),
-(2,2), (4,4); a hard bound |K(delta)| <= 2^12 is enforced.
+on generators are solved from the order relations, and the first candidate
+of each map is verified against the defining relation on all pairs (the
+others differ from it by a homomorphism), so the enumerations are
+self-checking.  The intended regimes are small types like (2), (4), (2,2),
+(2,4), (4,4); a hard bound |K(delta)| <= 2^12 is enforced.
 
 All enumeration runs on integer tables indexed by the rank of an element of
-K(delta) (see `_KTable`); `KVector` and `HeisenbergElement` objects appear
-only in arguments and results.
+K(delta) (see `_KTable`), in blocks: the relations of many maps are solved
+as one stack, and the symmetry filter, the ordering, the stabilizer tests
+and the deduplication of subgroup spans each run over a whole block.
+`KVector` and `HeisenbergElement` objects appear only in arguments and
+results.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -346,54 +351,59 @@ def _solve_twisted_characters(
     sum_index: np.ndarray,
     beta: np.ndarray,
     modulus: int,
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """All integer maps s (mod `modulus`) with s(a+b) = s(a) + s(b) + beta(a, b).
 
     The group is given by tables over its elements 0..n-1: `coords` holds the
     exponents of each element with respect to a generating tuple realizing
     the group as a direct product of cyclic groups of the given orders, the
     generators themselves sitting at `gen_positions`; `coords` must be
-    additive (`_check_additive`).  Candidate generator values come from the
+    additive (`_check_additive`).  `beta` is a stack of B relations, shape
+    (B, n, n), solved together.  Candidate generator values come from the
     order relations: each ranges over one coset of (modulus / o_j) Z, so two
     candidates differ by a homomorphism to Z/modulus and either all of them
     satisfy the relation or none does.  The first candidate is verified on
     every pair and decides for all.
+
+    Returns (candidates, solvable): candidates[b], shape (prod(gen_orders), n),
+    lists the candidates of beta[b] in product order over the generator
+    values, and they are the solutions exactly when solvable[b].
     """
     n = coords.shape[0]
     zero = int(np.flatnonzero((coords == 0).all(axis=1))[0])
+    orders = np.array(gen_orders, dtype=np.int64)
 
-    value_options: list[list[int]] = []
-    for pos, o in zip(gen_positions, gen_orders):
-        c = 0
-        acc = pos
+    # order relations: o_j s(g_j) = sum of beta(k g_j, g_j) over 0 < k < o_j
+    c = np.zeros((len(beta), len(gen_orders)), dtype=np.int64)
+    for j, (pos, o) in enumerate(zip(gen_positions, gen_orders)):
+        acc = [pos]
         for _ in range(o - 1):
-            c = (c + int(beta[acc, pos])) % modulus
-            acc = int(sum_index[acc, pos])
-        if acc != zero:
+            acc.append(int(sum_index[acc[-1], pos]))
+        if acc.pop() != zero:
             raise ValueError("generator order table is inconsistent")
-        if c % o != 0:
-            return []
-        step = modulus // o
-        base = (-(c // o)) % step
-        value_options.append([(base + t * step) % modulus for t in range(o)])
+        c[:, j] = beta[:, acc, pos].sum(axis=1) % modulus
+    solvable = (c % orders == 0).all(axis=1)
+    step = modulus // orders
+    base = (-(c // orders)) % step
 
     # chain correction: cost of assembling each element generator by generator
-    chain = np.zeros(n, dtype=np.int64)
+    chain = np.zeros((len(beta), n), dtype=np.int64)
     acc_idx = np.full(n, zero, dtype=np.int64)
     for j, pos in enumerate(gen_positions):
         max_mult = int(coords[:, j].max()) if n else 0
         for k in range(max_mult):
             active = coords[:, j] > k
-            chain[active] = (chain[active] + beta[acc_idx[active], pos]) % modulus
+            chain[:, active] += beta[:, acc_idx[active], pos]
             acc_idx[active] = sum_index[acc_idx[active], pos]
 
-    choices = np.array(list(itertools.product(*value_options)), dtype=np.int64)
-    candidates = (choices @ coords.T + chain) % modulus
-    first = candidates[0]
-    rhs = (first[:, None] + first[None, :] + beta) % modulus
-    if not np.array_equal(first[sum_index], rhs):
-        return []
-    return list(candidates)
+    first = (base @ coords.T + chain) % modulus
+    rhs = first[:, :, None] + first[:, None, :]
+    rhs += beta
+    rhs %= modulus
+    solvable &= (first[:, sum_index] == rhs).all(axis=(1, 2))
+    offsets = np.array(list(itertools.product(*map(range, gen_orders))), dtype=np.int64)
+    candidates = (first[:, None, :] + (offsets * step) @ coords.T) % modulus
+    return candidates, solvable
 
 
 # --- symmetric splittings ----------------------------------------------------------
@@ -590,6 +600,9 @@ def _symplectic_images(typ: ThetaType) -> Iterator[tuple[int, ...]]:
     yield from backtrack(0)
 
 
+_RELATION_CHUNK = 2**16  # beta entries (maps x n x n) solved at once while enumerating
+
+
 def enumerate_automorphisms(
     typ: ThetaType, symmetric: bool = True
 ) -> list[HeisenbergAutomorphism]:
@@ -609,21 +622,35 @@ def enumerate_automorphisms(
     orders = list(typ.divisors) * 2
     _check_additive(table.coords, table.sum_index, orders)
 
-    out = []
-    for ranks in _symplectic_images(typ):
-        perm = table.rank(table.coords @ table.coords[list(ranks)])
-        beta = (table.xy_exponent[np.ix_(perm, perm)] - table.xy_exponent) % m
-        eta_images = tuple(table.elements[i] for i in ranks)
-        for values in _solve_twisted_characters(
+    # the relations of a chunk of maps are solved as one stack and filtered
+    # as one block; objects are built only for the survivors
+    maps = np.array(list(_symplectic_images(typ)), dtype=np.int64)
+    chunk = max(1, _RELATION_CHUNK // table.n**2)
+    owners, blocks = [], []
+    for start in range(0, len(maps), chunk):
+        perm = table.rank(table.coords @ table.coords[maps[start : start + chunk]])
+        beta = table.xy_exponent[perm[:, :, None], perm[:, None, :]]
+        beta -= table.xy_exponent
+        beta %= m
+        chi, solvable = _solve_twisted_characters(
             table.coords, gen_positions, orders, table.sum_index, beta, m
-        ):
-            if symmetric and not np.array_equal(values[table.neg_index], values):
-                continue
-            out.append(
-                HeisenbergAutomorphism(typ, eta_images, tuple(int(v) for v in values))
-            )
-    out.sort(key=lambda u: u.sort_key())
-    return out
+        )
+        keep = np.repeat(solvable[:, None], chi.shape[1], axis=1)
+        if symmetric:
+            keep &= (chi[:, :, table.neg_index] == chi).all(axis=2)
+        owners.append(start + np.nonzero(keep)[0])
+        blocks.append(chi[keep].astype(np.min_scalar_type(m - 1)))
+    owner = np.concatenate(owners)
+    chi = np.concatenate(blocks)
+    eta = maps[owner].astype(np.min_scalar_type(table.n - 1))
+    # ranks are lexicographic in the coordinates, so ordering by (eta ranks,
+    # chi) is `sort_key` order; small unsigned keys sort by radix
+    order = np.lexsort((*chi.T[::-1], *eta.T[::-1]))
+    images = [tuple(table.elements[i] for i in ranks) for ranks in maps.tolist()]
+    return [
+        HeisenbergAutomorphism(typ, images[k], row)
+        for k, row in zip(owner[order].tolist(), map(tuple, chi[order].tolist()))
+    ]
 
 
 def enumerate_sym_automorphisms(typ: ThetaType) -> list[HeisenbergAutomorphism]:
@@ -645,21 +672,31 @@ def stabilizer_u0sym(
     """
     if automorphisms is None:
         automorphisms = enumerate_sym_automorphisms(typ)
+    if not automorphisms:
+        return []
     table = _ktable(typ)
     g = typ.g
     m = typ.scalar_modulus
     # ranks of the lifts (1, h, 0): the elements with zero y-part
     hidx = np.flatnonzero(~table.coords[:, g:].any(axis=1))
-    out = []
+    # automorphisms enumerated together share the eta tuple of their map, so
+    # each distinct tuple is stacked once
+    slots: dict[int, int] = {}
+    eta, owner = [], []
     for u in automorphisms:
-        image = _eta_permutation(u, table)[hidx]
-        chi = np.array(u.chi_exponents, dtype=np.int64)[hidx]
-        if (chi % m).any() or table.coords[image, g:].any():
-            continue
-        if pointwise and not np.array_equal(image, hidx):
-            continue
-        out.append(u)
-    return out
+        slot = slots.setdefault(id(u.eta_images), len(eta))
+        if slot == len(eta):
+            eta.append([v.coords for v in u.eta_images])
+        owner.append(slot)
+    on_lifts = operator.itemgetter(*hidx.tolist())
+    chi = np.array([on_lifts(u.chi_exponents) for u in automorphisms], dtype=np.int64)
+    chi = chi.reshape(len(automorphisms), len(hidx))
+    image = table.rank(table.coords[hidx] @ np.array(eta, dtype=np.int64))
+    keep = ~table.coords[image, g:].any(axis=(1, 2))  # eta(H x 0) = H x 0
+    if pointwise:
+        keep &= (image == hidx).all(axis=1)
+    keep = keep[owner] & ~(chi % m).any(axis=1)
+    return [u for u, k in zip(automorphisms, keep.tolist()) if k]
 
 
 # --- splitting pairs over arbitrary maximal isotropic subgroups --------------------
@@ -676,10 +713,12 @@ def maximal_isotropic_subgroups(typ: ThetaType) -> list[tuple[KVector, ...]]:
     """
     table = _ktable(typ)
     d = typ.degree
-    # span of gens: sum_i mult_i gens_i for mult in prod range(d_i)
+    # span of gens: sum_i mult_i gens_i for mult in prod range(d_i), added up
+    # through the sum table from multiples[k, z] = rank of k z
     mult = np.array(
         list(itertools.product(*(range(o) for o in typ.divisors))), dtype=np.int64
     )
+    multiples = table.rank(np.arange(max(typ.divisors))[:, None, None] * table.coords)
     candidates = [np.flatnonzero(o % table.orders == 0) for o in typ.divisors]
     shape = tuple(len(c) for c in candidates)
     total = prod(shape)
@@ -688,18 +727,26 @@ def maximal_isotropic_subgroups(typ: ThetaType) -> list[tuple[KVector, ...]]:
     for start in range(0, total, step):
         pos = np.unravel_index(np.arange(start, min(start + step, total)), shape)
         gens = np.stack([c[p] for c, p in zip(candidates, pos)], axis=1)
-        spans = np.sort(table.rank(mult @ table.coords[gens]), axis=1)
+        spans = multiples[mult[:, 0], gens[:, :1]]
+        for j in range(1, typ.g):
+            spans = table.sum_index[spans, multiples[mult[:, j], gens[:, j : j + 1]]]
+        spans = np.sort(spans, axis=1)
         full = (np.diff(spans, axis=1) != 0).all(axis=1)
-        gens, spans = gens[full], spans[full]
-        keys, first = np.unique(spans, axis=0, return_index=True)
-        for span, i in zip(keys, first):
-            key = span.tobytes()
-            if key in seen:
-                continue
-            isotropic = not table.pair[np.ix_(span, span)].any()
-            perp_count = int(np.sum(~table.pair[:, span].any(axis=1)))
-            lagrangian = isotropic and perp_count == d
-            seen[key] = tuple(gens[i].tolist()) if lagrangian else None
+        # the stable lexsort keeps the first generating tuple of each span in
+        # front; small unsigned keys sort by radix
+        spans = spans[full].astype(np.min_scalar_type(table.n - 1))
+        order = np.lexsort(spans.T[::-1])
+        gens, spans = gens[full][order], spans[order]
+        first = np.ones(len(spans), dtype=bool)
+        first[1:] = (spans[1:] != spans[:-1]).any(axis=1)
+        fresh = [i for i in np.flatnonzero(first).tolist() if spans[i].tobytes() not in seen]
+        block = spans[fresh]
+        isotropic = ~table.pair[block[:, :, None], block[:, None, :]].any(axis=(1, 2))
+        lagrangian = isotropic.copy()
+        perp_count = (~table.pair[:, block[isotropic]].any(axis=2)).sum(axis=0)
+        lagrangian[isotropic] = perp_count == d
+        for i, ok in zip(fresh, lagrangian.tolist()):
+            seen[spans[i].tobytes()] = tuple(gens[i].tolist()) if ok else None
     # ranks are lexicographic in the coordinates, so this is the coordinate order
     found = sorted(gs for gs in seen.values() if gs is not None)
     return [tuple(table.elements[i] for i in gs) for gs in found]
@@ -739,13 +786,11 @@ def symmetric_splittings_over(
     elems = [table.elements[i] for i in gidx]
     _check_additive(coords, sum_index, orders)
 
-    out = []
-    for values in _solve_twisted_characters(
-        coords, gen_positions, orders, sum_index, beta, m
-    ):
-        if not np.array_equal(values[neg_index], values):
-            continue
-        out.append(
-            {z: RootOfUnity(Fraction(int(v), m)) for z, v in zip(elems, values)}
-        )
-    return out
+    chi, solvable = _solve_twisted_characters(
+        coords, gen_positions, orders, sum_index, beta[None], m
+    )
+    chi = chi[0][(chi[0][:, neg_index] == chi[0]).all(axis=1) & solvable[0]]
+    return [
+        {z: RootOfUnity(Fraction(v, m)) for z, v in zip(elems, values)}
+        for values in chi.tolist()
+    ]

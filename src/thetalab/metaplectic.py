@@ -81,7 +81,7 @@ MP_I = MpElement(SL2_I, 1)
 MP_S = MpElement(SL2_S, 1)
 MP_T = MpElement(SL2_T, 1)
 MP_Z = MpElement(SL2_I, -1)  # the nontrivial central element
-_REPEATED = {"S": MP_S, "Z": MP_Z}  # word tokens applied k times
+_POWERED = {"S": (MP_S, 8), "Z": (MP_Z, 2)}  # word tokens: generator and its order
 
 
 def phi_eval(p: MpElement, tau: complex) -> complex:
@@ -192,14 +192,17 @@ def mp_lift_word(gamma: SL2Matrix, eps: int = 1) -> list[tuple[str, int]]:
 
 
 def mp_from_word(tokens: list[tuple[str, int]]) -> MpElement:
-    """Multiply out a token word; ("S", k) and ("Z", k) repeat their generator k times."""
+    """Multiply out a token word; ("S", k) and ("Z", k) raise their generator to
+    the k-th power, any integer k, with k reduced mod the generator's order
+    (S^8 = Z^2 = 1 in Mp2(Z))."""
     out = MP_I
     for name, k in tokens:
         if name == "T":
             out = mp_mul(out, MpElement(SL2Matrix(1, k, 0, 1), 1))
-        elif name in _REPEATED:
-            for _ in range(k):
-                out = mp_mul(out, _REPEATED[name])
+        elif name in _POWERED:
+            gen, order = _POWERED[name]
+            for _ in range(k % order):
+                out = mp_mul(out, gen)
         else:
             raise ValueError(f"unknown token {name!r}")
     return out

@@ -3,16 +3,17 @@
 Nine check groups, each returning report entries
 {check_id, params, expected, observed, residual, pass}; `run_suite` executes
 them in a fixed order at one of two levels ("quick" shrinks sample counts
-and sweep bounds, "full" runs the complete battery).  Randomized sweeps draw
-from a seeded generator (THETA_LAB_SEED in the CLI), and rejection sampling
-enforces the Im(gamma tau) floor required by the verifier's precision
-contract.
+and sweep bounds, "full" runs the complete battery) and times each group.
+Randomized sweeps draw from a seeded generator (THETA_LAB_SEED in the CLI),
+and rejection sampling enforces the Im(gamma tau) floor required by the
+verifier's precision contract.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import platform
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -560,19 +561,41 @@ CHECK_ORDER: list[tuple[str, Callable]] = [
 
 
 def run_suite(level: str = "quick", seed: int = 0) -> dict:
-    """Run the battery; returns {"suite", "seed", "checks", "wall_time", "pass"}."""
+    """Run the battery; returns {"suite", "seed", "checks", "stages", "meta", "wall_time", "pass"}.
+
+    `stages` has one entry per CHECK_ORDER group, in order: its `name`, its
+    `wall_time` and the number of `checks` it produced.  `meta` records the
+    thetalab, numpy and Python versions with the seed and level.
+    """
+    from . import __version__
+
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     checks: list[dict] = []
-    for _, fn in CHECK_ORDER:
-        checks.extend(fn(level, rng))
+    stages: list[dict] = []
+    for name, fn in CHECK_ORDER:
+        t0 = time.perf_counter()
+        entries = fn(level, rng)
+        seconds = time.perf_counter() - t0
+        checks.extend(entries)
+        stages.append(
+            {"name": name, "wall_time": float(f"{seconds:.6g}"), "checks": len(entries)}
+        )
     wall = time.perf_counter() - start
     return {
         "suite": level,
         "seed": seed,
         "checks": checks,
+        "stages": stages,
+        "meta": {
+            "thetalab": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "seed": seed,
+            "level": level,
+        },
         "wall_time": float(f"{wall:.6g}"),
         "pass": all(c["pass"] for c in checks),
     }

@@ -96,8 +96,9 @@ def _fold(
 
     T^k scales column j by e^{i pi j^2 k / m}, read from the phase table at
     the exact integer index (j^2 k) mod 2m; S is the FFT along the rows (its
-    kernel e^{-2 pi i k l / m} is symmetric) times prefactor / sqrt(m); Z is
-    -1.  The scalars of S and Z commute with everything and are applied
+    kernel e^{-2 pi i k l / m} is symmetric) times prefactor / sqrt(m), and
+    S^k is k mod 8 of them (S^8 = 1); Z^k is (-1)^k.  Negative k are inverse
+    powers.  The scalars of S and Z commute with everything and are applied
     once, at the end.
     """
     s_scale, squares, phases = gens
@@ -108,11 +109,11 @@ def _fold(
         if name == "T":
             out = out * phases[(squares * (k % two_m)) % two_m]
         elif name == "S":
-            for _ in range(k):
+            for _ in range(k % 8):
                 out = np.fft.fft(out, axis=-1)
                 scale *= s_scale
         elif name == "Z":
-            if k > 0 and k % 2:
+            if k % 2:
                 scale = -scale
         else:
             raise ValueError(f"unknown token {name!r}")

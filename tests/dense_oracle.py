@@ -2,8 +2,9 @@
 
 The generators are built as dense matrices (S with the prefactor that the
 defining relations select, T^k with `np.diag` at an exactly reduced
-exponent, Z as -I) and multiplied along a token word, independently of the
-FFT fold in `weilrep`.  Shared by the weilrep and thetanum tests.
+exponent, Z as -I) and multiplied along a token word, |k| times for S^k and
+Z^k (S^{-1} as the adjoint), independently of the FFT fold in `weilrep`.
+Shared by the weilrep and thetanum tests.
 """
 
 import cmath
@@ -46,10 +47,12 @@ def dense_word(m: int, tokens) -> np.ndarray:
         if name == "T":
             out = out @ _dense_t_power(m, k)
         elif name == "S":
-            for _ in range(k):
-                out = out @ _dense_s(m)
+            # S is unitary: a negative power repeats S^{-1} = S^*
+            s = _dense_s(m) if k >= 0 else _dense_s(m).conj().T
+            for _ in range(abs(k)):
+                out = out @ s
         elif name == "Z":
-            for _ in range(k):
+            for _ in range(abs(k)):
                 out = out @ (-np.eye(m))
         else:
             raise ValueError(f"unknown token {name!r}")

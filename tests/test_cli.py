@@ -124,6 +124,31 @@ def test_verify_suite_quick(capsys):
     assert ids.index("discriminant_oracle") < ids.index("index_multiplicativity")
 
 
+def test_suite_reports_stages_and_meta():
+    report = suite.run_suite("quick", seed=3)
+    stages = report["stages"]
+    assert [st["name"] for st in stages] == [name for name, _ in suite.CHECK_ORDER]
+    assert sum(st["checks"] for st in stages) == len(report["checks"])
+    assert all(st["wall_time"] >= 0 for st in stages)
+    # each time is rounded to 6 significant digits (relative error 5e-6)
+    assert sum(st["wall_time"] for st in stages) <= report["wall_time"] * (1 + 2e-5)
+    meta = report["meta"]
+    assert meta["seed"] == 3 and meta["level"] == "quick"
+    assert meta["numpy"] == np.__version__
+    assert meta["thetalab"] and meta["python"].count(".") == 2
+
+
+def test_timings_flag_prints_stages_to_stderr(capsys):
+    code = main(["--timings", "verify", "suite", "--level", "quick"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)  # exactly one JSON object on stdout
+    assert code == 0 and payload["pass"] is True
+    assert len(captured.out.strip().splitlines()) == 1
+    for name, _ in suite.CHECK_ORDER:
+        assert f"[time] {name}: " in captured.err
+    assert "[time]" not in captured.out
+
+
 def test_verify_suite_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("THETA_LAB_SEED", "17")
     code, payload, _ = run_cli(capsys, "verify", "suite", "--level", "quick")

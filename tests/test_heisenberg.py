@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -192,10 +193,54 @@ def twisted_characters_oracle(coords, gen_positions, gen_orders, sum_index, beta
     return results
 
 
+def automorphisms_loop_oracle(typ):
+    """`enumerate_automorphisms` map by map and candidate by candidate: every
+    candidate checked on every pair, filtered for symmetry one at a time and
+    built as an object.  Returns (all, symmetric), each sorted by `sort_key`."""
+    table = heisenberg._ktable(typ)
+    m = typ.scalar_modulus
+    gen_positions = [int(i) for i in table.basis_ranks()]
+    orders = list(typ.divisors) * 2
+    out, sym = [], []
+    for ranks in heisenberg._symplectic_images(typ):
+        perm = table.rank(table.coords @ table.coords[list(ranks)])
+        beta = (table.xy_exponent[np.ix_(perm, perm)] - table.xy_exponent) % m
+        eta_images = tuple(table.elements[i] for i in ranks)
+        for values in twisted_characters_oracle(
+            table.coords, gen_positions, orders, table.sum_index, beta, m
+        ):
+            u = HeisenbergAutomorphism(typ, eta_images, tuple(int(v) for v in values))
+            out.append(u)
+            if np.array_equal(values[table.neg_index], values):
+                sym.append(u)
+    out.sort(key=lambda u: u.sort_key())
+    sym.sort(key=lambda u: u.sort_key())
+    return out, sym
+
+
+def stabilizer_loop_oracle(typ, automorphisms, pointwise):
+    """`stabilizer_u0sym` one automorphism at a time, on the index tables."""
+    table = heisenberg._ktable(typ)
+    g = typ.g
+    hidx = np.flatnonzero(~table.coords[:, g:].any(axis=1))
+    out = []
+    for u in automorphisms:
+        image = heisenberg._eta_permutation(u, table)[hidx]
+        chi = np.array(u.chi_exponents, dtype=np.int64)[hidx]
+        if (chi % typ.scalar_modulus).any() or table.coords[image, g:].any():
+            continue
+        if pointwise and not np.array_equal(image, hidx):
+            continue
+        out.append(u)
+    return out
+
+
 def automorphism_sample(typ):
-    """All symmetric automorphisms up to |K| = 36; above that (the full
-    enumeration of (2,4) takes about 18 s) the inner automorphisms and their
-    composites with the inversion d_minus_one, which moves the lifts setwise."""
+    """All symmetric automorphisms up to |K| = 36; above that, where the
+    object oracle would apply each of the 73 728 automorphisms of (2,4) to
+    every lift, the inner automorphisms and their composites with the
+    inversion d_minus_one, which moves the lifts setwise.  The full (2,4)
+    enumeration is checked in `test_type24_orbit_stabilizer`."""
     if typ.k_order <= 36:
         return enumerate_sym_automorphisms(typ)
     minus = HeisenbergAutomorphism(
@@ -555,16 +600,25 @@ def _same_solutions(got, want):
 
 @pytest.mark.parametrize("divisors", ((2,), (3,), (4,), (6,), (8,), (2, 2), (1, 4)))
 def test_twisted_characters_match_per_candidate_oracle(divisors, monkeypatch):
-    """Checking the first candidate of a map decides all of them: every solve
-    made by the enumerations returns what the per-candidate check returns."""
+    """Checking the first candidate of a map decides all of them: every
+    relation of every stacked solve made by the enumerations gets what the
+    per-candidate check returns."""
     solve = heisenberg._solve_twisted_characters
     calls = []
 
+    def per_relation(args):
+        """(solutions, oracle solutions) for each relation of one stacked solve."""
+        coords, gen_positions, orders, sum_index, beta, m = args
+        got, solvable = solve(*args)
+        for b in range(len(beta)):
+            want = twisted_characters_oracle(coords, gen_positions, orders, sum_index, beta[b], m)
+            yield (got[b] if solvable[b] else got[b][:0]), want
+
     def checked(*args):
-        got = solve(*args)
-        assert _same_solutions(got, twisted_characters_oracle(*args))
+        for got, want in per_relation(args):
+            assert _same_solutions(got, want)
         calls.append(args)
-        return got
+        return solve(*args)
 
     monkeypatch.setattr(heisenberg, "_solve_twisted_characters", checked)
     typ = ThetaType(divisors)
@@ -579,9 +633,9 @@ def test_twisted_characters_match_per_candidate_oracle(divisors, monkeypatch):
     others = [i for i in range(len(coords)) if i not in gen_positions and coords[i].any()]
     if others:
         broken = beta.copy()
-        broken[others[0], others[-1]] += 1
-        args = (coords, gen_positions, orders, sum_index, broken, m)
-        assert solve(*args) == [] == twisted_characters_oracle(*args)
+        broken[0, others[0], others[-1]] += 1
+        got, want = next(per_relation((coords, gen_positions, orders, sum_index, broken, m)))
+        assert len(got) == 0 == len(want)
 
 
 def test_twisted_characters_require_additive_coordinates():
@@ -622,3 +676,56 @@ def test_automorphism_composition_and_sorting():
             assert u.compose(v) in index
     with pytest.raises(TypeMismatch):
         auts[0].eta(kv(T4, 1, 0))
+
+
+@pytest.mark.parametrize("divisors", ((2,), (3,), (4,), (6,), (8,), (2, 2), (1, 4)))
+def test_enumerations_match_loop_oracles(divisors):
+    """The block enumeration and the batched stabilizer give the lists of the
+    per-map, per-candidate and per-automorphism loops, element for element
+    and in the same order."""
+    typ = ThetaType(divisors)
+    everything, symmetric = automorphisms_loop_oracle(typ)
+    assert enumerate_automorphisms(typ, symmetric=False) == everything
+    assert enumerate_automorphisms(typ, symmetric=True) == symmetric
+    assert [u.sort_key() for u in symmetric] == sorted(u.sort_key() for u in symmetric)
+    for pointwise in (False, True):
+        assert stabilizer_u0sym(typ, symmetric, pointwise=pointwise) == (
+            stabilizer_loop_oracle(typ, symmetric, pointwise)
+        )
+    # automorphisms built one by one share no eta tuples
+    rebuilt = [HeisenbergAutomorphism(typ, tuple(u.eta_images), u.chi_exponents) for u in symmetric]
+    assert stabilizer_u0sym(typ, rebuilt) == stabilizer_loop_oracle(typ, symmetric, False)
+
+
+# count and sha256 prefix of the coordinate tuples of maximal_isotropic_subgroups
+MAXIMAL_ISOTROPIC_FINGERPRINTS = {
+    (2, 4): (36, "2271991aa4742328"),
+    (3, 3): (40, "3b93813d16a97df7"),
+    (2, 6): (60, "d9988a00cd50b337"),
+    (4, 4): (120, "72a7ac159d0b6045"),
+}
+
+
+@pytest.mark.parametrize("divisors", sorted(MAXIMAL_ISOTROPIC_FINGERPRINTS))
+def test_maximal_isotropic_subgroups_fingerprints(divisors):
+    subs = maximal_isotropic_subgroups(ThetaType(divisors))
+    coords = [tuple(z.coords for z in gens) for gens in subs]
+    digest = hashlib.sha256(repr(coords).encode()).hexdigest()[:16]
+    assert (len(subs), digest) == MAXIMAL_ISOTROPIC_FINGERPRINTS[divisors]
+    assert coords == sorted(coords)
+
+
+def test_type24_orbit_stabilizer():
+    """Orbit-stabilizer on the full symmetric automorphism group of (2,4)."""
+    typ = ThetaType((2, 4))
+    auts = enumerate_sym_automorphisms(typ)
+    assert len(auts) == 73728
+    setwise = stabilizer_u0sym(typ, auts)
+    pointwise = stabilizer_u0sym(typ, auts, pointwise=True)
+    assert (len(setwise), len(pointwise)) == (512, 64)
+    assert stabilizer_oracle(typ, setwise) == (setwise, pointwise)
+    subs = maximal_isotropic_subgroups(typ)
+    pairs = sum(len(symmetric_splittings_over(gens, typ)) for gens in subs)
+    assert len(subs) == 36
+    assert len(auts) % len(setwise) == 0
+    assert len(auts) // len(setwise) == pairs == 144

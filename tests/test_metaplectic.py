@@ -203,6 +203,17 @@ def test_mp_inv_and_pow_match_repeated_mul(p, n):
     assert mp_pow(p, n) == expected
 
 
+def test_word_powers_of_s_and_z_are_group_powers():
+    """("S", k) and ("Z", k) are k-th powers for every integer k, inverse
+    powers included, not k-fold repetitions that skip k <= 0."""
+    assert mp_pow(MP_S, 8) == MP_I and mp_pow(MP_Z, 2) == MP_I
+    for k in range(-9, 10):
+        assert mp_from_word([("S", k)]) == mp_pow(MP_S, k)
+        assert mp_from_word([("Z", k)]) == mp_pow(MP_Z, k)
+    assert mp_from_word([("S", -1)]) == mp_inv(MP_S) != MP_I
+    assert mp_from_word([("S", 10**12 + 1)]) == MP_S
+
+
 def test_tilde_lambda_basics():
     assert tilde_lambda(MP_I) == RootOfUnity(0)
     # the defining relation with principal branches gives the eighth root

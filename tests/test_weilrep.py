@@ -164,11 +164,11 @@ FOLD_DIMS = (2, 4, 6, 8, 64, 512)
 
 @st.composite
 def dims_and_words(draw, max_tokens: int, max_t: int):
-    """An m from FOLD_DIMS and a word over S^k, Z and T^k with |k| up to max_t."""
+    """An m from FOLD_DIMS and a word over S^k, Z^k and T^k (|k| up to max_t for T)."""
     m = draw(st.sampled_from(FOLD_DIMS))
     token = st.one_of(
-        st.tuples(st.just("S"), st.integers(1, 2)),
-        st.tuples(st.just("Z"), st.integers(1, 3)),
+        st.tuples(st.just("S"), st.integers(-2, 2)),
+        st.tuples(st.just("Z"), st.integers(-3, 3)),
         st.tuples(st.just("T"), st.integers(-max_t, max_t)),
     )
     return m, draw(st.lists(token, max_size=max_tokens))
@@ -195,6 +195,25 @@ def test_fold_matches_dense_oracle_on_blocks(case, rows, seed):
     block = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
     expected = block @ dense_word(m, word)
     assert np.max(np.abs(_fold(_generators(m), word, block) - expected)) < 1e-10
+
+
+NEGATIVE_POWER_WORDS = (
+    [("S", -1)],
+    [("T", 1), ("S", -1), ("T", -2)],
+    [("S", -3), ("T", 3), ("Z", -1), ("S", 2), ("T", -1), ("S", -9)],
+)
+
+
+@pytest.mark.parametrize("m", (2, 6, 64))
+def test_negative_s_and_z_powers_match_dense_oracle(m):
+    """S^-k and Z^-k act as inverse powers, through both the element word and the fold."""
+    eye = np.eye(m, dtype=np.complex128)
+    for word in NEGATIVE_POWER_WORDS:
+        dense = dense_word(m, word)
+        assert np.max(np.abs(weil_rep(m, mp_from_word(word)) - dense)) < 1e-10
+        assert np.max(np.abs(_fold(_generators(m), word, eye) - dense)) < 1e-10
+    s_inv = weil_rep(m, mp_from_word([("S", -1)]))
+    assert np.max(np.abs(s_inv @ weil_generator(m, "S") - eye)) < 1e-10
 
 
 def test_weil_rep_rejects_misshapen_vectors():
