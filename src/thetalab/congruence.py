@@ -121,16 +121,20 @@ class Group:
 
 
 def Gamma(n: int) -> Group:
+    if n < 1:
+        raise ValueError(f"the level of Gamma(n) must be positive, got {n}")
     return Group("gamma", n)
 
 
 def Gamma0(n: int) -> Group:
+    if n < 1:
+        raise ValueError(f"the level of Gamma0(n) must be positive, got {n}")
     return Group("gamma0", n)
 
 
 def GammaM2M(m: int) -> Group:
-    if m % 2 != 0:
-        raise ValueError(f"Gamma(m,2m) is only used for even m, got {m}")
+    if m <= 0 or m % 2 != 0:
+        raise ValueError(f"Gamma(m,2m) is only used for even positive m, got {m}")
     return Group("gamma_m_2m", m)
 
 

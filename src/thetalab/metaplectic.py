@@ -43,8 +43,9 @@ __all__ = [
     "tilde_lambda",
 ]
 
-PROBE = 2j
-SECOND_PROBE = 0.3 + 1.1j
+# the two points at which tau-independent theta quotients are evaluated and
+# cross-checked (here and in `thetanum`)
+PROBE_POINTS = (2j, 0.3 + 1.1j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +222,7 @@ def tilde_lambda(p: MpElement, snap_tol: float = 1e-6) -> RootOfUnity:
     from .thetanum import _riemann_theta_unchecked  # local to avoid an import cycle
 
     values = []
-    for tau in (PROBE, SECOND_PROBE):
+    for tau in PROBE_POINTS:
         gt = p.gamma.moebius(tau)
         num = phi_eval(p, tau) * _riemann_theta_unchecked(tau, 1e-13)
         den = _riemann_theta_unchecked(gt, 1e-13)

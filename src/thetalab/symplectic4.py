@@ -10,17 +10,18 @@ and carry a distinguished mu_4-valued character, the discriminant: the
 unique character that takes the value i on every anisotropic transvection
 (oriented by the mu_4-valued standard pairing) and restricts on the kernel
 to the linearization of the quadratic form.  The character is computed, not
-assumed: the group is enumerated by breadth-first closure from a generating
-set, and the prescribed values fix the character on every generator they
-reach (only the orthogonal lift appended at g = 2, even parity, is left
-free and ranges over Z/4).  Each choice of generator values is propagated
-down the search tree and kept only if it respects every product relation
-found during the closure and every prescribed value; exactly one choice must
-survive.  Non-uniqueness is reported as an error (`NonUnique`), never
-resolved silently.  The normalization is pinned so that the character agrees
-on the nose with the mu_4 factor in the classical theta functional equation
-(e.g. [[0,3],[1,0]] maps to i); the complex-conjugate character is the one
-normalized on the opposite pairing orientation.
+assumed: the group is enumerated by breadth-first closure from a fixed
+generating set, and the prescribed values fix the character on every
+generator they reach (only the orthogonal lift appended at g = 2, even
+parity, is left free and ranges over Z/4).  Each choice of generator values
+is propagated down the search tree and kept only if it respects every
+product relation found during the closure and every prescribed value;
+exactly one choice must survive.  Non-uniqueness is reported as an error
+(`NonUnique`), never resolved silently.  The normalization is pinned so
+that the character agrees on the nose with the mu_4 factor in the classical
+theta functional equation (e.g. [[0,3],[1,0]] maps to i); the
+complex-conjugate character is the one normalized on the opposite pairing
+orientation.
 
 The enumeration works on packed uint64 keys (base-4 digits, row i of a
 k x k matrix in bit field i) from start to end: right multiplication by a
@@ -29,7 +30,10 @@ k table gathers, one sort and one `searchsorted`, and the matrices are
 unpacked once at the end.  The orthogonal quotient O(2g, +-) over F_2 is
 the same closure taken mod 2, over the transvections x -> x + B(x, v) v
 with q(v) = 1; at g = 2, even parity (Dieudonne's exception, O+(4, F_2))
-they generate a subgroup of index 2, and the plane swap completes it.
+they generate a subgroup of index 2, and the plane swap completes it.  The
+mod-4 generating set completes it the same way, with `_ORTHOGONAL_LIFT`, a
+fixed lift of one orthogonal element outside that subgroup; the closure
+order check proves that the generators reach the whole group.
 
 Only g <= 2 is supported; the largest enumeration (g = 2, odd parity) has
 122880 elements.
@@ -52,7 +56,6 @@ __all__ = [
     "NotOrthogonal",
     "NotMember",
     "NonUnique",
-    "Mod4SymplecticElement",
     "MembershipReport",
     "symplectic_form_matrix",
     "is_symplectic_mod4",
@@ -102,7 +105,12 @@ def symplectic_form_matrix(g: int) -> np.ndarray:
 
 
 def _as_matrix(mat) -> np.ndarray:
-    m = np.asarray(mat, dtype=np.int64)
+    a = np.asarray(mat)
+    if a.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):
+            if not np.all(np.mod(a, 1) == 0):
+                raise ValueError(f"matrix entries must be integers, got {a.tolist()}")
+    m = a.astype(np.int64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0 or m.shape[0] == 0:
         raise BadShape(f"expected a 2g x 2g matrix, got shape {m.shape}")
     return m % 4
@@ -156,17 +164,12 @@ def reduce_mod2_and_membership(mat, parity: str) -> MembershipReport:
     return MembershipReport(in_sp4, in_pm, in_g2)
 
 
-def _f2_eliminate(a: np.ndarray, cols: int) -> list[int]:
-    """Reduce the uint8 0/1 matrix `a` in place over F_2 (Gauss-Jordan).
-
-    Pivots are sought in the first `cols` columns only, so an augmented
-    column beyond them is carried along.  Returns the pivot columns; pivot
-    i sits in row i.
-    """
-    rows = a.shape[0]
-    pivots: list[int] = []
+def _f2_rank(mat: np.ndarray) -> int:
+    """Rank over F_2, by Gauss-Jordan elimination on a 0/1 copy of `mat`."""
+    a = (np.asarray(mat, dtype=np.int64) % 2).astype(np.uint8)
+    rows, cols = a.shape
+    rank = 0
     for col in range(cols):
-        rank = len(pivots)
         pivot = None
         for r in range(rank, rows):
             if a[r, col]:
@@ -178,15 +181,10 @@ def _f2_eliminate(a: np.ndarray, cols: int) -> list[int]:
         mask = a[:, col] == 1
         mask[rank] = False
         a[mask] ^= a[rank]
-        pivots.append(col)
-        if rank + 1 == rows:
+        rank += 1
+        if rank == rows:
             break
-    return pivots
-
-
-def _f2_rank(mat: np.ndarray) -> int:
-    a = (np.asarray(mat, dtype=np.int64) % 2).astype(np.uint8)
-    return len(_f2_eliminate(a, a.shape[1]))
+    return rank
 
 
 def dickson(mbar, parity: str) -> RootOfUnity:
@@ -201,61 +199,27 @@ def dickson(mbar, parity: str) -> RootOfUnity:
     return RootOfUnity(Fraction(r % 2, 2))
 
 
-@dataclass(frozen=True)
-class Mod4SymplecticElement:
-    """A 2g x 2g matrix over Z/4 preserving the standard alternating form."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    parity: str | None = None
-
-    def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        if not is_symplectic_mod4(m):
-            raise NotMember("matrix does not preserve the symplectic form mod 4")
-        object.__setattr__(self, "matrix", tuple(tuple(int(e) for e in row) for row in m))
-
-    @property
-    def np(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
-
-    @property
-    def g(self) -> int:
-        return len(self.matrix) // 2
-
-    def __matmul__(self, other: "Mod4SymplecticElement") -> "Mod4SymplecticElement":
-        return Mod4SymplecticElement(
-            tuple(map(tuple, (self.np @ other.np) % 4)), self.parity
-        )
-
-
-def transvection(v) -> Mod4SymplecticElement:
-    """The map z -> z + B(v, z) v over Z/4, as a matrix (columns are images)."""
+def transvection(v) -> np.ndarray:
+    """The map z -> z + B(v, z) v over Z/4, as an int64 matrix (columns are images)."""
     v = np.asarray(v, dtype=np.int64) % 4
     if v.ndim != 1 or len(v) % 2:
         raise BadShape(f"expected a 2g vector, got shape {v.shape}")
     g = len(v) // 2
     j = symplectic_form_matrix(g)
-    t = (np.eye(2 * g, dtype=np.int64) + np.outer(v, v) @ j) % 4
-    return Mod4SymplecticElement(tuple(map(tuple, t)))
+    return (np.eye(2 * g, dtype=np.int64) + np.outer(v, v) @ j) % 4
 
 
 # The plane swap (x_1, y_1) <-> (x_2, y_2); it lies in O(4, +) but outside the
 # subgroup generated by its transvections (Dieudonne's exception).
 _PLANE_SWAP = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
+# A mod-4 symplectic lift of the lexicographically first element of O(4, +)
+# outside its transvection subgroup: mod 2 it is the map
+# (x_1, x_2, y_1, y_2) -> (y_2, y_1, x_2, x_1).  `group_data` appends it to the
+# generators at (2, even), where the transvections do not reach all of O(4, +).
+_ORTHOGONAL_LIFT = ((0, 0, 0, 3), (0, 0, 3, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+
 _ORTHOGONAL_ORDERS = {(1, "even"): 2, (1, "odd"): 6, (2, "even"): 72, (2, "odd"): 120}
-
-
-def _f2_transvection_gens(g: int, parity: str) -> list[np.ndarray]:
-    """The F_2 transvections x -> x + B(x, v) v, one per v with q(v) = 1."""
-    return [t % 2 for t in _anisotropic_transvection_gens(g, parity)]
-
-
-@lru_cache(maxsize=None)
-def _f2_transvection_closure(g: int, parity: str) -> frozenset[int]:
-    """Packed keys of the subgroup of O(2g, +-) generated by its transvections."""
-    mats = _bfs_closure(_f2_transvection_gens(g, parity), modulus=2)[0]
-    return frozenset(_kernels.pack_mod4(mats).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +234,7 @@ def orthogonal_group(g: int, parity: str) -> tuple[tuple[tuple[int, ...], ...], 
     parity = _parity(parity)
     if g not in (1, 2):
         raise ValueError(f"only g <= 2 is supported, got g={g}")
-    gens = _f2_transvection_gens(g, parity)
+    gens = [t % 2 for t in _anisotropic_transvection_gens(g, parity)]
     if (g, parity) == (2, "even"):
         gens.append(np.array(_PLANE_SWAP, dtype=np.int64))
     mats = _bfs_closure(gens, modulus=2)[0]
@@ -313,32 +277,6 @@ def gamma2_elements(g: int) -> list[np.ndarray]:
     return out
 
 
-# --- F2 linear algebra -------------------------------------------------------------
-
-def _f2_solve(a: np.ndarray, b: np.ndarray):
-    """All solutions of a x = b over F_2: (particular, nullspace basis) or None."""
-    a = (np.asarray(a, dtype=np.int64) % 2).astype(np.uint8)
-    b = (np.asarray(b, dtype=np.int64) % 2).astype(np.uint8)
-    cols = a.shape[1]
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    pivots = _f2_eliminate(aug, cols)
-    rank = len(pivots)
-    if np.any(aug[rank:, cols]):
-        return None
-    particular = np.zeros(cols, dtype=np.uint8)
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r, cols]
-    free = [c for c in range(cols) if c not in pivots]
-    null = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.uint8)
-        v[f] = 1
-        for r, col in enumerate(pivots):
-            v[col] = aug[r, f]
-        null.append(v)
-    return particular, null
-
-
 # --- group enumeration with character check ----------------------------------------
 
 def _key(mat) -> int:
@@ -354,7 +292,8 @@ class GroupData:
     keys to indices; lam[i] is the exponent e with discriminant = i^e; and
     solution_count records how many characters passed the check on every
     closure edge and prescribed value (`group_data` raises `NonUnique`
-    unless it is one).
+    unless it is one); generator_count is the size of the generating set,
+    and extended_generators says whether `_ORTHOGONAL_LIFT` is in it.
     """
 
     g: int
@@ -413,7 +352,7 @@ def _anisotropic_transvection_gens(g: int, parity: str) -> list[np.ndarray]:
         if not any(v):
             continue
         if quad_form_value(v, parity) == 1:
-            out.append(transvection(v).np)
+            out.append(transvection(v))
     return out
 
 
@@ -422,7 +361,7 @@ def _all_anisotropic_transvections(g: int, parity: str) -> list[np.ndarray]:
     seen = {}
     for v in itertools.product(range(4), repeat=2 * g):
         if quad_form_value(np.array(v) % 2, parity) == 1:
-            t = transvection(np.array(v)).np.astype(np.uint8)
+            t = transvection(np.array(v)).astype(np.uint8)
             seen[_key(t)] = t
     return list(seen.values())
 
@@ -439,38 +378,6 @@ def _embed_block(mat2: np.ndarray, plane: int) -> np.ndarray:
     out[j, i] = mat2[1, 0]
     out[j, j] = mat2[1, 1]
     return out % 4
-
-
-def _lift_orthogonal(obar: np.ndarray, g: int) -> np.ndarray:
-    """Lift an element of O(2g,+-) to a mod-4 symplectic matrix.
-
-    Solves the linear mod-2 condition on the correction E in obar + 2E.
-    """
-    n = 2 * g
-    j = symplectic_form_matrix(g)
-    o = np.asarray(obar, dtype=np.int64) % 2
-    w = ((o.T @ j @ o - j) // 2) % 2
-    # (obar + 2E)^T J (obar + 2E) = J (mod 4)  <=>  E^T J o + o^T J E = -W (mod 2)
-    rows = []
-    rhs = []
-    basis = []
-    for i in range(n):
-        for k in range(n):
-            e = np.zeros((n, n), dtype=np.int64)
-            e[i, k] = 1
-            basis.append((e.T @ j @ o + o.T @ j @ e) % 2)
-    for i in range(n):
-        for k in range(n):
-            rows.append([int(bmat[i, k]) for bmat in basis])
-            rhs.append(int(w[i, k]) % 2)
-    sol = _f2_solve(np.array(rows), np.array(rhs))
-    if sol is None:
-        raise ArithmeticError("orthogonal element does not lift; form data inconsistent")
-    e = sol[0].astype(np.int64).reshape(n, n)
-    lifted = (o + 2 * e) % 4
-    if not is_symplectic_mod4(lifted):
-        raise ArithmeticError("lifted orthogonal element is not symplectic mod 4")
-    return lifted
 
 
 def _unpack(keys: np.ndarray, k: int) -> np.ndarray:
@@ -640,7 +547,7 @@ def group_data(g: int, parity: str) -> GroupData:
     Generators: a basis of the mod-2 congruence kernel together with one
     anisotropic transvection lift per mod-2 class.  Mod 2 these generate the
     transvection subgroup of O(2g,+-); where that is proper (only at g = 2,
-    even parity) the lift of the lexicographically first orthogonal element
+    even parity) the fixed lift `_ORTHOGONAL_LIFT` of an orthogonal element
     outside it is appended before the one closure, and the
     `extended_generators` flag records this.  The closure must reach the
     extension order |kernel| * |O(2g,+-)|, or `ArithmeticError` is raised.
@@ -650,14 +557,10 @@ def group_data(g: int, parity: str) -> GroupData:
         raise ValueError(f"only g <= 2 is supported, got g={g}")
 
     gens = gamma2_basis(g) + _anisotropic_transvection_gens(g, parity)
-    ortho = orthogonal_group(g, parity)
-    target = (2 ** (g * (2 * g + 1))) * len(ortho)
-    # mod 2 the closure of `gens` is the transvection subgroup of O(2g, +-)
-    reached = _f2_transvection_closure(g, parity)
-    extended = len(reached) < len(ortho)
+    extended = (g, parity) == (2, "even")
     if extended:
-        missing = next(obar for obar in ortho if _key(obar) not in reached)
-        gens.append(_lift_orthogonal(np.array(missing, dtype=np.int64), g))
+        gens.append(np.array(_ORTHOGONAL_LIFT, dtype=np.int64))
+    target = (2 ** (g * (2 * g + 1))) * _ORTHOGONAL_ORDERS[(g, parity)]
     (
         mats, key_index, parent_of, gen_of, e_par, e_gen, e_tgt, level_ends
     ) = _bfs_closure(gens)

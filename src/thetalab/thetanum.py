@@ -38,7 +38,7 @@ from .congruence import (
     member,
 )
 from .cyclo import RootOfUnity, ru_snap
-from .metaplectic import MpElement, phi_eval
+from .metaplectic import PROBE_POINTS, MpElement, phi_eval
 from .weilrep import weil_rep
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
 
 MIN_IM_EVAL = 0.1
 MIN_IM_VERIFY = 0.5
-PROBE_POINTS = (2j, 0.3 + 1.1j)
 
 
 class TauTooLow(ValueError):

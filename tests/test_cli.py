@@ -172,6 +172,13 @@ def test_bad_input_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "theta", "eval", "--m", "2", "--tau", "0.3+0.01i")
     assert code == 2
+    for argv in (
+        ("congruence", "member", "--group", "gamma0", "--n", "0", "--gamma", "1,0,0,1"),
+        ("congruence", "index", "--group", "gamma-m-2m", "--m", "0"),
+        ("congruence", "index", "--group", "gamma", "--n", "-4"),
+    ):
+        code, payload, err = run_cli(capsys, *argv)
+        assert code == 2 and "positive" in err and payload is None, argv
 
 
 def test_json_round_trips(capsys):

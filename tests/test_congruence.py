@@ -42,6 +42,17 @@ def test_membership_examples():
     assert member(SL2Matrix(1, 4, 0, 1), GammaM2M(2))
 
 
+def test_non_positive_levels_are_rejected():
+    for n in (0, -1, -4):
+        with pytest.raises(ValueError, match="positive"):
+            Gamma(n)
+        with pytest.raises(ValueError, match="positive"):
+            Gamma0(n)
+    for m in (0, -2, -3, 3):
+        with pytest.raises(ValueError, match="even positive"):
+            GammaM2M(m)
+
+
 def test_membership_subgroup_property_sampled():
     rng = np.random.default_rng(7)
     pool = list(sl2_with_entry_bound(100))

@@ -33,6 +33,7 @@ from thetalab.metaplectic import (
     tilde_lambda,
     word_to_matrix,
 )
+from thetalab import metaplectic, thetanum
 from thetalab.thetanum import functional_eq_lambda
 
 
@@ -221,6 +222,10 @@ def test_tilde_lambda_basics():
     assert tilde_lambda(MP_S) == RootOfUnity.of(1, 8)
     with pytest.raises(NotMember):
         tilde_lambda(MP_T)  # T is not in the theta group
+
+
+def test_probe_points_have_one_definition():
+    assert thetanum.PROBE_POINTS is metaplectic.PROBE_POINTS == (2j, 0.3 + 1.1j)
 
 
 def test_tilde_lambda_multiplicative():

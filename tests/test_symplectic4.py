@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetalab import _kernels, symplectic4
+from thetalab import _kernels
 from thetalab.cyclo import MINUS_ONE, ONE, RootOfUnity, ZETA4
 from thetalab.symplectic4 import (
     BadShape,
@@ -26,11 +26,10 @@ from thetalab.symplectic4 import (
     reduce_mod2_and_membership,
     _bfs_closure,
     _characters,
+    _ORTHOGONAL_LIFT,
+    _anisotropic_transvection_gens,
     _f2_rank,
-    _f2_solve,
-    _f2_transvection_closure,
     _key,
-    _lift_orthogonal,
     _row_tables,
     _unpack,
     symplectic_form_matrix,
@@ -113,6 +112,12 @@ def test_orthogonal_group_matches_brute_force(g, parity):
     assert orthogonal_group(g, parity) == orthogonal_group_oracle(g, parity)
 
 
+def _f2_transvection_closure(g, parity):
+    """Packed keys of the subgroup of O(2g, +-) generated by its transvections."""
+    gens = [t % 2 for t in _anisotropic_transvection_gens(g, parity)]
+    return set(_bfs_closure(gens, modulus=2)[1])
+
+
 def test_transvection_closure_orders():
     """Transvections generate O(4, -) but only an index-2 subgroup of O(4, +)."""
     assert len(_f2_transvection_closure(2, "even")) == 36
@@ -124,23 +129,33 @@ def test_transvection_closure_orders():
     assert _key(swap) not in _f2_transvection_closure(2, "even")
 
 
+def test_orthogonal_lift_completes_the_transvection_subgroup():
+    """The fixed lift appended at (2, even) is symplectic mod 4, and mod 2 it
+    is an orthogonal element outside the transvection subgroup."""
+    lift = np.array(_ORTHOGONAL_LIFT)
+    assert is_symplectic_mod4(lift)
+    reduction = tuple(map(tuple, (lift % 2).tolist()))
+    assert reduction in orthogonal_group(2, "even")
+    assert _key(reduction) not in _f2_transvection_closure(2, "even")
+
+
 def test_transvection():
     g = 1
-    assert np.array_equal(transvection([0, 0]).np, np.eye(2, dtype=int))
+    assert np.array_equal(transvection([0, 0]), np.eye(2, dtype=int))
     t = transvection([1, 1])
-    assert t.matrix == ((0, 1), (3, 2))
+    assert t.tolist() == [[0, 1], [3, 2]]
     # z -> z + B(v, z) v, columns are images of the basis
     v = np.array([1, 1])
     j = symplectic_form_matrix(g)
     for k, e in enumerate(np.eye(2, dtype=int)):
         expected = (e + int(v @ j @ e) * v) % 4
-        assert np.array_equal(t.np[:, k], expected)
+        assert np.array_equal(t[:, k], expected)
     # v = (2, 0) lands in the congruence kernel
     t2 = transvection([2, 0])
-    assert reduce_mod2_and_membership(t2.np, "even").in_gamma2
+    assert reduce_mod2_and_membership(t2, "even").in_gamma2
     # anisotropy criterion: t_v preserves the form iff v is anisotropic mod 2
     for v in ((1, 1), (1, 3), (1, 0), (0, 1), (2, 1)):
-        rep = reduce_mod2_and_membership(transvection(v).np, "even")
+        rep = reduce_mod2_and_membership(transvection(v), "even")
         assert rep.in_gamma_pm == (quad_form_value(np.array(v) % 2, "even") == 1)
 
 
@@ -173,6 +188,18 @@ def test_discriminant_examples():
     assert discriminant(S_MOD4, "even") == ZETA4
     with pytest.raises(NotMember):
         discriminant([[1, 1], [0, 1]], "even")
+
+
+def test_non_integer_entries_are_rejected():
+    """Entries are not truncated to integers; integer values of any dtype pass."""
+    for bad in ([[0.9, 3], [1, 0]], [[0, 3], [1, np.nan]], [[0, 3.5], [1, 0]]):
+        with pytest.raises(ValueError, match="integers"):
+            discriminant(bad, "even")
+        with pytest.raises(ValueError, match="integers"):
+            is_symplectic_mod4(bad)
+    for dtype in (np.float64, np.int8, np.uint8, object):
+        assert discriminant(np.array(S_MOD4, dtype=dtype), "even") == ZETA4
+        assert is_symplectic_mod4(np.array(S_MOD4, dtype=dtype))
 
 
 def _lookup_member(data, m) -> bool:
@@ -273,7 +300,7 @@ def test_transvection_squares():
         for v in ((1, 1), (1, 3)) if parity == "even" else ((1, 0), (0, 1), (1, 1)):
             if quad_form_value(np.array(v) % 2, parity) != 1:
                 continue
-            t = transvection(v).np
+            t = transvection(v)
             sq = (t @ t) % 4
             assert discriminant(sq, parity) == MINUS_ONE
 
@@ -283,7 +310,7 @@ def test_character_check_toy_cases():
 
     t_v^k = I + k v v^T J, so t has order 4.
     """
-    t = transvection([1, 1]).np
+    t = transvection([1, 1])
     powers = [np.linalg.matrix_power(t, k) % 4 for k in range(4)]
 
     def characters(gens, values):
@@ -301,16 +328,6 @@ def test_character_check_toy_cases():
     assert len(characters([t, powers[3]], [(t, 1), (powers[3], 1)])[1]) == 0
 
 
-def test_lift_orthogonal_rejects_non_symplectic_lift(monkeypatch):
-    """A failed lift raises ArithmeticError, which survives python -O."""
-    monkeypatch.setattr(
-        symplectic4, "_f2_solve", lambda a, b: (np.zeros(a.shape[1], dtype=np.uint8), [])
-    )
-    # det = -1, so the lift with zero correction is not symplectic mod 4
-    with pytest.raises(ArithmeticError):
-        _lift_orthogonal(np.array([[1, 1], [1, 0]]), 1)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
@@ -324,35 +341,14 @@ def test_lift_orthogonal_rejects_non_symplectic_lift(monkeypatch):
     )
 )
 def test_f2_elimination_against_brute_force(entries):
-    """Rank, solutions and nullspace of the shared F_2 elimination, by enumeration."""
+    """Rank of the F_2 elimination, against the size of the row span."""
     a = np.array(entries, dtype=np.int64)
-    rows, cols = a.shape
     a2 = a % 2
     span = {
         tuple(np.array(bits) @ a2 % 2)
-        for bits in itertools.product((0, 1), repeat=rows)
+        for bits in itertools.product((0, 1), repeat=a.shape[0])
     }
-    rank = _f2_rank(a)
-    assert 2**rank == len(span)
-
-    xs = [np.array(x) for x in itertools.product((0, 1), repeat=cols)]
-    for b in itertools.product((0, 1), repeat=rows):
-        b = np.array(b)
-        brute = {tuple(x) for x in xs if np.array_equal(a2 @ x % 2, b)}
-        sol = _f2_solve(a, b)
-        if not brute:
-            assert sol is None
-            continue
-        particular, null = sol
-        assert len(null) == cols - rank
-        found = set()
-        for bits in itertools.product((0, 1), repeat=len(null)):
-            x = particular.astype(np.int64)
-            for bit, v in zip(bits, null):
-                x = (x + bit * v) % 2
-            assert np.array_equal(a2 @ x % 2, b)
-            found.add(tuple(x))
-        assert found == brute
+    assert 2 ** _f2_rank(a) == len(span)
 
 
 def test_g2_even_needed_extended_generators():
@@ -381,7 +377,7 @@ def test_row_tables_match_matrix_products(k, modulus):
 
 def test_bfs_closure_tree_and_edges():
     """Every tree node and every edge of a closure is a true product."""
-    gens = [transvection(v).np for v in ((1, 0, 1, 1), (0, 1, 2, 1), (1, 1, 0, 3))]
+    gens = [transvection(v) for v in ((1, 0, 1, 1), (0, 1, 2, 1), (1, 1, 0, 3))]
     mats, key_index, parent_of, gen_of, e_par, e_gen, e_tgt, ends = _bfs_closure(gens)
     m = mats.astype(np.int64)
     g = np.array(gens) % 4
