@@ -143,7 +143,15 @@ THETA12 = Group("theta12")
 
 def member(g: SL2Matrix, group: Group) -> bool:
     """Exact congruence membership test."""
-    a, b, c, d = g.entries()
+    return _contains(group, *g.entries())
+
+
+def _contains(group: Group, a: int, b: int, c: int, d: int) -> bool:
+    """Whether the matrix (a b; c d) lies in `group`.
+
+    Only the residues of the entries mod `group.modulus` matter, so the
+    same test decides membership of a residue matrix in SL2(Z/L).
+    """
     n = group.level
     if group.kind == "gamma":
         return (a - 1) % n == 0 and (d - 1) % n == 0 and b % n == 0 and c % n == 0
@@ -226,6 +234,8 @@ def descended_theta_char(m: int, u1: int, u2: int) -> RootOfUnity:
 
 def _sl2_mod(L: int) -> list[tuple[int, int, int, int]]:
     """All of SL2(Z/L), generated from S and T by closure."""
+    if L < 1:
+        raise ValueError(f"modulus must be positive, got {L}")
     s = (0, (-1) % L, 1, 0)
     t = (1, 1, 0, 1)
 
@@ -251,23 +261,6 @@ def _sl2_mod(L: int) -> list[tuple[int, int, int, int]]:
     return list(seen)
 
 
-def _member_mod(x: tuple[int, int, int, int], group: Group, L: int) -> bool:
-    """Membership of a residue matrix; valid because the group has level dividing L."""
-    a, b, c, d = x
-    n = group.level
-    if group.kind == "gamma":
-        return a % n == 1 % n and d % n == 1 % n and b % n == 0 and c % n == 0
-    if group.kind == "gamma0":
-        return c % n == 0
-    if group.kind == "gamma_m_2m":
-        return (
-            a % n == 1 % n and d % n == 1 % n and b % (2 * n) == 0 and c % (2 * n) == 0
-        )
-    if group.kind == "theta12":
-        return (a * b) % 2 == 0 and (c * d) % 2 == 0
-    raise ValueError(group.kind)
-
-
 def subgroup_index(group: Group, modulus: int | None = None) -> int:
     """Index in SL2(Z), by counting cosets of the image inside SL2(Z/L).
 
@@ -279,7 +272,7 @@ def subgroup_index(group: Group, modulus: int | None = None) -> int:
     if L % group.modulus != 0:
         raise ValueError(f"modulus {L} is not a multiple of the level {group.modulus}")
     elements = _sl2_mod(L)
-    image = sum(1 for x in elements if _member_mod(x, group, L))
+    image = sum(1 for x in elements if _contains(group, *x))
     if len(elements) % image != 0:
         raise ArithmeticError("image size does not divide group order")
     return len(elements) // image
@@ -293,8 +286,8 @@ def relative_index(sub: Group, sup: Group, modulus: int) -> int:
     n_sub = 0
     n_sup = 0
     for x in elements:
-        in_sub = _member_mod(x, sub, modulus)
-        in_sup = _member_mod(x, sup, modulus)
+        in_sub = _contains(sub, *x)
+        in_sup = _contains(sup, *x)
         if in_sub and not in_sup:
             raise ArithmeticError(f"{sub} is not contained in {sup}")
         n_sub += in_sub

@@ -104,13 +104,18 @@ def symplectic_form_matrix(g: int) -> np.ndarray:
     return j
 
 
-def _as_matrix(mat) -> np.ndarray:
-    a = np.asarray(mat)
+def _as_integers(x) -> np.ndarray:
+    """`x` as an int64 array; non-integer entries raise (integer-valued floats pass)."""
+    a = np.asarray(x)
     if a.dtype.kind not in "biu":
         with np.errstate(invalid="ignore"):
             if not np.all(np.mod(a, 1) == 0):
-                raise ValueError(f"matrix entries must be integers, got {a.tolist()}")
-    m = a.astype(np.int64)
+                raise ValueError(f"entries must be integers, got {a.tolist()}")
+    return a.astype(np.int64, copy=False)
+
+
+def _as_matrix(mat) -> np.ndarray:
+    m = _as_integers(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0 or m.shape[0] == 0:
         raise BadShape(f"expected a 2g x 2g matrix, got shape {m.shape}")
     return m % 4
@@ -125,7 +130,7 @@ def is_symplectic_mod4(mat) -> bool:
 def quad_form_value(v, parity: str) -> int:
     """Standard quadratic form on F_2^{2g}: even = sum x_i y_i, odd twists the first plane."""
     parity = _parity(parity)
-    v = np.asarray(v, dtype=np.int64) % 2
+    v = _as_integers(v) % 2
     g = len(v) // 2
     val = int(np.dot(v[:g], v[g:]))
     if parity == "odd":
@@ -138,7 +143,7 @@ def _f2_vectors(n: int) -> np.ndarray:
 
 
 def preserves_quad_form(mbar, parity: str) -> bool:
-    m = np.asarray(mbar, dtype=np.int64) % 2
+    m = _as_integers(mbar) % 2
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadShape(f"expected a square matrix, got {m.shape}")
     for v in _f2_vectors(m.shape[0]):
@@ -189,7 +194,7 @@ def _f2_rank(mat: np.ndarray) -> int:
 
 def dickson(mbar, parity: str) -> RootOfUnity:
     """Dickson invariant of an orthogonal matrix mod 2: (-1)^{rank(m + I)}."""
-    m = np.asarray(mbar, dtype=np.int64) % 2
+    m = _as_integers(mbar) % 2
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise BadShape(f"expected a 2g x 2g matrix, got {m.shape}")
     n = m.shape[0]
@@ -201,7 +206,7 @@ def dickson(mbar, parity: str) -> RootOfUnity:
 
 def transvection(v) -> np.ndarray:
     """The map z -> z + B(v, z) v over Z/4, as an int64 matrix (columns are images)."""
-    v = np.asarray(v, dtype=np.int64) % 4
+    v = _as_integers(v) % 4
     if v.ndim != 1 or len(v) % 2:
         raise BadShape(f"expected a 2g vector, got shape {v.shape}")
     g = len(v) // 2

@@ -138,6 +138,28 @@ def test_suite_reports_stages_and_meta():
     assert meta["thetalab"] and meta["python"].count(".") == 2
 
 
+def test_suite_checks_are_fixed_by_the_seed():
+    first = suite.run_suite("quick", seed=5)["checks"]
+    assert suite.run_suite("quick", seed=5)["checks"] == first
+
+
+def test_quick_sweep_sizes():
+    """Each sweep filters the same entry-bounded pool, whatever the seed."""
+    report = suite.run_suite("quick", seed=11)
+    sizes = [
+        (c["check_id"], c["params"].get("m"), c["params"]["matrices"])
+        for c in report["checks"]
+        if "matrices" in c["params"]
+    ]
+    assert sizes == [
+        ("discriminant_oracle", None, 132),
+        ("theta_structure_stabilizer", 2, 178),
+        ("splitting_stabilizer", 2, 342),
+        ("theta_structure_stabilizer", 4, 17),
+        ("splitting_stabilizer", 4, 170),
+    ]
+
+
 def test_timings_flag_prints_stages_to_stderr(capsys):
     code = main(["--timings", "verify", "suite", "--level", "quick"])
     captured = capsys.readouterr()

@@ -51,6 +51,13 @@ def test_non_positive_levels_are_rejected():
     for m in (0, -2, -3, 3):
         with pytest.raises(ValueError, match="even positive"):
             GammaM2M(m)
+    for modulus_call in (
+        lambda: subgroup_index(Gamma0(4), 0),
+        lambda: subgroup_index(Gamma0(4), -8),
+        lambda: relative_index(GammaM2M(2), Gamma0(4), -4),
+    ):
+        with pytest.raises(ValueError, match="positive"):
+            modulus_call()
 
 
 def test_membership_subgroup_property_sampled():

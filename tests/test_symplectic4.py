@@ -197,9 +197,21 @@ def test_non_integer_entries_are_rejected():
             discriminant(bad, "even")
         with pytest.raises(ValueError, match="integers"):
             is_symplectic_mod4(bad)
+    for bad_call in (
+        lambda: quad_form_value([0.9, 1.0], "even"),
+        lambda: preserves_quad_form([[1.5, 0], [0, 1]], "even"),
+        lambda: dickson([[0.5, 1], [1, 0.2]], "even"),
+        lambda: transvection([0.5, 1]),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            bad_call()
     for dtype in (np.float64, np.int8, np.uint8, object):
         assert discriminant(np.array(S_MOD4, dtype=dtype), "even") == ZETA4
         assert is_symplectic_mod4(np.array(S_MOD4, dtype=dtype))
+        assert quad_form_value(np.array([1, 1], dtype=dtype), "even") == 1
+        assert preserves_quad_form(np.array([[0, 1], [1, 0]], dtype=dtype), "even")
+        assert dickson(np.array([[0, 1], [1, 0]], dtype=dtype), "even") == MINUS_ONE
+        assert transvection(np.array([1, 0], dtype=dtype)).tolist() == [[1, 1], [0, 1]]
 
 
 def _lookup_member(data, m) -> bool:
