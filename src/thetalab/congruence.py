@@ -5,7 +5,7 @@ group Gamma(1,2); the descent homomorphism Gamma0(2m) -> Gamma(1,2) and the
 halving map Gamma0(2) -> SL2(Z); the exact exponential factors by which a
 matrix moves a distinguished theta structure or splitting (triviality of
 those factors characterizes the stabilizer subgroups); and subgroup indices
-computed by coset counting in SL2(Z/L).
+computed by coset counting in SL2(Z/L), for moduli L up to MODULUS_BOUND.
 
 Everything here is exact integer / rational arithmetic.
 """
@@ -41,6 +41,11 @@ __all__ = [
     "relative_index",
     "sl2_with_entry_bound",
 ]
+
+
+# the largest modulus L whose SL2(Z/L), at most L^3 elements, is enumerated
+# (L = 64: 196 608 elements)
+MODULUS_BOUND = 64
 
 
 class NotUnimodular(ValueError):
@@ -236,6 +241,8 @@ def _sl2_mod(L: int) -> list[tuple[int, int, int, int]]:
     """All of SL2(Z/L), generated from S and T by closure."""
     if L < 1:
         raise ValueError(f"modulus must be positive, got {L}")
+    if L > MODULUS_BOUND:
+        raise ValueError(f"modulus {L} exceeds the enumeration bound {MODULUS_BOUND}")
     s = (0, (-1) % L, 1, 0)
     t = (1, 1, 0, 1)
 

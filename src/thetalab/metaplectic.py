@@ -13,18 +13,17 @@ Also provided: factorization of SL2(Z) matrices into the standard
 generators S and T by a continued-fraction reduction, lifting of words to
 the double cover, and the mu_8-valued character on the theta group that
 measures the square-root-of-tau cocycle against the classical theta
-function (computed from its defining relation at two probe points, never
-from a closed form).
+function, read off the element's even-quotient word in S and T^2 from
+pinned generator values, with no theta series evaluated.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .congruence import SL2Matrix, SL2_I, SL2_S, SL2_T, THETA12, NotMember, member
-from .cyclo import RootOfUnity, ru_snap
+from .cyclo import MINUS_ONE, ONE, RootOfUnity
 
 __all__ = [
     "MpElement",
@@ -42,11 +41,6 @@ __all__ = [
     "mp_from_word",
     "tilde_lambda",
 ]
-
-# the two points at which tau-independent theta quotients are evaluated and
-# cross-checked (here and in `thetanum`)
-PROBE_POINTS = (2j, 0.3 + 1.1j)
-
 
 @dataclass(frozen=True, slots=True)
 class MpElement:
@@ -83,6 +77,12 @@ MP_S = MpElement(SL2_S, 1)
 MP_T = MpElement(SL2_T, 1)
 MP_Z = MpElement(SL2_I, -1)  # the nontrivial central element
 _POWERED = {"S": (MP_S, 8), "Z": (MP_Z, 2)}  # word tokens: generator and its order
+
+# lambda~ on (S,+), (T^2,+) and (I,-): theta(-1/tau) = sqrt(tau/i) theta(tau),
+# theta(tau + 2) = theta(tau), and (I,-) only flips the sign of phi
+_LAMBDA_S = RootOfUnity.of(1, 8)
+_LAMBDA_T2 = ONE
+_LAMBDA_Z = MINUS_ONE
 
 
 def phi_eval(p: MpElement, tau: complex) -> complex:
@@ -141,17 +141,24 @@ def mp_pow(p: MpElement, n: int) -> MpElement:
 
 
 def st_factor(gamma: SL2Matrix) -> list[tuple[str, int]]:
-    """Factor gamma as a product of S and T powers, tokens [("T", k), ("S", 1), ...].
+    """Factor gamma as a product of S and T powers, tokens [("T", k), ("S", 1), ...]."""
+    return _cf_word(gamma, 1)
 
-    Continued-fraction reduction on the left: peeling T^k makes |a| at most
-    |c|/2, peeling S swaps the rows, so the bottom-left entry Euclid-shrinks
-    and the token count is logarithmic in the entries.
+
+def _cf_word(gamma: SL2Matrix, step: int) -> list[tuple[str, int]]:
+    """Continued-fraction reduction on the left, every T power a multiple of step.
+
+    Peeling T^k makes |a| at most |c|/2, or below |c| at step 2, where
+    k = 2 nearest(a / 2c); peeling S swaps the rows, so the bottom-left entry
+    Euclid-shrinks and the token count is logarithmic in the entries.  On
+    the theta group a and c have opposite parity, so step 2 stays in it and
+    ends at +-T^(even): a word in S and T^2.  Elsewhere it may not terminate.
     """
     tokens: list[tuple[str, int]] = []
     w = gamma
     s_inv = SL2_S.inverse()
     while w.c != 0:
-        k = _nearest_quotient(w.a, w.c)
+        k = step * _nearest_quotient(w.a, step * w.c)
         if k != 0:
             tokens.append(("T", k))
             w = SL2Matrix(w.a - k * w.c, w.b - k * w.d, w.c, w.d)
@@ -209,26 +216,17 @@ def mp_from_word(tokens: list[tuple[str, int]]) -> MpElement:
     return out
 
 
-def tilde_lambda(p: MpElement, snap_tol: float = 1e-6) -> RootOfUnity:
-    """The mu_8 character on the metaplectic theta group.
+def tilde_lambda(p: MpElement) -> RootOfUnity:
+    """The mu_8 character lambda~(p) = phi(tau) theta(tau) / theta(gamma tau).
 
-    Defined by lambda~(p) = phi(tau) theta(tau) / theta(gamma tau), which the
-    functional equation of the theta series makes independent of tau; the
-    value is computed at a probe point with Im tau = 2, snapped into mu_8,
-    and cross-checked at a second probe point.
+    It is independent of tau and multiplicative, so it is the product of its
+    generator values over the even-quotient word of gamma, times -1 when the
+    all-principal lift of that word is the other branch than p.
     """
     if not member(p.gamma, THETA12):
         raise NotMember(f"{p.gamma} is not in the theta group")
-    from .thetanum import _riemann_theta_unchecked  # local to avoid an import cycle
-
-    values = []
-    for tau in PROBE_POINTS:
-        gt = p.gamma.moebius(tau)
-        num = phi_eval(p, tau) * _riemann_theta_unchecked(tau, 1e-13)
-        den = _riemann_theta_unchecked(gt, 1e-13)
-        values.append(ru_snap(num / den, 8, snap_tol))
-    if values[0] != values[1]:
-        raise ArithmeticError(
-            f"probe points disagree: {values[0]} vs {values[1]}; convention failure"
-        )
-    return values[0]
+    tokens = _cf_word(p.gamma, 2)
+    s_power = sum(k for name, k in tokens if name == "S")
+    t2_power = sum(k // 2 for name, k in tokens if name == "T")
+    flipped = int(mp_from_word(tokens).eps != p.eps)
+    return _LAMBDA_S**s_power * _LAMBDA_T2**t2_power * _LAMBDA_Z**flipped

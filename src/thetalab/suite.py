@@ -30,7 +30,7 @@ from . import schrodinger as sc
 from . import symplectic4 as s4
 from . import thetanum as tn
 from . import weilrep as wr
-from .cyclo import ONE, mu_group
+from .cyclo import ONE, RootOfUnity, mu_group, ru_snap
 
 __all__ = ["CHECK_ORDER", "run_suite", "entry"]
 
@@ -109,7 +109,19 @@ def check_transformation_law(level: str, rng: np.random.Generator) -> list[dict]
 
 # --- 2. discriminant vs functional equation ----------------------------------------
 
+def _functional_eq_quotient(g: cg.SL2Matrix, taus=tn.PROBE_POINTS) -> RootOfUnity:
+    """The mu_4 snap of (c tau + d) / halfform_cocycle(g, tau)^2, equal at every tau
+    in taus: the quotient is (c tau + d) theta(tau)^2 / theta(g tau)^2, tau-free."""
+    values = {
+        ru_snap((g.c * t + g.d) / tn.halfform_cocycle(g, t) ** 2, 4, 1e-6) for t in taus
+    }
+    if len(values) != 1:
+        raise ArithmeticError(f"probe points disagree: {values}; convention failure")
+    return values.pop()
+
+
 def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict]:
+    """The exact mod-4 discriminant against the analytic `_functional_eq_quotient`."""
     bound = 20 if level == "full" else 6
     results = []
     for parity in ("even", "odd"):
@@ -126,7 +138,7 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
         )
     members = [g for g in cg.sl2_with_entry_bound(bound) if cg.member(g, cg.THETA12)]
     mismatches = sum(
-        tn.functional_eq_lambda(g) != s4.discriminant([[g.a, g.b], [g.c, g.d]], "even")
+        _functional_eq_quotient(g) != s4.discriminant([[g.a, g.b], [g.c, g.d]], "even")
         for g in members
     )
     results.append(

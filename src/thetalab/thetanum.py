@@ -6,10 +6,14 @@ constants
     theta_{m,nu}(tau) = sum_{r = nu mod m} e^{2 pi i tau r^2 / (2m)},
 
 truncated at a radius whose tail is certified by an explicit geometric
-bound; every returned vector carries its error bound.  Verification: the
-mu_4 character read off the classical functional equation, the half-form
-and level-2 cocycles, the elliptic automorphy cocycle for the semidirect
-product with the lattice, and the central transformation-law check
+bound; every returned vector carries its error bound.  The radius is
+searched above a closed-form floor and capped at MAX_RADIUS (TauTooLow
+beyond it), and a non-finite tau or tolerance is rejected, on the one path
+every evaluation takes.  Verification: the mu_4 character of the squared
+theta series (the square of the exact `metaplectic.tilde_lambda`), the
+half-form and level-2 cocycles, the elliptic automorphy cocycle for the
+semidirect product with the lattice, and the central transformation-law
+check
 
     theta(gamma tau) = phi(tau) . rho_m(gamma, phi) . theta(tau),
 
@@ -23,6 +27,7 @@ reproducible bit for bit run to run.
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -37,8 +42,8 @@ from .congruence import (
     NotMember,
     member,
 )
-from .cyclo import RootOfUnity, ru_snap
-from .metaplectic import PROBE_POINTS, MpElement, phi_eval
+from .cyclo import RootOfUnity
+from .metaplectic import MpElement, phi_eval, tilde_lambda
 from .weilrep import weil_rep
 
 __all__ = [
@@ -65,6 +70,14 @@ __all__ = [
 
 MIN_IM_EVAL = 0.1
 MIN_IM_VERIFY = 0.5
+# the largest truncation radius an evaluation may use, far above the 221 the
+# benchmark needs at m = 512, Im tau = 0.1, tol = 1e-12; the term arrays of
+# a radius-R sum hold 2R + 1 entries
+MAX_RADIUS = 10**5
+
+# the two points at which the suite evaluates and cross-checks its
+# tau-independent theta quotients
+PROBE_POINTS = (2j, 0.3 + 1.1j)
 
 
 class TauTooLow(ValueError):
@@ -107,28 +120,60 @@ def _tail_bound(m: int, im_tau: float, radius: int) -> float:
     return 2.0 * math.exp(-x * radius * radius) / (1.0 - q)
 
 
-def _radius_unchecked(m: int, im_tau: float, tol: float) -> int:
+def _radius_unchecked(m: int, tau: complex, tol: float) -> int:
+    """Smallest radius whose certified tail bound at Im(tau) is below tol.
+
+    Every evaluation passes through here, so this is where non-finite input
+    and radii above MAX_RADIUS are rejected.  The tail bound is strictly
+    decreasing in the radius and at least 2 e^{-x radius^2}, x = pi Im(tau)/m,
+    so the answer exceeds sqrt(log(2/tol) / x); from there the search steps
+    up by doubling strides, then bisects the last stride.
+    """
+    if not (cmath.isfinite(tau) and math.isfinite(tol)):
+        raise ValueError(f"tau and tol must be finite, got tau={tau}, tol={tol}")
+    im_tau = tau.imag
     if im_tau <= 0:
         raise ValueError("im_tau must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    radius = 1
-    while _tail_bound(m, im_tau, radius) >= tol:
-        radius += 1
-    return radius
+    x = math.pi * im_tau / m
+    log_ratio = max(math.log(2.0 / tol), 0.0)
+    if log_ratio >= x * MAX_RADIUS**2:
+        raise _radius_too_large(im_tau, tol)
+    lo = hi = int(math.sqrt(log_ratio / x)) + 1
+    stride = 1
+    while _tail_bound(m, im_tau, hi) >= tol:
+        if hi >= MAX_RADIUS:
+            raise _radius_too_large(im_tau, tol)
+        lo, hi = hi + 1, min(hi + stride, MAX_RADIUS)
+        stride *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _tail_bound(m, im_tau, mid) < tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _radius_too_large(im_tau: float, tol: float) -> TauTooLow:
+    return TauTooLow(
+        f"Im(tau)={im_tau} with tol={tol} needs a truncation radius above "
+        f"the cap MAX_RADIUS={MAX_RADIUS}"
+    )
 
 
 def truncation_radius(m: int, im_tau: float, tol: float) -> int:
-    """Smallest radius whose certified tail bound is below tol."""
+    """Smallest radius whose certified tail bound is below tol (at most MAX_RADIUS)."""
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"m must be even positive, got {m}")
     if im_tau < MIN_IM_EVAL:
         raise TauTooLow(f"im_tau={im_tau} is below the contract floor {MIN_IM_EVAL}")
-    return _radius_unchecked(m, im_tau, tol)
+    return _radius_unchecked(m, complex(0.0, im_tau), tol)
 
 
 def _riemann_theta_unchecked(tau: complex, tol: float) -> complex:
-    radius = _radius_unchecked(1, tau.imag, tol)
+    radius = _radius_unchecked(1, tau, tol)
     return _kernels.riemann_theta_sum(complex(tau), radius)
 
 
@@ -140,7 +185,7 @@ def riemann_theta(tau: complex, tol: float = 1e-12) -> complex:
 
 
 def _theta_vector_unchecked(m: int, tau: complex, tol: float) -> tuple[np.ndarray, float]:
-    radius = _radius_unchecked(m, tau.imag, tol)
+    radius = _radius_unchecked(m, tau, tol)
     values = _kernels.theta_class_sums(m, complex(tau), radius)
     return values, _tail_bound(m, tau.imag, radius + 1)
 
@@ -155,32 +200,14 @@ def theta_constants(m: int, tau: complex, tol: float = 1e-12) -> ThetaVector:
     return ThetaVector(m, tau, values, err)
 
 
-def functional_eq_lambda(
-    gamma: SL2Matrix, tau: complex = 2j, snap_tol: float = 1e-6
-) -> RootOfUnity:
+def functional_eq_lambda(gamma: SL2Matrix) -> RootOfUnity:
     """The mu_4 value of (c tau + d) theta(tau)^2 / theta(gamma tau)^2.
 
     This is the character by which the squared theta series transforms on
-    the theta group; the value is snapped into mu_4 at the given tau and
-    cross-checked at a second probe point.
+    the theta group.  It is the square of `tilde_lambda` on either lift of
+    gamma (phi^2 = c tau + d), so it is exact for entries of any size.
     """
-    if not member(gamma, THETA12):
-        raise NotMember(f"{gamma} is not in the theta group")
-    if tau.imag < MIN_IM_VERIFY:
-        raise TauTooLow(f"Im(tau)={tau.imag} is below {MIN_IM_VERIFY}")
-    second = PROBE_POINTS[1] if abs(tau - PROBE_POINTS[0]) < 1e-12 else PROBE_POINTS[0]
-    values = []
-    for t in (tau, second):
-        gt = gamma.moebius(t)
-        th = _riemann_theta_unchecked(t, 1e-13)
-        th_g = _riemann_theta_unchecked(gt, 1e-13)
-        val = (gamma.c * t + gamma.d) * th * th / (th_g * th_g)
-        values.append(ru_snap(val, 4, snap_tol))
-    if values[0] != values[1]:
-        raise ArithmeticError(
-            f"probe points disagree: {values[0]} vs {values[1]}; convention failure"
-        )
-    return values[0]
+    return tilde_lambda(MpElement(gamma)) ** 2
 
 
 def halfform_cocycle(gamma: SL2Matrix, tau: complex) -> complex:

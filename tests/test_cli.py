@@ -203,6 +203,19 @@ def test_bad_input_exits_2(capsys):
         assert code == 2 and "positive" in err and payload is None, argv
 
 
+def test_non_finite_and_oversized_input_exits_2(capsys):
+    for argv in (
+        ("theta", "eval", "--m", "4", "--tau", "nan+1i"),
+        ("theta", "eval", "--m", "4", "--tau", "0.3+nani"),
+        ("theta", "eval", "--m", "4", "--tau", "0.3+1.1i", "--tol", "nan"),
+        ("verify", "transform", "--m", "4", "--mp", "0,-1,1,0:+", "--tau", "nan+1i"),
+    ):
+        code, payload, err = run_cli(capsys, *argv)
+        assert code == 2 and "finite" in err and payload is None, argv
+    code, payload, err = run_cli(capsys, "congruence", "index", "--group", "gamma0", "--n", "1000")
+    assert code == 2 and "bound" in err and payload is None
+
+
 def test_json_round_trips(capsys):
     for argv in (
         ["weilrep", "--m", "2", "--mp", "0,-1,1,0:+"],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from thetalab.congruence import (
+    MODULUS_BOUND,
     Gamma,
     Gamma0,
     GammaM2M,
@@ -169,6 +170,18 @@ def test_subgroup_indices():
     assert total == subgroup_index(Gamma0(4)) * rel
     assert total == subgroup_index(GammaM2M(2), 8)
     assert rel == relative_index(GammaM2M(2), Gamma0(4), 8)
+
+
+def test_sl2_enumeration_is_bounded():
+    """Moduli above MODULUS_BOUND are refused before any enumeration."""
+    for call in (
+        lambda: subgroup_index(Gamma0(1000)),
+        lambda: subgroup_index(Gamma0(4), 1000),
+        lambda: relative_index(GammaM2M(2), Gamma0(4), 1000),
+    ):
+        with pytest.raises(ValueError, match="enumeration bound"):
+            call()
+    assert subgroup_index(Gamma0(2), MODULUS_BOUND) == 3
 
 
 def test_entry_bound_enumeration_is_complete_and_valid():

@@ -1,0 +1,54 @@
+"""Reproducers of unbounded loops and huge allocations, run in a child process.
+
+Each case once ran for minutes or asked for gigabytes.  They run together in
+one child with a wall-clock timeout and an address-space limit, so a
+regression fails this test in seconds instead of stalling the run or
+exhausting the machine's memory.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import thetalab
+
+resource = pytest.importorskip("resource")
+
+ADDRESS_SPACE = 2 << 30
+
+CHILD = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))
+
+from thetalab.cli import main
+from thetalab.metaplectic import mp_from_word, tilde_lambda
+from thetalab.symplectic4 import discriminant
+from thetalab.thetanum import TauTooLow, functional_eq_lambda, halfform_cocycle
+
+repro = mp_from_word([t for i in range(9) for t in (("T", 2 + 2 * i), ("S", 1))])
+big = mp_from_word([("T", 2), ("S", 1), ("T", 4), ("S", 1), ("T", 6), ("S", 1)] * 10)
+for p in (repro, big):
+    g = p.gamma
+    mod4 = [[g.a % 4, g.b % 4], [g.c % 4, g.d % 4]]
+    assert tilde_lambda(p) ** 2 == functional_eq_lambda(g) == discriminant(mod4, "even")
+try:
+    halfform_cocycle(repro.gamma, 0.3 + 1.1j)
+except TauTooLow:
+    pass
+else:
+    raise AssertionError("halfform_cocycle answered below the radius cap")
+assert main(["congruence", "index", "--group", "gamma0", "--n", "1000"]) == 2
+print("ok")
+"""
+
+
+def test_reproducers_finish_in_bounded_time_and_memory():
+    src = os.path.dirname(os.path.dirname(thetalab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr

@@ -1,4 +1,6 @@
+import ast
 import cmath
+import inspect
 import itertools
 
 import numpy as np
@@ -16,7 +18,7 @@ from thetalab.congruence import (
     member,
     sl2_with_entry_bound,
 )
-from thetalab.cyclo import RootOfUnity, ru_mul
+from thetalab.cyclo import MINUS_ONE, ONE, RootOfUnity, ru_mul, ru_snap
 from thetalab.metaplectic import (
     MP_I,
     MP_S,
@@ -34,7 +36,8 @@ from thetalab.metaplectic import (
     word_to_matrix,
 )
 from thetalab import metaplectic, thetanum
-from thetalab.thetanum import functional_eq_lambda
+from thetalab.symplectic4 import discriminant
+from thetalab.thetanum import PROBE_POINTS, functional_eq_lambda, halfform_cocycle
 
 
 def probe_mul(p: MpElement, q: MpElement) -> MpElement:
@@ -225,7 +228,82 @@ def test_tilde_lambda_basics():
 
 
 def test_probe_points_have_one_definition():
-    assert thetanum.PROBE_POINTS is metaplectic.PROBE_POINTS == (2j, 0.3 + 1.1j)
+    """PROBE_POINTS lives in `thetanum`; `metaplectic` imports nothing from it."""
+    assert thetanum.PROBE_POINTS == (2j, 0.3 + 1.1j)
+    assert not hasattr(metaplectic, "PROBE_POINTS")
+    tree = ast.parse(inspect.getsource(metaplectic))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"thetanum", "_kernels"}
+
+
+def probe_tilde_lambda(p: MpElement) -> RootOfUnity:
+    """lambda~(p) = phi(tau) theta(tau) / theta(gamma tau), measured.
+
+    The quotient is snapped into mu_8 at both probe points, which must
+    agree.  Well-conditioned only for small entries: for large ones
+    Im(gamma tau) is so small that the theta series needs a huge radius.
+    """
+    values = {
+        ru_snap(phi_eval(p, tau) / halfform_cocycle(p.gamma, tau), 8, 1e-6)
+        for tau in PROBE_POINTS
+    }
+    assert len(values) == 1, values
+    return values.pop()
+
+
+def test_tilde_lambda_matches_probe_oracle():
+    """The word value equals the measured one on both lifts of every theta-group
+    matrix with entries at most 20, and the pinned generator values are the
+    measured ones."""
+    assert probe_tilde_lambda(MP_S) == metaplectic._LAMBDA_S == RootOfUnity.of(1, 8)
+    t2 = MpElement(SL2Matrix(1, 2, 0, 1), 1)
+    assert probe_tilde_lambda(t2) == metaplectic._LAMBDA_T2 == ONE
+    assert probe_tilde_lambda(MP_Z) == metaplectic._LAMBDA_Z == MINUS_ONE
+    pool = [g for g in sl2_with_entry_bound(20) if member(g, THETA12)]
+    assert len(pool) == 1380
+    for g in pool:
+        for eps in (1, -1):
+            p = MpElement(g, eps)
+            assert tilde_lambda(p) == probe_tilde_lambda(p), p
+
+
+# words in the generators (S,+)^+-1, (T^2,+)^k and (I,-) of the metaplectic
+# theta group, with the value of lambda~ on each letter
+theta_letters = st.one_of(
+    st.sampled_from([("S", 1), ("S", -1), ("Z", 1)]),
+    st.integers(-20, 20).map(lambda k: ("T", 2 * k)),
+)
+LETTER_VALUES = {"S": RootOfUnity.of(1, 8), "T": ONE, "Z": MINUS_ONE}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(theta_letters, max_size=60))
+def test_tilde_lambda_is_the_product_of_generator_values(word):
+    """Far beyond the probe's range: the exact character multiplies over a word,
+    and its square is the exact mod-4 discriminant."""
+    expected = ONE
+    for name, k in word:
+        expected *= LETTER_VALUES[name] ** k
+    p = mp_from_word(word)
+    assert tilde_lambda(p) == expected
+    g = p.gamma
+    mod4 = [[g.a % 4, g.b % 4], [g.c % 4, g.d % 4]]
+    assert functional_eq_lambda(g) == discriminant(mod4, "even") == expected**2
+
+
+def test_tilde_lambda_on_large_entries():
+    """The reproducer whose probe needed a radius near 4e8 and an element with
+    entries near 4e15: both values come from the word."""
+    repro = mp_from_word([t for i in range(9) for t in (("T", 2 + 2 * i), ("S", 1))])
+    assert repro.gamma == SL2Matrix(146181170, -8149601, 84066001, -4686680)
+    assert tilde_lambda(repro) == RootOfUnity.of(1, 8)
+    assert functional_eq_lambda(repro.gamma) == RootOfUnity.of(1, 4)
+    assert discriminant([[2, 3], [1, 0]], "even") == RootOfUnity.of(1, 4)
+    big = mp_from_word([("T", 2), ("S", 1), ("T", 4), ("S", 1), ("T", 6), ("S", 1)] * 10)
+    assert 10**15 < max(abs(e) for e in big.gamma.entries()) < 10**16
+    assert tilde_lambda(big) == RootOfUnity.of(3, 4)
+    assert tilde_lambda(mp_mul(big, MP_Z)) == RootOfUnity.of(1, 4)
+    assert functional_eq_lambda(big.gamma) == MINUS_ONE
 
 
 def test_tilde_lambda_multiplicative():

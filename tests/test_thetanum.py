@@ -1,10 +1,11 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from thetalab import _kernels
+from thetalab import _kernels, suite
 from thetalab.congruence import (
     Gamma0,
     SL2Matrix,
@@ -20,6 +21,7 @@ from thetalab.metaplectic import MP_I, MP_S, MP_T, MP_Z, MpElement, mp_from_word
 from thetalab.metaplectic import phi_eval
 from thetalab.symplectic4 import discriminant
 from thetalab.thetanum import (
+    MAX_RADIUS,
     ConventionFlip,
     TauTooLow,
     _CONVENTION,
@@ -35,6 +37,7 @@ from thetalab.thetanum import (
     theta_constants,
     truncation_radius,
     verify_transformation,
+    _radius_unchecked,
     _tail_bound,
     _theta_vector_unchecked,
 )
@@ -82,6 +85,52 @@ def test_truncation_radius_certifies_tail():
         2 * math.exp(-math.pi * y * r * r / m) for r in range(radius, 4 * radius)
     )
     assert tail < _tail_bound(m, y, radius) < tol
+
+
+def loop_radius(m: int, im_tau: float, tol: float) -> int:
+    """The least radius with tail bound below tol, by stepping up from 1."""
+    radius = 1
+    while _tail_bound(m, im_tau, radius) >= tol:
+        radius += 1
+    return radius
+
+
+def test_radius_search_matches_loop_oracle():
+    ims = (0.001, 0.003, 0.01, 0.03, 0.1, 0.12, 0.3, 1.0, 2.0, 5.5, 13.0, 30.0)
+    tols = (1e-100, 1e-50, 1e-20, 1e-13, 1e-12, 1e-9, 1e-6, 1e-3)
+    for m, y, tol in itertools.product((1, 2, 6, 64, 512, 4096), ims, tols):
+        assert _radius_unchecked(m, complex(0.3, y), tol) == loop_radius(m, y, tol), (m, y, tol)
+
+
+def test_radius_cap_raises_tau_too_low():
+    """Radii above MAX_RADIUS are refused at once, naming the cap."""
+    repro = SL2Matrix(146181170, -8149601, 84066001, -4686680)
+    with pytest.raises(TauTooLow, match="MAX_RADIUS"):
+        halfform_cocycle(repro, 0.3 + 1.1j)
+    with pytest.raises(TauTooLow, match="MAX_RADIUS"):
+        truncation_radius(10**9, 0.1, 1e-12)
+    # below the cap, a radius in the tens of thousands is still the loop's
+    y = 2 * math.log(2e12) / (math.pi * (MAX_RADIUS // 2) ** 2)
+    radius = _radius_unchecked(2, complex(0, y), 1e-12)
+    assert MAX_RADIUS // 2 < radius == loop_radius(2, y, 1e-12) < MAX_RADIUS
+
+
+def test_non_finite_input_is_rejected():
+    nan, inf = float("nan"), float("inf")
+    calls = [
+        lambda: theta_constants(4, complex(nan, 1.0)),
+        lambda: theta_constants(4, complex(0.3, nan)),
+        lambda: theta_constants(4, 0.3 + 1.1j, nan),
+        lambda: theta_constants(4, complex(0.3, inf)),
+        lambda: riemann_theta(complex(inf, 1.0)),
+        lambda: verify_transformation(4, MP_S, complex(nan, 1.0)),
+        lambda: truncation_radius(2, nan, 1e-12),
+        lambda: truncation_radius(2, 1.0, inf),
+        lambda: halfform_cocycle(SL2_S, complex(nan, 1.0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_truncation_radius_contract():
@@ -326,6 +375,15 @@ def test_convention_flip_is_detected():
     assert get_convention() is None
 
 
-def test_probe_independence_of_functional_eq():
-    for tau in (2j, 0.3 + 1.1j, 0.5 + 2.5j):
-        assert functional_eq_lambda(SL2_S, tau) == ZETA4
+def test_probe_independence_of_functional_eq(monkeypatch):
+    """The suite's analytic quotient (c tau + d) / halfform_cocycle^2 snaps to one
+    mu_4 value at every tau, the exact one; disagreeing taus raise."""
+    taus = (2j, 0.3 + 1.1j, 0.5 + 2.5j)
+    for gamma in (SL2_I, SL2_S, SL2Matrix(1, 2, 2, 5), SL2Matrix(3, -2, -4, 3)):
+        assert suite._functional_eq_quotient(gamma, taus) == functional_eq_lambda(gamma)
+    assert suite._functional_eq_quotient(SL2_S, taus) == ZETA4
+    monkeypatch.setattr(
+        suite.tn, "halfform_cocycle", lambda g, t: cmath.sqrt(g.c * t + g.d) * (1j if t == 2j else 1)
+    )
+    with pytest.raises(ArithmeticError, match="disagree"):
+        suite._functional_eq_quotient(SL2_S, taus)
