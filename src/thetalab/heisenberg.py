@@ -212,10 +212,9 @@ def k_elements(typ: ThetaType) -> list[KVector]:
 def pairing(z1: KVector, z2: KVector) -> RootOfUnity:
     """Standard symplectic pairing: <e_nu, e_{g+nu}> = zeta_{d_nu}^{-1}."""
     _same_type(z1, z2)
-    q = Fraction(0)
-    for y1, x2, x1, y2, d in zip(z1.y, z2.x, z1.x, z2.y, z1.type.divisors):
-        q += Fraction(y1 * x2 - x1 * y2, d)
-    return RootOfUnity(q)
+    return RootOfUnity(
+        _xy_exponent(z1.x, z2.y, z1.type) - _xy_exponent(z2.x, z1.y, z1.type)
+    )
 
 
 def _xy_exponent(x: Sequence[int], y: Sequence[int], typ: ThetaType) -> Fraction:
@@ -436,9 +435,6 @@ class SymmetricSplitting:
         z = KVector(self.type, tuple(h), (0,) * self.type.g)
         return HeisenbergElement(self.sigma_star(h), z)
 
-    def is_canonical(self) -> bool:
-        return all(s == 1 for s in self.star_signs)
-
     def to_json(self) -> dict:
         return {"type": list(self.type.divisors), "signs": list(self.star_signs)}
 
@@ -483,14 +479,20 @@ def h2_pushforward_splitting(sigma: SymmetricSplitting) -> SymmetricSplitting:
 class HeisenbergAutomorphism:
     """An automorphism (lambda, z) -> (lambda chi(z), eta z) fixing the center.
 
-    eta is stored by the images of the 2g standard basis vectors; chi by its
-    exponent table over the type's scalar modulus M, in the lexicographic
-    element order: chi(z_i) = e^{2 pi i chi_exponents[i] / M}.
+    eta is stored by the ranks (positions in the lexicographic element order,
+    see `_KTable`) of the images of the 2g standard basis vectors; chi by its
+    exponent table over the type's scalar modulus M, in the same order:
+    chi(z_i) = e^{2 pi i chi_exponents[i] / M}.
     """
 
     type: ThetaType
-    eta_images: tuple[KVector, ...]
+    eta_ranks: tuple[int, ...]
     chi_exponents: tuple[int, ...]
+
+    @property
+    def eta_images(self) -> tuple[KVector, ...]:
+        elements = _ktable(self.type).elements
+        return tuple(elements[i] for i in self.eta_ranks)
 
     def eta(self, z: KVector) -> KVector:
         _same_type(self, z)
@@ -515,27 +517,13 @@ class HeisenbergAutomorphism:
         other_exp = np.array(other.chi_exponents, dtype=np.int64)
         exps = (other_exp + self_exp[other_perm]) % self.type.scalar_modulus
         ranks = table.rank(_eta_matrix(other) @ _eta_matrix(self))
-        images = tuple(table.elements[i] for i in ranks)
-        return HeisenbergAutomorphism(self.type, images, tuple(int(e) for e in exps))
+        return HeisenbergAutomorphism(self.type, tuple(ranks.tolist()), tuple(exps.tolist()))
 
     def is_identity(self) -> bool:
         return self == identity_automorphism(self.type)
 
-    def is_symmetric(self) -> bool:
-        table = _ktable(self.type)
-        exps = np.array(self.chi_exponents, dtype=np.int64)
-        return bool(np.array_equal(exps[table.neg_index], exps))
-
     def sort_key(self) -> tuple:
         return (tuple(img.coords for img in self.eta_images), self.chi_exponents)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeisenbergAutomorphism):
-            return NotImplemented
-        return self.type == other.type and self.sort_key() == other.sort_key()
-
-    def __hash__(self) -> int:
-        return hash((self.type, self.sort_key()))
 
     def __repr__(self) -> str:
         return f"HeisenbergAutomorphism(eta={[i.coords for i in self.eta_images]})"
@@ -551,7 +539,7 @@ class HeisenbergAutomorphism:
 
 def _eta_matrix(u: HeisenbergAutomorphism) -> np.ndarray:
     """Rows are the coordinates of the basis images, so eta(z) = z.coords @ matrix."""
-    return np.array([v.coords for v in u.eta_images], dtype=np.int64)
+    return _ktable(u.type).coords[list(u.eta_ranks)]
 
 
 def _eta_permutation(u: HeisenbergAutomorphism, table: _KTable) -> np.ndarray:
@@ -560,14 +548,14 @@ def _eta_permutation(u: HeisenbergAutomorphism, table: _KTable) -> np.ndarray:
 
 def identity_automorphism(typ: ThetaType) -> HeisenbergAutomorphism:
     table = _ktable(typ)
-    return HeisenbergAutomorphism(typ, tuple(k_basis(typ)), (0,) * table.n)
+    return HeisenbergAutomorphism(typ, tuple(table.basis_ranks().tolist()), (0,) * table.n)
 
 
 def inner_automorphism(z: KVector) -> HeisenbergAutomorphism:
     """i(z) as a HeisenbergAutomorphism: eta = id, chi = <z, .>."""
     table = _ktable(z.type)
-    exps = tuple(int(e) for e in table.pair[:, table.index[z]])
-    return HeisenbergAutomorphism(z.type, tuple(k_basis(z.type)), exps)
+    exps = tuple(table.pair[:, table.index[z]].tolist())
+    return HeisenbergAutomorphism(z.type, tuple(table.basis_ranks().tolist()), exps)
 
 
 def _symplectic_images(typ: ThetaType) -> Iterator[tuple[int, ...]]:
@@ -646,9 +634,9 @@ def enumerate_automorphisms(
     # ranks are lexicographic in the coordinates, so ordering by (eta ranks,
     # chi) is `sort_key` order; small unsigned keys sort by radix
     order = np.lexsort((*chi.T[::-1], *eta.T[::-1]))
-    images = [tuple(table.elements[i] for i in ranks) for ranks in maps.tolist()]
+    eta_ranks = [tuple(row) for row in maps.tolist()]
     return [
-        HeisenbergAutomorphism(typ, images[k], row)
+        HeisenbergAutomorphism(typ, eta_ranks[k], row)
         for k, row in zip(owner[order].tolist(), map(tuple, chi[order].tolist()))
     ]
 
@@ -679,19 +667,13 @@ def stabilizer_u0sym(
     m = typ.scalar_modulus
     # ranks of the lifts (1, h, 0): the elements with zero y-part
     hidx = np.flatnonzero(~table.coords[:, g:].any(axis=1))
-    # automorphisms enumerated together share the eta tuple of their map, so
-    # each distinct tuple is stacked once
-    slots: dict[int, int] = {}
-    eta, owner = [], []
-    for u in automorphisms:
-        slot = slots.setdefault(id(u.eta_images), len(eta))
-        if slot == len(eta):
-            eta.append([v.coords for v in u.eta_images])
-        owner.append(slot)
+    # each distinct map is stacked once
+    slots: dict[tuple[int, ...], int] = {}
+    owner = [slots.setdefault(u.eta_ranks, len(slots)) for u in automorphisms]
     on_lifts = operator.itemgetter(*hidx.tolist())
     chi = np.array([on_lifts(u.chi_exponents) for u in automorphisms], dtype=np.int64)
     chi = chi.reshape(len(automorphisms), len(hidx))
-    image = table.rank(table.coords[hidx] @ np.array(eta, dtype=np.int64))
+    image = table.rank(table.coords[hidx] @ table.coords[list(slots)])
     keep = ~table.coords[image, g:].any(axis=(1, 2))  # eta(H x 0) = H x 0
     if pointwise:
         keep &= (image == hidx).all(axis=1)

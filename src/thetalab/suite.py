@@ -281,7 +281,7 @@ def check_descent_combinatorics(level: str, rng: np.random.Generator) -> list[di
     results = []
     for divisors in ((2,), (4,), (2, 2), (4, 4)):
         typ = hb.ThetaType(divisors)
-        n = len(hb.enumerate_symmetric_splittings(typ))
+        n = len(hb.symmetric_splittings_over(tuple(hb.k_basis(typ)[: typ.g]), typ))
         results.append(
             entry(
                 "splitting_count",

@@ -174,7 +174,7 @@ def truncation_radius(m: int, im_tau: float, tol: float) -> int:
 
 def _riemann_theta_unchecked(tau: complex, tol: float) -> complex:
     radius = _radius_unchecked(1, tau, tol)
-    return _kernels.riemann_theta_sum(complex(tau), radius)
+    return _kernels.riemann_theta_sum(_reduce_real(tau, 2), radius)
 
 
 def riemann_theta(tau: complex, tol: float = 1e-12) -> complex:
@@ -184,9 +184,21 @@ def riemann_theta(tau: complex, tol: float = 1e-12) -> complex:
     return _riemann_theta_unchecked(tau, tol)
 
 
+def _reduce_real(tau: complex, period: int) -> complex:
+    """tau with Re tau reduced mod the series' period by `math.fmod`.
+
+    fmod is exact, so the phases of the terms lose no accuracy to a large
+    Re tau, and a tau with |Re tau| < period is returned unchanged.  Called
+    after `_radius_unchecked` has rejected non-finite tau, on which fmod
+    raises.
+    """
+    return complex(math.fmod(tau.real, period), tau.imag)
+
+
 def _theta_vector_unchecked(m: int, tau: complex, tol: float) -> tuple[np.ndarray, float]:
     radius = _radius_unchecked(m, tau, tol)
-    values = _kernels.theta_class_sums(m, complex(tau), radius)
+    # theta_{m,nu}(tau + 2m) = theta_{m,nu}(tau)
+    values = _kernels.theta_class_sums(m, _reduce_real(tau, 2 * m), radius)
     return values, _tail_bound(m, tau.imag, radius + 1)
 
 
@@ -322,6 +334,8 @@ def verify_transformation(
     """
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"m must be even positive, got {m}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if tau.imag < MIN_IM_VERIFY:
         raise TauTooLow(f"Im(tau)={tau.imag} is below {MIN_IM_VERIFY}")
     gt = p.gamma.moebius(tau)

@@ -1,0 +1,40 @@
+"""The names the benchmark's traced run (`perfbench/run.py --trace 1`) reads
+from the library.  `perfbench/` lies outside the test paths, so without these
+tests a renamed function or suite check breaks only traced runs."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from thetalab import suite
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by file path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_functions_are_functions_of_their_modules():
+    """`tracing.instrument` wraps each listed name in a span; a generator
+    function would close its span before the caller consumed it."""
+    tracing = load_perfbench("tracing")
+    for layer, names in tracing.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"thetalab.{layer}")
+        for name in names:
+            # a cached function is a function behind its cache wrapper
+            fn = inspect.unwrap(getattr(module, name, None))
+            assert inspect.isfunction(fn), f"thetalab.{layer}.{name} is not a function"
+            assert fn.__module__ == module.__name__, f"thetalab.{layer}.{name} is imported"
+            assert not inspect.isgeneratorfunction(fn), f"thetalab.{layer}.{name} is a generator"
+
+
+def test_every_suite_check_has_a_layer_metric():
+    metrics = load_perfbench("metrics")
+    missing = [name for name, _ in suite.CHECK_ORDER if f"suite.{name}_s" not in metrics.LAYER]
+    assert not missing

@@ -209,6 +209,7 @@ def test_non_finite_and_oversized_input_exits_2(capsys):
         ("theta", "eval", "--m", "4", "--tau", "0.3+nani"),
         ("theta", "eval", "--m", "4", "--tau", "0.3+1.1i", "--tol", "nan"),
         ("verify", "transform", "--m", "4", "--mp", "0,-1,1,0:+", "--tau", "nan+1i"),
+        ("verify", "transform", "--m", "4", "--mp", "0,-1,1,0:+", "--tau", "0.3+1.1i", "--tol", "inf"),
     ):
         code, payload, err = run_cli(capsys, *argv)
         assert code == 2 and "finite" in err and payload is None, argv

@@ -205,11 +205,10 @@ def automorphisms_loop_oracle(typ):
     for ranks in heisenberg._symplectic_images(typ):
         perm = table.rank(table.coords @ table.coords[list(ranks)])
         beta = (table.xy_exponent[np.ix_(perm, perm)] - table.xy_exponent) % m
-        eta_images = tuple(table.elements[i] for i in ranks)
         for values in twisted_characters_oracle(
             table.coords, gen_positions, orders, table.sum_index, beta, m
         ):
-            u = HeisenbergAutomorphism(typ, eta_images, tuple(int(v) for v in values))
+            u = HeisenbergAutomorphism(typ, ranks, tuple(int(v) for v in values))
             out.append(u)
             if np.array_equal(values[table.neg_index], values):
                 sym.append(u)
@@ -243,8 +242,9 @@ def automorphism_sample(typ):
     enumeration is checked in `test_type24_orbit_stabilizer`."""
     if typ.k_order <= 36:
         return enumerate_sym_automorphisms(typ)
+    index = heisenberg._ktable(typ).index
     minus = HeisenbergAutomorphism(
-        typ, tuple(-b for b in k_basis(typ)), (0,) * typ.k_order
+        typ, tuple(index[-b] for b in k_basis(typ)), (0,) * typ.k_order
     )
     inner = [inner_automorphism(z) for z in k_elements(typ)]
     return inner + [minus.compose(u) for u in inner]
@@ -692,9 +692,41 @@ def test_enumerations_match_loop_oracles(divisors):
         assert stabilizer_u0sym(typ, symmetric, pointwise=pointwise) == (
             stabilizer_loop_oracle(typ, symmetric, pointwise)
         )
-    # automorphisms built one by one share no eta tuples
-    rebuilt = [HeisenbergAutomorphism(typ, tuple(u.eta_images), u.chi_exponents) for u in symmetric]
-    assert stabilizer_u0sym(typ, rebuilt) == stabilizer_loop_oracle(typ, symmetric, False)
+
+
+def rebuilt(u):
+    """A copy of u that shares no tuple with it."""
+    return HeisenbergAutomorphism(u.type, tuple(list(u.eta_ranks)), tuple(list(u.chi_exponents)))
+
+
+def test_automorphism_equality_is_sort_key_equality():
+    """On the (2,2) enumeration, u == v exactly when their coordinate sort
+    keys agree, and equal automorphisms hash alike."""
+    auts = enumerate_automorphisms(T22, symmetric=False)
+    # neighbours in sort order share their map and differ in chi
+    sample = auts[:48] + auts[:: len(auts) // 48]
+    sample += [rebuilt(u) for u in sample]
+    for u in sample:
+        for v in sample:
+            assert (u == v) == (u.sort_key() == v.sort_key())
+            if u == v:
+                assert hash(u) == hash(v)
+    copies = [rebuilt(u) for u in auts]
+    assert len(set(auts) | set(copies)) == len({u.sort_key() for u in auts}) == len(auts)
+    assert all(u == v and hash(u) == hash(v) for u, v in zip(auts, copies))
+
+
+def test_stabilizer_is_independent_of_input_order():
+    """`stabilizer_u0sym` on a shuffled copy of the automorphisms, rebuilt from
+    fresh tuples, keeps the same automorphisms, in the shuffled order."""
+    auts = enumerate_sym_automorphisms(T22)
+    perm = np.random.default_rng(5).permutation(len(auts)).tolist()
+    shuffled = [rebuilt(auts[i]) for i in perm]
+    for pointwise in (False, True):
+        kept = set(stabilizer_u0sym(T22, auts, pointwise=pointwise))
+        assert stabilizer_u0sym(T22, shuffled, pointwise=pointwise) == (
+            [u for u in shuffled if u in kept]
+        )
 
 
 # count and sha256 prefix of the coordinate tuples of maximal_isotropic_subgroups

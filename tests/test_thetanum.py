@@ -124,6 +124,8 @@ def test_non_finite_input_is_rejected():
         lambda: theta_constants(4, complex(0.3, inf)),
         lambda: riemann_theta(complex(inf, 1.0)),
         lambda: verify_transformation(4, MP_S, complex(nan, 1.0)),
+        lambda: verify_transformation(4, MP_S, 0.3 + 1.1j, inf),
+        lambda: verify_transformation(4, MP_S, 0.3 + 1.1j, nan),
         lambda: truncation_radius(2, nan, 1e-12),
         lambda: truncation_radius(2, 1.0, inf),
         lambda: halfform_cocycle(SL2_S, complex(nan, 1.0)),
@@ -151,6 +153,19 @@ def test_riemann_theta_value():
 def test_riemann_theta_periodicity():
     tau = 0.3 + 1.1j
     assert abs(riemann_theta(tau + 2) - riemann_theta(tau)) < 1e-12
+    # 2e15 is an even float: the period holds at any size of Re tau
+    assert abs(riemann_theta(2e15 + 1j) - riemann_theta(1j)) < 2e-12
+
+
+@pytest.mark.parametrize(
+    "m, tau, shift", ((4, 1j, 1e17), (4, 0.25 + 1j, 1e6), (6, 1j, -1.2e13), (64, 1j, 2.0**60))
+)
+def test_theta_constants_periodicity_at_large_real_part(m, tau, shift):
+    """theta_{m,nu}(tau + shift) = theta_{m,nu}(tau) within the certified
+    bounds when shift is a multiple of the period 2m."""
+    assert shift % (2 * m) == 0 and (tau + shift).real - shift == tau.real
+    near, far = theta_constants(m, tau), theta_constants(m, tau + shift)
+    assert np.abs(far.values - near.values).max() <= near.err_bound + far.err_bound
 
 
 def test_riemann_theta_functional_equation():
@@ -360,6 +375,9 @@ def test_verify_transformation_large_m_matches_dense():
 def test_verify_transformation_preconditions():
     with pytest.raises(TauTooLow):
         verify_transformation(2, MP_T, 0.3 + 0.3j, 1e-9)
+    for tol in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="positive"):
+            verify_transformation(2, MP_T, 0.3 + 1.1j, tol)
     # a matrix pushing tau below the evaluation floor
     p = mp_from_word([("S", 1), ("T", 30), ("S", 1)])
     with pytest.raises(TauTooLow):
