@@ -114,7 +114,11 @@ def _cmd_schrodinger(ns) -> dict:
         raise ValueError(
             f"--element needs a scalar exponent and {2 * typ.g} coordinates"
         )
-    scalar = RootOfUnity(Fraction(parts[0]))
+    try:
+        exponent = Fraction(parts[0])
+    except ZeroDivisionError:
+        raise ValueError(f"scalar exponent {parts[0]!r} has a zero denominator") from None
+    scalar = RootOfUnity(exponent)
     coords = [int(t) for t in parts[1:]]
     z = hb.KVector(typ, tuple(coords[: typ.g]), tuple(coords[typ.g :]))
     matrix = sc.rho(hb.HeisenbergElement(scalar, z))

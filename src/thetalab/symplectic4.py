@@ -14,8 +14,9 @@ assumed: the group is enumerated by breadth-first closure from a fixed
 generating set, and the prescribed values fix the character on every
 generator they reach (only the orthogonal lift appended at g = 2, even
 parity, is left free and ranges over Z/4).  Each choice of generator values
-is propagated down the search tree and kept only if it respects every
-product relation found during the closure and every prescribed value;
+is carried through the closure level by level (a new element takes its
+parent's value plus its generator's) and dropped on the level where a
+product relation breaks it; it must also meet every prescribed value, and
 exactly one choice must survive.  Non-uniqueness is reported as an error
 (`NonUnique`), never resolved silently.  The normalization is pinned so
 that the character agrees on the nose with the mu_4 factor in the classical
@@ -27,13 +28,14 @@ The enumeration works on packed uint64 keys (base-4 digits, row i of a
 k x k matrix in bit field i) from start to end: right multiplication by a
 generator maps each row field through a 4^k-entry table, so a BFS level is
 k table gathers, one sort and one `searchsorted`, and the matrices are
-unpacked once at the end.  The orthogonal quotient O(2g, +-) over F_2 is
-the same closure taken mod 2, over the transvections x -> x + B(x, v) v
-with q(v) = 1; at g = 2, even parity (Dieudonne's exception, O+(4, F_2))
-they generate a subgroup of index 2, and the plane swap completes it.  The
-mod-4 generating set completes it the same way, with `_ORTHOGONAL_LIFT`, a
-fixed lift of one orthogonal element outside that subgroup; the closure
-order check proves that the generators reach the whole group.
+unpacked once at the end; the sorted key array is the group's only index.
+The orthogonal quotient O(2g, +-) over F_2 is the same closure taken
+mod 2, over the transvections x -> x + B(x, v) v with q(v) = 1; at g = 2,
+even parity (Dieudonne's exception, O+(4, F_2)) they generate a subgroup
+of index 2, and the plane swap completes it.  The mod-4 generating set
+completes it the same way, with `_ORTHOGONAL_LIFT`, a fixed lift of one
+orthogonal element outside that subgroup; the closure order check proves
+that the generators reach the whole group.
 
 Only g <= 2 is supported; the largest enumeration (g = 2, odd parity) has
 122880 elements.
@@ -242,7 +244,7 @@ def orthogonal_group(g: int, parity: str) -> tuple[tuple[tuple[int, ...], ...], 
     gens = [t % 2 for t in _anisotropic_transvection_gens(g, parity)]
     if (g, parity) == (2, "even"):
         gens.append(np.array(_PLANE_SWAP, dtype=np.int64))
-    mats = _bfs_closure(gens, modulus=2)[0]
+    mats = _bfs_closure(gens, np.zeros((0, len(gens)), dtype=np.int8), modulus=2)[0]
     if len(mats) != _ORTHOGONAL_ORDERS[(g, parity)]:
         raise ArithmeticError(f"O({2 * g}, {parity}) closure has order {len(mats)}")
     return tuple(sorted(tuple(map(tuple, m)) for m in mats.tolist()))
@@ -284,27 +286,35 @@ def gamma2_elements(g: int) -> list[np.ndarray]:
 
 # --- group enumeration with character check ----------------------------------------
 
-def _key(mat) -> int:
-    """The packed key of one mod-4 matrix, as stored in `GroupData.key_index`."""
-    return int(_kernels.pack_mod4(np.asarray(mat).astype(np.uint8)[None, :, :])[0])
+def _lookup(keys: np.ndarray, index: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Element indices of the packed `query` keys, by one `searchsorted` in the
+    sorted `keys` of a group (`index` holds the element index of each key);
+    any key outside the group raises `NotMember`."""
+    pos = keys.searchsorted(query)
+    if (keys.take(pos, mode="clip") != query).any():
+        raise NotMember("matrix is not in the enumerated group")
+    return index[pos]
 
 
 @dataclass
 class GroupData:
     """Enumerated group with its discriminant character.
 
-    matrices[i] is the i-th element (uint8, mod 4); key_index maps packed
-    keys to indices; lam[i] is the exponent e with discriminant = i^e; and
-    solution_count records how many characters passed the check on every
-    closure edge and prescribed value (`group_data` raises `NonUnique`
-    unless it is one); generator_count is the size of the generating set,
-    and extended_generators says whether `_ORTHOGONAL_LIFT` is in it.
+    matrices[i] is the i-th element (uint8, mod 4); keys are the packed
+    keys of the elements in increasing order, the group's only index, and
+    index[j] is the element whose key is keys[j]; lam[i] is the exponent e
+    with discriminant = i^e; and solution_count records how many characters
+    passed the check on every closure product and prescribed value
+    (`group_data` raises `NonUnique` unless it is one); generator_count is
+    the size of the generating set, and extended_generators says whether
+    `_ORTHOGONAL_LIFT` is in it.
     """
 
     g: int
     parity: str
     matrices: np.ndarray
-    key_index: dict[int, int]
+    keys: np.ndarray
+    index: np.ndarray
     lam: np.ndarray
     solution_count: int
     generator_count: int
@@ -315,10 +325,12 @@ class GroupData:
         return len(self.matrices)
 
     def index_of(self, mat) -> int:
-        idx = self.key_index.get(_key(_as_matrix(mat)))
-        if idx is None:
-            raise NotMember("matrix is not in the enumerated group")
-        return idx
+        m = _as_matrix(mat)
+        # a larger matrix's packed key wraps modulo 2^64 and can equal an element's
+        if m.shape[0] != 2 * self.g:
+            raise NotMember(f"a {len(m)} x {len(m)} matrix is not in a g={self.g} group")
+        key = _kernels.pack_mod4(m[None, :, :])
+        return int(_lookup(self.keys, self.index, key)[0])
 
     def lambda_of(self, mat) -> RootOfUnity:
         return RootOfUnity(Fraction(int(self.lam[self.index_of(mat)]), 4))
@@ -361,28 +373,33 @@ def _anisotropic_transvection_gens(g: int, parity: str) -> list[np.ndarray]:
     return out
 
 
-def _all_anisotropic_transvections(g: int, parity: str) -> list[np.ndarray]:
-    """Every transvection t_v with v in (Z/4)^{2g} anisotropic mod 2."""
-    seen = {}
-    for v in itertools.product(range(4), repeat=2 * g):
-        if quad_form_value(np.array(v) % 2, parity) == 1:
-            t = transvection(np.array(v)).astype(np.uint8)
-            seen[_key(t)] = t
-    return list(seen.values())
+def _all_anisotropic_transvections(g: int, parity: str) -> np.ndarray:
+    """Every transvection t_v with v in (Z/4)^{2g} anisotropic mod 2, once each.
+
+    Distinct v can give the same map (t_v = t_{-v}); duplicates are dropped
+    by packed key.
+    """
+    ts = np.array(
+        [
+            transvection(v)
+            for v in itertools.product(range(4), repeat=2 * g)
+            if quad_form_value(np.array(v) % 2, parity) == 1
+        ],
+        dtype=np.uint8,
+    )
+    _, first = np.unique(_kernels.pack_mod4(ts), return_index=True)
+    return ts[first]
 
 
-def _embed_block(mat2: np.ndarray, plane: int) -> np.ndarray:
-    """Embed a 2x2 mod-4 symplectic matrix into the given hyperbolic plane of g=2.
+def _embed_block(mats2: np.ndarray, plane: int) -> np.ndarray:
+    """Embed (n, 2, 2) mod-4 symplectic matrices into the given hyperbolic plane of g=2.
 
     Coordinates are ordered (x_1, x_2, y_1, y_2); plane k acts on (x_k, y_k).
     """
-    out = np.eye(4, dtype=np.int64)
-    i, j = plane, 2 + plane
-    out[i, i] = mat2[0, 0]
-    out[i, j] = mat2[0, 1]
-    out[j, i] = mat2[1, 0]
-    out[j, j] = mat2[1, 1]
-    return out % 4
+    out = np.tile(np.eye(4, dtype=np.uint8), (len(mats2), 1, 1))
+    ij = np.array([plane, 2 + plane])
+    out[:, ij[:, None], ij] = mats2 % 4
+    return out
 
 
 def _unpack(keys: np.ndarray, k: int) -> np.ndarray:
@@ -406,10 +423,14 @@ def _row_tables(gens: list[np.ndarray], modulus: int) -> list[np.ndarray]:
     return [np.ascontiguousarray(packed << np.uint64(2 * k * i)) for i in range(k)]
 
 
-def _bfs_closure(gens: list[np.ndarray], modulus: int = 4):
-    """Breadth-first closure; returns matrices, key index, parent/gen trees, edges.
+def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
+    """Breadth-first closure that checks candidate characters as it finds products.
 
-    Products are taken mod `modulus` (4, or 2 for subgroups of O(2g, +-)).
+    Returns the matrices, the sorted keys, the element index of each sorted
+    key, and, for each row of `values` (a (c, len(gens)) int8 array of
+    candidate generator values mod 4), the exponents lam (c, n) and whether
+    the candidate is a character (alive, c).  Products are taken mod
+    `modulus` (4, or 2 for subgroups of O(2g, +-), which pass zero rows).
     The whole search runs on packed uint64 keys: a frontier is expanded by k
     gathers from `_row_tables`, so no product matrix is formed, and the
     matrices are unpacked once at the end.  Per level, each product key is
@@ -417,11 +438,12 @@ def _bfs_closure(gens: list[np.ndarray], modulus: int = 4):
     plain sort groups equal keys with the first product leading; the
     distinct keys are looked up with one `searchsorted` in the sorted array
     of keys seen so far.  The first product with an unseen key becomes a
-    tree node, numbered in key order; every other product is a constraint
-    edge.  Elements are numbered level by level, and the last return value
-    holds the end index of each BFS level: level L is range(ends[L-1],
-    ends[L]), and every parent lies on the level before.  A level too large
-    for the tag raises `ValueError`; at k <= 4 every closure here fits.
+    tree node, numbered in key order after every earlier level, and takes
+    lam(h * s) = lam(h) + x(s) from its parent h; every other product is a
+    relation h * s = t, and a candidate dies on the level where lam(h) +
+    x(s) != lam(t) for one of them.  Checking every non-tree product makes
+    each survivor a homomorphism.  A level too large for the tag raises
+    `ValueError`; at k <= 4 every closure here fits.
     """
     k = gens[0].shape[0]
     n_gens = len(gens)
@@ -440,9 +462,8 @@ def _bfs_closure(gens: list[np.ndarray], modulus: int = 4):
     sorted_keys = _kernels.pack_mod4(np.eye(k, dtype=np.uint8)[None, :, :])
     sorted_vals = np.array([0], dtype=np.int64)
     key_chunks = [sorted_keys]
-    parent_chunks = [np.array([0], dtype=np.int64)]
-    gen_chunks = [np.array([-1], dtype=np.int64)]
-    e_par, e_gen, e_tgt = [], [], []
+    lam = np.zeros((len(values), 1), dtype=np.int8)
+    alive = np.ones(len(values), dtype=bool)
     count = 1
     frontier_keys = sorted_keys
     frontier_start = 0
@@ -459,12 +480,13 @@ def _bfs_closure(gens: list[np.ndarray], modulus: int = 4):
         tagged = np.sort(prods, axis=None)
         keys = tagged >> np.uint64(tag_bits)
         tags = tagged & tag_mask
+        parent = frontier_start + (tags >> np.uint64(gen_bits)).astype(np.int64)
+        gen = (tags & gen_mask).astype(np.int64)
 
         starts = np.empty(len(keys), dtype=bool)
         starts[0] = True
         np.not_equal(keys[1:], keys[:-1], out=starts[1:])
         uniq = keys[starts]
-        group = np.cumsum(starts) - 1
         pos = np.searchsorted(sorted_keys, uniq)
         new = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] != uniq
         n_new = int(np.count_nonzero(new))
@@ -473,20 +495,20 @@ def _bfs_closure(gens: list[np.ndarray], modulus: int = 4):
         target[~new] = sorted_vals[pos[~new]]
         target[new] = assigned
 
+        # tree nodes first, so that relations may end on this level's nodes
         tree = starts.copy()
         tree[starts] = new
-        edge_tags = tags[~tree]
-        e_par.append(frontier_start + (edge_tags >> np.uint64(gen_bits)).astype(np.int64))
-        e_gen.append((edge_tags & gen_mask).astype(np.int64))
-        e_tgt.append(target[group[~tree]])
+        lam = np.concatenate(
+            [lam, (lam[:, parent[tree]] + values[:, gen[tree]]) % 4], axis=1
+        )
+        rel = ~tree
+        rel_target = target[(np.cumsum(starts) - 1)[rel]]
+        alive &= ~np.any(
+            (lam[:, parent[rel]] + values[:, gen[rel]] - lam[:, rel_target]) % 4, axis=1
+        )
         if n_new == 0:
             break
 
-        tree_tags = tags[tree]
-        parent_chunks.append(
-            frontier_start + (tree_tags >> np.uint64(gen_bits)).astype(np.int64)
-        )
-        gen_chunks.append((tree_tags & gen_mask).astype(np.int64))
         frontier_keys = uniq[new]
         key_chunks.append(frontier_keys)
         sorted_keys = np.insert(sorted_keys, pos[new], frontier_keys)
@@ -494,55 +516,7 @@ def _bfs_closure(gens: list[np.ndarray], modulus: int = 4):
         frontier_start = count
         count += n_new
 
-    mats = _unpack(np.concatenate(key_chunks), k)
-    key_index = dict(zip(sorted_keys.tolist(), sorted_vals.tolist()))
-    return (
-        mats,
-        key_index,
-        np.concatenate(parent_chunks),
-        np.concatenate(gen_chunks),
-        np.concatenate(e_par),
-        np.concatenate(e_gen),
-        np.concatenate(e_tgt),
-        np.cumsum([len(c) for c in parent_chunks]),
-    )
-
-
-def _characters(
-    parent_of, gen_of, e_par, e_gen, e_tgt, level_ends, n_gens, constraints
-) -> list[np.ndarray]:
-    """Every mod-4 character of a closure with the prescribed values.
-
-    The first six arguments are what `_bfs_closure` returns after the matrices
-    and the key index; `constraints` lists (element index, exponent) pairs.
-    A constraint on a level-1 tree node fixes the value of that node's
-    generator; every other generator ranges over Z/4.  Each candidate is
-    propagated down the search tree, lam(h * s) = lam(h) + x(s), and kept only
-    if it holds on every non-tree edge, which makes it a homomorphism, and on
-    every constraint.  Returns the exponent arrays lam (int8) of the survivors.
-    """
-    cons_idx = np.array([i for i, _ in constraints], dtype=np.int64)
-    cons_exp = np.array([e for _, e in constraints], dtype=np.int64) % 4
-    pins = {
-        int(gen_of[i]): e for i, e in zip(cons_idx, cons_exp) if i and parent_of[i] == 0
-    }
-    free = [s for s in range(n_gens) if s not in pins]
-
-    survivors = []
-    for values in itertools.product(range(4), repeat=len(free)):
-        x = np.zeros(n_gens, dtype=np.int8)
-        x[list(pins)] = list(pins.values())
-        x[free] = values
-        lam = np.zeros(len(parent_of), dtype=np.int8)
-        for start, end in zip(level_ends[:-1], level_ends[1:]):
-            level = np.arange(start, end)
-            lam[level] = (lam[parent_of[level]] + x[gen_of[level]]) % 4
-        if np.any((lam[e_par] + x[e_gen] - lam[e_tgt]) % 4):
-            continue
-        if np.any(lam[cons_idx] != cons_exp):
-            continue
-        survivors.append(lam)
-    return survivors
+    return _unpack(np.concatenate(key_chunks), k), sorted_keys, sorted_vals, lam, alive
 
 
 @lru_cache(maxsize=None)
@@ -565,14 +539,7 @@ def group_data(g: int, parity: str) -> GroupData:
     extended = (g, parity) == (2, "even")
     if extended:
         gens.append(np.array(_ORTHOGONAL_LIFT, dtype=np.int64))
-    target = (2 ** (g * (2 * g + 1))) * _ORTHOGONAL_ORDERS[(g, parity)]
-    (
-        mats, key_index, parent_of, gen_of, e_par, e_gen, e_tgt, level_ends
-    ) = _bfs_closure(gens)
-    if len(mats) != target:
-        raise ArithmeticError(
-            f"closure has order {len(mats)}, not the extension order {target}"
-        )
+    n_gens = len(gens)
 
     # The normalizing transvections are the ones built from the mu_4-valued
     # standard pairing, whose additive exponent is -B for the bilinear form
@@ -580,15 +547,14 @@ def group_data(g: int, parity: str) -> GroupData:
     # t_v the character takes the value i^{-1} = i^3.  (The opposite choice
     # is the complex-conjugate character, which fails the theta functional
     # equation oracle: it sends [[0,3],[1,0]] to -i instead of i.)
-    constraints = [
-        (key_index[_key(t)], 3) for t in _all_anisotropic_transvections(g, parity)
-    ]
+    transvections = _all_anisotropic_transvections(g, parity)
+    cons = [transvections]
+    exps = [np.full(len(transvections), 3)]
 
     # restriction to the congruence kernel: the quadratic-form linearization
-    constraints += [
-        (key_index[_key(u)], 2 * gamma2_character_exponent(u, parity))
-        for u in gamma2_basis(g)
-    ]
+    basis = gamma2_basis(g)
+    cons.append(np.array(basis))
+    exps.append([2 * gamma2_character_exponent(u, parity) for u in basis])
 
     # stabilization: on block-diagonal embeddings of the g=1 groups the
     # character restricts to the g=1 discriminant, and on the plane swap
@@ -601,28 +567,45 @@ def group_data(g: int, parity: str) -> GroupData:
         plane_parities = ("even", "even") if parity == "even" else ("odd", "even")
         for plane, p1 in enumerate(plane_parities):
             sub = group_data(1, p1)
-            for i in range(sub.order):
-                emb = _embed_block(sub.matrices[i].astype(np.int64), plane)
-                constraints.append((key_index[_key(emb)], int(sub.lam[i])))
+            cons.append(_embed_block(sub.matrices, plane))
+            exps.append(sub.lam)
         if parity == "even":
-            constraints.append((key_index[_key(_PLANE_SWAP)], 2))
+            cons.append(np.array([_PLANE_SWAP]))
+            exps.append([2])
+    cons_keys = _kernels.pack_mod4(np.concatenate(cons) % 4)
+    cons_exp = np.concatenate(exps) % 4
 
-    n_gens = len(gens)
-    lams = _characters(
-        parent_of, gen_of, e_par, e_gen, e_tgt, level_ends, n_gens, constraints
-    )
-    if len(lams) != 1:
+    # A constraint on a generator pins that generator's value; every other
+    # generator ranges over Z/4 (only the orthogonal lift at (2, even) is
+    # left free, so there are 4 candidates there and 1 elsewhere).
+    match = _kernels.pack_mod4(np.array(gens) % 4)[:, None] == cons_keys
+    pinned = match.any(axis=1)
+    free = np.flatnonzero(~pinned)
+    pins = np.where(pinned, cons_exp[match.argmax(axis=1)], 0).astype(np.int8)
+    values = np.tile(pins, (4 ** len(free), 1))
+    values[:, free] = list(itertools.product(range(4), repeat=len(free)))
+    mats, keys, index, lam, alive = _bfs_closure(gens, values)
+
+    target = (2 ** (g * (2 * g + 1))) * _ORTHOGONAL_ORDERS[(g, parity)]
+    if len(mats) != target:
+        raise ArithmeticError(
+            f"closure has order {len(mats)}, not the extension order {target}"
+        )
+    alive &= np.all(lam[:, _lookup(keys, index, cons_keys)] == cons_exp, axis=1)
+    solutions = int(np.count_nonzero(alive))
+    if solutions != 1:
         raise NonUnique(
             f"discriminant check for g={g}, parity={parity} found "
-            f"{len(lams)} characters instead of one"
+            f"{solutions} characters instead of one"
         )
     return GroupData(
         g=g,
         parity=parity,
         matrices=mats,
-        key_index=key_index,
-        lam=lams[0],
-        solution_count=len(lams),
+        keys=keys,
+        index=index,
+        lam=lam[np.flatnonzero(alive)[0]],
+        solution_count=solutions,
         generator_count=n_gens,
         extended_generators=extended,
     )

@@ -44,7 +44,7 @@ from .congruence import (
 )
 from .cyclo import RootOfUnity
 from .metaplectic import MpElement, phi_eval, tilde_lambda
-from .weilrep import weil_rep
+from .weilrep import _check_m, weil_rep
 
 __all__ = [
     "TauTooLow",
@@ -332,8 +332,7 @@ def verify_transformation(
     below tol; all decisive queries in a run must agree, otherwise
     ConventionFlip is raised.
     """
-    if m <= 0 or m % 2 != 0:
-        raise ValueError(f"m must be even positive, got {m}")
+    _check_m(m)  # rho_m's own bound, before any theta sum
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if tau.imag < MIN_IM_VERIFY:

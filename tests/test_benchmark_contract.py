@@ -38,3 +38,15 @@ def test_every_suite_check_has_a_layer_metric():
     metrics = load_perfbench("metrics")
     missing = [name for name, _ in suite.CHECK_ORDER if f"suite.{name}_s" not in metrics.LAYER]
     assert not missing
+
+
+def test_exact_enum_gates_pass(monkeypatch):
+    """One exact-enum pass with a short lookup walk: its gates check the group
+    orders, the Lagrangian count, the orbit index and the multiplicativity of
+    the discriminant against what `symplectic4` and `heisenberg` return."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports `speed`
+    workloads = load_perfbench("workloads")
+    spec = dict(workloads.EXACT, lookup_pairs=50)
+    rec = workloads.Recorder()
+    workloads.exact_pass(rec, spec, workloads.exact_inputs(0, spec)[0], 0.0)
+    assert rec.attempted > 0 and rec.failed == 0, rec.failures

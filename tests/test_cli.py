@@ -201,6 +201,8 @@ def test_bad_input_exits_2(capsys):
     ):
         code, payload, err = run_cli(capsys, *argv)
         assert code == 2 and "positive" in err and payload is None, argv
+    code, payload, err = run_cli(capsys, "schrodinger", "matrix", "--type", "2", "--element", "1/0,1,0")
+    assert code == 2 and "zero denominator" in err and payload is None
 
 
 def test_non_finite_and_oversized_input_exits_2(capsys):
@@ -249,6 +251,17 @@ def test_internal_arithmetic_errors_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert payload == {"error": "two characters pass", "kind": "NonUnique"}
+
+    # only the CLI's own parsing turns a zero denominator into malformed input
+    def divides_by_zero(gamma, parity):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(symplectic4, "discriminant", divides_by_zero)
+    code, payload, _ = run_cli(
+        capsys, "discriminant", "--g", "1", "--parity", "even", "--gamma", "0,3,1,0"
+    )
+    assert code == 3
+    assert payload == {"error": "division by zero", "kind": "ZeroDivisionError"}
 
 
 def test_convention_flip_exits_3(capsys, monkeypatch):

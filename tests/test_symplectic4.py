@@ -25,11 +25,10 @@ from thetalab.symplectic4 import (
     quad_form_value,
     reduce_mod2_and_membership,
     _bfs_closure,
-    _characters,
     _ORTHOGONAL_LIFT,
     _anisotropic_transvection_gens,
     _f2_rank,
-    _key,
+    _lookup,
     _row_tables,
     _unpack,
     symplectic_form_matrix,
@@ -37,6 +36,16 @@ from thetalab.symplectic4 import (
 )
 
 S_MOD4 = [[0, 3], [1, 0]]
+
+
+def _key(mat) -> int:
+    return int(_kernels.pack_mod4(np.asarray(mat, dtype=np.uint8)[None, :, :])[0])
+
+
+def _closure(gens, values=(), modulus=4):
+    """`_bfs_closure` with the candidate rows `values` (none by default)."""
+    values = np.array(values, dtype=np.int8).reshape(-1, len(gens))
+    return _bfs_closure(gens, values, modulus)
 
 
 def test_quad_form_values():
@@ -115,7 +124,7 @@ def test_orthogonal_group_matches_brute_force(g, parity):
 def _f2_transvection_closure(g, parity):
     """Packed keys of the subgroup of O(2g, +-) generated by its transvections."""
     gens = [t % 2 for t in _anisotropic_transvection_gens(g, parity)]
-    return set(_bfs_closure(gens, modulus=2)[1])
+    return set(_closure(gens, modulus=2)[1].tolist())
 
 
 def test_transvection_closure_orders():
@@ -244,6 +253,10 @@ def test_group_lookup_decides_membership():
                 m[tuple(rng.integers(0, 4, size=2))] += int(rng.integers(0, 4))
             report = reduce_mod2_and_membership(m, parity)
             assert _lookup_member(data, m) == report.in_gamma_pm, (parity, m.tolist())
+    # a 6 x 6 matrix whose packed key wraps to an element's 64-bit key
+    m = np.zeros((6, 6), dtype=np.int64)
+    m.flat[:16] = data.matrices[5].ravel()
+    assert not _lookup_member(data, m)
 
 
 def test_discriminant_multiplicative_exhaustive_g1():
@@ -324,20 +337,80 @@ def test_character_check_toy_cases():
     """
     t = transvection([1, 1])
     powers = [np.linalg.matrix_power(t, k) % 4 for k in range(4)]
+    every_value = [[x] for x in range(4)]
 
-    def characters(gens, values):
-        _, key_index, *tree = _bfs_closure(gens)
-        constraints = [(key_index[_key(m)], e) for m, e in values]
-        return key_index, _characters(*tree, len(gens), constraints)
+    def position(keys, index, mat):
+        return int(_lookup(keys, index, np.array([_key(mat)], dtype=np.uint64))[0])
 
-    assert len(characters([t], [])[1]) == 4
-    key_index, lams = characters([t], [(t, 1)])
-    assert len(lams) == 1
-    assert [int(lams[0][key_index[_key(p)]]) for p in powers] == [0, 1, 2, 3]
-    assert len(characters([t], [(powers[2], 1)])[1]) == 0
-    # both generators are pinned and both constraints hold; only the closure
-    # edge t * t^3 = I rules the choice out
-    assert len(characters([t, powers[3]], [(t, 1), (powers[3], 1)])[1]) == 0
+    assert _closure([t], every_value)[4].tolist() == [True] * 4
+    _, keys, index, lam, alive = _closure([t], [[1]])
+    assert alive.tolist() == [True]
+    assert [int(lam[0, position(keys, index, p)]) for p in powers] == [0, 1, 2, 3]
+    # t^2 -> 1 is a prescribed value that no character meets
+    _, keys, index, lam, alive = _closure([t], every_value)
+    assert not np.any(alive & (lam[:, position(keys, index, powers[2])] == 1))
+    # both generators are pinned to 1, which the prescribed values allow;
+    # only the non-tree product t * t^3 = I rules the choice out
+    assert _closure([t, powers[3]], [[1, 1]])[4].tolist() == [False]
+
+
+def _character_oracle(gens, values):
+    """Per candidate, its exponents {element tuple: lam} if lam(h s) = lam(h) +
+    x(s) holds on every product, else None; the group is enumerated as
+    tuples by a plain loop."""
+    gens = [np.array(s) % 4 for s in gens]
+    identity = tuple(np.eye(len(gens[0]), dtype=np.int64).ravel())
+    out = []
+    for x in values:
+        lam = {identity: 0}
+        queue = [identity]
+        ok = True
+        while queue:
+            h = queue.pop(0)
+            hm = np.array(h).reshape(gens[0].shape)
+            for s, xs in zip(gens, x):
+                prod = tuple(((hm @ s) % 4).ravel())
+                value = (lam[h] + int(xs)) % 4
+                if prod not in lam:
+                    lam[prod] = value
+                    queue.append(prod)
+                elif lam[prod] != value:
+                    ok = False
+        out.append(lam if ok else None)
+    return out
+
+
+symplectic_g1 = [
+    m for m in itertools.product(range(4), repeat=4)
+    if is_symplectic_mod4(np.array(m).reshape(2, 2))
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(symplectic_g1), min_size=1, max_size=3).flatmap(
+        lambda gens: st.tuples(
+            st.just(gens),
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_closure_character_check_matches_loop_oracle(case):
+    """At g = 1, `alive` is exactly the set of candidates that respect every
+    product of the group the generators span."""
+    gens, values = case
+    gens = [np.array(m).reshape(2, 2) for m in gens]
+    _, keys, index, lam, alive = _closure(gens, values)
+    want = _character_oracle(gens, values)
+    assert alive.tolist() == [w is not None for w in want]
+    for row, w in zip(lam[alive], [w for w in want if w is not None]):
+        elements = np.array(list(w), dtype=np.uint8).reshape(-1, 2, 2)
+        positions = _lookup(keys, index, _kernels.pack_mod4(elements))
+        assert row[positions].tolist() == list(w.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -388,26 +461,27 @@ def test_row_tables_match_matrix_products(k, modulus):
 
 
 def test_bfs_closure_tree_and_edges():
-    """Every tree node and every edge of a closure is a true product."""
+    """The sorted keys index the closure, and it is closed under the generators."""
     gens = [transvection(v) for v in ((1, 0, 1, 1), (0, 1, 2, 1), (1, 1, 0, 3))]
-    mats, key_index, parent_of, gen_of, e_par, e_gen, e_tgt, ends = _bfs_closure(gens)
+    mats, keys, index, lam, alive = _closure(gens)
+    n = len(mats)
+    assert lam.shape == (0, n) and alive.shape == (0,)
+    assert np.all(keys[1:] > keys[:-1])
+    assert sorted(index.tolist()) == list(range(n))
+    assert np.array_equal(_lookup(keys, index, _kernels.pack_mod4(mats)), np.arange(n))
     m = mats.astype(np.int64)
-    g = np.array(gens) % 4
-    assert list(key_index) == sorted(key_index)
-    assert sorted(key_index.values()) == list(range(len(mats)))
-    assert all(key_index[_key(mats[i])] == i for i in range(len(mats)))
-    assert ends[-1] == len(mats) and ends[0] == 1
-    tree = np.einsum("nij,njk->nik", m[parent_of[1:]], g[gen_of[1:]]) % 4
-    assert np.array_equal(tree, m[1:])
-    edges = np.einsum("nij,njk->nik", m[e_par], g[e_gen]) % 4
-    assert np.array_equal(edges, m[e_tgt])
-    # every product is either a tree node or an edge
-    assert len(e_par) + len(mats) - 1 == len(mats) * len(gens)
+    prods = np.concatenate([(m @ (g % 4)) % 4 for g in gens])
+    _lookup(keys, index, _kernels.pack_mod4(prods))  # NotMember on any miss
+    outside = np.eye(4, dtype=np.int64)
+    outside[0, 0] = 3  # determinant 3: not symplectic
+    with pytest.raises(NotMember):
+        _lookup(keys, index, _kernels.pack_mod4(outside[None, :, :]))
 
 
-# sha256 prefixes of `matrices`, `lam` and the `key_index` items (in dict
-# order), recorded before the closure moved to packed keys, with the generator
-# count and whether an orthogonal lift was appended: all must stay identical
+# sha256 prefixes of `matrices`, `lam` and the (key, index) pairs in key
+# order (whose repr is that of the former `key_index` dict items), recorded
+# before the closure moved to packed keys, with the generator count and
+# whether an orthogonal lift was appended: all must stay identical
 FINGERPRINTS = {
     (1, "even"): ("66252681c764", "38d9ac2e485c2a22", "7694cf2d8b558791", 4, False),
     (1, "odd"): ("177bacb32f39", "c4546ee72a974e20", "d4e0b455fd260063", 6, False),
@@ -427,7 +501,8 @@ def test_group_data_fingerprints(g, parity):
     assert data.matrices.dtype == np.uint8 and data.lam.dtype == np.int8
     assert sha(data.matrices.tobytes()).startswith(mats_prefix)
     assert sha(data.lam.tobytes()).startswith(lam_prefix)
-    assert sha(repr(list(data.key_index.items())).encode()).startswith(index_prefix)
+    pairs = list(zip(data.keys.tolist(), data.index.tolist()))
+    assert sha(repr(pairs).encode()).startswith(index_prefix)
     assert data.generator_count == n_gens
     assert data.extended_generators is extended
     assert data.solution_count == 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thetalab import _kernels, suite
+from thetalab import _kernels, suite, thetanum
 from thetalab.congruence import (
     Gamma0,
     SL2Matrix,
@@ -41,6 +41,8 @@ from thetalab.thetanum import (
     _tail_bound,
     _theta_vector_unchecked,
 )
+
+from thetalab.weilrep import BadIndex
 
 from dense_oracle import dense_weil_rep
 
@@ -133,6 +135,18 @@ def test_non_finite_input_is_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+def test_verify_checks_m_before_summing(monkeypatch):
+    """m outside rho_m's bound is rejected before any theta vector is summed."""
+
+    def no_sum(*args):
+        raise AssertionError("theta vector summed before m was checked")
+
+    monkeypatch.setattr(thetanum, "_theta_vector_unchecked", no_sum)
+    for m in (1024, 200_000_000, 7, 0):
+        with pytest.raises(BadIndex):
+            verify_transformation(m, MP_S, 3j)
 
 
 def test_truncation_radius_contract():
