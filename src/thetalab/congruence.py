@@ -286,7 +286,11 @@ def subgroup_index(group: Group, modulus: int | None = None) -> int:
 
 
 def relative_index(sub: Group, sup: Group, modulus: int) -> int:
-    """Index [sup : sub] for nested congruence groups, at a common modulus."""
+    """Index [sup : sub] for nested congruence groups, at a common modulus.
+
+    Groups that are not nested are an input error (`ValueError`); a size
+    that does not divide is an internal failure (`ArithmeticError`).
+    """
     if modulus % sub.modulus or modulus % sup.modulus:
         raise ValueError("modulus must be a multiple of both levels")
     elements = _sl2_mod(modulus)
@@ -296,7 +300,7 @@ def relative_index(sub: Group, sup: Group, modulus: int) -> int:
         in_sub = _contains(sub, *x)
         in_sup = _contains(sup, *x)
         if in_sub and not in_sup:
-            raise ArithmeticError(f"{sub} is not contained in {sup}")
+            raise ValueError(f"{sub} is not contained in {sup}")
         n_sub += in_sub
         n_sup += in_sup
     if n_sup % n_sub != 0:

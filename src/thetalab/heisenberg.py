@@ -501,6 +501,7 @@ class HeisenbergAutomorphism:
         return table.elements[int(table.rank(coords @ _eta_matrix(self)))]
 
     def chi(self, z: KVector) -> RootOfUnity:
+        _same_type(self, z)
         table = _ktable(self.type)
         return RootOfUnity(
             Fraction(self.chi_exponents[table.index[z]], self.type.scalar_modulus)

@@ -11,18 +11,16 @@ unique character that takes the value i on every anisotropic transvection
 (oriented by the mu_4-valued standard pairing) and restricts on the kernel
 to the linearization of the quadratic form.  The character is computed, not
 assumed: the group is enumerated by breadth-first closure from a fixed
-generating set, and the prescribed values fix the character on every
-generator they reach (only the orthogonal lift appended at g = 2, even
-parity, is left free and ranges over Z/4).  Each choice of generator values
-is carried through the closure level by level (a new element takes its
-parent's value plus its generator's) and dropped on the level where a
-product relation breaks it; it must also meet every prescribed value, and
-exactly one choice must survive.  Non-uniqueness is reported as an error
-(`NonUnique`), never resolved silently.  The normalization is pinned so
-that the character agrees on the nose with the mu_4 factor in the classical
-theta functional equation (e.g. [[0,3],[1,0]] maps to i); the
-complex-conjugate character is the one normalized on the opposite pairing
-orientation.
+generating set, every generator of which carries a prescribed value, so
+there is exactly one candidate character before the closure runs.  It is
+carried through the closure level by level (a new element takes its
+parent's value plus its generator's) and checked on every product
+relation; it must also meet every prescribed value.  A candidate that
+fails is reported as an error (`NonUnique`), never resolved silently.  The
+normalization is pinned so that the character agrees on the nose with the
+mu_4 factor in the classical theta functional equation (e.g. [[0,3],[1,0]]
+maps to i); the complex-conjugate character is the one normalized on the
+opposite pairing orientation.
 
 The enumeration works on packed uint64 keys (base-4 digits, row i of a
 k x k matrix in bit field i) from start to end: right multiplication by a
@@ -33,9 +31,8 @@ The orthogonal quotient O(2g, +-) over F_2 is the same closure taken
 mod 2, over the transvections x -> x + B(x, v) v with q(v) = 1; at g = 2,
 even parity (Dieudonne's exception, O+(4, F_2)) they generate a subgroup
 of index 2, and the plane swap completes it.  The mod-4 generating set
-completes it the same way, with `_ORTHOGONAL_LIFT`, a fixed lift of one
-orthogonal element outside that subgroup; the closure order check proves
-that the generators reach the whole group.
+(`_generators`) is completed by the same plane swap, and the closure
+order check proves that the generators reach the whole group.
 
 Only g <= 2 is supported; the largest enumeration (g = 2, odd parity) has
 122880 elements.
@@ -76,7 +73,7 @@ __all__ = [
 
 
 class BadShape(ValueError):
-    """Input matrix is not 2g x 2g."""
+    """Input is not a 2g-vector or a 2g x 2g matrix (g >= 1)."""
 
 
 class NotOrthogonal(ValueError):
@@ -133,6 +130,8 @@ def quad_form_value(v, parity: str) -> int:
     """Standard quadratic form on F_2^{2g}: even = sum x_i y_i, odd twists the first plane."""
     parity = _parity(parity)
     v = _as_integers(v) % 2
+    if v.ndim != 1 or len(v) % 2 or not len(v):
+        raise BadShape(f"expected a 2g vector, got shape {v.shape}")
     g = len(v) // 2
     val = int(np.dot(v[:g], v[g:]))
     if parity == "odd":
@@ -145,9 +144,7 @@ def _f2_vectors(n: int) -> np.ndarray:
 
 
 def preserves_quad_form(mbar, parity: str) -> bool:
-    m = _as_integers(mbar) % 2
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise BadShape(f"expected a square matrix, got {m.shape}")
+    m = _as_matrix(mbar) % 2
     for v in _f2_vectors(m.shape[0]):
         if quad_form_value(m @ v, parity) != quad_form_value(v, parity):
             return False
@@ -196,9 +193,7 @@ def _f2_rank(mat: np.ndarray) -> int:
 
 def dickson(mbar, parity: str) -> RootOfUnity:
     """Dickson invariant of an orthogonal matrix mod 2: (-1)^{rank(m + I)}."""
-    m = _as_integers(mbar) % 2
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise BadShape(f"expected a 2g x 2g matrix, got {m.shape}")
+    m = _as_matrix(mbar) % 2
     n = m.shape[0]
     if _f2_rank(m) != n or not preserves_quad_form(m, parity):
         raise NotOrthogonal(f"matrix is not in O({n},{parity})")
@@ -209,7 +204,7 @@ def dickson(mbar, parity: str) -> RootOfUnity:
 def transvection(v) -> np.ndarray:
     """The map z -> z + B(v, z) v over Z/4, as an int64 matrix (columns are images)."""
     v = _as_integers(v) % 4
-    if v.ndim != 1 or len(v) % 2:
+    if v.ndim != 1 or len(v) % 2 or not len(v):
         raise BadShape(f"expected a 2g vector, got shape {v.shape}")
     g = len(v) // 2
     j = symplectic_form_matrix(g)
@@ -220,12 +215,6 @@ def transvection(v) -> np.ndarray:
 # subgroup generated by its transvections (Dieudonne's exception).
 _PLANE_SWAP = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
-# A mod-4 symplectic lift of the lexicographically first element of O(4, +)
-# outside its transvection subgroup: mod 2 it is the map
-# (x_1, x_2, y_1, y_2) -> (y_2, y_1, x_2, x_1).  `group_data` appends it to the
-# generators at (2, even), where the transvections do not reach all of O(4, +).
-_ORTHOGONAL_LIFT = ((0, 0, 0, 3), (0, 0, 3, 0), (0, 1, 0, 0), (1, 0, 0, 0))
-
 _ORTHOGONAL_ORDERS = {(1, "even"): 2, (1, "odd"): 6, (2, "even"): 72, (2, "odd"): 120}
 
 
@@ -233,18 +222,19 @@ _ORTHOGONAL_ORDERS = {(1, "even"): 2, (1, "odd"): 6, (2, "even"): 72, (2, "odd")
 def orthogonal_group(g: int, parity: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All of O(2g, +-) over F_2 in lexicographic order, by closure under products.
 
-    The transvections of anisotropic vectors generate the group except at
-    (2, even), where they generate a subgroup of index 2 and the plane swap
-    is added.  The order is checked against |O(2, +)| = 2, |O(2, -)| = 6,
-    |O(4, +)| = 72 and |O(4, -)| = 120.
+    The generators are those of `group_data` reduced mod 2, less the
+    congruence kernel basis, which becomes the identity: the transvections of
+    anisotropic vectors generate the group except at (2, even), where they
+    generate a subgroup of index 2 and the plane swap completes it.  The
+    order is checked against |O(2, +)| = 2, |O(2, -)| = 6, |O(4, +)| = 72 and
+    |O(4, -)| = 120.
     """
     parity = _parity(parity)
     if g not in (1, 2):
         raise ValueError(f"only g <= 2 is supported, got g={g}")
-    gens = [t % 2 for t in _anisotropic_transvection_gens(g, parity)]
-    if (g, parity) == (2, "even"):
-        gens.append(np.array(_PLANE_SWAP, dtype=np.int64))
-    mats = _bfs_closure(gens, np.zeros((0, len(gens)), dtype=np.int8), modulus=2)[0]
+    eye = np.eye(2 * g, dtype=np.int64)
+    gens = [s % 2 for s in _generators(g, parity) if np.any((s - eye) % 2)]
+    mats = _bfs_closure(gens, np.zeros(len(gens), dtype=np.int8), modulus=2)[0]
     if len(mats) != _ORTHOGONAL_ORDERS[(g, parity)]:
         raise ArithmeticError(f"O({2 * g}, {parity}) closure has order {len(mats)}")
     return tuple(sorted(tuple(map(tuple, m)) for m in mats.tolist()))
@@ -304,10 +294,10 @@ class GroupData:
     keys of the elements in increasing order, the group's only index, and
     index[j] is the element whose key is keys[j]; lam[i] is the exponent e
     with discriminant = i^e; and solution_count records how many characters
-    passed the check on every closure product and prescribed value
-    (`group_data` raises `NonUnique` unless it is one); generator_count is
-    the size of the generating set, and extended_generators says whether
-    `_ORTHOGONAL_LIFT` is in it.
+    passed the check on every closure product and prescribed value: there is
+    one candidate, and `group_data` raises `NonUnique` unless it passes;
+    generator_count is the size of the generating set, and
+    extended_generators says whether the plane swap is in it.
     """
 
     g: int
@@ -373,6 +363,16 @@ def _anisotropic_transvection_gens(g: int, parity: str) -> list[np.ndarray]:
     return out
 
 
+def _generators(g: int, parity: str) -> list[np.ndarray]:
+    """The generating set of the mod-4 group: the congruence kernel basis, one
+    anisotropic transvection lift per class mod 2 and, at (2, even), where the
+    transvections reach only an index-2 subgroup of O(4, +), the plane swap."""
+    gens = gamma2_basis(g) + _anisotropic_transvection_gens(g, parity)
+    if (g, parity) == (2, "even"):
+        gens.append(np.array(_PLANE_SWAP, dtype=np.int64))
+    return gens
+
+
 def _all_anisotropic_transvections(g: int, parity: str) -> np.ndarray:
     """Every transvection t_v with v in (Z/4)^{2g} anisotropic mod 2, once each.
 
@@ -424,13 +424,13 @@ def _row_tables(gens: list[np.ndarray], modulus: int) -> list[np.ndarray]:
 
 
 def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
-    """Breadth-first closure that checks candidate characters as it finds products.
+    """Breadth-first closure that checks a candidate character as it finds products.
 
     Returns the matrices, the sorted keys, the element index of each sorted
-    key, and, for each row of `values` (a (c, len(gens)) int8 array of
-    candidate generator values mod 4), the exponents lam (c, n) and whether
-    the candidate is a character (alive, c).  Products are taken mod
-    `modulus` (4, or 2 for subgroups of O(2g, +-), which pass zero rows).
+    key, the exponents lam (n,) of the candidate that takes the int8 value
+    values[s] mod 4 on generator s, and whether the candidate is a
+    character (alive, a bool).  Products are taken mod `modulus` (4, or 2
+    for subgroups of O(2g, +-), which pass zeros).
     The whole search runs on packed uint64 keys: a frontier is expanded by k
     gathers from `_row_tables`, so no product matrix is formed, and the
     matrices are unpacked once at the end.  Per level, each product key is
@@ -440,9 +440,9 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
     of keys seen so far.  The first product with an unseen key becomes a
     tree node, numbered in key order after every earlier level, and takes
     lam(h * s) = lam(h) + x(s) from its parent h; every other product is a
-    relation h * s = t, and a candidate dies on the level where lam(h) +
+    relation h * s = t, and the candidate dies on the level where lam(h) +
     x(s) != lam(t) for one of them.  Checking every non-tree product makes
-    each survivor a homomorphism.  A level too large for the tag raises
+    a survivor a homomorphism.  A level too large for the tag raises
     `ValueError`; at k <= 4 every closure here fits.
     """
     k = gens[0].shape[0]
@@ -462,8 +462,8 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
     sorted_keys = _kernels.pack_mod4(np.eye(k, dtype=np.uint8)[None, :, :])
     sorted_vals = np.array([0], dtype=np.int64)
     key_chunks = [sorted_keys]
-    lam = np.zeros((len(values), 1), dtype=np.int8)
-    alive = np.ones(len(values), dtype=bool)
+    lam = np.zeros(1, dtype=np.int8)
+    alive = True
     count = 1
     frontier_keys = sorted_keys
     frontier_start = 0
@@ -477,9 +477,12 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
             prods |= table[(frontier_keys >> shift) & field]
         prods <<= np.uint64(tag_bits)
         prods |= (np.arange(n, dtype=np.uint64)[:, None] << np.uint64(gen_bits)) | gen_tags
-        tagged = np.sort(prods, axis=None)
-        keys = tagged >> np.uint64(tag_bits)
-        tags = tagged & tag_mask
+        # sorted, then cut down to the tags, in place: one (2, odd) level
+        # holds 1.3M products, and each copy of them is 11 MB
+        tags = prods.reshape(-1)
+        tags.sort()
+        keys = tags >> np.uint64(tag_bits)
+        tags &= tag_mask
         parent = frontier_start + (tags >> np.uint64(gen_bits)).astype(np.int64)
         gen = (tags & gen_mask).astype(np.int64)
 
@@ -498,14 +501,10 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
         # tree nodes first, so that relations may end on this level's nodes
         tree = starts.copy()
         tree[starts] = new
-        lam = np.concatenate(
-            [lam, (lam[:, parent[tree]] + values[:, gen[tree]]) % 4], axis=1
-        )
+        lam = np.concatenate([lam, (lam[parent[tree]] + values[gen[tree]]) % 4])
         rel = ~tree
         rel_target = target[(np.cumsum(starts) - 1)[rel]]
-        alive &= ~np.any(
-            (lam[:, parent[rel]] + values[:, gen[rel]] - lam[:, rel_target]) % 4, axis=1
-        )
+        alive &= not np.any((lam[parent[rel]] + values[gen[rel]] - lam[rel_target]) % 4)
         if n_new == 0:
             break
 
@@ -523,23 +522,21 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
 def group_data(g: int, parity: str) -> GroupData:
     """Enumerate the mod-4 group with theta characteristic and decide its discriminant.
 
-    Generators: a basis of the mod-2 congruence kernel together with one
-    anisotropic transvection lift per mod-2 class.  Mod 2 these generate the
-    transvection subgroup of O(2g,+-); where that is proper (only at g = 2,
-    even parity) the fixed lift `_ORTHOGONAL_LIFT` of an orthogonal element
-    outside it is appended before the one closure, and the
-    `extended_generators` flag records this.  The closure must reach the
-    extension order |kernel| * |O(2g,+-)|, or `ArithmeticError` is raised.
+    Generators (`_generators`): a basis of the mod-2 congruence kernel
+    together with one anisotropic transvection lift per mod-2 class.  Mod 2
+    these generate the transvection subgroup of O(2g,+-); where that is
+    proper (only at g = 2, even parity) the plane swap completes it, and the
+    `extended_generators` flag records this.  Each generator takes its value
+    from a prescribed value on it (`ArithmeticError` if there is none), so
+    the one closure checks one candidate character.  The closure must reach
+    the extension order |kernel| * |O(2g,+-)|, or `ArithmeticError` is
+    raised.
     """
     parity = _parity(parity)
     if g not in (1, 2):
         raise ValueError(f"only g <= 2 is supported, got g={g}")
 
-    gens = gamma2_basis(g) + _anisotropic_transvection_gens(g, parity)
-    extended = (g, parity) == (2, "even")
-    if extended:
-        gens.append(np.array(_ORTHOGONAL_LIFT, dtype=np.int64))
-    n_gens = len(gens)
+    gens = _generators(g, parity)
 
     # The normalizing transvections are the ones built from the mu_4-valued
     # standard pairing, whose additive exponent is -B for the bilinear form
@@ -575,15 +572,12 @@ def group_data(g: int, parity: str) -> GroupData:
     cons_keys = _kernels.pack_mod4(np.concatenate(cons) % 4)
     cons_exp = np.concatenate(exps) % 4
 
-    # A constraint on a generator pins that generator's value; every other
-    # generator ranges over Z/4 (only the orthogonal lift at (2, even) is
-    # left free, so there are 4 candidates there and 1 elsewhere).
+    # every generator takes its value from a constraint on it
     match = _kernels.pack_mod4(np.array(gens) % 4)[:, None] == cons_keys
-    pinned = match.any(axis=1)
-    free = np.flatnonzero(~pinned)
-    pins = np.where(pinned, cons_exp[match.argmax(axis=1)], 0).astype(np.int8)
-    values = np.tile(pins, (4 ** len(free), 1))
-    values[:, free] = list(itertools.product(range(4), repeat=len(free)))
+    unpinned = np.flatnonzero(~match.any(axis=1))
+    if len(unpinned):
+        raise ArithmeticError(f"generators {unpinned.tolist()} have no prescribed value")
+    values = cons_exp[match.argmax(axis=1)].astype(np.int8)
     mats, keys, index, lam, alive = _bfs_closure(gens, values)
 
     target = (2 ** (g * (2 * g + 1))) * _ORTHOGONAL_ORDERS[(g, parity)]
@@ -591,8 +585,8 @@ def group_data(g: int, parity: str) -> GroupData:
         raise ArithmeticError(
             f"closure has order {len(mats)}, not the extension order {target}"
         )
-    alive &= np.all(lam[:, _lookup(keys, index, cons_keys)] == cons_exp, axis=1)
-    solutions = int(np.count_nonzero(alive))
+    alive &= bool(np.all(lam[_lookup(keys, index, cons_keys)] == cons_exp))
+    solutions = int(alive)
     if solutions != 1:
         raise NonUnique(
             f"discriminant check for g={g}, parity={parity} found "
@@ -604,10 +598,10 @@ def group_data(g: int, parity: str) -> GroupData:
         matrices=mats,
         keys=keys,
         index=index,
-        lam=lam[np.flatnonzero(alive)[0]],
+        lam=lam,
         solution_count=solutions,
-        generator_count=n_gens,
-        extended_generators=extended,
+        generator_count=len(gens),
+        extended_generators=np.array_equal(gens[-1], _PLANE_SWAP),
     )
 
 

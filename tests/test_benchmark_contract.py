@@ -1,6 +1,7 @@
-"""The names the benchmark's traced run (`perfbench/run.py --trace 1`) reads
-from the library.  `perfbench/` lies outside the test paths, so without these
-tests a renamed function or suite check breaks only traced runs."""
+"""What the benchmark (`perfbench/run.py`) reads from the library: the names
+its traced run (`--trace 1`) wraps, and the results its gates expect.
+`perfbench/` lies outside the test paths, so without these tests a renamed
+function, a renamed suite check or an added one breaks only benchmark runs."""
 
 import importlib
 import importlib.util
@@ -38,6 +39,18 @@ def test_every_suite_check_has_a_layer_metric():
     metrics = load_perfbench("metrics")
     missing = [name for name, _ in suite.CHECK_ORDER if f"suite.{name}_s" not in metrics.LAYER]
     assert not missing
+
+
+def test_suite_check_counts_match_the_suite_cli_gates(monkeypatch):
+    """suite-cli gates every `verify suite` process on `SUITE_CHECKS` entries,
+    under a seed drawn from [0, 2**31); a check added to the battery without
+    raising the gate would fail only in the benchmark."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run imports metrics, summary, workloads
+    run = load_perfbench("run")
+    for level in ("quick", "full"):
+        report = suite.run_suite(level, 2**31 - 1)
+        assert report["pass"], [c for c in report["checks"] if not c["pass"]]
+        assert len(report["checks"]) == run.SUITE_CHECKS[level], level
 
 
 def test_exact_enum_gates_pass(monkeypatch):

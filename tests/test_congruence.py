@@ -170,6 +170,9 @@ def test_subgroup_indices():
     assert total == subgroup_index(Gamma0(4)) * rel
     assert total == subgroup_index(GammaM2M(2), 8)
     assert rel == relative_index(GammaM2M(2), Gamma0(4), 8)
+    # groups that are not nested are an input error, not an internal failure
+    with pytest.raises(ValueError, match="not contained"):
+        relative_index(Gamma0(4), GammaM2M(2), 4)
 
 
 def test_sl2_enumeration_is_bounded():

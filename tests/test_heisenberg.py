@@ -676,6 +676,10 @@ def test_automorphism_composition_and_sorting():
             assert u.compose(v) in index
     with pytest.raises(TypeMismatch):
         auts[0].eta(kv(T4, 1, 0))
+    with pytest.raises(TypeMismatch):
+        auts[0].chi(kv(T4, 1, 0))
+    with pytest.raises(TypeMismatch):
+        auts[0].apply(HeisenbergElement(ONE, kv(T4, 1, 0)))
 
 
 @pytest.mark.parametrize("divisors", ((2,), (3,), (4,), (6,), (8,), (2, 2), (1, 4)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetalab import _kernels
+from thetalab import _kernels, symplectic4
 from thetalab.cyclo import MINUS_ONE, ONE, RootOfUnity, ZETA4
 from thetalab.symplectic4 import (
     BadShape,
@@ -25,7 +25,7 @@ from thetalab.symplectic4 import (
     quad_form_value,
     reduce_mod2_and_membership,
     _bfs_closure,
-    _ORTHOGONAL_LIFT,
+    _PLANE_SWAP,
     _anisotropic_transvection_gens,
     _f2_rank,
     _lookup,
@@ -43,9 +43,14 @@ def _key(mat) -> int:
 
 
 def _closure(gens, values=(), modulus=4):
-    """`_bfs_closure` with the candidate rows `values` (none by default)."""
+    """`_bfs_closure` run once per candidate row of `values` (none by default),
+    with the runs' `lam` and `alive` stacked as rows."""
     values = np.array(values, dtype=np.int8).reshape(-1, len(gens))
-    return _bfs_closure(gens, values, modulus)
+    mats, keys, index, _, _ = _bfs_closure(gens, np.zeros(len(gens), np.int8), modulus)
+    runs = [_bfs_closure(gens, x, modulus)[3:] for x in values]
+    lam = np.array([r[0] for r in runs], dtype=np.int8).reshape(len(values), len(mats))
+    alive = np.array([r[1] for r in runs], dtype=bool)
+    return mats, keys, index, lam, alive
 
 
 def test_quad_form_values():
@@ -133,19 +138,28 @@ def test_transvection_closure_orders():
     assert len(_f2_transvection_closure(2, "odd")) == 120
     assert len(_f2_transvection_closure(1, "even")) == 2
     assert len(_f2_transvection_closure(1, "odd")) == 6
-    swap = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-    assert swap in orthogonal_group(2, "even")
-    assert _key(swap) not in _f2_transvection_closure(2, "even")
+    assert _PLANE_SWAP in orthogonal_group(2, "even")
+    assert _key(_PLANE_SWAP) not in _f2_transvection_closure(2, "even")
 
 
-def test_orthogonal_lift_completes_the_transvection_subgroup():
-    """The fixed lift appended at (2, even) is symplectic mod 4, and mod 2 it
-    is an orthogonal element outside the transvection subgroup."""
-    lift = np.array(_ORTHOGONAL_LIFT)
-    assert is_symplectic_mod4(lift)
-    reduction = tuple(map(tuple, (lift % 2).tolist()))
-    assert reduction in orthogonal_group(2, "even")
-    assert _key(reduction) not in _f2_transvection_closure(2, "even")
+def test_plane_swap_is_symplectic_mod4():
+    """The plane swap, the generator that completes the transvections at
+    (2, even), lies in the mod-4 group as well as in O(4, +)."""
+    assert is_symplectic_mod4(_PLANE_SWAP)
+    assert reduce_mod2_and_membership(_PLANE_SWAP, "even").in_gamma_pm
+
+
+def test_unpinned_generator_is_an_internal_error(monkeypatch):
+    """A generator on which no constraint prescribes a value leaves the
+    candidate character undetermined: `group_data` refuses to guess."""
+    t = transvection([1, 1])
+    square = (t @ t) % 4  # symplectic, but neither a kernel basis element nor a transvection
+    generators = symplectic4._generators
+    monkeypatch.setattr(
+        symplectic4, "_generators", lambda g, parity: [*generators(g, parity), square]
+    )
+    with pytest.raises(ArithmeticError, match="no prescribed value"):
+        group_data.__wrapped__(1, "even")
 
 
 def test_transvection():
@@ -197,6 +211,20 @@ def test_discriminant_examples():
     assert discriminant(S_MOD4, "even") == ZETA4
     with pytest.raises(NotMember):
         discriminant([[1, 1], [0, 1]], "even")
+
+
+def test_bad_shapes_are_rejected():
+    """Vectors must be 1-D of even, non-zero length and matrices 2g x 2g."""
+    for bad in ([1, 0, 1], [], [[1, 0], [0, 1]]):
+        with pytest.raises(BadShape):
+            quad_form_value(bad, "even")
+        with pytest.raises(BadShape):
+            transvection(bad)
+    for bad in (np.eye(3, dtype=int), np.eye(2, 4, dtype=int), np.zeros((0, 0), dtype=int)):
+        with pytest.raises(BadShape):
+            preserves_quad_form(bad, "even")
+        with pytest.raises(BadShape):
+            dickson(bad, "even")
 
 
 def test_non_integer_entries_are_rejected():
@@ -481,19 +509,33 @@ def test_bfs_closure_tree_and_edges():
 # sha256 prefixes of `matrices`, `lam` and the (key, index) pairs in key
 # order (whose repr is that of the former `key_index` dict items), recorded
 # before the closure moved to packed keys, with the generator count and
-# whether an orthogonal lift was appended: all must stay identical
+# whether the plane swap is a generator: all must stay identical.  The
+# (2, even) prefixes were re-recorded when the plane swap replaced an
+# orthogonal lift as its extra generator, which renumbers the elements; the
+# last entry, the (key, discriminant) pairs in key order, does not depend on
+# the numbering, and all four were recorded before that change
 FINGERPRINTS = {
-    (1, "even"): ("66252681c764", "38d9ac2e485c2a22", "7694cf2d8b558791", 4, False),
-    (1, "odd"): ("177bacb32f39", "c4546ee72a974e20", "d4e0b455fd260063", 6, False),
-    (2, "even"): ("5ba40e188d16", "4adcd5b473ab450e", "f3ba88c39a144974", 17, True),
-    (2, "odd"): ("899fb68345bf", "435442a344f4bccb", "8100c3cb34f58492", 20, False),
+    (1, "even"): (
+        "66252681c764", "38d9ac2e485c2a22", "7694cf2d8b558791", 4, False, "979cf55a303e7818"
+    ),
+    (1, "odd"): (
+        "177bacb32f39", "c4546ee72a974e20", "d4e0b455fd260063", 6, False, "c107887cc0db9941"
+    ),
+    (2, "even"): (
+        "f0a9aa98b92b", "c73f75f8ba92df98", "031425644f7bcbba", 17, True, "13629d638db7a9de"
+    ),
+    (2, "odd"): (
+        "899fb68345bf", "435442a344f4bccb", "8100c3cb34f58492", 20, False, "a59a2282b6b87bf9"
+    ),
 }
 
 
 @pytest.mark.parametrize("g, parity", list(FINGERPRINTS))
 def test_group_data_fingerprints(g, parity):
     data = group_data(g, parity)
-    mats_prefix, lam_prefix, index_prefix, n_gens, extended = FINGERPRINTS[(g, parity)]
+    mats_prefix, lam_prefix, index_prefix, n_gens, extended, character_prefix = FINGERPRINTS[
+        (g, parity)
+    ]
 
     def sha(b):
         return hashlib.sha256(b).hexdigest()
@@ -503,6 +545,8 @@ def test_group_data_fingerprints(g, parity):
     assert sha(data.lam.tobytes()).startswith(lam_prefix)
     pairs = list(zip(data.keys.tolist(), data.index.tolist()))
     assert sha(repr(pairs).encode()).startswith(index_prefix)
+    character = list(zip(data.keys.tolist(), data.lam[data.index].tolist()))
+    assert sha(repr(character).encode()).startswith(character_prefix)
     assert data.generator_count == n_gens
     assert data.extended_generators is extended
     assert data.solution_count == 1
