@@ -13,6 +13,11 @@ the generator for sampled sweeps.
 
 Principal branch convention: square roots take arg in (-pi, pi], so
 sqrt(-1) = i; every branch sign in `mp` and `verify` output depends on it.
+
+A subcommand loads only the library modules it uses: each handler imports
+them when it runs, so `congruence` and `mp` never load numpy.  Handlers
+call through the module (`hb.enumerate_sym_automorphisms(...)`), so a
+function rebound on its module is the one called.
 """
 
 from __future__ import annotations
@@ -22,18 +27,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-import numpy as np
-
-from . import congruence as cg
-from . import heisenberg as hb
-from . import metaplectic as mp
-from . import schrodinger as sc
-from . import suite as suite_mod
-from . import symplectic4 as s4
-from . import thetanum as tn
-from . import weilrep as wr
-from .cyclo import RootOfUnity
 
 __all__ = ["main"]
 
@@ -58,26 +51,31 @@ def _parse_ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
 
-def _parse_type(text: str) -> hb.ThetaType:
+def _parse_type(text: str):
+    from . import heisenberg as hb
+
     return hb.ThetaType(tuple(_parse_ints(text)))
 
 
-def _parse_sl2(text: str) -> cg.SL2Matrix:
+def _parse_sl2(text: str):
+    from . import congruence as cg
+
     nums = _parse_ints(text)
     if len(nums) != 4:
         raise ValueError(f"need four entries a,b,c,d: {text!r}")
     return cg.SL2Matrix(*nums)
 
 
-def _matrix_json(mat: np.ndarray) -> list[list[str]]:
-    return [[_fmt_complex(z) for z in row] for row in np.asarray(mat)]
+def _matrix_json(mat) -> list[list[str]]:
+    return [[_fmt_complex(z) for z in row] for row in mat]
 
 
+# group name -> the group, built from the `congruence` module and the arguments
 GROUP_NAMES = {
-    "gamma": lambda ns: cg.Gamma(_require(ns, "n")),
-    "gamma0": lambda ns: cg.Gamma0(_require(ns, "n")),
-    "gamma-m-2m": lambda ns: cg.GammaM2M(_require(ns, "m")),
-    "theta12": lambda ns: cg.THETA12,
+    "gamma": lambda cg, ns: cg.Gamma(_require(ns, "n")),
+    "gamma0": lambda cg, ns: cg.Gamma0(_require(ns, "n")),
+    "gamma-m-2m": lambda cg, ns: cg.GammaM2M(_require(ns, "m")),
+    "theta12": lambda cg, ns: cg.THETA12,
 }
 
 
@@ -89,6 +87,8 @@ def _require(ns: argparse.Namespace, field: str) -> int:
 
 
 def _cmd_heisenberg(ns) -> dict:
+    from . import heisenberg as hb
+
     typ = _parse_type(ns.type)
     if ns.heisenberg_cmd == "splittings":
         splittings = hb.enumerate_symmetric_splittings(typ)
@@ -108,6 +108,10 @@ def _cmd_heisenberg(ns) -> dict:
 
 
 def _cmd_schrodinger(ns) -> dict:
+    from . import heisenberg as hb
+    from . import schrodinger as sc
+    from .cyclo import RootOfUnity
+
     typ = _parse_type(ns.type)
     parts = ns.element.split(",")
     if len(parts) != 1 + 2 * typ.g:
@@ -130,6 +134,8 @@ def _cmd_schrodinger(ns) -> dict:
 
 
 def _cmd_discriminant(ns) -> dict:
+    from . import symplectic4 as s4
+
     nums = _parse_ints(ns.gamma)
     n = 2 * ns.g
     if len(nums) != n * n:
@@ -140,12 +146,14 @@ def _cmd_discriminant(ns) -> dict:
 
 
 def _cmd_congruence(ns) -> dict:
+    from . import congruence as cg
+
     if ns.congruence_cmd == "member":
-        group = GROUP_NAMES[ns.group](ns)
+        group = GROUP_NAMES[ns.group](cg, ns)
         gamma = _parse_sl2(ns.gamma)
         return {"group": str(group), "member": cg.member(gamma, group)}
     if ns.congruence_cmd == "index":
-        group = GROUP_NAMES[ns.group](ns)
+        group = GROUP_NAMES[ns.group](cg, ns)
         return {"group": str(group), "index": cg.subgroup_index(group)}
     gamma = _parse_sl2(ns.gamma)
     image = cg.des_hom(gamma, ns.m)
@@ -153,6 +161,8 @@ def _cmd_congruence(ns) -> dict:
 
 
 def _cmd_mp(ns) -> dict:
+    from . import metaplectic as mp
+
     left = mp.MpElement.from_string(ns.left)
     right = mp.MpElement.from_string(ns.right)
     product = mp.mp_mul(left, right)
@@ -160,12 +170,17 @@ def _cmd_mp(ns) -> dict:
 
 
 def _cmd_weilrep(ns) -> dict:
+    from . import metaplectic as mp
+    from . import weilrep as wr
+
     p = mp.MpElement.from_string(ns.mp)
     mat = wr.weil_rep(ns.m, p)
     return {"m": ns.m, "mp": p.as_string(), "matrix": _matrix_json(mat)}
 
 
 def _cmd_theta(ns) -> dict:
+    from . import thetanum as tn
+
     tau = _parse_complex(ns.tau)
     vec = tn.theta_constants(ns.m, tau, ns.tol)
     return {
@@ -176,8 +191,26 @@ def _cmd_theta(ns) -> dict:
     }
 
 
+def _internal_error(exc: Exception) -> tuple[dict, int]:
+    print(f"internal error: {exc}", file=sys.stderr)
+    return {"error": str(exc), "kind": type(exc).__name__}, 3
+
+
 def _cmd_verify(ns) -> tuple[dict, int]:
+    from . import thetanum as tn
+
+    # ConventionFlip is raised only under `verify`, so only this handler loads
+    # `thetanum` to catch it
+    try:
+        return _verify(ns, tn)
+    except tn.ConventionFlip as exc:
+        return _internal_error(exc)
+
+
+def _verify(ns, tn) -> tuple[dict, int]:
     if ns.verify_cmd == "transform":
+        from . import metaplectic as mp
+
         p = mp.MpElement.from_string(ns.mp)
         tau = _parse_complex(ns.tau)
         check = tn.verify_transformation(ns.m, p, tau, ns.tol)
@@ -193,6 +226,8 @@ def _cmd_verify(ns) -> tuple[dict, int]:
             },
             0 if check.passed else 1,
         )
+    from . import suite as suite_mod
+
     seed = int(os.environ.get("THETA_LAB_SEED", "0"))
     report = suite_mod.run_suite(ns.level, seed)
     for check in report["checks"]:
@@ -317,10 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, tn.ConventionFlip) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
-        return 3
+    except ArithmeticError as exc:
+        payload, exit_code = _internal_error(exc)
     print(json.dumps(payload))
     return exit_code
 

@@ -44,7 +44,7 @@ from .congruence import (
 )
 from .cyclo import RootOfUnity
 from .metaplectic import MpElement, phi_eval, tilde_lambda
-from .weilrep import _check_m, weil_rep
+from .weilrep import BadIndex, _check_m, weil_rep
 
 __all__ = [
     "TauTooLow",
@@ -53,6 +53,7 @@ __all__ = [
     "TransformCheck",
     "MIN_IM_EVAL",
     "MIN_IM_VERIFY",
+    "MAX_THETA_INDEX",
     "PROBE_POINTS",
     "truncation_radius",
     "riemann_theta",
@@ -74,6 +75,10 @@ MIN_IM_VERIFY = 0.5
 # benchmark needs at m = 512, Im tau = 0.1, tol = 1e-12; the term arrays of
 # a radius-R sum hold 2R + 1 entries
 MAX_RADIUS = 10**5
+# the largest m `theta_constants` evaluates: its vector holds m complex values
+# (1 MiB at the bound), far above the 512 the tests, the suite and the
+# benchmark use; a larger m raises BadIndex before anything is allocated
+MAX_THETA_INDEX = 2**16
 
 # the two points at which the suite evaluates and cross-checks its
 # tau-independent theta quotients
@@ -204,8 +209,8 @@ def _theta_vector_unchecked(m: int, tau: complex, tol: float) -> tuple[np.ndarra
 
 def theta_constants(m: int, tau: complex, tol: float = 1e-12) -> ThetaVector:
     """All m theta constants at tau, with a shared certified error bound."""
-    if m <= 0 or m % 2 != 0:
-        raise ValueError(f"m must be even positive, got {m}")
+    if m <= 0 or m % 2 != 0 or m > MAX_THETA_INDEX:
+        raise BadIndex(f"m must be even with 0 < m <= {MAX_THETA_INDEX}, got {m}")
     if tau.imag < MIN_IM_EVAL:
         raise TauTooLow(f"Im(tau)={tau.imag} is below the contract floor {MIN_IM_EVAL}")
     values, err = _theta_vector_unchecked(m, tau, tol)

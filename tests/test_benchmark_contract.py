@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from test_imports import run_child
 from thetalab import suite
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -33,6 +34,21 @@ def test_layer_functions_are_functions_of_their_modules():
             assert inspect.isfunction(fn), f"thetalab.{layer}.{name} is not a function"
             assert fn.__module__ == module.__name__, f"thetalab.{layer}.{name} is imported"
             assert not inspect.isgeneratorfunction(fn), f"thetalab.{layer}.{name} is a generator"
+
+
+def test_cli_and_suite_imports_load_every_traced_layer():
+    """A traced worker imports `thetalab.cli` and `thetalab.suite`, then
+    `tracing.instrument` raises "thetalab.X is not imported" for any layer
+    those imports left unloaded; the submodules load lazily, so this is
+    checked in a fresh process."""
+    tracing = load_perfbench("tracing")
+    child = (
+        "import sys, thetalab.cli, thetalab.suite; "
+        "print(' '.join(l for l in sys.argv[1:] if f'thetalab.{l}' not in sys.modules))"
+    )
+    done = run_child(child, *tracing.LAYER_FUNCTIONS)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], "not loaded by the traced worker's imports"
 
 
 def test_every_suite_check_has_a_layer_metric():

@@ -40,6 +40,7 @@ except TauTooLow:
 else:
     raise AssertionError("halfform_cocycle answered below the radius cap")
 assert main(["congruence", "index", "--group", "gamma0", "--n", "1000"]) == 2
+assert main(["theta", "eval", "--m", "200000000", "--tau", "3i"]) == 2
 print("ok")
 """
 
