@@ -322,10 +322,14 @@ class _KTable:
         return self.rank(np.eye(2 * self.type.g, dtype=np.int64))
 
 
-@lru_cache(maxsize=None)
-def _ktable(typ: ThetaType) -> _KTable:
+def _check_bound(typ: ThetaType) -> None:
     if typ.k_order > ENUMERATION_BOUND:
         raise TooLarge(f"|K| = {typ.k_order} exceeds {ENUMERATION_BOUND}")
+
+
+@lru_cache(maxsize=None)
+def _ktable(typ: ThetaType) -> _KTable:
+    _check_bound(typ)
     return _KTable(typ)
 
 
@@ -448,6 +452,7 @@ def enumerate_symmetric_splittings(typ: ThetaType) -> list[SymmetricSplitting]:
     """All homomorphisms H(delta) -> mu_2, i.e. all 2^g symmetric lifts of H(delta)."""
     if not typ.is_even:
         raise OddType(f"type {typ.divisors} is not even")
+    _check_bound(typ)
     return [
         SymmetricSplitting(typ, signs)
         for signs in itertools.product((1, -1), repeat=typ.g)

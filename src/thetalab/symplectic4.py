@@ -12,10 +12,11 @@ unique character that takes the value i on every anisotropic transvection
 to the linearization of the quadratic form.  The character is computed, not
 assumed: the group is enumerated by breadth-first closure from a fixed
 generating set, every generator of which carries a prescribed value, so
-there is exactly one candidate character before the closure runs.  It is
-carried through the closure level by level (a new element takes its
-parent's value plus its generator's) and checked on every product
-relation; it must also meet every prescribed value.  A candidate that
+there is exactly one candidate character before the closure runs.  Each
+product h s of the closure carries the value lam(h) + x(s) that the
+candidate implies for it; a new element takes the value its products
+carry, and the candidate dies where two products carry different values to
+one element.  It must also meet every prescribed value.  A candidate that
 fails is reported as an error (`NonUnique`), never resolved silently.  The
 normalization is pinned so that the character agrees on the nose with the
 mu_4 factor in the classical theta functional equation (e.g. [[0,3],[1,0]]
@@ -25,8 +26,9 @@ opposite pairing orientation.
 The enumeration works on packed uint64 keys (base-4 digits, row i of a
 k x k matrix in bit field i) from start to end: right multiplication by a
 generator maps each row field through a 4^k-entry table, so a BFS level is
-k table gathers, one sort and one `searchsorted`, and the matrices are
-unpacked once at the end; the sorted key array is the group's only index.
+k table gathers, one sort of the keys with their carried values and one
+`searchsorted`, and the matrices are unpacked once at the end; the sorted
+key array is the group's only index.
 The orthogonal quotient O(2g, +-) over F_2 is the same closure taken
 mod 2, over the transvections x -> x + B(x, v) v with q(v) = 1; at g = 2,
 even parity (Dieudonne's exception, O+(4, F_2)) they generate a subgroup
@@ -293,9 +295,10 @@ class GroupData:
     matrices[i] is the i-th element (uint8, mod 4); keys are the packed
     keys of the elements in increasing order, the group's only index, and
     index[j] is the element whose key is keys[j]; lam[i] is the exponent e
-    with discriminant = i^e; and solution_count records how many characters
-    passed the check on every closure product and prescribed value: there is
-    one candidate, and `group_data` raises `NonUnique` unless it passes;
+    with discriminant = i^e, the value that every closure product reaching
+    element i carries; and solution_count records how many characters passed
+    the check on every closure product and prescribed value: there is one
+    candidate, and `group_data` raises `NonUnique` unless it passes;
     generator_count is the size of the generating set, and
     extended_generators says whether the plane swap is in it.
     """
@@ -423,6 +426,14 @@ def _row_tables(gens: list[np.ndarray], modulus: int) -> list[np.ndarray]:
     return [np.ascontiguousarray(packed << np.uint64(2 * k * i)) for i in range(k)]
 
 
+def _first_of_runs(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of the sorted array `a` that differ from their predecessor."""
+    first = np.empty(len(a), dtype=bool)
+    first[0] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
     """Breadth-first closure that checks a candidate character as it finds products.
 
@@ -433,87 +444,60 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
     for subgroups of O(2g, +-), which pass zeros).
     The whole search runs on packed uint64 keys: a frontier is expanded by k
     gathers from `_row_tables`, so no product matrix is formed, and the
-    matrices are unpacked once at the end.  Per level, each product key is
-    tagged in its low bits with its frontier position and generator, so one
-    plain sort groups equal keys with the first product leading; the
-    distinct keys are looked up with one `searchsorted` in the sorted array
-    of keys seen so far.  The first product with an unseen key becomes a
-    tree node, numbered in key order after every earlier level, and takes
-    lam(h * s) = lam(h) + x(s) from its parent h; every other product is a
-    relation h * s = t, and the candidate dies on the level where lam(h) +
-    x(s) != lam(t) for one of them.  Checking every non-tree product makes
-    a survivor a homomorphism.  A level too large for the tag raises
-    `ValueError`; at k <= 4 every closure here fits.
+    matrices are unpacked once at the end.  Each product h * s = t of a
+    level carries the value lam(h) + x(s) mod 4 that it implies for t in
+    the two bits below its key, and one in-place sort and a cut to the
+    distinct entries leave the (key, value) pairs of the level.  The
+    candidate dies where one key carries two values, or where a key seen
+    on an earlier level carries a value other than its lam; the distinct
+    keys are looked up with one `searchsorted` in the sorted array of keys
+    seen so far.  Each unseen key is numbered in key order after every
+    earlier level and takes the value it carries.  Every product is
+    checked, so a survivor is a homomorphism.
     """
     k = gens[0].shape[0]
-    n_gens = len(gens)
     tables = _row_tables(gens, modulus)
+    values = np.asarray(values, dtype=np.int8) % 4
     field = np.uint64(4**k - 1)
     shifts = [np.uint64(2 * k * i) for i in range(k)]
-    # tag layout: key in the high 2k^2 bits, then frontier position, then generator
-    tag_bits = 64 - 2 * k * k
-    gen_bits = (n_gens - 1).bit_length()
-    if tag_bits <= gen_bits:
-        raise ValueError(f"{k} x {k} keys leave no room for a 64-bit tag")
-    tag_mask = np.uint64((1 << tag_bits) - 1)
-    gen_mask = np.uint64((1 << gen_bits) - 1)
-    gen_tags = np.arange(n_gens, dtype=np.uint64)
 
     sorted_keys = _kernels.pack_mod4(np.eye(k, dtype=np.uint8)[None, :, :])
     sorted_vals = np.array([0], dtype=np.int64)
     key_chunks = [sorted_keys]
     lam = np.zeros(1, dtype=np.int8)
     alive = True
-    count = 1
     frontier_keys = sorted_keys
-    frontier_start = 0
 
     while True:
-        n = len(frontier_keys)
-        if (n << gen_bits) >> tag_bits:
-            raise ValueError(f"{n} x {n_gens} products do not fit a 64-bit tag")
         prods = tables[0][frontier_keys & field]
         for table, shift in zip(tables[1:], shifts[1:]):
             prods |= table[(frontier_keys >> shift) & field]
-        prods <<= np.uint64(tag_bits)
-        prods |= (np.arange(n, dtype=np.uint64)[:, None] << np.uint64(gen_bits)) | gen_tags
-        # sorted, then cut down to the tags, in place: one (2, odd) level
-        # holds 1.3M products, and each copy of them is 11 MB
-        tags = prods.reshape(-1)
-        tags.sort()
-        keys = tags >> np.uint64(tag_bits)
-        tags &= tag_mask
-        parent = frontier_start + (tags >> np.uint64(gen_bits)).astype(np.int64)
-        gen = (tags & gen_mask).astype(np.int64)
+        # the value each product implies, in place beside its key: one (2, odd)
+        # level holds 1.3M products, and each copy of them is 11 MB
+        prods <<= np.uint64(2)
+        prods |= ((lam[-len(frontier_keys):, None] + values) % 4).astype(np.uint8)
+        pairs = prods.reshape(-1)
+        pairs.sort()
+        pairs = pairs[_first_of_runs(pairs)]
+        del prods
 
-        starts = np.empty(len(keys), dtype=bool)
-        starts[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-        uniq = keys[starts]
+        keys = pairs >> np.uint64(2)
+        first = _first_of_runs(keys)
+        alive &= bool(first.all())
+        uniq = keys[first]
+        carried = (pairs[first] & np.uint64(3)).astype(np.int8)
         pos = np.searchsorted(sorted_keys, uniq)
         new = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] != uniq
+        alive &= bool(np.all(lam[sorted_vals[pos[~new]]] == carried[~new]))
         n_new = int(np.count_nonzero(new))
-        assigned = count + np.arange(n_new, dtype=np.int64)
-        target = np.empty(len(uniq), dtype=np.int64)
-        target[~new] = sorted_vals[pos[~new]]
-        target[new] = assigned
-
-        # tree nodes first, so that relations may end on this level's nodes
-        tree = starts.copy()
-        tree[starts] = new
-        lam = np.concatenate([lam, (lam[parent[tree]] + values[gen[tree]]) % 4])
-        rel = ~tree
-        rel_target = target[(np.cumsum(starts) - 1)[rel]]
-        alive &= not np.any((lam[parent[rel]] + values[gen[rel]] - lam[rel_target]) % 4)
         if n_new == 0:
             break
 
         frontier_keys = uniq[new]
         key_chunks.append(frontier_keys)
         sorted_keys = np.insert(sorted_keys, pos[new], frontier_keys)
-        sorted_vals = np.insert(sorted_vals, pos[new], assigned)
-        frontier_start = count
-        count += n_new
+        sorted_vals = np.insert(sorted_vals, pos[new], len(lam) + np.arange(n_new))
+        lam = np.concatenate([lam, carried[new]])
 
     return _unpack(np.concatenate(key_chunks), k), sorted_keys, sorted_vals, lam, alive
 

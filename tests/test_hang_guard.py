@@ -41,6 +41,7 @@ else:
     raise AssertionError("halfform_cocycle answered below the radius cap")
 assert main(["congruence", "index", "--group", "gamma0", "--n", "1000"]) == 2
 assert main(["theta", "eval", "--m", "200000000", "--tau", "3i"]) == 2
+assert main(["heisenberg", "splittings", "--type", ",".join(["2"] * 40)]) == 2
 print("ok")
 """
 

@@ -559,6 +559,8 @@ def test_enumeration_bound():
         enumerate_sym_automorphisms(ThetaType((64, 64)))
     with pytest.raises(TooLarge):
         maximal_isotropic_subgroups(ThetaType((64, 64)))
+    with pytest.raises(TooLarge):
+        enumerate_symmetric_splittings(ThetaType((2,) * 7))
 
 
 def test_splittings_over_non_direct_product_rejected():

@@ -1,11 +1,15 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thetalab
 from thetalab import _kernels, symplectic4
 from thetalab.cyclo import MINUS_ONE, ONE, RootOfUnity, ZETA4
 from thetalab.symplectic4 import (
@@ -378,8 +382,24 @@ def test_character_check_toy_cases():
     _, keys, index, lam, alive = _closure([t], every_value)
     assert not np.any(alive & (lam[:, position(keys, index, powers[2])] == 1))
     # both generators are pinned to 1, which the prescribed values allow;
-    # only the non-tree product t * t^3 = I rules the choice out
+    # only the product t * t^3 = I, which carries 2 to I, rules the choice out
     assert _closure([t, powers[3]], [[1, 1]])[4].tolist() == [False]
+
+
+def test_character_check_death_conditions():
+    """The two ways a candidate dies, each the only violation in its case.
+
+    With t listed twice and the values 0 and 1, every element is reached on
+    its level by two products carrying different values, while the smaller
+    value, 0 all round, agrees with every known key: only one key carrying
+    two values rules it out.  With t and t^3 both at 1, each level's
+    products agree on their new keys (t^2 carries 2 twice), and only the
+    known key I, carried 2, disagrees with lam(I) = 0.
+    """
+    t = transvection([1, 1])
+    t3 = np.linalg.matrix_power(t, 3) % 4
+    assert _closure([t, t], [[0, 1], [1, 1]])[4].tolist() == [False, True]
+    assert _closure([t, t3], [[1, 1], [1, 3]])[4].tolist() == [False, True]
 
 
 def _character_oracle(gens, values):
@@ -488,7 +508,7 @@ def test_row_tables_match_matrix_products(k, modulus):
     assert np.array_equal(_unpack(keys, k), mats)
 
 
-def test_bfs_closure_tree_and_edges():
+def test_bfs_closure_index_and_products():
     """The sorted keys index the closure, and it is closed under the generators."""
     gens = [transvection(v) for v in ((1, 0, 1, 1), (0, 1, 2, 1), (1, 1, 0, 3))]
     mats, keys, index, lam, alive = _closure(gens)
@@ -504,6 +524,29 @@ def test_bfs_closure_tree_and_edges():
     outside[0, 0] = 3  # determinant 3: not symplectic
     with pytest.raises(NotMember):
         _lookup(keys, index, _kernels.pack_mod4(outside[None, :, :]))
+
+
+PEAK_CHILD = """
+import tracemalloc
+from thetalab.symplectic4 import group_data
+tracemalloc.start()
+group_data(2, "odd")
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_group_data_peak_memory():
+    """Building (2, odd) in a fresh process traces below 40 MB: the closure's
+    per-level temporaries are a few copies of one level's 1.3M products
+    (11 MB as uint64) beside a result of 4 MB."""
+    src = os.path.dirname(os.path.dirname(thetalab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_CHILD], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 40 << 20
 
 
 # sha256 prefixes of `matrices`, `lam` and the (key, index) pairs in key
