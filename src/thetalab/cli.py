@@ -8,8 +8,9 @@ Exit codes: 0 success (and every suite check passed), 1 a suite check
 failed, 2 malformed input or an input outside the documented domain, 3 an
 internal failure (an ArithmeticError such as an unresolved branch sign or a
 non-unique solve, or a ConventionFlip), reported on stdout as
-{"error": <message>, "kind": <exception class name>}.  THETA_LAB_SEED fixes
-the generator for sampled sweeps.
+{"error": <message>, "kind": <exception class name>}.  A reader that
+closes stdout before the JSON is written gets the same exit code and no
+traceback.  THETA_LAB_SEED fixes the generator for sampled sweeps.
 
 Principal branch convention: square roots take arg in (-pi, pi], so
 sqrt(-1) = i; every branch sign in `mp` and `verify` output depends on it.
@@ -354,7 +355,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         payload, exit_code = _internal_error(exc)
-    print(json.dumps(payload))
+    try:
+        print(json.dumps(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point stdout at devnull so that the
+        # flush at interpreter exit does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return exit_code
 
 

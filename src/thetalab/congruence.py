@@ -7,7 +7,11 @@ matrix moves a distinguished theta structure or splitting (triviality of
 those factors characterizes the stabilizer subgroups); and subgroup indices
 computed by coset counting in SL2(Z/L), for moduli L up to MODULUS_BOUND.
 
-Everything here is exact integer / rational arithmetic.
+Everything here is exact integer / rational arithmetic.  The action
+factors are 2m-th roots of unity: their exponent is evaluated as an
+integer mod 2m, and the root is read from a cache of immutable
+`RootOfUnity` instances, so a sweep over many matrices builds no
+`Fraction` per call.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .cyclo import RootOfUnity
@@ -200,11 +205,11 @@ def theta_action_factor(g: SL2Matrix, m: int, u1: int, u2: int) -> RootOfUnity:
     """
     if m % 2 != 0 or m <= 0:
         raise ValueError(f"m must be even positive, got {m}")
-    if not member(g, Gamma(m)):
+    a, b, c, d = g.a, g.b, g.c, g.d
+    if not _contains(Gamma(m), a, b, c, d):
         raise NotMember(f"{g} is not in Gamma({m})")
-    a, b, c, d = g.entries()
     e = a * b * u1 * u1 + (a * d + b * c - 1) * u1 * u2 + c * d * u2 * u2
-    return RootOfUnity(Fraction(-e, 2 * m))
+    return _root(-e % (2 * m), 2 * m)
 
 
 def splitting_action_factor(g: SL2Matrix, m: int, u: int) -> RootOfUnity:
@@ -215,10 +220,15 @@ def splitting_action_factor(g: SL2Matrix, m: int, u: int) -> RootOfUnity:
     """
     if m % 2 != 0 or m <= 0:
         raise ValueError(f"m must be even positive, got {m}")
-    if not member(g, Gamma0(m)):
+    if not _contains(Gamma0(m), g.a, g.b, g.c, g.d):
         raise NotMember(f"{g} is not in Gamma0({m})")
-    e = g.c * g.d * u * u
-    return RootOfUnity(Fraction(-e, 2 * m))
+    return _root(-g.c * g.d * u * u % (2 * m), 2 * m)
+
+
+@lru_cache(maxsize=4096)
+def _root(k: int, n: int) -> RootOfUnity:
+    """e^{2 pi i k / n}; one shared instance per (k, n), since instances are immutable."""
+    return RootOfUnity(Fraction(k, n))
 
 
 def descended_theta_char(m: int, u1: int, u2: int) -> RootOfUnity:

@@ -226,24 +226,52 @@ def check_descended_char(level: str, rng: np.random.Generator) -> list[dict]:
 
 # --- 5. Stone-von Neumann suite ------------------------------------------------------
 
+def _rho_hom_violations(typ: hb.ThetaType) -> int:
+    """Pairs (e1, e2) of mu_d x K(delta) with rho(e1 e2) != rho(e1) @ rho(e2), exactly.
+
+    `sc.rho` is called once per element, and its rows and `Fraction`
+    exponents are stacked into integer arrays, exponents in units of
+    1/modulus with modulus the lcm of their denominators, d and the
+    scalar modulus.  Element i = k |K| + r is (e^{2 pi i k / d}, z_r), z_r
+    the r-th element of K(delta) in the index-table order, so the product
+    of every pair is read off the index tables: scalars multiply with the
+    group-law scalar <x1, y2>, and K parts add.  Both sides of every pair
+    are then compared entry by entry in one integer gather.
+    """
+    table = hb._ktable(typ)
+    d, n = typ.degree, table.n
+    mats = [
+        sc.rho(hb.HeisenbergElement(lam, z)) for lam in mu_group(d) for z in table.elements
+    ]
+    modulus = math.lcm(
+        typ.scalar_modulus, d, *(q.denominator for mat in mats for q in mat.exponents)
+    )
+    rows = np.array([mat.row_of_col for mat in mats], dtype=np.int64)
+    exps = np.array(
+        [[q.numerator * (modulus // q.denominator) for q in mat.exponents] for mat in mats],
+        dtype=np.int64,
+    )
+    k, r = np.divmod(np.arange(d * n), n)
+    scalar = (k[:, None] + k) * (modulus // d) + table.xy_exponent[np.ix_(r, r)] * (
+        modulus // typ.scalar_modulus
+    )
+    product = scalar % modulus // (modulus // d) * n + table.sum_index[np.ix_(r, r)]
+    # rho(e1) @ rho(e2): column nu of rho(e2) lands in row rows[e2, nu], where
+    # rho(e1) moves it on to rows[e1, rows[e2, nu]] and adds exps[e1, rows[e2, nu]]
+    first = np.arange(d * n)[:, None, None]
+    same = (rows[first, rows] == rows[product]) & (
+        (exps + exps[first, rows]) % modulus == exps[product]
+    )
+    return int((~same.all(axis=2)).sum())
+
+
 def check_stone_von_neumann(level: str, rng: np.random.Generator) -> list[dict]:
     types = ((2,), (4,), (2, 2)) if level == "full" else ((2,),)
     results = []
     for divisors in types:
         typ = hb.ThetaType(divisors)
         d = typ.degree
-        elems = [
-            hb.HeisenbergElement(lam, z)
-            for lam in mu_group(d)
-            for z in hb.k_elements(typ)
-        ]
-        mats = {e: sc.rho(e) for e in elems}
-        hom_bad = sum(
-            1
-            for e1 in elems
-            for e2 in elems
-            if mats[hb.hmul(e1, e2)] != mats[e1] @ mats[e2]
-        )
+        hom_bad = _rho_hom_violations(typ)
         group = [hb.HeisenbergElement(ONE, z) for z in hb.k_elements(typ)]
         image = [sc.rho(e).to_numpy() for e in group]
         commutant = len(sc.intertwiner_space(image, image))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import thetalab
 from thetalab import metaplectic, suite, symplectic4, thetanum
 from thetalab.cli import main
 
@@ -25,6 +29,47 @@ def test_congruence_member(capsys):
         "congruence", "member", "--group", "gamma-m-2m", "--m", "2", "--gamma", "1,4,0,1",
     )
     assert code == 0 and payload["member"] is True
+
+
+# a `thetalab` process whose `congruence des` can be made to fail internally
+PIPE_CHILD = """
+import sys
+from thetalab import congruence
+from thetalab.cli import main
+
+def des_hom(g, m):
+    raise ArithmeticError("forced")
+
+if sys.argv[1] == "fail":
+    congruence.des_hom = des_hom
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, argv, code, err",
+    (
+        ("ok", ("congruence", "member", "--group", "theta12", "--gamma", "0,-1,1,0"), 0, ""),
+        ("fail", ("congruence", "des", "--m", "2", "--gamma", "1,1,4,5"), 3,
+         "internal error: forced\n"),
+    ),
+)
+def test_closed_stdout_exits_quietly_with_the_command_code(mode, argv, code, err):
+    """A reader that closed stdout before the JSON is written (`thetalab ... |
+    head -c 0`) gets the command's exit code and no traceback."""
+    src = os.path.dirname(os.path.dirname(thetalab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", PIPE_CHILD, mode, *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, err)
 
 
 def test_congruence_index_and_des(capsys):

@@ -26,7 +26,7 @@ from thetalab.congruence import (
     splitting_action_factor,
     v_hom,
 )
-from thetalab.cyclo import ONE, MINUS_ONE
+from thetalab.cyclo import ONE, MINUS_ONE, RootOfUnity
 
 
 def test_determinant_enforced():
@@ -128,6 +128,52 @@ def test_splitting_action_factor_examples():
     g2 = SL2Matrix(1, 0, 2, 1)
     assert splitting_action_factor(g2, 2, 1) == MINUS_ONE
     assert not member(g2, Gamma0(4))
+
+
+def fraction_theta_factor(g, m, u1, u2):
+    """The action factor as a `Fraction` exponent, membership through `member`."""
+    if m % 2 != 0 or m <= 0:
+        raise ValueError(f"m must be even positive, got {m}")
+    if not member(g, Gamma(m)):
+        raise NotMember(f"{g} is not in Gamma({m})")
+    a, b, c, d = g.entries()
+    e = a * b * u1 * u1 + (a * d + b * c - 1) * u1 * u2 + c * d * u2 * u2
+    return RootOfUnity(Fraction(-e, 2 * m))
+
+
+def fraction_splitting_factor(g, m, u):
+    if m % 2 != 0 or m <= 0:
+        raise ValueError(f"m must be even positive, got {m}")
+    if not member(g, Gamma0(m)):
+        raise NotMember(f"{g} is not in Gamma0({m})")
+    return RootOfUnity(Fraction(-g.c * g.d * u * u, 2 * m))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the class of the exception it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("m", (2, 4, 6, 8, 3, 0, -2))
+def test_action_factors_match_the_fraction_formula(m):
+    """Equal values, and `NotMember`/`ValueError` at the same arguments, on
+    every matrix of entry bound 12 and every u (for an invalid m, the u of m = 2)."""
+    us = range(abs(m) if m > 0 else 2)
+    members = {"theta": 0, "splitting": 0}
+    for g in sl2_with_entry_bound(12):
+        for u1 in us:
+            want = outcome(splitting_action_factor, g, m, u1)
+            assert want == outcome(fraction_splitting_factor, g, m, u1), (g, u1)
+            members["splitting"] += isinstance(want, RootOfUnity)
+            for u2 in us:
+                want = outcome(theta_action_factor, g, m, u1, u2)
+                assert want == outcome(fraction_theta_factor, g, m, u1, u2), (g, u1, u2)
+                members["theta"] += isinstance(want, RootOfUnity)
+    # both branches are exercised at every valid level
+    assert (min(members.values()) > 0) == (m in (2, 4, 6, 8))
 
 
 @pytest.mark.parametrize("m", (2, 4))
