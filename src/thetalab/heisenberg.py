@@ -18,7 +18,13 @@ on generators are solved from the order relations, and the first candidate
 of each map is verified against the defining relation on all pairs (the
 others differ from it by a homomorphism), so the enumerations are
 self-checking.  The intended regimes are small types like (2), (4), (2,2),
-(2,4), (4,4); a hard bound |K(delta)| <= 2^12 is enforced.
+(2,4), (4,4); a hard bound |K(delta)| <= 2^12 is enforced.  Two enumerations
+cost more than |K| says and are bounded by their work as well, raising
+`TooLarge` before it starts: the automorphism enumerations once the
+symplectic maps times |K|^2 exceed 2^30 relation entries (so (2,4), (3,3)
+and (2,6) answer, and (2,2,2), (2,8), (4,4) and (64,) do not), and
+`maximal_isotropic_subgroups` above 2^24 generating tuples (the
+Lagrangians of (4,4) and (8,8) are found, those of (2,2,2,2) are not).
 
 All enumeration runs on integer tables indexed by the rank of an element of
 K(delta) (see `_KTable`), in blocks: the relations of many maps are solved
@@ -289,7 +295,6 @@ class _KTable:
     def __init__(self, typ: ThetaType):
         self.type = typ
         self.elements = k_elements(typ)
-        self.index = {z: i for i, z in enumerate(self.elements)}
         self.n = len(self.elements)
         self.divisors = np.array(typ.divisors * 2, dtype=np.int64)
         self.coords = np.array([z.coords for z in self.elements], dtype=np.int64)
@@ -507,10 +512,8 @@ class HeisenbergAutomorphism:
 
     def chi(self, z: KVector) -> RootOfUnity:
         _same_type(self, z)
-        table = _ktable(self.type)
-        return RootOfUnity(
-            Fraction(self.chi_exponents[table.index[z]], self.type.scalar_modulus)
-        )
+        rank = int(_ktable(self.type).rank(np.array(z.coords)))
+        return RootOfUnity(Fraction(self.chi_exponents[rank], self.type.scalar_modulus))
 
     def apply(self, a: HeisenbergElement) -> HeisenbergElement:
         return HeisenbergElement(a.scalar * self.chi(a.z), self.eta(a.z))
@@ -560,7 +563,7 @@ def identity_automorphism(typ: ThetaType) -> HeisenbergAutomorphism:
 def inner_automorphism(z: KVector) -> HeisenbergAutomorphism:
     """i(z) as a HeisenbergAutomorphism: eta = id, chi = <z, .>."""
     table = _ktable(z.type)
-    exps = tuple(table.pair[:, table.index[z]].tolist())
+    exps = tuple(table.pair[:, table.rank(np.array(z.coords))].tolist())
     return HeisenbergAutomorphism(z.type, tuple(table.basis_ranks().tolist()), exps)
 
 
@@ -569,19 +572,28 @@ def _symplectic_images(typ: ThetaType) -> Iterator[tuple[int, ...]]:
 
     Backtracks over images f_j of the standard basis subject to the order
     conditions d_j f_j = 0 and the pairing conditions <f_j, f_k> = <e_j, e_k>;
-    any such map is bijective because the pairing is non-degenerate.
+    any such map is bijective because the pairing is non-degenerate.  The
+    basis is taken one hyperbolic pair (e_nu, e_{g+nu}) at a time, so an
+    image that no partner completes fails on the next level instead of
+    after every choice for the later basis vectors (in plain basis order the
+    first map of (2,2,2,2) takes over a minute); a completed pair always
+    extends, since its orthogonal complement is symplectic of the remaining
+    type.  Maps are yielded with the images in standard basis order.
     """
     table = _ktable(typ)
     g = typ.g
-    basis_idx = table.basis_ranks()
-    candidates = [np.flatnonzero(o % table.orders == 0) for o in typ.divisors * 2]
+    order = [j for nu in range(g) for j in (nu, g + nu)]
+    back = np.argsort(order).tolist()
+    basis_idx = table.basis_ranks()[order]
+    divisors = typ.divisors * 2
+    candidates = [np.flatnonzero(divisors[j] % table.orders == 0) for j in order]
     target = table.pair[np.ix_(basis_idx, basis_idx)]
 
     images: list[int] = []
 
     def backtrack(j: int):
         if j == 2 * g:
-            yield tuple(images)
+            yield tuple(images[i] for i in back)
             return
         cand = candidates[j]
         prev = np.array(images, dtype=np.intp)
@@ -595,6 +607,7 @@ def _symplectic_images(typ: ThetaType) -> Iterator[tuple[int, ...]]:
 
 
 _RELATION_CHUNK = 2**16  # beta entries (maps x n x n) solved at once while enumerating
+_RELATION_BOUND = 2**30  # beta entries (maps x n x n) solved in one enumeration
 
 
 def enumerate_automorphisms(
@@ -608,7 +621,9 @@ def enumerate_automorphisms(
         chi(z1 + z2) = chi(z1) chi(z2) <x(eta z1), y(eta z2)> <x(z1), y(z2)>^{-1}.
 
     The symmetric ones are those commuting with the inversion automorphism,
-    which amounts to chi(-z) = chi(z).
+    which amounts to chi(-z) = chi(z).  `TooLarge` is raised, before any
+    relation is solved, once the symplectic maps found so far times |K|^2
+    exceed `_RELATION_BOUND`.
     """
     table = _ktable(typ)
     m = typ.scalar_modulus
@@ -618,7 +633,15 @@ def enumerate_automorphisms(
 
     # the relations of a chunk of maps are solved as one stack and filtered
     # as one block; objects are built only for the survivors
-    maps = np.array(list(_symplectic_images(typ)), dtype=np.int64)
+    maps = []
+    for images in _symplectic_images(typ):
+        maps.append(images)
+        if len(maps) * table.n**2 > _RELATION_BOUND:
+            raise TooLarge(
+                f"{len(maps)} symplectic maps of |K| = {table.n} exceed "
+                f"{_RELATION_BOUND} relation entries"
+            )
+    maps = np.array(maps, dtype=np.int64)
     chunk = max(1, _RELATION_CHUNK // table.n**2)
     owners, blocks = [], []
     for start in range(0, len(maps), chunk):
@@ -690,6 +713,7 @@ def stabilizer_u0sym(
 # --- splitting pairs over arbitrary maximal isotropic subgroups --------------------
 
 _SPAN_CHUNK = 2**17  # span elements materialized at once while enumerating subgroups
+_TUPLE_BOUND = 2**24  # generating tuples tried by one subgroup enumeration
 
 
 def maximal_isotropic_subgroups(typ: ThetaType) -> list[tuple[KVector, ...]]:
@@ -697,7 +721,8 @@ def maximal_isotropic_subgroups(typ: ThetaType) -> list[tuple[KVector, ...]]:
 
     Each subgroup is returned once, as a generating tuple realizing it as
     prod Z/d_i: the first such tuple, in product order over the elements of
-    order dividing d_i, whose span has d elements.
+    order dividing d_i, whose span has d elements.  `TooLarge` is raised
+    when there are more than `_TUPLE_BOUND` such tuples to try.
     """
     table = _ktable(typ)
     d = typ.degree
@@ -710,6 +735,8 @@ def maximal_isotropic_subgroups(typ: ThetaType) -> list[tuple[KVector, ...]]:
     candidates = [np.flatnonzero(o % table.orders == 0) for o in typ.divisors]
     shape = tuple(len(c) for c in candidates)
     total = prod(shape)
+    if total > _TUPLE_BOUND:
+        raise TooLarge(f"{total} generating tuples exceed {_TUPLE_BOUND}")
     step = max(1, _SPAN_CHUNK // d)
     seen: dict[bytes, tuple[int, ...] | None] = {}
     for start in range(0, total, step):

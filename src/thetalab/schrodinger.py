@@ -75,21 +75,11 @@ class SchrodingerMatrix:
         )
         return SchrodingerMatrix(self.type, rows, exps)
 
-    def entry(self, i: int, j: int) -> RootOfUnity | None:
-        if self.row_of_col[j] != i:
-            return None
-        return RootOfUnity(self.exponents[j])
-
     def to_numpy(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for nu, (r, q) in enumerate(zip(self.row_of_col, self.exponents)):
             out[r, nu] = RootOfUnity(q).value
         return out
-
-    @classmethod
-    def identity(cls, typ: ThetaType) -> "SchrodingerMatrix":
-        d = typ.degree
-        return cls(typ, tuple(range(d)), (Fraction(0),) * d)
 
     def is_permutation_consistent(self) -> bool:
         return sorted(self.row_of_col) == list(range(self.dim))

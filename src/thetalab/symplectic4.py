@@ -27,8 +27,9 @@ The enumeration works on packed uint64 keys (base-4 digits, row i of a
 k x k matrix in bit field i) from start to end: right multiplication by a
 generator maps each row field through a 4^k-entry table, so a BFS level is
 k table gathers, one sort of the keys with their carried values and one
-`searchsorted`, and the matrices are unpacked once at the end; the sorted
-key array is the group's only index.
+`searchsorted`, and the matrices are unpacked once at the end.  The sorted
+key array is the group's only index and its only element order: element i
+is keys[i], matrices[i] and lam[i].
 The orthogonal quotient O(2g, +-) over F_2 is the same closure taken
 mod 2, over the transvections x -> x + B(x, v) v with q(v) = 1; at g = 2,
 even parity (Dieudonne's exception, O+(4, F_2)) they generate a subgroup
@@ -278,27 +279,27 @@ def gamma2_elements(g: int) -> list[np.ndarray]:
 
 # --- group enumeration with character check ----------------------------------------
 
-def _lookup(keys: np.ndarray, index: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Element indices of the packed `query` keys, by one `searchsorted` in the
-    sorted `keys` of a group (`index` holds the element index of each key);
-    any key outside the group raises `NotMember`."""
+def _lookup(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Element indices of the packed `query` keys: their `searchsorted`
+    positions in the sorted `keys` of a group; any key outside the group
+    raises `NotMember`."""
     pos = keys.searchsorted(query)
     if (keys.take(pos, mode="clip") != query).any():
         raise NotMember("matrix is not in the enumerated group")
-    return index[pos]
+    return pos
 
 
 @dataclass
 class GroupData:
     """Enumerated group with its discriminant character.
 
-    matrices[i] is the i-th element (uint8, mod 4); keys are the packed
-    keys of the elements in increasing order, the group's only index, and
-    index[j] is the element whose key is keys[j]; lam[i] is the exponent e
-    with discriminant = i^e, the value that every closure product reaching
-    element i carries; and solution_count records how many characters passed
-    the check on every closure product and prescribed value: there is one
-    candidate, and `group_data` raises `NonUnique` unless it passes;
+    The elements are stored in increasing order of their packed keys, the
+    group's only index: element i is matrices[i] (uint8, mod 4), with packed
+    key keys[i], and lam[i] is the exponent e with discriminant = i^e, the
+    value that every closure product reaching element i carries.
+    solution_count records how many characters passed the check on every
+    closure product and prescribed value: there is one candidate, and
+    `group_data` raises `NonUnique` unless it passes;
     generator_count is the size of the generating set, and
     extended_generators says whether the plane swap is in it.
     """
@@ -307,7 +308,6 @@ class GroupData:
     parity: str
     matrices: np.ndarray
     keys: np.ndarray
-    index: np.ndarray
     lam: np.ndarray
     solution_count: int
     generator_count: int
@@ -323,7 +323,7 @@ class GroupData:
         if m.shape[0] != 2 * self.g:
             raise NotMember(f"a {len(m)} x {len(m)} matrix is not in a g={self.g} group")
         key = _kernels.pack_mod4(m[None, :, :])
-        return int(_lookup(self.keys, self.index, key)[0])
+        return int(_lookup(self.keys, key)[0])
 
     def lambda_of(self, mat) -> RootOfUnity:
         return RootOfUnity(Fraction(int(self.lam[self.index_of(mat)]), 4))
@@ -437,9 +437,9 @@ def _first_of_runs(a: np.ndarray) -> np.ndarray:
 def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
     """Breadth-first closure that checks a candidate character as it finds products.
 
-    Returns the matrices, the sorted keys, the element index of each sorted
-    key, the exponents lam (n,) of the candidate that takes the int8 value
-    values[s] mod 4 on generator s, and whether the candidate is a
+    Returns the matrices, their packed keys and the exponents lam (n,) of
+    the candidate that takes the int8 value values[s] mod 4 on generator s,
+    all three in increasing key order, and whether the candidate is a
     character (alive, a bool).  Products are taken mod `modulus` (4, or 2
     for subgroups of O(2g, +-), which pass zeros).
     The whole search runs on packed uint64 keys: a frontier is expanded by k
@@ -451,9 +451,10 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
     candidate dies where one key carries two values, or where a key seen
     on an earlier level carries a value other than its lam; the distinct
     keys are looked up with one `searchsorted` in the sorted array of keys
-    seen so far.  Each unseen key is numbered in key order after every
-    earlier level and takes the value it carries.  Every product is
-    checked, so a survivor is a homomorphism.
+    seen so far, which lam stays aligned with: the unseen keys and the
+    values they carry are inserted into both at the same `searchsorted`
+    positions, and they are the next frontier.  Every product is checked,
+    so a survivor is a homomorphism.
     """
     k = gens[0].shape[0]
     tables = _row_tables(gens, modulus)
@@ -462,11 +463,9 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
     shifts = [np.uint64(2 * k * i) for i in range(k)]
 
     sorted_keys = _kernels.pack_mod4(np.eye(k, dtype=np.uint8)[None, :, :])
-    sorted_vals = np.array([0], dtype=np.int64)
-    key_chunks = [sorted_keys]
     lam = np.zeros(1, dtype=np.int8)
     alive = True
-    frontier_keys = sorted_keys
+    frontier_keys, frontier_vals = sorted_keys, lam
 
     while True:
         prods = tables[0][frontier_keys & field]
@@ -475,7 +474,7 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
         # the value each product implies, in place beside its key: one (2, odd)
         # level holds 1.3M products, and each copy of them is 11 MB
         prods <<= np.uint64(2)
-        prods |= ((lam[-len(frontier_keys):, None] + values) % 4).astype(np.uint8)
+        prods |= ((frontier_vals[:, None] + values) % 4).astype(np.uint8)
         pairs = prods.reshape(-1)
         pairs.sort()
         pairs = pairs[_first_of_runs(pairs)]
@@ -488,18 +487,15 @@ def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
         carried = (pairs[first] & np.uint64(3)).astype(np.int8)
         pos = np.searchsorted(sorted_keys, uniq)
         new = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] != uniq
-        alive &= bool(np.all(lam[sorted_vals[pos[~new]]] == carried[~new]))
-        n_new = int(np.count_nonzero(new))
-        if n_new == 0:
+        alive &= bool(np.all(lam[pos[~new]] == carried[~new]))
+        if not new.any():
             break
 
-        frontier_keys = uniq[new]
-        key_chunks.append(frontier_keys)
+        frontier_keys, frontier_vals = uniq[new], carried[new]
         sorted_keys = np.insert(sorted_keys, pos[new], frontier_keys)
-        sorted_vals = np.insert(sorted_vals, pos[new], len(lam) + np.arange(n_new))
-        lam = np.concatenate([lam, carried[new]])
+        lam = np.insert(lam, pos[new], frontier_vals)
 
-    return _unpack(np.concatenate(key_chunks), k), sorted_keys, sorted_vals, lam, alive
+    return _unpack(sorted_keys, k), sorted_keys, lam, alive
 
 
 @lru_cache(maxsize=None)
@@ -562,14 +558,14 @@ def group_data(g: int, parity: str) -> GroupData:
     if len(unpinned):
         raise ArithmeticError(f"generators {unpinned.tolist()} have no prescribed value")
     values = cons_exp[match.argmax(axis=1)].astype(np.int8)
-    mats, keys, index, lam, alive = _bfs_closure(gens, values)
+    mats, keys, lam, alive = _bfs_closure(gens, values)
 
     target = (2 ** (g * (2 * g + 1))) * _ORTHOGONAL_ORDERS[(g, parity)]
     if len(mats) != target:
         raise ArithmeticError(
             f"closure has order {len(mats)}, not the extension order {target}"
         )
-    alive &= bool(np.all(lam[_lookup(keys, index, cons_keys)] == cons_exp))
+    alive &= bool(np.all(lam[_lookup(keys, cons_keys)] == cons_exp))
     solutions = int(alive)
     if solutions != 1:
         raise NonUnique(
@@ -581,7 +577,6 @@ def group_data(g: int, parity: str) -> GroupData:
         parity=parity,
         matrices=mats,
         keys=keys,
-        index=index,
         lam=lam,
         solution_count=solutions,
         generator_count=len(gens),

@@ -23,6 +23,12 @@ import resource
 resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))
 
 from thetalab.cli import main
+from thetalab.heisenberg import (
+    ThetaType,
+    TooLarge,
+    enumerate_sym_automorphisms,
+    maximal_isotropic_subgroups,
+)
 from thetalab.metaplectic import mp_from_word, tilde_lambda
 from thetalab.symplectic4 import discriminant
 from thetalab.thetanum import TauTooLow, functional_eq_lambda, halfform_cocycle
@@ -42,6 +48,19 @@ else:
 assert main(["congruence", "index", "--group", "gamma0", "--n", "1000"]) == 2
 assert main(["theta", "eval", "--m", "200000000", "--tau", "3i"]) == 2
 assert main(["heisenberg", "splittings", "--type", ",".join(["2"] * 40)]) == 2
+assert main(["heisenberg", "aut", "--type", "2,2,2"]) == 2
+for enumerate_, divisors in (
+    (enumerate_sym_automorphisms, (2, 8)),
+    (enumerate_sym_automorphisms, (2, 2, 2, 2)),
+    (enumerate_sym_automorphisms, (64,)),
+    (maximal_isotropic_subgroups, (2, 2, 2, 2)),
+):
+    try:
+        enumerate_(ThetaType(divisors))
+    except TooLarge:
+        pass
+    else:
+        raise AssertionError(enumerate_.__name__ + str(divisors) + " answered")
 print("ok")
 """
 

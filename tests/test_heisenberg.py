@@ -242,10 +242,9 @@ def automorphism_sample(typ):
     enumeration is checked in `test_type24_orbit_stabilizer`."""
     if typ.k_order <= 36:
         return enumerate_sym_automorphisms(typ)
-    index = heisenberg._ktable(typ).index
-    minus = HeisenbergAutomorphism(
-        typ, tuple(index[-b] for b in k_basis(typ)), (0,) * typ.k_order
-    )
+    table = heisenberg._ktable(typ)
+    minus_basis = table.rank(-np.eye(2 * typ.g, dtype=np.int64))
+    minus = HeisenbergAutomorphism(typ, tuple(minus_basis.tolist()), (0,) * table.n)
     inner = [inner_automorphism(z) for z in k_elements(typ)]
     return inner + [minus.compose(u) for u in inner]
 

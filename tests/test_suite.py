@@ -1,6 +1,7 @@
-"""The Stone-von Neumann and stabilizer-sweep checks of `verify suite`: their
-exact report entries, and that each still reports a deliberately broken
-input (a perturbed rho matrix, a wrong action factor)."""
+"""The discriminant-oracle, Stone-von Neumann and stabilizer-sweep checks of
+`verify suite`: their exact report entries, and that the last two still
+report a deliberately broken input (a perturbed rho matrix, a wrong action
+factor)."""
 
 from fractions import Fraction
 
@@ -16,11 +17,21 @@ from thetalab.cyclo import ONE, RootOfUnity
 SVN = "exact homomorphism, commutant 1, invariants delta_0, line per splitting"
 SVN_OK = "hom violations 0, commutant 1, canonical delta_0, dims "
 SWEEP = "triviality iff membership"
+DISC = "0 mismatches"
+SOLUTION_COUNT = [
+    {"check_id": "discriminant_solution_count", "params": {"g": 1, "parity": parity},
+     "expected": 1, "observed": 1, "residual": 0.0, "pass": True}
+    for parity in ("even", "odd")
+]
 
 # the entries at seed 0, recorded from the object-per-operation checks
-# (one `hmul` and one matrix product per pair, `Fraction` action factors)
+# (one `hmul` and one matrix product per pair, `Fraction` action factors);
+# the discriminant-oracle entries were recorded while each mod-4 group was
+# still stored in discovery order with an index permutation to key order
 PINNED = {
-    "quick": [
+    "quick": SOLUTION_COUNT + [
+        {"check_id": "discriminant_oracle", "expected": DISC, "observed": DISC,
+         "params": {"entry_bound": 6, "matrices": 132}, "pass": True, "residual": 0.0},
         {"check_id": "theta_structure_stabilizer", "expected": SWEEP,
          "observed": "0 exceptions", "params": {"entry_bound": 10, "m": 2, "matrices": 178},
          "pass": True, "residual": 0.0},
@@ -37,7 +48,9 @@ PINNED = {
          "observed": SVN_OK + "[1, 1]", "params": {"type": [2]},
          "pass": True, "residual": 0.0},
     ],
-    "full": [
+    "full": SOLUTION_COUNT + [
+        {"check_id": "discriminant_oracle", "expected": DISC, "observed": DISC,
+         "params": {"entry_bound": 20, "matrices": 1380}, "pass": True, "residual": 0.0},
         {"check_id": "theta_structure_stabilizer", "expected": SWEEP,
          "observed": "0 exceptions", "params": {"entry_bound": 40, "m": 2, "matrices": 2650},
          "pass": True, "residual": 0.0},
@@ -69,7 +82,11 @@ def run(check, level):
 
 @pytest.mark.parametrize("level", ("quick", "full"))
 def test_entries_are_pinned(level):
-    got = run(suite.check_stabilizer_sweeps, level) + run(suite.check_stone_von_neumann, level)
+    got = [
+        *run(suite.check_discriminant_oracle, level),
+        *run(suite.check_stabilizer_sweeps, level),
+        *run(suite.check_stone_von_neumann, level),
+    ]
     assert got == PINNED[level]
 
 

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,15 +47,25 @@ def _key(mat) -> int:
     return int(_kernels.pack_mod4(np.asarray(mat, dtype=np.uint8)[None, :, :])[0])
 
 
+def _assert_key_order(mats, keys):
+    """Element i is keys[i] and matrices[i]: the keys strictly increase, pack
+    the matrices, and look up to their own positions."""
+    assert np.all(keys[1:] > keys[:-1])
+    assert np.array_equal(_kernels.pack_mod4(mats), keys)
+    assert np.array_equal(_lookup(keys, _kernels.pack_mod4(mats)), np.arange(len(mats)))
+
+
 def _closure(gens, values=(), modulus=4):
     """`_bfs_closure` run once per candidate row of `values` (none by default),
-    with the runs' `lam` and `alive` stacked as rows."""
+    with the runs' `lam` and `alive` stacked as rows; the closure is checked
+    to store its elements in key order."""
     values = np.array(values, dtype=np.int8).reshape(-1, len(gens))
-    mats, keys, index, _, _ = _bfs_closure(gens, np.zeros(len(gens), np.int8), modulus)
-    runs = [_bfs_closure(gens, x, modulus)[3:] for x in values]
+    mats, keys, _, _ = _bfs_closure(gens, np.zeros(len(gens), np.int8), modulus)
+    _assert_key_order(mats, keys)
+    runs = [_bfs_closure(gens, x, modulus)[2:] for x in values]
     lam = np.array([r[0] for r in runs], dtype=np.int8).reshape(len(values), len(mats))
     alive = np.array([r[1] for r in runs], dtype=bool)
-    return mats, keys, index, lam, alive
+    return mats, keys, lam, alive
 
 
 def test_quad_form_values():
@@ -371,19 +382,19 @@ def test_character_check_toy_cases():
     powers = [np.linalg.matrix_power(t, k) % 4 for k in range(4)]
     every_value = [[x] for x in range(4)]
 
-    def position(keys, index, mat):
-        return int(_lookup(keys, index, np.array([_key(mat)], dtype=np.uint64))[0])
+    def position(keys, mat):
+        return int(_lookup(keys, np.array([_key(mat)], dtype=np.uint64))[0])
 
-    assert _closure([t], every_value)[4].tolist() == [True] * 4
-    _, keys, index, lam, alive = _closure([t], [[1]])
+    assert _closure([t], every_value)[3].tolist() == [True] * 4
+    _, keys, lam, alive = _closure([t], [[1]])
     assert alive.tolist() == [True]
-    assert [int(lam[0, position(keys, index, p)]) for p in powers] == [0, 1, 2, 3]
+    assert [int(lam[0, position(keys, p)]) for p in powers] == [0, 1, 2, 3]
     # t^2 -> 1 is a prescribed value that no character meets
-    _, keys, index, lam, alive = _closure([t], every_value)
-    assert not np.any(alive & (lam[:, position(keys, index, powers[2])] == 1))
+    _, keys, lam, alive = _closure([t], every_value)
+    assert not np.any(alive & (lam[:, position(keys, powers[2])] == 1))
     # both generators are pinned to 1, which the prescribed values allow;
     # only the product t * t^3 = I, which carries 2 to I, rules the choice out
-    assert _closure([t, powers[3]], [[1, 1]])[4].tolist() == [False]
+    assert _closure([t, powers[3]], [[1, 1]])[3].tolist() == [False]
 
 
 def test_character_check_death_conditions():
@@ -398,8 +409,8 @@ def test_character_check_death_conditions():
     """
     t = transvection([1, 1])
     t3 = np.linalg.matrix_power(t, 3) % 4
-    assert _closure([t, t], [[0, 1], [1, 1]])[4].tolist() == [False, True]
-    assert _closure([t, t3], [[1, 1], [1, 3]])[4].tolist() == [False, True]
+    assert _closure([t, t], [[0, 1], [1, 1]])[3].tolist() == [False, True]
+    assert _closure([t, t3], [[1, 1], [1, 3]])[3].tolist() == [False, True]
 
 
 def _character_oracle(gens, values):
@@ -452,12 +463,12 @@ def test_closure_character_check_matches_loop_oracle(case):
     product of the group the generators span."""
     gens, values = case
     gens = [np.array(m).reshape(2, 2) for m in gens]
-    _, keys, index, lam, alive = _closure(gens, values)
+    _, keys, lam, alive = _closure(gens, values)
     want = _character_oracle(gens, values)
     assert alive.tolist() == [w is not None for w in want]
     for row, w in zip(lam[alive], [w for w in want if w is not None]):
         elements = np.array(list(w), dtype=np.uint8).reshape(-1, 2, 2)
-        positions = _lookup(keys, index, _kernels.pack_mod4(elements))
+        positions = _lookup(keys, _kernels.pack_mod4(elements))
         assert row[positions].tolist() == list(w.values())
 
 
@@ -511,19 +522,30 @@ def test_row_tables_match_matrix_products(k, modulus):
 def test_bfs_closure_index_and_products():
     """The sorted keys index the closure, and it is closed under the generators."""
     gens = [transvection(v) for v in ((1, 0, 1, 1), (0, 1, 2, 1), (1, 1, 0, 3))]
-    mats, keys, index, lam, alive = _closure(gens)
-    n = len(mats)
-    assert lam.shape == (0, n) and alive.shape == (0,)
-    assert np.all(keys[1:] > keys[:-1])
-    assert sorted(index.tolist()) == list(range(n))
-    assert np.array_equal(_lookup(keys, index, _kernels.pack_mod4(mats)), np.arange(n))
+    mats, keys, lam, alive = _closure(gens)
+    assert lam.shape == (0, len(mats)) and alive.shape == (0,)
     m = mats.astype(np.int64)
     prods = np.concatenate([(m @ (g % 4)) % 4 for g in gens])
-    _lookup(keys, index, _kernels.pack_mod4(prods))  # NotMember on any miss
+    _lookup(keys, _kernels.pack_mod4(prods))  # NotMember on any miss
     outside = np.eye(4, dtype=np.int64)
     outside[0, 0] = 3  # determinant 3: not symplectic
     with pytest.raises(NotMember):
-        _lookup(keys, index, _kernels.pack_mod4(outside[None, :, :]))
+        _lookup(keys, _kernels.pack_mod4(outside[None, :, :]))
+
+
+@pytest.mark.parametrize("g, parity", ((1, "even"), (1, "odd"), (2, "even"), (2, "odd")))
+def test_group_data_is_stored_in_key_order(g, parity):
+    """Element i of a group is keys[i], matrices[i] and lam[i], and the
+    lookups return it: on every element at g = 1, and on 2 000 sampled
+    elements at g = 2."""
+    data = group_data(g, parity)
+    _assert_key_order(data.matrices, data.keys)
+    sample = range(data.order)
+    if g == 2:
+        sample = np.random.default_rng(19).choice(data.order, size=2000, replace=False)
+    for i in sample:
+        assert data.index_of(data.matrices[i]) == i
+        assert data.lambda_of(data.matrices[i]) == RootOfUnity(Fraction(int(data.lam[i]), 4))
 
 
 PEAK_CHILD = """
@@ -549,26 +571,27 @@ def test_group_data_peak_memory():
     assert int(done.stdout) < 40 << 20
 
 
-# sha256 prefixes of `matrices`, `lam` and the (key, index) pairs in key
-# order (whose repr is that of the former `key_index` dict items), recorded
-# before the closure moved to packed keys, with the generator count and
-# whether the plane swap is a generator: all must stay identical.  The
-# (2, even) prefixes were re-recorded when the plane swap replaced an
-# orthogonal lift as its extra generator, which renumbers the elements; the
-# last entry, the (key, discriminant) pairs in key order, does not depend on
-# the numbering, and all four were recorded before that change
+# sha256 prefixes of `matrices`, `lam` and `keys`, with the generator count
+# and whether the plane swap is a generator: all must stay identical.  The
+# three prefixes were recorded from the key-order views `matrices[index]`,
+# `lam[index]` and `keys` while each group was still stored in discovery
+# order beside an `index` permutation, so they pin that dropping the
+# permutation changed no byte.  The last entry, the (key, discriminant)
+# pairs in key order, does not depend on the element order at all; it was
+# recorded before the closure moved to packed keys and before the plane swap
+# replaced an orthogonal lift as the extra generator at (2, even)
 FINGERPRINTS = {
     (1, "even"): (
-        "66252681c764", "38d9ac2e485c2a22", "7694cf2d8b558791", 4, False, "979cf55a303e7818"
+        "705e79bbb9239cfd", "e985332e830ab19c", "b1f76593bdddf36f", 4, False, "979cf55a303e7818"
     ),
     (1, "odd"): (
-        "177bacb32f39", "c4546ee72a974e20", "d4e0b455fd260063", 6, False, "c107887cc0db9941"
+        "a6d4b17a2561bdb0", "e87a1fd3d90393d7", "f8be112b412d9eef", 6, False, "c107887cc0db9941"
     ),
     (2, "even"): (
-        "f0a9aa98b92b", "c73f75f8ba92df98", "031425644f7bcbba", 17, True, "13629d638db7a9de"
+        "bb7f1684f7bf78f3", "b4e96d3ca947a90d", "3a82d1d5ba96314a", 17, True, "13629d638db7a9de"
     ),
     (2, "odd"): (
-        "899fb68345bf", "435442a344f4bccb", "8100c3cb34f58492", 20, False, "a59a2282b6b87bf9"
+        "1ace24db0f49dcfd", "077147eaeca88818", "7e65c1f6821a17e7", 20, False, "a59a2282b6b87bf9"
     ),
 }
 
@@ -576,7 +599,7 @@ FINGERPRINTS = {
 @pytest.mark.parametrize("g, parity", list(FINGERPRINTS))
 def test_group_data_fingerprints(g, parity):
     data = group_data(g, parity)
-    mats_prefix, lam_prefix, index_prefix, n_gens, extended, character_prefix = FINGERPRINTS[
+    mats_prefix, lam_prefix, keys_prefix, n_gens, extended, character_prefix = FINGERPRINTS[
         (g, parity)
     ]
 
@@ -586,9 +609,8 @@ def test_group_data_fingerprints(g, parity):
     assert data.matrices.dtype == np.uint8 and data.lam.dtype == np.int8
     assert sha(data.matrices.tobytes()).startswith(mats_prefix)
     assert sha(data.lam.tobytes()).startswith(lam_prefix)
-    pairs = list(zip(data.keys.tolist(), data.index.tolist()))
-    assert sha(repr(pairs).encode()).startswith(index_prefix)
-    character = list(zip(data.keys.tolist(), data.lam[data.index].tolist()))
+    assert sha(data.keys.tobytes()).startswith(keys_prefix)
+    character = list(zip(data.keys.tolist(), data.lam.tolist()))
     assert sha(repr(character).encode()).startswith(character_prefix)
     assert data.generator_count == n_gens
     assert data.extended_generators is extended
