@@ -76,8 +76,31 @@ PINNED = {
 }
 
 
+# the half-form and Shimura cocycle entries of the full level at seed 0,
+# residuals included, recorded while every call still summed both thetas
+COCYCLE = "identity within 1e-08"
+PINNED_COCYCLES = [
+    {"check_id": "halfform_cocycle", "params": {"composites": 100, "tau": "(0.1+1.3j)"},
+     "expected": COCYCLE, "observed": "max deviation 1.119e-11",
+     "residual": 1.1186712453056524e-11, "pass": True},
+    {"check_id": "shimura_cocycle", "params": {"k": 0, "composites": 100},
+     "expected": COCYCLE, "observed": "max deviation 0.000e+00", "residual": 0.0, "pass": True},
+    {"check_id": "shimura_cocycle", "params": {"k": 1, "composites": 100},
+     "expected": COCYCLE, "observed": "max deviation 2.474e-12",
+     "residual": 2.4739347380257097e-12, "pass": True},
+    {"check_id": "shimura_cocycle", "params": {"k": 3, "composites": 100},
+     "expected": COCYCLE, "observed": "max deviation 1.786e-10",
+     "residual": 1.78597266200479e-10, "pass": True},
+]
+
+
 def run(check, level):
     return check(level, np.random.default_rng(0))
+
+
+def test_cocycle_entries_are_pinned():
+    got = run(suite.check_cocycle_identities, "full")
+    assert got[: len(PINNED_COCYCLES)] == PINNED_COCYCLES
 
 
 @pytest.mark.parametrize("level", ("quick", "full"))
