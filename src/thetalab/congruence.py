@@ -322,8 +322,9 @@ def sl2_with_entry_bound(bound: int) -> Iterator[SL2Matrix]:
     """All SL2(Z) matrices with |a|,|b|,|c|,|d| <= bound.
 
     For each coprime bottom row (c, d) the solutions of a*d - b*c = 1 form
-    the line (a0 + t*c, b0 + t*d); the admissible range of t is cut out by
-    the entry bound.
+    the line (a0 + t*c, b0 + t*d); the admissible interval of t is cut out
+    by the entry bound with integer floor division, and t runs through it in
+    ascending order.
     """
     for c in range(-bound, bound + 1):
         for d in range(-bound, bound + 1):
@@ -337,12 +338,19 @@ def sl2_with_entry_bound(bound: int) -> Iterator[SL2Matrix]:
             else:
                 shift = -round(b0 / d)
             a0, b0 = a0 + shift * c, b0 + shift * d
-            # after recentering |t| <= bound + 1 covers every admissible entry
-            span = bound + 1
-            for t in range(-span, span + 1):
-                a, b = a0 + t * c, b0 + t * d
-                if abs(a) <= bound and abs(b) <= bound:
-                    yield SL2Matrix(a, b, c, d)
+            # after recentering |t| <= bound + 1 covers every admissible entry;
+            # each entry x0 + t*step with step != 0 then bounds t on both sides
+            lo, hi = -(bound + 1), bound + 1
+            for x0, step in ((a0, c), (b0, d)):
+                if step < 0:
+                    x0, step = -x0, -step
+                if step:
+                    lo = max(lo, -((bound + x0) // step))
+                    hi = min(hi, (bound - x0) // step)
+                elif abs(x0) > bound:
+                    hi = lo - 1
+            for t in range(lo, hi + 1):
+                yield SL2Matrix(a0 + t * c, b0 + t * d, c, d)
 
 
 def _xgcd(x: int, y: int) -> tuple[int, int, int]:

@@ -306,18 +306,26 @@ class _KTable:
         for i in range(2 * typ.g - 2, -1, -1):
             place[i] = place[i + 1] * self.divisors[i + 1]
         self.place = place
-        sums = (self.coords[:, None, :] + self.coords[None, :, :]) % self.divisors
-        self.sum_index = sums @ place
+        # rank of z_i + z_j, accumulated one coordinate at a time
+        self.sum_index = np.zeros((self.n, self.n), dtype=np.int64)
+        for col, divisor, weight in zip(self.coords.T, self.divisors, place):
+            term = np.add.outer(col, col)
+            term %= divisor
+            term *= weight
+            self.sum_index += term
         self.neg_index = self.rank((-self.coords) % self.divisors)
         m = typ.scalar_modulus
         g = typ.g
         xy = np.zeros((self.n, self.n), dtype=np.int64)
         for nu in range(g):
-            weight = -(m // typ.divisors[nu])
-            xy += weight * np.outer(self.coords[:, nu], self.coords[:, g + nu])
-        self.xy_exponent = xy % m  # M * exponent of the group-law scalar <x, y>
+            term = np.multiply.outer(self.coords[:, nu], self.coords[:, g + nu])
+            term *= -(m // typ.divisors[nu])
+            xy += term
+        xy %= m
+        self.xy_exponent = xy  # M * exponent of the group-law scalar <x, y>
         # pair[i, j] = M * exponent of the symplectic pairing <z_j, z_i>
-        self.pair = (self.xy_exponent.T - self.xy_exponent) % m
+        self.pair = xy.T - xy
+        self.pair %= m
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
         return (coords % self.divisors) @ self.place
@@ -348,7 +356,9 @@ def _check_additive(
     """
     for j, o in enumerate(orders):
         col = coords[:, j]
-        if not np.array_equal(col[sum_index], (col[:, None] + col[None, :]) % o):
+        want = np.add.outer(col, col)
+        want %= o
+        if not np.array_equal(col[sum_index], want):
             raise ArithmeticError(f"coordinate {j} is not additive mod {o}")
 
 
@@ -789,7 +799,8 @@ def symmetric_splittings_over(
         list(itertools.product(*(range(o) for o in orders))), dtype=np.int64
     )
     gidx = table.rank(coords @ table.coords[gen_ranks])
-    if len(np.unique(gidx)) != len(gidx):
+    ranks = np.sort(gidx)
+    if (ranks[1:] == ranks[:-1]).any():
         raise ValueError("generators do not realize the subgroup as a direct product")
 
     local = np.full(table.n, -1, dtype=np.int64)

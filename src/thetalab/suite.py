@@ -137,10 +137,17 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
             )
         )
     members = [g for g in cg.sl2_with_entry_bound(bound) if cg.member(g, cg.THETA12)]
-    mismatches = sum(
-        _functional_eq_quotient(g) != s4.discriminant([[g.a, g.b], [g.c, g.d]], "even")
-        for g in members
-    )
+    # `s4.discriminant` reduces its argument mod 4 first, so its value (and its
+    # NotMember decision) is looked up once per residue class
+    by_class: dict[tuple[int, ...], RootOfUnity] = {}
+    mismatches = 0
+    for g in members:
+        quotient = _functional_eq_quotient(g)
+        residues = tuple(x % 4 for x in g.entries())
+        if residues not in by_class:
+            a, b, c, d = residues
+            by_class[residues] = s4.discriminant([[a, b], [c, d]], "even")
+        mismatches += quotient != by_class[residues]
     results.append(
         entry(
             "discriminant_oracle",
@@ -158,12 +165,15 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
 
 def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
     bound = 40 if level == "full" else 10
-    pool = list(cg.sl2_with_entry_bound(bound))
+    # Gamma0(4) < Gamma0(2) and Gamma(m) < Gamma0(m): each list is filtered
+    # from the smallest list already known to contain it, in pool order
+    gamma0_members = list(cg.sl2_with_entry_bound(bound))
     results = []
     for m in (2, 4):
         gamma_m, gamma_m2m = cg.Gamma(m), cg.GammaM2M(m)
         gamma0_m, gamma0_2m = cg.Gamma0(m), cg.Gamma0(2 * m)
-        theta_members = [g for g in pool if cg.member(g, gamma_m)]
+        gamma0_members = [g for g in gamma0_members if cg.member(g, gamma0_m)]
+        theta_members = [g for g in gamma0_members if cg.member(g, gamma_m)]
         theta_bad = sum(
             all(
                 cg.theta_action_factor(g, m, u1, u2).is_one()
@@ -173,11 +183,10 @@ def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
             != cg.member(g, gamma_m2m)
             for g in theta_members
         )
-        split_members = [g for g in pool if cg.member(g, gamma0_m)]
         split_bad = sum(
             all(cg.splitting_action_factor(g, m, u).is_one() for u in range(m))
             != cg.member(g, gamma0_2m)
-            for g in split_members
+            for g in gamma0_members
         )
         results.append(
             entry(
@@ -192,7 +201,7 @@ def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
         results.append(
             entry(
                 "splitting_stabilizer",
-                {"m": m, "entry_bound": bound, "matrices": len(split_members)},
+                {"m": m, "entry_bound": bound, "matrices": len(gamma0_members)},
                 "triviality iff membership",
                 f"{split_bad} exceptions",
                 float(split_bad),
@@ -595,13 +604,16 @@ def run_suite(level: str = "quick", seed: int = 0) -> dict:
 
     `stages` has one entry per CHECK_ORDER group, in order: its `name`, its
     `wall_time` and the number of `checks` it produced.  `meta` records the
-    thetalab, numpy and Python versions with the seed and level.
+    thetalab, numpy and Python versions with the seed and level, and
+    `decisive_queries`, the number of transformation-law queries in the run
+    that decided the convention (`thetanum.verify_transformation`).
     """
     from . import __version__
 
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     rng = np.random.default_rng(seed)
+    decisive_before = tn.decisive_count()
     start = time.perf_counter()
     checks: list[dict] = []
     stages: list[dict] = []
@@ -625,6 +637,7 @@ def run_suite(level: str = "quick", seed: int = 0) -> dict:
             "python": platform.python_version(),
             "seed": seed,
             "level": level,
+            "decisive_queries": tn.decisive_count() - decisive_before,
         },
         "wall_time": float(f"{wall:.6g}"),
         "pass": all(c["pass"] for c in checks),

@@ -31,6 +31,7 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +68,7 @@ __all__ = [
     "verify_transformation",
     "get_convention",
     "reset_convention",
+    "decisive_count",
 ]
 
 MIN_IM_EVAL = 0.1
@@ -177,6 +179,13 @@ def truncation_radius(m: int, im_tau: float, tol: float) -> int:
     return _radius_unchecked(m, complex(0.0, im_tau), tol)
 
 
+# theta(tau) for the most recent (tau, tol) queries: the cocycles divide by
+# theta at a fixed base point (the suite's PROBE_POINTS and tau0) on every
+# call, and a pair identity evaluates theta(g2 tau) twice
+THETA_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=THETA_CACHE_SIZE)
 def _riemann_theta_unchecked(tau: complex, tol: float) -> complex:
     radius = _radius_unchecked(1, tau, tol)
     return _kernels.riemann_theta_sum(_reduce_real(tau, 2), radius)
@@ -293,9 +302,11 @@ class _ConventionState:
     def __init__(self):
         self._lock = threading.Lock()
         self._value: str | None = None
+        self._decisive = 0
 
     def observe(self, convention: str) -> None:
         with self._lock:
+            self._decisive += 1
             if self._value is None:
                 self._value = convention
             elif self._value != convention:
@@ -307,9 +318,14 @@ class _ConventionState:
         with self._lock:
             return self._value
 
+    def decisive(self) -> int:
+        with self._lock:
+            return self._decisive
+
     def reset(self) -> None:
         with self._lock:
             self._value = None
+            self._decisive = 0
 
 
 _CONVENTION = _ConventionState()
@@ -321,8 +337,13 @@ def get_convention() -> str | None:
 
 
 def reset_convention() -> None:
-    """Forget the run-global convention (test isolation hook)."""
+    """Forget the run-global convention and its query count (test isolation hook)."""
     _CONVENTION.reset()
+
+
+def decisive_count() -> int:
+    """How many decisive queries `verify_transformation` has answered since the last reset."""
+    return _CONVENTION.decisive()
 
 
 def verify_transformation(

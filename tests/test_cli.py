@@ -181,6 +181,11 @@ def test_suite_reports_stages_and_meta():
     assert meta["seed"] == 3 and meta["level"] == "quick"
     assert meta["numpy"] == np.__version__
     assert meta["thetalab"] and meta["python"].count(".") == 2
+    # at most one decisive query per (m, word, tau) of the quick battery,
+    # counted per run, not since the process started
+    queries = meta["decisive_queries"]
+    assert 0 < queries <= 3 * 6 * len(suite.TRANSFORM_TAUS)
+    assert suite.run_suite("quick", seed=3)["meta"]["decisive_queries"] == queries
 
 
 def test_suite_checks_are_fixed_by_the_seed():

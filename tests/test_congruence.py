@@ -249,3 +249,28 @@ def test_entry_bound_enumeration_is_complete_and_valid():
                     if a * d - b * c == 1:
                         brute.add((a, b, c, d))
     assert seen == brute
+
+
+def entry_bound_scan_oracle(bound):
+    """The t-scan the enumeration used before its t-interval was computed:
+    every t with |t| <= bound + 1 on each recentered line, kept if in bound."""
+    from thetalab.congruence import _xgcd
+
+    for c in range(-bound, bound + 1):
+        for d in range(-bound, bound + 1):
+            if math.gcd(c, d) != 1:
+                continue
+            g, x, y = _xgcd(d, -c)
+            a0, b0 = x * g, y * g
+            shift = -round(a0 / c) if c != 0 else -round(b0 / d)
+            a0, b0 = a0 + shift * c, b0 + shift * d
+            for t in range(-bound - 1, bound + 2):
+                a, b = a0 + t * c, b0 + t * d
+                if abs(a) <= bound and abs(b) <= bound:
+                    yield (a, b, c, d)
+
+
+@pytest.mark.parametrize("bound", range(31))
+def test_entry_bound_interval_matches_the_scan(bound):
+    got = [g.entries() for g in sl2_with_entry_bound(bound)]
+    assert got == list(entry_bound_scan_oracle(bound))

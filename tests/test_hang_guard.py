@@ -1,9 +1,10 @@
 """Reproducers of unbounded loops and huge allocations, run in a child process.
 
-Each case once ran for minutes or asked for gigabytes.  They run together in
-one child with a wall-clock timeout and an address-space limit, so a
+Each case once ran for minutes or asked for gigabytes.  They run in child
+processes with a wall-clock timeout and an address-space limit, so a
 regression fails this test in seconds instead of stalling the run or
-exhausting the machine's memory.
+exhausting the machine's memory.  The largest Heisenberg types get their own
+child with a larger limit, since their index tables alone take about 0.5 GB.
 """
 
 import os
@@ -65,11 +66,36 @@ print("ok")
 """
 
 
-def test_reproducers_finish_in_bounded_time_and_memory():
+def run_child(code: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(thetalab.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_reproducers_finish_in_bounded_time_and_memory():
+    done = run_child(CHILD)
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
+
+
+# a type inside the documented domain (|K| <= 2^12) is refused by its
+# enumeration bound, not by an allocation of its index tables
+KTABLE_ADDRESS_SPACE = 5 << 29
+
+KTABLE_CHILD = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({KTABLE_ADDRESS_SPACE}, {KTABLE_ADDRESS_SPACE}))
+
+from thetalab.cli import main
+
+for divisors in ("2,2,2,2,2,2", "2,2,2,2,4"):
+    assert main(["heisenberg", "aut", "--type", divisors]) == 2, divisors
+print("ok")
+"""
+
+
+def test_largest_types_are_refused_within_the_address_space_limit():
+    done = run_child(KTABLE_CHILD)
     assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr

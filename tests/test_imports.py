@@ -77,6 +77,17 @@ def test_verify_suite_in_a_fresh_process_passes():
     assert json.loads(done.stdout)["pass"] is True
 
 
+def test_full_verify_suite_does_not_load_numpy_ma():
+    """Importing `numpy.ma` costs a process about 10 ms.  numpy 2.4's
+    `np.unique` imports it (unless asked for `return_index`), so the battery
+    finds duplicate ranks with a sort instead."""
+    done = run_child(CLI_CHILD, "verify", "suite", "--level", "full")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stderr.strip().splitlines()[-1])
+    assert report["code"] == 0 and json.loads(done.stdout)["pass"] is True
+    assert "numpy" in report["modules"] and "numpy.ma" not in report["modules"]
+
+
 def test_package_resolves_every_submodule():
     assert thetalab.heisenberg.__name__ == "thetalab.heisenberg"
     from thetalab import weilrep

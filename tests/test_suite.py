@@ -183,3 +183,30 @@ def test_the_u1u2_term_vanishes_on_gamma_m(monkeypatch):
     monkeypatch.setattr(cg, "theta_action_factor", drop_u1u2_term)
     entries = run(suite.check_stabilizer_sweeps, "quick")
     assert all(e["pass"] for e in entries)
+
+
+@pytest.mark.parametrize("level", ("quick", "full"))
+def test_oracle_counts_every_member_of_a_wrong_residue_class(monkeypatch, level):
+    """A discriminant that is wrong on one residue class mod 4 is caught on
+    every member of that class: the lookup is shared per class, the
+    comparison is not."""
+    discriminant = suite.s4.discriminant
+    wrong = (1, 2, 0, 1)
+
+    def mutant(gamma, parity):
+        value = discriminant(gamma, parity)
+        if tuple(int(x) % 4 for x in np.ravel(gamma)) == wrong:
+            return value * RootOfUnity(Fraction(1, 4))
+        return value
+
+    monkeypatch.setattr(suite.s4, "discriminant", mutant)
+    got = run(suite.check_discriminant_oracle, level)[-1]
+    bound = got["params"]["entry_bound"]
+    in_class = sum(
+        tuple(x % 4 for x in g.entries()) == wrong
+        for g in cg.sl2_with_entry_bound(bound)
+        if cg.member(g, cg.THETA12)
+    )
+    assert in_class > 0
+    assert got["observed"] == f"{in_class} mismatches"
+    assert got["residual"] == in_class and got["pass"] is False

@@ -293,6 +293,49 @@ def test_shimura_cocycle_identity():
         shimura_cocycle(SL2_S, 1, tau)
 
 
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_cocycles_are_bit_identical_with_a_cold_and_a_warm_theta_cache():
+    """Each cocycle equals, bit for bit, the quotient of two theta sums taken
+    afresh: from a cold cache, from the cache that pass left warm, and from a
+    cache holding the same base points at a coarser tolerance."""
+    theta = thetanum._riemann_theta_unchecked
+
+    def fresh(tau):
+        radius = _radius_unchecked(1, tau, 1e-13)
+        return _kernels.riemann_theta_sum(thetanum._reduce_real(tau, 2), radius)
+
+    half = [g for g in sl2_with_entry_bound(4) if member(g, THETA12)][:40]
+    gamma0 = [g for g in sl2_with_entry_bound(4) if member(g, Gamma0(4))][:40]
+    for tau in (*thetanum.PROBE_POINTS, 0.1 + 1.3j):
+        for cache in ("cold", "warm", "coarse"):
+            if cache != "warm":
+                theta.cache_clear()
+            if cache == "coarse":
+                riemann_theta(tau, 1e-3)
+                riemann_theta(2 * tau, 1e-3)
+            for g in half:
+                want = fresh(g.moebius(tau)) / fresh(tau)
+                assert bits(halfform_cocycle(g, tau)) == bits(want), (g, tau, cache)
+            for g in gamma0:
+                base = fresh(2 * g.moebius(tau)) / fresh(2 * tau)
+                for k in (0, 1, 3):
+                    got = shimura_cocycle(g, k, tau)
+                    assert bits(got) == bits(base**k), (g, k, tau, cache)
+
+
+def test_theta_cache_is_bounded():
+    theta = thetanum._riemann_theta_unchecked
+    theta.cache_clear()
+    size = theta.cache_info().maxsize
+    assert size is not None and 0 < size <= 1024
+    for n in range(3 * size):
+        riemann_theta(complex(0.01 * n, 1.0))
+    assert theta.cache_info().currsize == size
+
+
 def test_jacobi_cocycle_trivial_cases():
     tau, z = 0.2 + 1.0j, 0.3 + 0.1j
     assert jacobi_cocycle(SL2_I, 0, 0, 2, tau, z) == 1
@@ -405,6 +448,18 @@ def test_convention_flip_is_detected():
         _CONVENTION.observe("conjugate")
     reset_convention()
     assert get_convention() is None
+
+
+def test_decisive_queries_are_counted_until_reset():
+    assert thetanum.decisive_count() == 0
+    check = verify_transformation(2, mp_from_word([("S", 1)]), 1.1j, 1e-9)
+    decisive = check.residual < 1e-9 <= max(check.residual_direct, check.residual_conjugate)
+    assert decisive and thetanum.decisive_count() == 1
+    # at the identity both conventions agree, so the query decides nothing
+    verify_transformation(2, MP_I, 1.1j, 1e-9)
+    assert thetanum.decisive_count() == 1
+    reset_convention()
+    assert thetanum.decisive_count() == 0
 
 
 def test_probe_independence_of_functional_eq(monkeypatch):
