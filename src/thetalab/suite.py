@@ -5,8 +5,14 @@ Nine check groups, each returning report entries
 them in a fixed order at one of two levels ("quick" shrinks sample counts
 and sweep bounds, "full" runs the complete battery) and times each group.
 Congruence sweeps enumerate one pool of SL2(Z) matrices with bounded
-entries per check and filter it once per subgroup; the cocycle identities
-draw their pairs from those filtered lists through one shared loop.
+entries per check; the stabilizer sweeps filter each subgroup from the
+smallest list already known to contain it (Gamma0(4) from Gamma0(2),
+Gamma(m) from Gamma0(m)), and the cocycle identities draw their pairs from
+the filtered lists through one shared loop.  The discriminant oracle
+compares every member's analytic quotient with the exact discriminant, which
+it looks up once per residue class mod 4, the only thing the discriminant
+depends on; theta at the cocycles' fixed base points comes from
+`thetanum`'s bounded theta cache.
 Randomized sweeps draw from a seeded generator (THETA_LAB_SEED in the CLI),
 so a seed fixes every entry, and rejection sampling enforces the
 Im(gamma tau) floor required by the verifier's precision contract.

@@ -22,7 +22,10 @@ the theta vector by the Weil-representation word fold without forming the
 matrix.  Which of the two conventions holds is measured, not asserted; it
 must be the same for every decisive query in a run, and a flip raises an
 error.  The summation order is fixed (r ascending), so results are
-reproducible bit for bit run to run.
+reproducible bit for bit run to run.  The Riemann theta sums behind the
+cocycles sit in a bounded LRU cache keyed by (tau, tol), THETA_CACHE_SIZE
+entries, so theta at a fixed base point (the suite's PROBE_POINTS, tau0) is
+summed once per process; a cached value is the stored sum, bit for bit.
 """
 
 from __future__ import annotations
@@ -180,8 +183,8 @@ def truncation_radius(m: int, im_tau: float, tol: float) -> int:
 
 
 # theta(tau) for the most recent (tau, tol) queries: the cocycles divide by
-# theta at a fixed base point (the suite's PROBE_POINTS and tau0) on every
-# call, and a pair identity evaluates theta(g2 tau) twice
+# theta at a fixed base point on every call, and a pair identity
+# c(g1 g2, tau) = c(g1, g2 tau) c(g2, tau) evaluates theta(g2 tau) twice
 THETA_CACHE_SIZE = 64
 
 

@@ -1,7 +1,7 @@
-"""The discriminant-oracle, Stone-von Neumann and stabilizer-sweep checks of
-`verify suite`: their exact report entries, and that the last two still
-report a deliberately broken input (a perturbed rho matrix, a wrong action
-factor)."""
+"""The discriminant-oracle, Stone-von Neumann, stabilizer-sweep and cocycle
+checks of `verify suite`: their exact report entries, and that the first
+three still report a deliberately broken input (a discriminant wrong on one
+residue class, a perturbed rho matrix, a wrong action factor)."""
 
 from fractions import Fraction
 
