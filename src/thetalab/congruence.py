@@ -9,9 +9,15 @@ computed by coset counting in SL2(Z/L), for moduli L up to MODULUS_BOUND.
 
 Everything here is exact integer / rational arithmetic.  The action
 factors are 2m-th roots of unity: their exponent is evaluated as an
-integer mod 2m, and the root is read from a cache of immutable
+integer mod 2m, and the root is read from `cyclo`'s cache of immutable
 `RootOfUnity` instances, so a sweep over many matrices builds no
-`Fraction` per call.
+`Fraction` per call.  `Gamma`, `Gamma0` and `GammaM2M` return one shared
+`Group` per level, so a membership check builds no descriptor either.
+
+The entry-bound pool is enumerated once, as integer rows (a, b, c, d)
+(`_entry_bound_rows`); `sl2_with_entry_bound` wraps each row in an
+`SL2Matrix`, and callers that filter a pool test the rows with `_contains`
+and build matrices only for the rows they keep.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .cyclo import RootOfUnity
+from .cyclo import RootOfUnity, _root
 
 __all__ = [
     "NotUnimodular",
@@ -130,18 +136,23 @@ class Group:
         return self.level if self.level % 2 == 0 else 2 * self.level
 
 
+# one shared descriptor per level: `Group` is frozen, and the action factors
+# look their group up on every call
+@lru_cache(maxsize=64)
 def Gamma(n: int) -> Group:
     if n < 1:
         raise ValueError(f"the level of Gamma(n) must be positive, got {n}")
     return Group("gamma", n)
 
 
+@lru_cache(maxsize=64)
 def Gamma0(n: int) -> Group:
     if n < 1:
         raise ValueError(f"the level of Gamma0(n) must be positive, got {n}")
     return Group("gamma0", n)
 
 
+@lru_cache(maxsize=64)
 def GammaM2M(m: int) -> Group:
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"Gamma(m,2m) is only used for even positive m, got {m}")
@@ -223,12 +234,6 @@ def splitting_action_factor(g: SL2Matrix, m: int, u: int) -> RootOfUnity:
     if not _contains(Gamma0(m), g.a, g.b, g.c, g.d):
         raise NotMember(f"{g} is not in Gamma0({m})")
     return _root(-g.c * g.d * u * u % (2 * m), 2 * m)
-
-
-@lru_cache(maxsize=4096)
-def _root(k: int, n: int) -> RootOfUnity:
-    """e^{2 pi i k / n}; one shared instance per (k, n), since instances are immutable."""
-    return RootOfUnity(Fraction(k, n))
 
 
 def descended_theta_char(m: int, u1: int, u2: int) -> RootOfUnity:
@@ -319,13 +324,20 @@ def relative_index(sub: Group, sup: Group, modulus: int) -> int:
 
 
 def sl2_with_entry_bound(bound: int) -> Iterator[SL2Matrix]:
-    """All SL2(Z) matrices with |a|,|b|,|c|,|d| <= bound.
+    """All SL2(Z) matrices with |a|,|b|,|c|,|d| <= bound, in `_entry_bound_rows` order."""
+    for row in _entry_bound_rows(bound):
+        yield SL2Matrix(*row)
+
+
+def _entry_bound_rows(bound: int) -> list[tuple[int, int, int, int]]:
+    """The entries (a, b, c, d) of every SL2(Z) matrix with all |entries| <= bound.
 
     For each coprime bottom row (c, d) the solutions of a*d - b*c = 1 form
     the line (a0 + t*c, b0 + t*d); the admissible interval of t is cut out
     by the entry bound with integer floor division, and t runs through it in
     ascending order.
     """
+    rows = []
     for c in range(-bound, bound + 1):
         for d in range(-bound, bound + 1):
             if math.gcd(c, d) != 1:
@@ -349,8 +361,8 @@ def sl2_with_entry_bound(bound: int) -> Iterator[SL2Matrix]:
                     hi = min(hi, (bound - x0) // step)
                 elif abs(x0) > bound:
                     hi = lo - 1
-            for t in range(lo, hi + 1):
-                yield SL2Matrix(a0 + t * c, b0 + t * d, c, d)
+            rows.extend((a0 + t * c, b0 + t * d, c, d) for t in range(lo, hi + 1))
+    return rows
 
 
 def _xgcd(x: int, y: int) -> tuple[int, int, int]:

@@ -6,7 +6,9 @@ root of unity.  We store such a scalar exactly as its exponent q in Q/Z,
 so that group identities hold on the nose and exhaustive tests are
 decidable.  Conversion to floating point happens only at the numerical
 boundary, and `ru_snap` is the inverse direction: it reads an exact root
-of unity off a float that is known to be one.
+of unity off a float that is known to be one.  Instances are immutable, so
+`ru_snap` and the congruence action factors hand out one cached instance
+per (k, order) (`_root`) instead of building a `Fraction` per call.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 __all__ = [
@@ -133,10 +136,16 @@ def ru_snap(z: complex, order: int, tol: float) -> RootOfUnity:
     if not 0 < tol < 1.0 / (4 * order):
         raise ValueError(f"tol={tol} violates 0 < tol < 1/(4*order) for order {order}")
     k = round(cmath.phase(z) / _TWO_PI * order) % order
-    q = Fraction(k, order)
-    if abs(z - cmath.exp(1j * _TWO_PI * float(q))) >= tol:
+    # int / int rounds correctly, so k / order is the float of Fraction(k, order)
+    if abs(z - cmath.exp(1j * _TWO_PI * (k / order))) >= tol:
         raise NoSnap(f"{z} is not within {tol} of any {order}-th root of unity")
-    return RootOfUnity(q)
+    return _root(k, order)
+
+
+@lru_cache(maxsize=4096)
+def _root(k: int, n: int) -> RootOfUnity:
+    """e^{2 pi i k / n}; one shared instance per (k, n), since instances are immutable."""
+    return RootOfUnity(Fraction(k, n))
 
 
 def mu_group(n: int) -> list[RootOfUnity]:

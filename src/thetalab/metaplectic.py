@@ -5,9 +5,13 @@ c tau + d on the upper half-plane; we store phi by its sign relative to the
 principal branch (argument in (-pi, pi], so sqrt(-1) = i).  The product
 (gamma1, phi1)(gamma2, phi2) = (gamma1 gamma2, phi1(gamma2 tau) phi2(tau))
 multiplies the signs by Kubota's cocycle, two real Hilbert symbols of
-bottom-row entries, corrected for the principal-branch convention
-(`_cocycle`); the sign is decided in integer arithmetic, with no evaluation
-at any point.
+bottom-row entries, corrected for the principal-branch convention; the sign
+is decided in integer arithmetic, with no evaluation at any point.
+
+All products run through one routine on plain integers (`_mul`, five
+integers per element: the entries and the sign).  `mp_mul`, `mp_inv`,
+`mp_pow` and `mp_from_word` call it and build one validated `MpElement`
+for their result, so a word is multiplied out without an object per token.
 
 Also provided: factorization of SL2(Z) matrices into the standard
 generators S and T by a continued-fraction reduction, lifting of words to
@@ -76,7 +80,6 @@ MP_I = MpElement(SL2_I, 1)
 MP_S = MpElement(SL2_S, 1)
 MP_T = MpElement(SL2_T, 1)
 MP_Z = MpElement(SL2_I, -1)  # the nontrivial central element
-_POWERED = {"S": (MP_S, 8), "Z": (MP_Z, 2)}  # word tokens: generator and its order
 
 # lambda~ on (S,+), (T^2,+) and (I,-): theta(-1/tau) = sqrt(tau/i) theta(tau),
 # theta(tau + 2) = theta(tau), and (I,-) only flips the sign of phi
@@ -92,52 +95,73 @@ def phi_eval(p: MpElement, tau: complex) -> complex:
     return p.eps * cmath.sqrt(p.gamma.c * tau + p.gamma.d)
 
 
-def _cocycle(g1: SL2Matrix, g2: SL2Matrix, g: SL2Matrix) -> int:
-    """sigma with phi1(g2 tau) phi2(tau) = sigma * eps1 eps2 * sqrt(c tau + d), g = g1 g2.
+def _mul(a1, b1, c1, d1, e1, a2, b2, c2, d2, e2):
+    """(gamma1, e1)(gamma2, e2) on integers: the entries of gamma1 gamma2 and its sign.
 
-    Kubota's cocycle (x(g1), x(g2)) (-x(g1) x(g2), x(g)), where x is the
-    bottom-left entry, or the bottom-right one when that is 0, and the real
-    Hilbert symbol (a, b) is -1 exactly when a and b are both negative.  That
-    formula is for the convention sqrt(-1) = -i, which differs from the
-    principal branch exactly when c = 0 and d < 0, hence one more sign for
-    each such matrix among g1, g2 and g.
+    The sign is e1 e2 times Kubota's cocycle (x1, x2)(-x1 x2, x), where x is
+    the bottom-left entry of gamma1, gamma2 and the product, or the
+    bottom-right one when that is 0, and the real Hilbert symbol (u, v) is
+    -1 exactly when u and v are both negative.  That formula is for the
+    convention sqrt(-1) = -i, which differs from the principal branch exactly
+    when c = 0 and d < 0, hence one more sign for each such matrix among
+    gamma1, gamma2 and the product.
     """
-    x1, x2, x = g1.c or g1.d, g2.c or g2.d, g.c or g.d
-    sign = _hilbert(x1, x2) * _hilbert(-x1 * x2, x)
-    for h in (g1, g2, g):
-        if h.c == 0 and h.d < 0:
-            sign = -sign
-    return sign
+    a = a1 * a2 + b1 * c2
+    b = a1 * b2 + b1 * d2
+    c = c1 * a2 + d1 * c2
+    d = c1 * b2 + d1 * d2
+    x1, x2, x = c1 or d1, c2 or d2, c or d
+    e = e1 * e2
+    if x1 < 0 and x2 < 0:
+        e = -e
+    if x < 0 and (x1 < 0) == (x2 < 0):  # the symbol (-x1 x2, x)
+        e = -e
+    if c1 == 0 and d1 < 0:
+        e = -e
+    if c2 == 0 and d2 < 0:
+        e = -e
+    if c == 0 and d < 0:
+        e = -e
+    return a, b, c, d, e
 
 
-def _hilbert(a: int, b: int) -> int:
-    """The Hilbert symbol (a, b) over the reals, a and b nonzero."""
-    return -1 if a < 0 and b < 0 else 1
+def _inv(a, b, c, d, e):
+    """The inverse of (gamma, e) on integers: p p^-1 = (I, +) fixes its sign."""
+    return d, -b, -c, a, _mul(a, b, c, d, e, d, -b, -c, a, 1)[4]
+
+
+def _element(a, b, c, d, e) -> MpElement:
+    return MpElement(SL2Matrix(a, b, c, d), e)
+
+
+def _ints(p: MpElement) -> tuple[int, int, int, int, int]:
+    g = p.gamma
+    return g.a, g.b, g.c, g.d, p.eps
 
 
 def mp_mul(p: MpElement, q: MpElement) -> MpElement:
     """(gamma1, phi1)(gamma2, phi2) = (gamma1 gamma2, phi1(gamma2 tau) phi2(tau))."""
-    gamma = p.gamma * q.gamma
-    return MpElement(gamma, p.eps * q.eps * _cocycle(p.gamma, q.gamma, gamma))
+    g, h = p.gamma, q.gamma
+    return _element(*_mul(g.a, g.b, g.c, g.d, p.eps, h.a, h.b, h.c, h.d, q.eps))
 
 
 def mp_inv(p: MpElement) -> MpElement:
-    inverse = p.gamma.inverse()
-    return MpElement(inverse, p.eps * _cocycle(p.gamma, inverse, SL2_I))
+    return _element(*_inv(*_ints(p)))
 
 
 def mp_pow(p: MpElement, n: int) -> MpElement:
     """p^n by repeated squaring; negative n raises the inverse."""
+    x = _ints(p)
     if n < 0:
-        p, n = mp_inv(p), -n
-    out = MP_I
+        x, n = _inv(*x), -n
+    out = (1, 0, 0, 1, 1)
     while n:
         if n & 1:
-            out = mp_mul(out, p)
+            out = _mul(*out, *x)
         n >>= 1
         if n:
-            p = mp_mul(p, p)
-    return out
+            x = _mul(*x, *x)
+    return _element(*out)
 
 
 def st_factor(gamma: SL2Matrix) -> list[tuple[str, int]]:
@@ -153,24 +177,24 @@ def _cf_word(gamma: SL2Matrix, step: int) -> list[tuple[str, int]]:
     Euclid-shrinks and the token count is logarithmic in the entries.  On
     the theta group a and c have opposite parity, so step 2 stays in it and
     ends at +-T^(even): a word in S and T^2.  Elsewhere it may not terminate.
+    The reduction runs on the four entries; T^-k w and S^-1 w are row
+    operations.
     """
     tokens: list[tuple[str, int]] = []
-    w = gamma
-    s_inv = SL2_S.inverse()
-    while w.c != 0:
-        k = step * _nearest_quotient(w.a, step * w.c)
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    while c != 0:
+        k = step * _nearest_quotient(a, step * c)
         if k != 0:
             tokens.append(("T", k))
-            w = SL2Matrix(w.a - k * w.c, w.b - k * w.d, w.c, w.d)
+            a, b = a - k * c, b - k * d
         tokens.append(("S", 1))
-        w = s_inv * w
-    if w.a == -1:
+        a, b, c, d = c, d, -a, -b
+    if a == -1:
         tokens.append(("S", 1))
         tokens.append(("S", 1))
-        w = -w
-    if w.b != 0:
-        tokens.append(("T", w.b))
-        w = SL2Matrix(1, 0, 0, 1)
+        b = -b
+    if b != 0:
+        tokens.append(("T", b))
     return tokens
 
 
@@ -188,32 +212,37 @@ def mp_lift_word(gamma: SL2Matrix, eps: int = 1) -> list[tuple[str, int]]:
     """Word over (S,+), (T,+) and the central (I,-) multiplying to (gamma, eps).
 
     At most one trailing central token ("Z", 1) is emitted, exactly when the
-    all-principal lift of the S/T word lands on the opposite branch.
+    all-principal lift of the S/T word lands on the opposite branch: the
+    correction lift^-1 (gamma, eps) is (I, +) or (I, -) when the word
+    multiplies back to gamma, and anything else is an internal failure.
     """
     tokens = st_factor(gamma)
-    lifted = mp_from_word(tokens)
-    if lifted.gamma != gamma:
+    correction = mp_mul(mp_inv(mp_from_word(tokens)), MpElement(gamma, eps))
+    if correction.gamma != SL2_I:
         raise ArithmeticError("factorization does not multiply back to gamma")
-    if lifted.eps != eps:
-        tokens = tokens + [("Z", 1)]
+    if correction.eps == -1:
+        tokens.append(("Z", 1))
     return tokens
 
 
 def mp_from_word(tokens: list[tuple[str, int]]) -> MpElement:
     """Multiply out a token word; ("S", k) and ("Z", k) raise their generator to
     the k-th power, any integer k, with k reduced mod the generator's order
-    (S^8 = Z^2 = 1 in Mp2(Z))."""
-    out = MP_I
+    (S^8 = Z^2 = 1 in Mp2(Z)).  The word is multiplied on integers, and
+    one `MpElement` is built for the result."""
+    x = (1, 0, 0, 1, 1)
     for name, k in tokens:
         if name == "T":
-            out = mp_mul(out, MpElement(SL2Matrix(1, k, 0, 1), 1))
-        elif name in _POWERED:
-            gen, order = _POWERED[name]
-            for _ in range(k % order):
-                out = mp_mul(out, gen)
+            x = _mul(*x, 1, k, 0, 1, 1)
+        elif name == "S":
+            for _ in range(k % 8):
+                x = _mul(*x, 0, -1, 1, 0, 1)
+        elif name == "Z":
+            if k % 2:
+                x = (*x[:4], -x[4])  # the central (I, -) flips the sign only
         else:
             raise ValueError(f"unknown token {name!r}")
-    return out
+    return _element(*x)
 
 
 def tilde_lambda(p: MpElement) -> RootOfUnity:

@@ -12,7 +12,14 @@ the filtered lists through one shared loop.  The discriminant oracle
 compares every member's analytic quotient with the exact discriminant, which
 it looks up once per residue class mod 4, the only thing the discriminant
 depends on; theta at the cocycles' fixed base points comes from
-`thetanum`'s bounded theta cache.
+`thetanum`'s bounded theta cache.  The pools are integer rows
+(`congruence._entry_bound_rows`) filtered with `congruence._contains`; an
+`SL2Matrix` is built only for a member a check passes on.  The stabilizer
+sweeps call each action factor once per member and (u1, u2), looked up on
+the `congruence` module, so a patched or wrapped factor is the one called.
+Random words take one bounded draw for their letters, which gives the same
+letters and generator state as one draw per letter, and are multiplied out
+by `metaplectic.mp_from_word` on integers.
 Randomized sweeps draw from a seeded generator (THETA_LAB_SEED in the CLI),
 so a seed fixes every entry, and rejection sampling enforces the
 Im(gamma tau) floor required by the verifier's precision contract.
@@ -54,12 +61,18 @@ def entry(check_id: str, params, expected, observed, residual: float, ok: bool) 
     }
 
 
+_LETTERS = (("S", 1), ("T", 1), ("T", -1))
+
+
 def _random_word(rng: np.random.Generator, max_len: int) -> list[tuple[str, int]]:
+    """A word of up to max_len letters S, T, T^-1: one draw for the length, one for the letters.
+
+    The bounded draw of `length` letters gives the same values, and leaves
+    the generator in the same state, as `length` scalar draws would
+    (tests/test_suite.py pins this against the scalar loop).
+    """
     length = int(rng.integers(0, max_len + 1))
-    letters = []
-    for _ in range(length):
-        letters.append([("S", 1), ("T", 1), ("T", -1)][int(rng.integers(0, 3))])
-    return letters
+    return [_LETTERS[i] for i in rng.integers(0, 3, size=length).tolist()]
 
 
 def _sample_mp_words(
@@ -142,14 +155,14 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
                 count == 1,
             )
         )
-    members = [g for g in cg.sl2_with_entry_bound(bound) if cg.member(g, cg.THETA12)]
+    members = [row for row in cg._entry_bound_rows(bound) if cg._contains(cg.THETA12, *row)]
     # `s4.discriminant` reduces its argument mod 4 first, so its value (and its
     # NotMember decision) is looked up once per residue class
     by_class: dict[tuple[int, ...], RootOfUnity] = {}
     mismatches = 0
-    for g in members:
-        quotient = _functional_eq_quotient(g)
-        residues = tuple(x % 4 for x in g.entries())
+    for row in members:
+        quotient = _functional_eq_quotient(cg.SL2Matrix(*row))
+        residues = tuple(x % 4 for x in row)
         if residues not in by_class:
             a, b, c, d = residues
             by_class[residues] = s4.discriminant([[a, b], [c, d]], "even")
@@ -172,27 +185,33 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
 def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
     bound = 40 if level == "full" else 10
     # Gamma0(4) < Gamma0(2) and Gamma(m) < Gamma0(m): each list is filtered
-    # from the smallest list already known to contain it, in pool order
-    gamma0_members = list(cg.sl2_with_entry_bound(bound))
+    # from the smallest list already known to contain it, in pool order.  The
+    # pool is integer rows, tested with `_contains`; the action factors take
+    # matrices, so each row of Gamma0(2) is paired with one matrix
+    gamma0_members = [
+        (row, cg.SL2Matrix(*row))
+        for row in cg._entry_bound_rows(bound)
+        if cg._contains(cg.Gamma0(2), *row)
+    ]
     results = []
     for m in (2, 4):
         gamma_m, gamma_m2m = cg.Gamma(m), cg.GammaM2M(m)
         gamma0_m, gamma0_2m = cg.Gamma0(m), cg.Gamma0(2 * m)
-        gamma0_members = [g for g in gamma0_members if cg.member(g, gamma0_m)]
-        theta_members = [g for g in gamma0_members if cg.member(g, gamma_m)]
+        gamma0_members = [x for x in gamma0_members if cg._contains(gamma0_m, *x[0])]
+        theta_members = [x for x in gamma0_members if cg._contains(gamma_m, *x[0])]
         theta_bad = sum(
             all(
                 cg.theta_action_factor(g, m, u1, u2).is_one()
                 for u1 in range(m)
                 for u2 in range(m)
             )
-            != cg.member(g, gamma_m2m)
-            for g in theta_members
+            != cg._contains(gamma_m2m, *row)
+            for row, g in theta_members
         )
         split_bad = sum(
             all(cg.splitting_action_factor(g, m, u).is_one() for u in range(m))
-            != cg.member(g, gamma0_2m)
-            for g in gamma0_members
+            != cg._contains(gamma0_2m, *row)
+            for row, g in gamma0_members
         )
         results.append(
             entry(
@@ -494,10 +513,10 @@ def _cocycle_deviation(
 def check_cocycle_identities(level: str, rng: np.random.Generator) -> list[dict]:
     composites = 100 if level == "full" else 20
     tol = 1e-8
-    pool = list(cg.sl2_with_entry_bound(12))
+    pool = cg._entry_bound_rows(12)
     tau0 = 0.1 + 1.3j
-    theta_members = [g for g in pool if cg.member(g, cg.THETA12)]
-    gamma0_members = [g for g in pool if cg.member(g, cg.Gamma0(4))]
+    theta_members = [cg.SL2Matrix(*row) for row in pool if cg._contains(cg.THETA12, *row)]
+    gamma0_members = [cg.SL2Matrix(*row) for row in pool if cg._contains(cg.Gamma0(4), *row)]
     cases = [
         ("halfform_cocycle", {"composites": composites, "tau": str(tau0)},
          theta_members, tn.halfform_cocycle),
@@ -522,11 +541,11 @@ def check_cocycle_identities(level: str, rng: np.random.Generator) -> list[dict]
 
     m = 2
     worst = 0.0
-    small_pool = list(cg.sl2_with_entry_bound(5))
+    small_pool = cg._entry_bound_rows(5)
     accepted = 0
     while accepted < composites:
-        g1 = small_pool[int(rng.integers(0, len(small_pool)))]
-        g2 = small_pool[int(rng.integers(0, len(small_pool)))]
+        g1 = cg.SL2Matrix(*small_pool[int(rng.integers(0, len(small_pool)))])
+        g2 = cg.SL2Matrix(*small_pool[int(rng.integers(0, len(small_pool)))])
         lam1 = (int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
         lam2 = (int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
         z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))

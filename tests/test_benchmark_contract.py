@@ -6,6 +6,7 @@ function, a renamed suite check or an added one breaks only benchmark runs."""
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 from test_imports import run_child
@@ -49,6 +50,57 @@ def test_cli_and_suite_imports_load_every_traced_layer():
     done = run_child(child, *tracing.LAYER_FUNCTIONS)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [], "not loaded by the traced worker's imports"
+
+
+# what `workloads.layer_samples` reads from the traced spans: for suite-cli,
+# spans of these functions anywhere in a full suite run; for numeric-verify,
+# spans of the metaplectic ones under `verify_transformation`
+SUITE_SPANS = (
+    "congruence.theta_action_factor",
+    "congruence.splitting_action_factor",
+    "thetanum.halfform_cocycle",
+    "thetanum.shimura_cocycle",
+    "_kernels.riemann_theta_sum",
+    "symplectic4.discriminant",
+    "metaplectic.mp_mul",
+    "metaplectic.mp_from_word",
+)
+VERIFY_SPANS = (
+    "metaplectic.mp_lift_word",
+    "metaplectic.phi_eval",
+    "metaplectic.mp_mul",
+    "metaplectic.mp_from_word",
+)
+TRACED_SUITE_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+import thetalab.cli, thetalab.suite
+tracer = tracing.Tracer("contract")
+tracing.instrument(tracer)
+thetalab.suite.run_suite("full", 0)
+suite_spans, verify_spans = sys.argv[2].split(","), sys.argv[3].split(",")
+print(json.dumps({
+    "suite": {n: len(tracer.spans(n)) for n in suite_spans},
+    "verify": {
+        n: len(tracer.spans(n, under="thetanum.verify_transformation")) for n in verify_spans
+    },
+}))
+"""
+
+
+def test_traced_full_suite_opens_every_span_the_benchmark_reads():
+    """A function the traced run reads that the library stops calling (a hot
+    loop moved onto integers, say) makes `run.py --trace 1` fail with "traced
+    run did not yield ..."; here it fails a test instead.  The suite runs
+    traced in a fresh process, as in the benchmark's traced worker."""
+    done = run_child(
+        TRACED_SUITE_CHILD, str(PERFBENCH), ",".join(SUITE_SPANS), ",".join(VERIFY_SPANS)
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    assert [n for n, k in counts["suite"].items() if k == 0] == []
+    assert [n for n, k in counts["verify"].items() if k == 0] == []
 
 
 def test_every_suite_check_has_a_layer_metric():

@@ -9,6 +9,7 @@ from thetalab.congruence import (
     Gamma,
     Gamma0,
     GammaM2M,
+    Group,
     NotMember,
     NotUnimodular,
     SL2Matrix,
@@ -274,3 +275,21 @@ def entry_bound_scan_oracle(bound):
 def test_entry_bound_interval_matches_the_scan(bound):
     got = [g.entries() for g in sl2_with_entry_bound(bound)]
     assert got == list(entry_bound_scan_oracle(bound))
+
+
+@pytest.mark.parametrize("bound", (0, 1, 5, 12))
+def test_entry_bound_matrices_wrap_the_rows(bound):
+    """The matrices are the integer rows, one `SL2Matrix` each, in row order."""
+    from thetalab.congruence import _entry_bound_rows
+
+    rows = _entry_bound_rows(bound)
+    assert list(sl2_with_entry_bound(bound)) == [SL2Matrix(*row) for row in rows]
+    assert all(type(x) is int for row in rows for x in row)
+
+
+def test_groups_are_shared_per_level():
+    """One descriptor per level, equal to a freshly built one."""
+    assert Gamma(4) is Gamma(4) and Gamma(4) == Group("gamma", 4)
+    assert Gamma0(8) is Gamma0(8) and Gamma0(8) == Group("gamma0", 8)
+    assert GammaM2M(2) is GammaM2M(2) and GammaM2M(2) == Group("gamma_m_2m", 2)
+    assert Gamma(4) != Gamma0(4)

@@ -51,6 +51,18 @@ def test_snap_tolerance_contract():
         ru_snap(1 + 0j, 0, 1e-3)
 
 
+def test_snap_hands_out_one_instance_per_root():
+    """The snap compares against k / order, which is the float of
+    Fraction(k, order), and returns the cached instance for (k, order)."""
+    for order in range(1, 100):
+        for k in range(order):
+            assert k / order == float(Fraction(k, order))
+    z = ru_snap(1e-7 + 0.9999999j, 4, 1e-3)
+    assert z is ru_snap(1j, 4, 1e-3) and z == ZETA4
+    assert ru_snap(-1 + 0j, 6, 1e-3) is ru_snap(-1 + 1e-9j, 6, 1e-3)
+    assert ru_snap(-1 + 0j, 6, 1e-3).exponent == Fraction(1, 2)
+
+
 @given(exponents, exponents)
 def test_mul_adds_exponents(q1, q2):
     a, b = RootOfUnity(q1), RootOfUnity(q2)

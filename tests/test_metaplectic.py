@@ -136,6 +136,42 @@ def test_st_factor_random_round_trip():
         ) + 4
 
 
+def object_cf_word(gamma: SL2Matrix, step: int) -> list[tuple[str, int]]:
+    """The continued-fraction reduction on `SL2Matrix` objects, one per step:
+    the slow oracle for the reduction on four integers."""
+    tokens = []
+    w = gamma
+    s_inv = SL2_S.inverse()
+    while w.c != 0:
+        k = step * metaplectic._nearest_quotient(w.a, step * w.c)
+        if k != 0:
+            tokens.append(("T", k))
+            w = SL2Matrix(w.a - k * w.c, w.b - k * w.d, w.c, w.d)
+        tokens.append(("S", 1))
+        w = s_inv * w
+    if w.a == -1:
+        tokens.append(("S", 1))
+        tokens.append(("S", 1))
+        w = -w
+    if w.b != 0:
+        tokens.append(("T", w.b))
+        w = SL2_I
+    assert w == SL2_I
+    return tokens
+
+
+def test_cf_word_matches_the_object_reduction():
+    """Step 1 on every matrix with entries at most 30, step 2 on its theta-group
+    members: the same tokens as the reduction on matrix objects."""
+    pool = list(sl2_with_entry_bound(30))
+    theta = [g for g in pool if member(g, THETA12)]
+    assert len(theta) < len(pool)
+    for g in pool:
+        assert metaplectic._cf_word(g, 1) == object_cf_word(g, 1), g
+    for g in theta:
+        assert metaplectic._cf_word(g, 2) == object_cf_word(g, 2), g
+
+
 def test_mp_lift_word_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(200):

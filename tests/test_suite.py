@@ -94,6 +94,63 @@ PINNED_COCYCLES = [
 ]
 
 
+# the transformation-law and metaplectic-Weil entries at seed 0, residuals
+# included, recorded while each word was drawn one scalar letter at a time and
+# multiplied out with one `MpElement` (and one `SL2Matrix`) per token
+LAW = "max residual < 1e-09"
+CENTRAL = [
+    {"check_id": "central_element", "params": {}, "expected": "S^4 = (I,-) and S^8 = (I,+)",
+     "observed": "S^4 = 1,0,0,1:-", "residual": 0.0, "pass": True},
+    {"check_id": "genuine_center", "params": {"ms": [2, 4, 6, 8]},
+     "expected": "rho(I,-) = -identity", "observed": "max deviation 0.000e+00",
+     "residual": 0.0, "pass": True},
+]
+PINNED_WORDS = {
+    "quick": [
+        {"check_id": "transformation_law", "params": {"m": 2, "words": 6, "taus": 3},
+         "expected": LAW, "observed": "max residual 6.280e-16, convention direct",
+         "residual": 6.280369834735101e-16, "pass": True},
+        {"check_id": "transformation_law", "params": {"m": 4, "words": 6, "taus": 3},
+         "expected": LAW, "observed": "max residual 3.202e-15, convention direct",
+         "residual": 3.202493113162136e-15, "pass": True},
+        {"check_id": "transformation_law", "params": {"m": 6, "words": 6, "taus": 3},
+         "expected": LAW, "observed": "max residual 1.264e-14, convention direct",
+         "residual": 1.2639488093229842e-14, "pass": True},
+        *CENTRAL,
+        {"check_id": "mp_associativity", "params": {"triples": 100},
+         "expected": "(pq)r = p(qr) exactly", "observed": "0 of 100 triples differ",
+         "residual": 0.0, "pass": True},
+        {"check_id": "weil_unitarity", "params": {"ms": [2, 4, 6, 8], "pairs_per_m": 8},
+         "expected": "unitary within 1e-10", "observed": "max deviation 5.551e-16",
+         "residual": 5.551115123125783e-16, "pass": True},
+        {"check_id": "weil_multiplicativity", "params": {"ms": [2, 4, 6, 8], "pairs_per_m": 8},
+         "expected": "multiplicative within 1e-9", "observed": "max deviation 6.684e-16",
+         "residual": 6.684427777288335e-16, "pass": True},
+    ],
+    "full": [
+        {"check_id": "transformation_law", "params": {"m": 2, "words": 50, "taus": 3},
+         "expected": LAW, "observed": "max residual 8.455e-16, convention direct",
+         "residual": 8.455206652451151e-16, "pass": True},
+        {"check_id": "transformation_law", "params": {"m": 4, "words": 50, "taus": 3},
+         "expected": LAW, "observed": "max residual 3.101e-14, convention direct",
+         "residual": 3.1009425431785757e-14, "pass": True},
+        {"check_id": "transformation_law", "params": {"m": 6, "words": 50, "taus": 3},
+         "expected": LAW, "observed": "max residual 1.791e-14, convention direct",
+         "residual": 1.791473517260768e-14, "pass": True},
+        *CENTRAL,
+        {"check_id": "mp_associativity", "params": {"triples": 1000},
+         "expected": "(pq)r = p(qr) exactly", "observed": "0 of 1000 triples differ",
+         "residual": 0.0, "pass": True},
+        {"check_id": "weil_unitarity", "params": {"ms": [2, 4, 6, 8], "pairs_per_m": 50},
+         "expected": "unitary within 1e-10", "observed": "max deviation 6.661e-16",
+         "residual": 6.661338147750939e-16, "pass": True},
+        {"check_id": "weil_multiplicativity", "params": {"ms": [2, 4, 6, 8], "pairs_per_m": 50},
+         "expected": "multiplicative within 1e-9", "observed": "max deviation 1.517e-15",
+         "residual": 1.517107245493603e-15, "pass": True},
+    ],
+}
+
+
 def run(check, level):
     return check(level, np.random.default_rng(0))
 
@@ -111,6 +168,35 @@ def test_entries_are_pinned(level):
         *run(suite.check_stone_von_neumann, level),
     ]
     assert got == PINNED[level]
+
+
+@pytest.mark.parametrize("level", ("quick", "full"))
+def test_word_entries_are_pinned(level):
+    got = [
+        *run(suite.check_transformation_law, level),
+        *run(suite.check_metaplectic_weil, level),
+    ]
+    assert got == PINNED_WORDS[level]
+
+
+def scalar_word(rng, max_len):
+    """The letter-by-letter draw: one scalar `integers` call per letter."""
+    length = int(rng.integers(0, max_len + 1))
+    return [[("S", 1), ("T", 1), ("T", -1)][int(rng.integers(0, 3))] for _ in range(length)]
+
+
+@pytest.mark.parametrize("max_len", (10, 12, 15))
+def test_random_word_matches_scalar_draws(max_len):
+    """One bounded draw of `length` letters gives the values of `length`
+    scalar draws and leaves the generator in the same state, so the suite's
+    entries do not depend on which of the two draws it makes; interleaved
+    `uniform` draws, as in the cocycle checks, stay aligned too."""
+    for seed in range(50):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert suite._random_word(fast, max_len) == scalar_word(slow, max_len)
+            assert fast.bit_generator.state == slow.bit_generator.state
+            assert fast.uniform(-1, 1) == slow.uniform(-1, 1)
 
 
 @pytest.mark.parametrize("field", ("rows", "exps"))
