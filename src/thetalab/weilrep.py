@@ -16,10 +16,12 @@ No generator is stored as a matrix.  A word over T^k, S^k and the central
 Z = S^4 = -1 (the continued-fraction factorization from the metaplectic
 module) acts on a block of rows by one fold, token by token: T^k scales the
 columns by a cached phase table at the exact index (j^2 k) mod 2m, S is an
-FFT along the rows, and Z flips a sign.  `weil_rep(m, p)` folds the word over
-the identity; since every generator is symmetric, rho(p) v is the fold of the
-reversed word over the row v, which is how `weil_rep(m, p, vectors)`
-transforms vectors without forming rho.
+FFT along the rows, and Z flips a sign.  The fold allocates its block once
+(the identity, or a copy of the given rows) and applies every token to it in
+place.  `weil_rep(m, p)` folds the word over the identity; since every
+generator is symmetric, rho(p) v is the fold of the reversed word over the
+row v, which is how `weil_rep(m, p, vectors)` transforms vectors without
+forming rho.
 """
 
 from __future__ import annotations
@@ -61,23 +63,27 @@ def _generators(m: int) -> tuple[complex, np.ndarray, np.ndarray]:
     """(prefactor / sqrt(m), j^2 mod 2m for j < m, e^{i pi n / m} for n < 2m).
 
     The prefactor is the one candidate for which (S T)^3 = S^2 and S^8 = 1
-    hold as matrices; both relations are checked by folding over the
-    identity.
+    hold as matrices.  The candidates differ only in the scalar
+    c = prefactor / sqrt(m) that S contributes, so S^2, (S T)^3 and S^8 are
+    folded once over the identity with a unit S scale, and each candidate is
+    checked as c^3 (S T)^3 = c^2 S^2 and c^8 S^8 = 1.
     """
     _check_m(m)
     j = np.arange(m, dtype=np.int64)
     squares = (j * j) % (2 * m)
     phases = np.exp(1j * np.pi * np.arange(2 * m) / m)
-    eye = np.eye(m, dtype=np.complex128)
+    unit = (1, squares, phases)
+    s2 = _fold(unit, [("S", 2)])
+    st3 = _fold(unit, [("S", 1), ("T", 1)] * 3)
+    s8 = _fold(unit, [("S", 6)], s2)
+    eye = np.eye(m)
     consistent = []
     for pref in (cmath.exp(-1j * np.pi / 4), cmath.exp(1j * np.pi / 4)):
-        gens = (pref / m**0.5, squares, phases)
-        s2 = _fold(gens, [("S", 2)], eye)
-        st3 = _fold(gens, [("S", 1), ("T", 1)] * 3, eye)
-        braid = np.linalg.norm(st3 - s2, ord=np.inf)
-        octic = np.linalg.norm(_fold(gens, [("S", 6)], s2) - eye, ord=np.inf)
+        c = pref / m**0.5
+        braid = np.linalg.norm(c**3 * st3 - c**2 * s2, ord=np.inf)
+        octic = np.linalg.norm(c**8 * s8 - eye, ord=np.inf)
         if braid < 1e-9 and octic < 1e-9:
-            consistent.append(gens)
+            consistent.append((c, squares, phases))
     if len(consistent) != 1:
         raise ArithmeticError(
             f"relation check selected {len(consistent)} prefactors for m={m}"
@@ -90,34 +96,42 @@ def _generators(m: int) -> tuple[complex, np.ndarray, np.ndarray]:
 def _fold(
     gens: tuple[complex, np.ndarray, np.ndarray],
     tokens: Iterable[tuple[str, int]],
-    rows: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """rows @ X_1 @ ... @ X_n, X_i the generator matrix of the i-th token.
 
-    T^k scales column j by e^{i pi j^2 k / m}, read from the phase table at
-    the exact integer index (j^2 k) mod 2m; S is the FFT along the rows (its
-    kernel e^{-2 pi i k l / m} is symmetric) times prefactor / sqrt(m), and
-    S^k is k mod 8 of them (S^8 = 1); Z^k is (-1)^k.  Negative k are inverse
+    The fold allocates one complex128 block, the identity when `rows` is
+    None and otherwise a copy of `rows` (the caller's array is never
+    written), and applies every token to that block in place.  T^k scales
+    column j by e^{i pi j^2 k / m}, read from the phase table at the exact
+    integer index (j^2 k) mod 2m; S is the FFT along the rows (its kernel
+    e^{-2 pi i k l / m} is symmetric) times prefactor / sqrt(m), and S^k is
+    k mod 8 of them (S^8 = 1); Z^k is (-1)^k.  Negative k are inverse
     powers.  The scalars of S and Z commute with everything and are applied
     once, at the end.
     """
     s_scale, squares, phases = gens
     two_m = len(phases)
+    if rows is None:
+        out = np.eye(len(squares), dtype=np.complex128)
+    else:
+        out = np.array(rows, dtype=np.complex128)
     scale = 1
-    out = rows
     for name, k in tokens:
         if name == "T":
-            out = out * phases[(squares * (k % two_m)) % two_m]
+            np.multiply(out, phases[(squares * (k % two_m)) % two_m], out=out)
         elif name == "S":
             for _ in range(k % 8):
-                out = np.fft.fft(out, axis=-1)
+                np.fft.fft(out, axis=-1, out=out)
                 scale *= s_scale
         elif name == "Z":
             if k % 2:
                 scale = -scale
         else:
             raise ValueError(f"unknown token {name!r}")
-    return out if scale == 1 else out * scale
+    if scale != 1:
+        out *= scale
+    return out
 
 
 def weil_generator(m: int, which: str) -> np.ndarray:
@@ -125,7 +139,7 @@ def weil_generator(m: int, which: str) -> np.ndarray:
     tokens = {"T": ("T", 1), "S": ("S", 1), "Zminus": ("Z", 1)}
     if which not in tokens:
         raise ValueError(f"which must be 'T', 'S' or 'Zminus', got {which!r}")
-    return _fold(_generators(m), [tokens[which]], np.eye(m, dtype=np.complex128))
+    return _fold(_generators(m), [tokens[which]])
 
 
 def weil_rep(m: int, p: MpElement, vectors: np.ndarray | None = None) -> np.ndarray:
@@ -144,7 +158,7 @@ def weil_rep(m: int, p: MpElement, vectors: np.ndarray | None = None) -> np.ndar
     gens = _generators(m)
     word = mp_lift_word(p.gamma, p.eps)
     if vectors is None:
-        return _fold(gens, word, np.eye(m, dtype=np.complex128))
+        return _fold(gens, word)
     vectors = np.asarray(vectors)
     if vectors.ndim not in (1, 2) or vectors.shape[-1] != m:
         raise ValueError(

@@ -5,6 +5,9 @@ defining relations select, T^k with `np.diag` at an exactly reduced
 exponent, Z as -I) and multiplied along a token word, |k| times for S^k and
 Z^k (S^{-1} as the adjoint), independently of the FFT fold in `weilrep`.
 Shared by the weilrep and thetanum tests.
+
+`allocating_fold` is the FFT fold as it was before `weilrep._fold` worked in
+place: a new block for every token.  It pins the in-place fold bit for bit.
 """
 
 import cmath
@@ -62,3 +65,30 @@ def dense_word(m: int, tokens) -> np.ndarray:
 def dense_weil_rep(m: int, p: MpElement) -> np.ndarray:
     """rho_m(p) composed densely along the same word as weil_rep."""
     return dense_word(m, mp_lift_word(p.gamma, p.eps))
+
+
+def allocating_fold(gens, tokens, rows: np.ndarray) -> np.ndarray:
+    """rows @ X_1 @ ... @ X_n by the FFT fold, allocating a new block per token.
+
+    Same token semantics and order of operations as `weilrep._fold`: T^k a
+    column phase at the exact index (j^2 k) mod 2m, S an FFT along the rows,
+    S^k and Z^k reduced mod 8 and mod 2, the S and Z scalars applied once
+    at the end.
+    """
+    s_scale, squares, phases = gens
+    two_m = len(phases)
+    scale = 1
+    out = rows
+    for name, k in tokens:
+        if name == "T":
+            out = out * phases[(squares * (k % two_m)) % two_m]
+        elif name == "S":
+            for _ in range(k % 8):
+                out = np.fft.fft(out, axis=-1)
+                scale *= s_scale
+        elif name == "Z":
+            if k % 2:
+                scale = -scale
+        else:
+            raise ValueError(f"unknown token {name!r}")
+    return out if scale == 1 else out * scale

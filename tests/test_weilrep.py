@@ -1,8 +1,12 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetalab.cli import main
 from thetalab.congruence import SL2Matrix
 from thetalab.metaplectic import MP_I, MP_S, MP_T, MP_Z, MpElement, mp_from_word, mp_mul
 from thetalab.weilrep import (
@@ -16,7 +20,7 @@ from thetalab.weilrep import (
     weil_rep,
 )
 
-from dense_oracle import dense_weil_rep, dense_word
+from dense_oracle import allocating_fold, dense_weil_rep, dense_word
 
 
 def test_generator_examples_m2():
@@ -220,3 +224,92 @@ def test_weil_rep_rejects_misshapen_vectors():
     for bad in (np.zeros(5), np.zeros((2, 5)), np.zeros((1, 2, 6)), np.zeros(())):
         with pytest.raises(ValueError):
             weil_rep(6, MP_S, bad)
+
+
+# --- the in-place fold against the allocating fold, bit for bit -----------------------
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims_and_words(max_tokens=10, max_t=5000), st.integers(1, 3), st.integers(0, 2**32))
+def test_fold_in_place_is_bit_identical_to_allocating_fold(case, rows, seed):
+    """Same order of operations, so the same bytes (signed zeros included) on
+    the identity, on (k, m) blocks and on 1-D vectors."""
+    m, word = case
+    gens = _generators(m)
+    eye = np.eye(m, dtype=np.complex128)
+    assert _same_bits(_fold(gens, word), allocating_fold(gens, word, eye))
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    assert _same_bits(_fold(gens, word, block), allocating_fold(gens, word, block))
+    vector = block[0].copy()
+    assert _same_bits(_fold(gens, word, vector), allocating_fold(gens, word, vector))
+
+
+with open(os.path.join(os.path.dirname(__file__), "weilrep_cli_pins.json")) as _pins:
+    CLI_PINS = json.load(_pins)
+
+
+@pytest.mark.parametrize("key", sorted(CLI_PINS))
+def test_weilrep_cli_stdout_is_pinned(capsys, key):
+    """`thetalab weilrep --m M --mp P` stdout, byte for byte.  The pins were
+    recorded with the allocating fold, before `_fold` worked in place; they
+    hold the fold's signed zeros (e.g. "-0+0i" from T over the identity)."""
+    m, mp = key.split()
+    assert main(["weilrep", "--m", m, "--mp", mp]) == 0
+    assert capsys.readouterr().out == CLI_PINS[key] + "\n"
+
+
+# --- aliasing and dtypes -------------------------------------------------------------
+
+ALIAS_WORDS = ([], [("Z", 1)], [("T", 3)], [("S", 1), ("T", -2), ("Z", 1), ("S", -1)])
+
+
+@pytest.mark.parametrize("word", ALIAS_WORDS)
+@pytest.mark.parametrize("shape", ((6,), (2, 6)))
+def test_fold_and_weil_rep_leave_the_callers_array_alone(word, shape):
+    """The fold works on its own copy: the caller's rows, writeable or
+    read-only, come back unchanged and share no memory with the result."""
+    gens = _generators(6)
+    p = mp_from_word(word)
+    rng = np.random.default_rng(3)
+    for writeable in (True, False):
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = rows.copy()
+        rows.setflags(write=writeable)
+        for out in (_fold(gens, word, rows), weil_rep(6, p, rows)):
+            assert out.flags.writeable and not np.shares_memory(out, rows)
+            assert np.array_equal(rows, before) and rows.flags.writeable == writeable
+
+
+@pytest.mark.parametrize("word", ALIAS_WORDS)
+def test_integer_and_float_rows_are_promoted_to_complex128(word):
+    gens = _generators(6)
+    p = mp_from_word(word)
+    rows = np.arange(12, dtype=np.int64).reshape(2, 6) - 5
+    for real in (rows, rows.astype(np.float64)):
+        cast = real.astype(np.complex128)
+        assert _same_bits(_fold(gens, word, real), _fold(gens, word, cast))
+        assert _same_bits(weil_rep(6, p, real), weil_rep(6, p, cast))
+        assert _fold(gens, word, real).dtype == np.complex128
+
+
+def test_dense_weil_rep_returns_a_fresh_writeable_block_per_call():
+    p = mp_from_word([("S", 1), ("T", 5), ("S", 1)])
+    a, b = weil_rep(512, p), weil_rep(512, p)
+    assert a is not b and not np.shares_memory(a, b)
+    assert a.flags.writeable and b.flags.writeable
+    assert np.array_equal(a, b)
+
+
+def test_generator_tables_stay_read_only():
+    weil_rep(512, mp_from_word([("T", 1), ("S", 1)]))
+    for m in (2, 6, 512):
+        _, squares, phases = _generators(m)
+        for table in (squares, phases):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = table[1]
