@@ -5,10 +5,10 @@ sums, behind `thetanum`, add the terms for r = -R..R in ascending order of
 r (``np.bincount`` accumulates its weights in input order), so every result
 is deterministic run to run and equal, bit for bit, to the plain loop that
 adds e^{pi i tau r^2 / m} into ``out[r % m]`` for r = -R, ..., R.
-`pack_mod4` turns mod-4 matrices into the uint64 keys of `symplectic4`.
-`mod4_products` has no caller in the library; the benchmark's kernel probe
-times it.  Its products are exact: they multiply in uint8, which wraps
-modulo 256, and 4 divides 256.
+`pack_mod4` turns mod-4 matrices into the uint64 keys of `symplectic4`,
+and `mod4_products` gives the products its quotient closure takes.  They
+are exact: they multiply in uint8, which wraps modulo 256, and 4 divides
+256.
 """
 
 from __future__ import annotations

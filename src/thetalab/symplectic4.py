@@ -10,34 +10,31 @@ and carry a distinguished mu_4-valued character, the discriminant: the
 unique character that takes the value i on every anisotropic transvection
 (oriented by the mu_4-valued standard pairing) and restricts on the kernel
 to the linearization of the quadratic form.  The character is computed, not
-assumed: the group is enumerated by breadth-first closure from a fixed
-generating set, every generator of which carries a prescribed value, so
-there is exactly one candidate character before the closure runs.  Each
-product h s of the closure carries the value lam(h) + x(s) that the
-candidate implies for it; a new element takes the value its products
-carry, and the candidate dies where two products carry different values to
-one element.  It must also meet every prescribed value.  A candidate that
-fails is reported as an error (`NonUnique`), never resolved silently.  The
-normalization is pinned so that the character agrees on the nose with the
-mu_4 factor in the classical theta functional equation (e.g. [[0,3],[1,0]]
-maps to i); the complex-conjugate character is the one normalized on the
-opposite pairing orientation.
+assumed: every generator of a fixed generating set carries a prescribed
+value, so there is exactly one candidate character.  The kernel K is
+elementary abelian and its basis is among the generators, so the closure
+runs over the quotient O(2g, +-) only (at most 120 elements), carrying one
+mod-4 lift L(h) and one value mu(h) per element, and the candidate is
+decided on the |O| x |gens| quotient edges and the kernel basis
+(`group_data` states the three conditions and proves them sufficient).  It
+must also meet every prescribed value; a candidate that fails is reported
+as an error (`NonUnique`), never resolved silently.  The normalization is
+pinned so that the character agrees on the nose with the mu_4 factor in
+the classical theta functional equation (e.g. [[0,3],[1,0]] maps to i).
 
-The enumeration works on packed uint64 keys (base-4 digits, row i of a
-k x k matrix in bit field i) from start to end: right multiplication by a
-generator maps each row field through a 4^k-entry table, so a BFS level is
-k table gathers, one sort of the keys with their carried values and one
-`searchsorted`, and the matrices are unpacked once at the end.  The sorted
+The elements are written out on packed uint64 keys (base-4 digits, entry
+(i, j) of a k x k matrix in digit k i + j).  L (I + 2A) = L + 2 (L mod 2) A
+mod 4, and a digit d + 2x mod 4 is d XOR 2x, so the keys of a coset L K
+are key(L) XOR the span of the keys of 2 (L mod 2) A_i over the kernel
+basis I + 2 A_i: r = g(2g+1) XOR doublings of an (|O|, .) array, the
+values carried in the two bits below each key, and one sort.  The sorted
 key array is the group's only index and its only element order: element i
-is keys[i], matrices[i] and lam[i].
-The orthogonal quotient O(2g, +-) over F_2 is the same closure taken
-mod 2, over the transvections x -> x + B(x, v) v with q(v) = 1; at g = 2,
-even parity (Dieudonne's exception, O+(4, F_2)) they generate a subgroup
-of index 2, and the plane swap completes it.  The mod-4 generating set
-(`_generators`) is completed by the same plane swap, and the closure
-order check proves that the generators reach the whole group.
+is keys[i], matrices[i] and lam[i].  At g = 2, even parity the
+transvections x -> x + B(x, v) v with q(v) = 1 generate an index-2
+subgroup of O(4, +) (Dieudonne's exception), and the plane swap completes
+the generating set (`_generators`).
 
-Only g <= 2 is supported; the largest enumeration (g = 2, odd parity) has
+Only g <= 2 is supported; the largest group (g = 2, odd parity) has
 122880 elements.
 """
 
@@ -225,22 +222,21 @@ _ORTHOGONAL_ORDERS = {(1, "even"): 2, (1, "odd"): 6, (2, "even"): 72, (2, "odd")
 def orthogonal_group(g: int, parity: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All of O(2g, +-) over F_2 in lexicographic order, by closure under products.
 
-    The generators are those of `group_data` reduced mod 2, less the
-    congruence kernel basis, which becomes the identity: the transvections of
-    anisotropic vectors generate the group except at (2, even), where they
-    generate a subgroup of index 2 and the plane swap completes it.  The
-    order is checked against |O(2, +)| = 2, |O(2, -)| = 6, |O(4, +)| = 72 and
-    |O(4, -)| = 120.
+    The elements are the quotient closure of `group_data`'s generators
+    reduced mod 2 (the congruence kernel basis becomes the identity): the
+    transvections of anisotropic vectors generate the group except at
+    (2, even), where they generate a subgroup of index 2 and the plane swap
+    completes it.  The order is checked against |O(2, +)| = 2,
+    |O(2, -)| = 6, |O(4, +)| = 72 and |O(4, -)| = 120.
     """
     parity = _parity(parity)
     if g not in (1, 2):
         raise ValueError(f"only g <= 2 is supported, got g={g}")
-    eye = np.eye(2 * g, dtype=np.int64)
-    gens = [s % 2 for s in _generators(g, parity) if np.any((s - eye) % 2)]
-    mats = _bfs_closure(gens, np.zeros(len(gens), dtype=np.int8), modulus=2)[0]
-    if len(mats) != _ORTHOGONAL_ORDERS[(g, parity)]:
-        raise ArithmeticError(f"O({2 * g}, {parity}) closure has order {len(mats)}")
-    return tuple(sorted(tuple(map(tuple, m)) for m in mats.tolist()))
+    gens = np.array(_generators(g, parity), dtype=np.uint8)
+    lifts = _quotient_closure(gens, np.zeros(len(gens), dtype=np.int8))[0]
+    if len(lifts) != _ORTHOGONAL_ORDERS[(g, parity)]:
+        raise ArithmeticError(f"O({2 * g}, {parity}) closure has order {len(lifts)}")
+    return tuple(sorted(tuple(map(tuple, m)) for m in (lifts & 1).tolist()))
 
 
 def gamma2_basis(g: int) -> list[np.ndarray]:
@@ -264,17 +260,12 @@ def gamma2_basis(g: int) -> list[np.ndarray]:
 
 
 def gamma2_elements(g: int) -> list[np.ndarray]:
-    """The full mod-2 congruence kernel, of order 2^{g(2g+1)}."""
-    basis = gamma2_basis(g)
-    eye = np.eye(2 * g, dtype=np.int64)
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(basis)):
-        m = eye.copy()
-        for bit, b in zip(bits, basis):
-            if bit:
-                m = (m @ b) % 4
-        out.append(m)
-    return out
+    """The full mod-2 congruence kernel, of order 2^{g(2g+1)}: element j is
+    the product of the basis elements b_i = I + 2 A_i with bit r-1-i set in
+    j, written out as `group_data` writes each coset, key(I) XOR key(2 A_i)."""
+    identity = _kernels.pack_mod4(np.eye(2 * g, dtype=np.uint8)[None, :, :])
+    steps = _kernels.pack_mod4(np.array(gamma2_basis(g), dtype=np.uint8)) ^ identity
+    return list(_unpack(_span(identity, steps[None, :])[0], 2 * g).astype(np.int64))
 
 
 # --- group enumeration with character check ----------------------------------------
@@ -295,13 +286,12 @@ class GroupData:
 
     The elements are stored in increasing order of their packed keys, the
     group's only index: element i is matrices[i] (uint8, mod 4), with packed
-    key keys[i], and lam[i] is the exponent e with discriminant = i^e, the
-    value that every closure product reaching element i carries.
-    solution_count records how many characters passed the check on every
-    closure product and prescribed value: there is one candidate, and
-    `group_data` raises `NonUnique` unless it passes;
-    generator_count is the size of the generating set, and
-    extended_generators says whether the plane swap is in it.
+    key keys[i], and lam[i] is the exponent e with discriminant = i^e.
+    solution_count records how many characters passed `group_data`'s check
+    and every prescribed value: there is one candidate, and `group_data`
+    raises `NonUnique` unless it passes; generator_count is the size of the
+    generating set, and extended_generators says whether the plane swap is
+    in it.
     """
 
     g: int
@@ -406,117 +396,126 @@ def _embed_block(mats2: np.ndarray, plane: int) -> np.ndarray:
 
 
 def _unpack(keys: np.ndarray, k: int) -> np.ndarray:
-    """The inverse of `_kernels.pack_mod4`: (n, k, k) uint8 matrices from keys."""
-    shifts = np.uint64(2) * np.arange(k * k, dtype=np.uint64)
-    return ((keys[:, None] >> shifts) & np.uint64(3)).astype(np.uint8).reshape(-1, k, k)
+    """The inverse of `_kernels.pack_mod4`, four digits per little-endian key byte."""
+    octets = keys.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, : (k * k + 3) // 4]
+    digits = np.empty((*octets.shape, 4), dtype=np.uint8)
+    for i in range(4):
+        np.right_shift(octets, 2 * i, out=digits[:, :, i])
+    digits &= 3
+    return digits.reshape(len(keys), -1)[:, : k * k].reshape(-1, k, k)
 
 
-def _row_tables(gens: list[np.ndarray], modulus: int) -> list[np.ndarray]:
-    """Per-row product tables for right multiplication by each generator.
-
-    In a packed key, row i of a k x k matrix is the 2k-bit field i.  Entry
-    [r, s] of table i is the packed row (r @ gens[s]) mod `modulus`, shifted
-    into field i, so key(M @ gens[s]) is the OR over i of table i at row i
-    of M.  There are 4^k rows, 256 at k = 4.
-    """
-    k = gens[0].shape[0]
-    rows = (np.arange(4**k)[:, None] >> (2 * np.arange(k))) & 3
-    images = (rows @ (np.array(gens, dtype=np.int64) % modulus)) % modulus
-    packed = (images << (2 * np.arange(k))).sum(axis=2).T.astype(np.uint64)
-    return [np.ascontiguousarray(packed << np.uint64(2 * k * i)) for i in range(k)]
+def _span(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Row h (n, 2^r) is start[h] XOR each subset of steps[h] (n, r), subset j
+    holding step i where bit r-1-i of j is set: r doublings of one array."""
+    n, r = steps.shape
+    out = np.empty((n, 1 << r), dtype=np.uint64)
+    out[:, 0] = start
+    for t in range(r):
+        np.bitwise_xor(out[:, : 1 << t], steps[:, r - 1 - t, None], out=out[:, 1 << t : 2 << t])
+    return out
 
 
-def _first_of_runs(a: np.ndarray) -> np.ndarray:
-    """Mask of the entries of the sorted array `a` that differ from their predecessor."""
-    first = np.empty(len(a), dtype=bool)
-    first[0] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return first
+def _inverse(mats: np.ndarray) -> np.ndarray:
+    """Inverses of symplectic matrices mod 4, M^-1 = -J M^T J, as uint8."""
+    j = symplectic_form_matrix(mats.shape[-1] // 2)
+    return (-(j @ mats.transpose(0, 2, 1) @ j) % 4).astype(np.uint8)
 
 
-def _bfs_closure(gens: list[np.ndarray], values: np.ndarray, modulus: int = 4):
-    """Breadth-first closure that checks a candidate character as it finds products.
+def _kernel_form(u: np.ndarray, kernel_values: np.ndarray) -> np.ndarray:
+    """kappa(u) mod 4 for kernel elements u = I + 2A (n, k, k): their
+    `gamma2_basis` coordinates, the upper triangle of J A mod 2 row by row
+    (A mod 2 is the high bit of u; J swaps the row halves), times the values."""
+    ja = np.roll(u >> 1, u.shape[-1] // 2, axis=-2)
+    rows, cols = np.triu_indices(u.shape[-1])
+    return (ja[:, rows, cols].astype(np.int64) @ kernel_values) % 4
 
-    Returns the matrices, their packed keys and the exponents lam (n,) of
-    the candidate that takes the int8 value values[s] mod 4 on generator s,
-    all three in increasing key order, and whether the candidate is a
-    character (alive, a bool).  Products are taken mod `modulus` (4, or 2
-    for subgroups of O(2g, +-), which pass zeros).
-    The whole search runs on packed uint64 keys: a frontier is expanded by k
-    gathers from `_row_tables`, so no product matrix is formed, and the
-    matrices are unpacked once at the end.  Each product h * s = t of a
-    level carries the value lam(h) + x(s) mod 4 that it implies for t in
-    the two bits below its key, and one in-place sort and a cut to the
-    distinct entries leave the (key, value) pairs of the level.  The
-    candidate dies where one key carries two values, or where a key seen
-    on an earlier level carries a value other than its lam; the distinct
-    keys are looked up with one `searchsorted` in the sorted array of keys
-    seen so far, which lam stays aligned with: the unseen keys and the
-    values they carry are inserted into both at the same `searchsorted`
-    positions, and they are the next frontier.  Every product is checked,
-    so a survivor is a homomorphism.
-    """
-    k = gens[0].shape[0]
-    tables = _row_tables(gens, modulus)
-    values = np.asarray(values, dtype=np.int8) % 4
-    field = np.uint64(4**k - 1)
-    shifts = [np.uint64(2 * k * i) for i in range(k)]
 
-    sorted_keys = _kernels.pack_mod4(np.eye(k, dtype=np.uint8)[None, :, :])
-    lam = np.zeros(1, dtype=np.int8)
-    alive = True
-    frontier_keys, frontier_vals = sorted_keys, lam
-
+def _quotient_closure(gens: np.ndarray, values: np.ndarray):
+    """Breadth-first closure of `gens` (s, k, k; uint8 mod 4) modulo 2: the
+    element h' first reached as h s takes L(h') = L(h) s and mu(h') = mu(h)
+    + values[s] mod 4, from L(I) = I, mu(I) = 0.  Returns the lifts (n, k, k)
+    and mu (n,), in increasing order of the elements' mod-2 keys."""
+    lifts = np.eye(gens.shape[-1], dtype=np.uint8)[None, :, :]
+    mu = np.zeros(1, dtype=np.int8)
+    seen, frontier = _kernels.pack_mod4(lifts), slice(0, 1)
     while True:
-        prods = tables[0][frontier_keys & field]
-        for table, shift in zip(tables[1:], shifts[1:]):
-            prods |= table[(frontier_keys >> shift) & field]
-        # the value each product implies, in place beside its key: one (2, odd)
-        # level holds 1.3M products, and each copy of them is 11 MB
-        prods <<= np.uint64(2)
-        prods |= ((frontier_vals[:, None] + values) % 4).astype(np.uint8)
-        pairs = prods.reshape(-1)
-        pairs.sort()
-        pairs = pairs[_first_of_runs(pairs)]
-        del prods
-
-        keys = pairs >> np.uint64(2)
-        first = _first_of_runs(keys)
-        alive &= bool(first.all())
-        uniq = keys[first]
-        carried = (pairs[first] & np.uint64(3)).astype(np.int8)
-        pos = np.searchsorted(sorted_keys, uniq)
-        new = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] != uniq
-        alive &= bool(np.all(lam[pos[~new]] == carried[~new]))
+        prods = _kernels.mod4_products(lifts[frontier], gens)
+        keys, first = np.unique(_kernels.pack_mod4(prods & 1), return_index=True)
+        known = np.sort(seen)
+        new = known.take(known.searchsorted(keys), mode="clip") != keys
         if not new.any():
-            break
+            order = np.argsort(seen)
+            return lifts[order], mu[order]
+        first = first[new]
+        carried = ((mu[frontier, None] + values) % 4).reshape(-1)[first]
+        frontier = slice(len(lifts), len(lifts) + len(first))
+        lifts, mu = np.concatenate([lifts, prods[first]]), np.concatenate([mu, carried])
+        seen = np.concatenate([seen, keys[new]])
 
-        frontier_keys, frontier_vals = uniq[new], carried[new]
-        sorted_keys = np.insert(sorted_keys, pos[new], frontier_keys)
-        lam = np.insert(lam, pos[new], frontier_vals)
 
-    return _unpack(sorted_keys, k), sorted_keys, lam, alive
+def _extend(lifts: np.ndarray, mu: np.ndarray, gens: np.ndarray, values: np.ndarray):
+    """The sorted keys of the group the quotient closure (lifts, mu) of `gens`
+    lifts to, lam on them, and whether (a)-(c) of `group_data` hold; the
+    first r = k(k+1)/2 generators are `gamma2_basis`, values are 0..3."""
+    n, k = len(lifts), lifts.shape[-1]
+    r = k * (k + 1) // 2
+    basis, kernel_values = gens[:r], values[:r].astype(np.int64)
+    alive = bool(np.all(kernel_values % 2 == 0))  # (a)
+    prods = _kernels.mod4_products(lifts, gens)  # (b), on the edge h -> h' = h s
+    target = _kernels.pack_mod4(lifts & 1).searchsorted(_kernels.pack_mod4(prods & 1))
+    kappa = _kernel_form((_inverse(lifts)[target] @ prods) & 3, kernel_values)
+    alive &= bool(np.all((mu[:, None] + values).reshape(-1) % 4 == (mu[target] + kappa) % 4))
+    conj = (_inverse(gens)[:, None] @ basis[None, :] @ gens[:, None]) & 3  # (c)
+    kappa = _kernel_form(conj.reshape(-1, k, k), kernel_values).reshape(len(gens), r)
+    alive &= bool(np.all(kappa == kernel_values))
+
+    # the value bits sit below the keys; by (a) adding a kernel value is XOR
+    lift_keys = _kernels.pack_mod4(lifts)
+    steps = _kernels.pack_mod4(_kernels.mod4_products(lifts, basis)).reshape(n, r)
+    two = np.uint64(2)
+    packed = _span(
+        lift_keys << two | mu.astype(np.uint64),
+        (steps ^ lift_keys[:, None]) << two | kernel_values.astype(np.uint64),
+    ).reshape(-1)
+    packed.sort()
+    return packed >> two, (packed & np.uint64(3)).astype(np.int8), alive
 
 
 @lru_cache(maxsize=None)
 def group_data(g: int, parity: str) -> GroupData:
-    """Enumerate the mod-4 group with theta characteristic and decide its discriminant.
+    """Build the mod-4 group with theta characteristic and decide its discriminant.
 
-    Generators (`_generators`): a basis of the mod-2 congruence kernel
-    together with one anisotropic transvection lift per mod-2 class.  Mod 2
-    these generate the transvection subgroup of O(2g,+-); where that is
-    proper (only at g = 2, even parity) the plane swap completes it, and the
-    `extended_generators` flag records this.  Each generator takes its value
-    from a prescribed value on it (`ArithmeticError` if there is none), so
-    the one closure checks one candidate character.  The closure must reach
-    the extension order |kernel| * |O(2g,+-)|, or `ArithmeticError` is
-    raised.
+    Generators (`_generators`): the basis b_i of the mod-2 congruence kernel
+    K (`gamma2_basis`), one anisotropic transvection lift per mod-2 class
+    and, at (2, even), the plane swap (`extended_generators`).  Each
+    generator s takes its value x(s) from a prescribed value on it
+    (`ArithmeticError` if there is none).  The quotient closure must reach
+    |O(2g,+-)|, and its cosets L(h) K must give |K| |O(2g,+-)| distinct
+    keys, or `ArithmeticError` is raised.  With kappa the linear form on K
+    that takes x(b_i) on b_i, the candidate lam(L(h) k) = mu(h) + kappa(k)
+    is a homomorphism with the prescribed generator values exactly when
+
+      (a) every x(b_i) is 0 or 2, since b_i^2 = I;
+      (b) on each quotient edge h -> h' = h s mod 2,
+          mu(h) + x(s) = mu(h') + kappa(L(h')^-1 L(h) s);
+      (c) kappa(s^-1 b_i s) = kappa(b_i) for every generator s and every i.
+
+    Proof.  By (a) kappa is additive on K.  Every x in the group is L(h) k
+    for one h and one k in K, and x s = L(h') k_e (s^-1 k s) with
+    k_e = L(h')^-1 L(h) s in K, so by (b) and (c) lam(x s) = mu(h') +
+    kappa(k_e) + kappa(s^-1 k s) = mu(h) + x(s) + kappa(k) = lam(x) + x(s).
+    As lam(I) = 0 and every element is a word in the generators, lam is a
+    homomorphism with lam(s) = x(s).  Conversely, such a homomorphism is mu
+    on the lifts (each the first product reaching its element) and kappa
+    on K, and (a)-(c) are among its relations.  The survivor must also
+    meet every prescribed value, or `NonUnique` is raised.
     """
     parity = _parity(parity)
     if g not in (1, 2):
         raise ValueError(f"only g <= 2 is supported, got g={g}")
 
-    gens = _generators(g, parity)
+    gens = np.array(_generators(g, parity), dtype=np.uint8)
 
     # The normalizing transvections are the ones built from the mu_4-valued
     # standard pairing, whose additive exponent is -B for the bilinear form
@@ -553,18 +552,19 @@ def group_data(g: int, parity: str) -> GroupData:
     cons_exp = np.concatenate(exps) % 4
 
     # every generator takes its value from a constraint on it
-    match = _kernels.pack_mod4(np.array(gens) % 4)[:, None] == cons_keys
+    match = _kernels.pack_mod4(gens)[:, None] == cons_keys
     unpinned = np.flatnonzero(~match.any(axis=1))
     if len(unpinned):
         raise ArithmeticError(f"generators {unpinned.tolist()} have no prescribed value")
     values = cons_exp[match.argmax(axis=1)].astype(np.int8)
-    mats, keys, lam, alive = _bfs_closure(gens, values)
-
-    target = (2 ** (g * (2 * g + 1))) * _ORTHOGONAL_ORDERS[(g, parity)]
-    if len(mats) != target:
-        raise ArithmeticError(
-            f"closure has order {len(mats)}, not the extension order {target}"
-        )
+    lifts, mu = _quotient_closure(gens, values)
+    if len(lifts) != _ORTHOGONAL_ORDERS[(g, parity)]:
+        raise ArithmeticError(f"O({2 * g}, {parity}) closure has order {len(lifts)}")
+    keys, lam, alive = _extend(lifts, mu, gens, values)
+    order = 1 + np.count_nonzero(keys[1:] != keys[:-1])
+    target = (2 ** (g * (2 * g + 1))) * len(lifts)
+    if order != target:
+        raise ArithmeticError(f"closure has order {order}, not the extension order {target}")
     alive &= bool(np.all(lam[_lookup(keys, cons_keys)] == cons_exp))
     solutions = int(alive)
     if solutions != 1:
@@ -575,7 +575,7 @@ def group_data(g: int, parity: str) -> GroupData:
     return GroupData(
         g=g,
         parity=parity,
-        matrices=mats,
+        matrices=_unpack(keys, 2 * g),
         keys=keys,
         lam=lam,
         solution_count=solutions,

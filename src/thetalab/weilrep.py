@@ -76,12 +76,21 @@ def _generators(m: int) -> tuple[complex, np.ndarray, np.ndarray]:
     s2 = _fold(unit, [("S", 2)])
     st3 = _fold(unit, [("S", 1), ("T", 1)] * 3)
     s8 = _fold(unit, [("S", 6)], s2)
-    eye = np.eye(m)
+    # the residuals reuse two complex blocks and one float block; the norm is
+    # the largest absolute row sum (np.linalg.norm's ord=inf)
+    diff, term, size = np.empty_like(s2), np.empty_like(s2), np.empty((m, m))
+
+    def inf_norm(a):
+        return np.abs(a, out=size).sum(axis=1).max()
+
     consistent = []
     for pref in (cmath.exp(-1j * np.pi / 4), cmath.exp(1j * np.pi / 4)):
         c = pref / m**0.5
-        braid = np.linalg.norm(c**3 * st3 - c**2 * s2, ord=np.inf)
-        octic = np.linalg.norm(c**8 * s8 - eye, ord=np.inf)
+        np.multiply(st3, c**3, out=diff)
+        braid = inf_norm(np.subtract(diff, np.multiply(s2, c**2, out=term), out=diff))
+        np.multiply(s8, c**8, out=diff)
+        diff.flat[:: m + 1] -= 1
+        octic = inf_norm(diff)
         if braid < 1e-9 and octic < 1e-9:
             consistent.append((c, squares, phases))
     if len(consistent) != 1:
