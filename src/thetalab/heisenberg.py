@@ -21,17 +21,17 @@ self-checking.  The intended regimes are small types like (2), (4), (2,2),
 (2,4), (4,4); a hard bound |K(delta)| <= 2^12 is enforced.  Two enumerations
 cost more than |K| says and are bounded by their work as well, raising
 `TooLarge` before it starts: the automorphism enumerations once the
-symplectic maps times |K|^2 exceed 2^30 relation entries (so (2,4), (3,3)
-and (2,6) answer, and (2,2,2), (2,8), (4,4) and (64,) do not), and
-`maximal_isotropic_subgroups` above 2^24 generating tuples (the
+symplectic maps (counted first) times |K|^2 exceed 2^30 relation entries
+(so (2,4), (3,3) and (2,6) answer, and (2,2,2), (2,8), (4,4) and (64,) do
+not), and `maximal_isotropic_subgroups` above 2^24 generating tuples (the
 Lagrangians of (4,4) and (8,8) are found, those of (2,2,2,2) are not).
 
 All enumeration runs on integer tables indexed by the rank of an element of
-K(delta) (see `_KTable`), in blocks: the relations of many maps are solved
-as one stack, and the symmetry filter, the ordering, the stabilizer tests
-and the deduplication of subgroup spans each run over a whole block.
-`KVector` and `HeisenbergElement` objects appear only in arguments and
-results.
+K(delta) (see `_KTable`), in blocks: the symplectic maps grow one hyperbolic
+pair at a time, all together, the relations of many maps are solved as one
+stack, and the symmetry filter, the ordering, the stabilizer tests and the
+deduplication of subgroup spans each run over a whole block.  `KVector` and
+`HeisenbergElement` objects appear only in arguments and results.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -577,43 +577,48 @@ def inner_automorphism(z: KVector) -> HeisenbergAutomorphism:
     return HeisenbergAutomorphism(z.type, tuple(table.basis_ranks().tolist()), exps)
 
 
-def _symplectic_images(typ: ThetaType) -> Iterator[tuple[int, ...]]:
-    """All pairing-preserving automorphisms of K(delta), by ranks of the basis images.
+def _symplectic_maps(typ: ThetaType, limit: int) -> np.ndarray:
+    """All pairing-preserving automorphisms of K(delta), counted, then built.
 
-    Backtracks over images f_j of the standard basis subject to the order
-    conditions d_j f_j = 0 and the pairing conditions <f_j, f_k> = <e_j, e_k>;
-    any such map is bijective because the pairing is non-degenerate.  The
-    basis is taken one hyperbolic pair (e_nu, e_{g+nu}) at a time, so an
-    image that no partner completes fails on the next level instead of
-    after every choice for the later basis vectors (in plain basis order the
-    first map of (2,2,2,2) takes over a minute); a completed pair always
-    extends, since its orthogonal complement is symplectic of the remaining
-    type.  Maps are yielded with the images in standard basis order.
+    Row k of the result (N, 2g) holds the ranks of the images f_j of the
+    standard basis e_j under map k: d_j f_j = 0 and <f_j, f_k> = <e_j, e_k>
+    (bijective, as the pairing is non-degenerate).  A partial map sends the
+    hyperbolic pairs (e_mu, e_{g+mu}), mu < nu, and all partial maps extend
+    together by every (f_nu, f_{g+nu}) killed by d_nu, orthogonal to their
+    images and pairing as e_nu with e_{g+nu}.
+
+    Every partial map p has as many completions as the identity's.  Its
+    images span P with a symplectic basis of type (d_1, .., d_{nu-1}), so
+    K = P + P-perp, and P-perp, isomorphic to (Z/d_nu x .. x Z/d_g)^2 by
+    cancellation and non-degenerate, has a symplectic basis of that type.
+    Hence a symplectic automorphism of K sends the identity's partial map to
+    p, and its completions onto those of p.  The number of maps is then the
+    product over nu of the identity's completions, which only grows with nu,
+    so `TooLarge` is raised, before any map is built, once it passes `limit`.
     """
     table = _ktable(typ)
-    g = typ.g
-    order = [j for nu in range(g) for j in (nu, g + nu)]
-    back = np.argsort(order).tolist()
-    basis_idx = table.basis_ranks()[order]
-    divisors = typ.divisors * 2
-    candidates = [np.flatnonzero(divisors[j] % table.orders == 0) for j in order]
-    target = table.pair[np.ix_(basis_idx, basis_idx)]
+    g, basis = typ.g, table.basis_ranks()
 
-    images: list[int] = []
+    def completions(maps: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
+        # partial maps (N, 2nu) send e_1..e_nu, e_{g+1}..e_{g+nu}; the candidates (N, L)
+        # are killed by d_nu and orthogonal to them, the mask (N, L, L) admits (f_nu, f_{g+nu})
+        killed = np.flatnonzero(typ.divisors[nu] % table.orders == 0)
+        orthogonal = ~table.pair[maps[:, :, None], killed].any(axis=1)
+        cand = np.broadcast_to(killed, orthogonal.shape)[orthogonal].reshape(len(maps), -1)
+        hyperbolic = table.pair[basis[nu], basis[g + nu]]
+        return cand, table.pair[cand[:, :, None], cand[:, None, :]] == hyperbolic
 
-    def backtrack(j: int):
-        if j == 2 * g:
-            yield tuple(images[i] for i in back)
-            return
-        cand = candidates[j]
-        prev = np.array(images, dtype=np.intp)
-        ok = (table.pair[np.ix_(cand, prev)] == target[j, :j]).all(axis=1)
-        for f in cand[ok]:
-            images.append(int(f))
-            yield from backtrack(j + 1)
-            images.pop()
-
-    yield from backtrack(0)
+    count = 1
+    for nu in range(g):
+        count *= np.count_nonzero(completions(basis[None, np.r_[:nu, g : g + nu]], nu)[1])
+        if count > limit:
+            raise TooLarge(f"at least {count} symplectic maps of |K| = {table.n} exceed {limit}")
+    maps = np.zeros((1, 0), dtype=np.int64)
+    for nu in range(g):
+        cand, ok = completions(maps, nu)
+        row, a, b = np.nonzero(ok)
+        maps = np.column_stack([maps[row, :nu], cand[row, a], maps[row, nu:], cand[row, b]])
+    return maps
 
 
 _RELATION_CHUNK = 2**16  # beta entries (maps x n x n) solved at once while enumerating
@@ -632,8 +637,7 @@ def enumerate_automorphisms(
 
     The symmetric ones are those commuting with the inversion automorphism,
     which amounts to chi(-z) = chi(z).  `TooLarge` is raised, before any
-    relation is solved, once the symplectic maps found so far times |K|^2
-    exceed `_RELATION_BOUND`.
+    map is built, when the maps times |K|^2 exceed `_RELATION_BOUND`.
     """
     table = _ktable(typ)
     m = typ.scalar_modulus
@@ -643,15 +647,7 @@ def enumerate_automorphisms(
 
     # the relations of a chunk of maps are solved as one stack and filtered
     # as one block; objects are built only for the survivors
-    maps = []
-    for images in _symplectic_images(typ):
-        maps.append(images)
-        if len(maps) * table.n**2 > _RELATION_BOUND:
-            raise TooLarge(
-                f"{len(maps)} symplectic maps of |K| = {table.n} exceed "
-                f"{_RELATION_BOUND} relation entries"
-            )
-    maps = np.array(maps, dtype=np.int64)
+    maps = _symplectic_maps(typ, _RELATION_BOUND // table.n**2)
     chunk = max(1, _RELATION_CHUNK // table.n**2)
     owners, blocks = [], []
     for start in range(0, len(maps), chunk):
@@ -699,6 +695,9 @@ def stabilizer_u0sym(
     """
     if automorphisms is None:
         automorphisms = enumerate_sym_automorphisms(typ)
+    # identity first: comparing every type by value costs 40% of a (2,2) call
+    elif any(u.type is not typ and u.type != typ for u in automorphisms):
+        raise TypeMismatch(f"automorphisms of another type than {typ} given")
     if not automorphisms:
         return []
     table = _ktable(typ)

@@ -139,6 +139,17 @@ def quad_form_value(v, parity: str) -> int:
     return val % 2
 
 
+def _quad_form_values(vs: np.ndarray, parity: str) -> np.ndarray:
+    """`quad_form_value` of each row of an integer (N, 2g) array; the scalar
+    form stays separate, as `discriminant` calls it 32 times per lookup."""
+    v = vs % 2
+    g = v.shape[1] // 2
+    val = (v[:, :g] * v[:, g:]).sum(axis=1)
+    if parity == "odd":
+        val += v[:, 0] + v[:, g]
+    return val % 2
+
+
 def _f2_vectors(n: int) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
 
@@ -203,12 +214,18 @@ def dickson(mbar, parity: str) -> RootOfUnity:
 
 def transvection(v) -> np.ndarray:
     """The map z -> z + B(v, z) v over Z/4, as an int64 matrix (columns are images)."""
-    v = _as_integers(v) % 4
+    v = _as_integers(v)
     if v.ndim != 1 or len(v) % 2 or not len(v):
         raise BadShape(f"expected a 2g vector, got shape {v.shape}")
-    g = len(v) // 2
-    j = symplectic_form_matrix(g)
-    return (np.eye(2 * g, dtype=np.int64) + np.outer(v, v) @ j) % 4
+    return _transvections(v[None, :])[0]
+
+
+def _transvections(vs: np.ndarray) -> np.ndarray:
+    """`transvection` of each row of an integer (N, 2g) array: I + v v^T J mod 4."""
+    vs = vs % 4
+    n = vs.shape[1]
+    tails = vs @ symplectic_form_matrix(n // 2)
+    return (np.eye(n, dtype=np.int64) + vs[:, :, None] * tails[:, None, :]) % 4
 
 
 # The plane swap (x_1, y_1) <-> (x_2, y_2); it lies in O(4, +) but outside the
@@ -347,13 +364,8 @@ def gamma2_character_exponent(u, parity: str) -> int:
 
 def _anisotropic_transvection_gens(g: int, parity: str) -> list[np.ndarray]:
     """One transvection lift per anisotropic class mod 2 (binary entries)."""
-    out = []
-    for v in _f2_vectors(2 * g):
-        if not any(v):
-            continue
-        if quad_form_value(v, parity) == 1:
-            out.append(transvection(v))
-    return out
+    vs = _f2_vectors(2 * g)
+    return list(_transvections(vs[_quad_form_values(vs, parity) == 1]))
 
 
 def _generators(g: int, parity: str) -> list[np.ndarray]:
@@ -372,14 +384,8 @@ def _all_anisotropic_transvections(g: int, parity: str) -> np.ndarray:
     Distinct v can give the same map (t_v = t_{-v}); duplicates are dropped
     by packed key.
     """
-    ts = np.array(
-        [
-            transvection(v)
-            for v in itertools.product(range(4), repeat=2 * g)
-            if quad_form_value(np.array(v) % 2, parity) == 1
-        ],
-        dtype=np.uint8,
-    )
+    vs = np.array(list(itertools.product(range(4), repeat=2 * g)), dtype=np.int64)
+    ts = _transvections(vs[_quad_form_values(vs, parity) == 1]).astype(np.uint8)
     _, first = np.unique(_kernels.pack_mod4(ts), return_index=True)
     return ts[first]
 
@@ -395,13 +401,17 @@ def _embed_block(mats2: np.ndarray, plane: int) -> np.ndarray:
     return out
 
 
+# the four base-4 digits of each byte value, low digit first, as the bytes of a
+# uint32 (built in Python: the same numpy expression adds 0.26 MB RSS at import)
+_BYTE_DIGITS = np.array(
+    [sum(((b >> 2 * i) & 3) << 8 * i for i in range(4)) for b in range(256)], dtype="<u4"
+)
+
+
 def _unpack(keys: np.ndarray, k: int) -> np.ndarray:
     """The inverse of `_kernels.pack_mod4`, four digits per little-endian key byte."""
     octets = keys.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, : (k * k + 3) // 4]
-    digits = np.empty((*octets.shape, 4), dtype=np.uint8)
-    for i in range(4):
-        np.right_shift(octets, 2 * i, out=digits[:, :, i])
-    digits &= 3
+    digits = _BYTE_DIGITS[octets].view(np.uint8)  # `take` would copy octets as intp
     return digits.reshape(len(keys), -1)[:, : k * k].reshape(-1, k, k)
 
 

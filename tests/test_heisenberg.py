@@ -193,6 +193,45 @@ def twisted_characters_oracle(coords, gen_positions, gen_orders, sum_index, beta
     return results
 
 
+def symplectic_images_oracle(typ):
+    """All pairing-preserving automorphisms of K(delta), by ranks of the basis images.
+
+    Backtracks over images f_j of the standard basis subject to the order
+    conditions d_j f_j = 0 and the pairing conditions <f_j, f_k> = <e_j, e_k>;
+    any such map is bijective because the pairing is non-degenerate.  The
+    basis is taken one hyperbolic pair (e_nu, e_{g+nu}) at a time, so an
+    image that no partner completes fails on the next level instead of
+    after every choice for the later basis vectors (in plain basis order the
+    first map of (2,2,2,2) takes over a minute); a completed pair always
+    extends, since its orthogonal complement is symplectic of the remaining
+    type.  Maps are yielded with the images in standard basis order.
+    """
+    table = heisenberg._ktable(typ)
+    g = typ.g
+    order = [j for nu in range(g) for j in (nu, g + nu)]
+    back = np.argsort(order).tolist()
+    basis_idx = table.basis_ranks()[order]
+    divisors = typ.divisors * 2
+    candidates = [np.flatnonzero(divisors[j] % table.orders == 0) for j in order]
+    target = table.pair[np.ix_(basis_idx, basis_idx)]
+
+    images: list[int] = []
+
+    def backtrack(j: int):
+        if j == 2 * g:
+            yield tuple(images[i] for i in back)
+            return
+        cand = candidates[j]
+        prev = np.array(images, dtype=np.intp)
+        ok = (table.pair[np.ix_(cand, prev)] == target[j, :j]).all(axis=1)
+        for f in cand[ok]:
+            images.append(int(f))
+            yield from backtrack(j + 1)
+            images.pop()
+
+    yield from backtrack(0)
+
+
 def automorphisms_loop_oracle(typ):
     """`enumerate_automorphisms` map by map and candidate by candidate: every
     candidate checked on every pair, filtered for symmetry one at a time and
@@ -202,7 +241,7 @@ def automorphisms_loop_oracle(typ):
     gen_positions = [int(i) for i in table.basis_ranks()]
     orders = list(typ.divisors) * 2
     out, sym = [], []
-    for ranks in heisenberg._symplectic_images(typ):
+    for ranks in symplectic_images_oracle(typ):
         perm = table.rank(table.coords @ table.coords[list(ranks)])
         beta = (table.xy_exponent[np.ix_(perm, perm)] - table.xy_exponent) % m
         for values in twisted_characters_oracle(
@@ -556,6 +595,12 @@ def test_covering_degrees_from_doubled_type():
 def test_enumeration_bound():
     with pytest.raises(TooLarge):
         enumerate_sym_automorphisms(ThetaType((64, 64)))
+    # the symplectic maps are counted before they are built, so the refusal
+    # names their number, |Sp_6(F_2)| at (2,2,2)
+    with pytest.raises(TooLarge, match="at least 1451520 symplectic maps"):
+        enumerate_sym_automorphisms(ThetaType((2, 2, 2)))
+    with pytest.raises(TooLarge, match="at least 737280 symplectic maps"):
+        enumerate_sym_automorphisms(ThetaType((4, 4)))
     with pytest.raises(TooLarge):
         maximal_isotropic_subgroups(ThetaType((64, 64)))
     with pytest.raises(TooLarge):
@@ -697,6 +742,29 @@ def test_enumerations_match_loop_oracles(divisors):
         assert stabilizer_u0sym(typ, symmetric, pointwise=pointwise) == (
             stabilizer_loop_oracle(typ, symmetric, pointwise)
         )
+
+
+@pytest.mark.parametrize(
+    "divisors", ((2,), (3,), (4,), (6,), (8,), (1, 4), (2, 2), (2, 4), (3, 3), (2, 6))
+)
+def test_symplectic_maps_match_the_backtracking_oracle(divisors):
+    """The pair-by-pair array holds the maps the backtracking yields, and
+    each of its rows once."""
+    typ = ThetaType(divisors)
+    maps = heisenberg._symplectic_maps(typ, 2**30)
+    rows = sorted(map(tuple, maps.tolist()))
+    assert rows == sorted(symplectic_images_oracle(typ))
+    assert len(set(rows)) == len(rows)
+    with pytest.raises(TooLarge, match=f"at least {len(rows)} symplectic maps"):
+        heisenberg._symplectic_maps(typ, len(rows) - 1)
+
+
+def test_stabilizer_rejects_automorphisms_of_another_type():
+    """The automorphisms of (1,4) index tables of the size of those of (2,2),
+    and those of (4,) have fewer basis images: neither is read as (2,2)."""
+    for divisors in ((1, 4), (4,)):
+        with pytest.raises(TypeMismatch):
+            stabilizer_u0sym(T22, enumerate_sym_automorphisms(ThetaType(divisors)))
 
 
 def rebuilt(u):

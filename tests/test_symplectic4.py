@@ -30,6 +30,7 @@ from thetalab.symplectic4 import (
     quad_form_value,
     reduce_mod2_and_membership,
     _PLANE_SWAP,
+    _all_anisotropic_transvections,
     _anisotropic_transvection_gens,
     _extend,
     _f2_rank,
@@ -198,6 +199,43 @@ def test_transvection():
     for v in ((1, 1), (1, 3), (1, 0), (0, 1), (2, 1)):
         rep = reduce_mod2_and_membership(transvection(v), "even")
         assert rep.in_gamma_pm == (quad_form_value(np.array(v) % 2, "even") == 1)
+
+
+def _transvection_loop(v):
+    """z -> z + B(v, z) v over Z/4 for one vector, images as columns."""
+    j = symplectic_form_matrix(len(v) // 2)
+    return (np.eye(len(v), dtype=np.int64) + np.outer(v, v) @ j) % 4
+
+
+def _anisotropic_loop(v, parity):
+    g = len(v) // 2
+    q = sum(v[i] * v[g + i] for i in range(g)) + (v[0] + v[g] if parity == "odd" else 0)
+    return q % 2 == 1
+
+
+@pytest.mark.parametrize("g, parity", ((1, "even"), (1, "odd"), (2, "even"), (2, "odd")))
+def test_anisotropic_transvections_match_the_vector_loop(g, parity):
+    """The array builders give the matrices of one `transvection` per vector:
+    the generators once per anisotropic class mod 2, in product order, and
+    all lifts once per packed key, in key order."""
+    gens = [
+        _transvection_loop(v)
+        for v in itertools.product((0, 1), repeat=2 * g)
+        if _anisotropic_loop(v, parity)
+    ]
+    got = _anisotropic_transvection_gens(g, parity)
+    assert len(got) == len(gens) and all(np.array_equal(a, b) for a, b in zip(got, gens))
+    assert all(a.dtype == np.int64 for a in got)
+    lifts = {}
+    for v in itertools.product(range(4), repeat=2 * g):
+        t = _transvection_loop(np.array(v))
+        assert np.array_equal(transvection(v), t)
+        assert quad_form_value(v, parity) == int(_anisotropic_loop(v, parity))
+        if _anisotropic_loop(v, parity):
+            lifts[_key(t)] = t
+    want = np.array([lifts[k] for k in sorted(lifts)], dtype=np.uint8)
+    got = _all_anisotropic_transvections(g, parity)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 def test_gamma2_structure():
