@@ -26,11 +26,13 @@ symplectic maps (counted first) times |K|^2 exceed 2^30 relation entries
 not), and `maximal_isotropic_subgroups` above 2^24 generating tuples (the
 Lagrangians of (4,4) and (8,8) are found, those of (2,2,2,2) are not).
 
-All enumeration runs on integer tables indexed by the rank of an element of
+All enumeration runs on integer arrays indexed by the rank of an element of
 K(delta) (see `_KTable`), in blocks: the symplectic maps grow one hyperbolic
 pair at a time, all together, the relations of many maps are solved as one
 stack, and the symmetry filter, the ordering, the stabilizer tests and the
-deduplication of subgroup spans each run over a whole block.  `KVector` and
+deduplication of subgroup spans each run over a whole block.  Sums, group-law
+scalars and pairings are computed from coordinates, sized to what each call
+reads, so no |K| x |K| table outlives a call.  `KVector` and
 `HeisenbergElement` objects appear only in arguments and results.
 """
 
@@ -285,11 +287,13 @@ def h2_map(a: HeisenbergElement) -> HeisenbergElement:
 
 # --- index tables -----------------------------------------------------------------
 #
-# Every enumeration below works on integer tables indexed by the lexicographic
-# rank of K(delta) elements: coordinate matrix, element orders, pairwise sum
-# and negation ranks, the group-law scalar exponent and the symplectic pairing
-# exponent over the scalar modulus.  A subgroup, a span or an automorphism is
-# an array of ranks; `KVector`s are looked up in `elements` only for results.
+# Every enumeration below works on integer arrays indexed by the lexicographic
+# rank of K(delta) elements.  The table keeps per-element arrays only, and two
+# 2g x 2g forms: with exponents over the scalar modulus M, the group-law scalar
+# <x(z1), y(z2)> is c1 W c2^T and the pairing <z2, z1> is c1 (W^T - W) c2^T.
+# Callers derive the sums, scalars and pairings they read from coordinates,
+# sized to what they read.  A subgroup, a span or an automorphism is an array
+# of ranks; `KVector`s are looked up in `elements` only for results.
 
 class _KTable:
     def __init__(self, typ: ThetaType):
@@ -306,26 +310,10 @@ class _KTable:
         for i in range(2 * typ.g - 2, -1, -1):
             place[i] = place[i + 1] * self.divisors[i + 1]
         self.place = place
-        # rank of z_i + z_j, accumulated one coordinate at a time
-        self.sum_index = np.zeros((self.n, self.n), dtype=np.int64)
-        for col, divisor, weight in zip(self.coords.T, self.divisors, place):
-            term = np.add.outer(col, col)
-            term %= divisor
-            term *= weight
-            self.sum_index += term
-        self.neg_index = self.rank((-self.coords) % self.divisors)
+        self.neg_index = self.rank(-self.coords)
         m = typ.scalar_modulus
-        g = typ.g
-        xy = np.zeros((self.n, self.n), dtype=np.int64)
-        for nu in range(g):
-            term = np.multiply.outer(self.coords[:, nu], self.coords[:, g + nu])
-            term *= -(m // typ.divisors[nu])
-            xy += term
-        xy %= m
-        self.xy_exponent = xy  # M * exponent of the group-law scalar <x, y>
-        # pair[i, j] = M * exponent of the symplectic pairing <z_j, z_i>
-        self.pair = xy.T - xy
-        self.pair %= m
+        self.xy_form = np.kron([[0, 1], [0, 0]], np.diag([-(m // d) for d in typ.divisors]))
+        self.pair_form = self.xy_form.T - self.xy_form
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
         return (coords % self.divisors) @ self.place
@@ -333,6 +321,11 @@ class _KTable:
     def basis_ranks(self) -> np.ndarray:
         """Ranks of the standard basis e_1..e_2g."""
         return self.rank(np.eye(2 * self.type.g, dtype=np.int64))
+
+    def sums(self, ranks: np.ndarray) -> np.ndarray:
+        """Ranks of z_a + z_b for all a, b in `ranks`, shape (len(ranks), len(ranks))."""
+        c = self.coords[ranks]
+        return self.rank(c[:, None] + c)
 
 
 def _check_bound(typ: ThetaType) -> None:
@@ -346,19 +339,17 @@ def _ktable(typ: ThetaType) -> _KTable:
     return _KTable(typ)
 
 
-def _check_additive(
-    coords: np.ndarray, sum_index: np.ndarray, orders: Sequence[int]
-) -> None:
+def _check_additive(coords: np.ndarray, sums: np.ndarray, orders: Sequence[int]) -> None:
     """Check coords[a + b] = coords[a] + coords[b] mod the generator orders, all a, b.
 
     `_solve_twisted_characters` relies on this to decide all candidates of a
-    map by checking one; callers run it once per table.
+    map by checking one; callers run it on each sum table they build.
     """
     for j, o in enumerate(orders):
         col = coords[:, j]
         want = np.add.outer(col, col)
         want %= o
-        if not np.array_equal(col[sum_index], want):
+        if not np.array_equal(col[sums], want):
             raise ArithmeticError(f"coordinate {j} is not additive mod {o}")
 
 
@@ -366,7 +357,7 @@ def _solve_twisted_characters(
     coords: np.ndarray,
     gen_positions: list[int],
     gen_orders: list[int],
-    sum_index: np.ndarray,
+    sums: np.ndarray,
     beta: np.ndarray,
     modulus: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -396,7 +387,7 @@ def _solve_twisted_characters(
     for j, (pos, o) in enumerate(zip(gen_positions, gen_orders)):
         acc = [pos]
         for _ in range(o - 1):
-            acc.append(int(sum_index[acc[-1], pos]))
+            acc.append(int(sums[acc[-1], pos]))
         if acc.pop() != zero:
             raise ValueError("generator order table is inconsistent")
         c[:, j] = beta[:, acc, pos].sum(axis=1) % modulus
@@ -412,13 +403,13 @@ def _solve_twisted_characters(
         for k in range(max_mult):
             active = coords[:, j] > k
             chain[:, active] += beta[:, acc_idx[active], pos]
-            acc_idx[active] = sum_index[acc_idx[active], pos]
+            acc_idx[active] = sums[acc_idx[active], pos]
 
     first = (base @ coords.T + chain) % modulus
     rhs = first[:, :, None] + first[:, None, :]
     rhs += beta
     rhs %= modulus
-    solvable &= (first[:, sum_index] == rhs).all(axis=(1, 2))
+    solvable &= (first[:, sums] == rhs).all(axis=(1, 2))
     offsets = np.array(list(itertools.product(*map(range, gen_orders))), dtype=np.int64)
     candidates = (first[:, None, :] + (offsets * step) @ coords.T) % modulus
     return candidates, solvable
@@ -573,8 +564,8 @@ def identity_automorphism(typ: ThetaType) -> HeisenbergAutomorphism:
 def inner_automorphism(z: KVector) -> HeisenbergAutomorphism:
     """i(z) as a HeisenbergAutomorphism: eta = id, chi = <z, .>."""
     table = _ktable(z.type)
-    exps = tuple(table.pair[:, table.rank(np.array(z.coords))].tolist())
-    return HeisenbergAutomorphism(z.type, tuple(table.basis_ranks().tolist()), exps)
+    exps = table.coords @ table.pair_form @ np.array(z.coords) % z.type.scalar_modulus
+    return HeisenbergAutomorphism(z.type, tuple(table.basis_ranks().tolist()), tuple(exps.tolist()))
 
 
 def _symplectic_maps(typ: ThetaType, limit: int) -> np.ndarray:
@@ -595,27 +586,36 @@ def _symplectic_maps(typ: ThetaType, limit: int) -> np.ndarray:
     p, and its completions onto those of p.  The number of maps is then the
     product over nu of the identity's completions, which only grows with nu,
     so `TooLarge` is raised, before any map is built, once it passes `limit`.
+
+    The identity's completions are counted from coordinates.  Its candidates
+    form T, the elements killed by d_nu with zero coordinates in the earlier
+    pairs (orthogonal to e_mu, e_{g+mu}), generated by the (d_mu / d_nu) e_mu
+    and (d_mu / d_nu) e_{g+mu}, mu >= nu.  For f in T, f' -> <f, f'> is a
+    homomorphism T -> mu_{d_nu}, and <e_nu, e_{g+nu}> is a primitive d_nu-th
+    root, so f has |T| / d_nu partners f' when its pairings with the
+    generators of T generate mu_{d_nu}, and none otherwise.
     """
     table = _ktable(typ)
-    g, basis = typ.g, table.basis_ranks()
-
-    def completions(maps: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
-        # partial maps (N, 2nu) send e_1..e_nu, e_{g+1}..e_{g+nu}; the candidates (N, L)
-        # are killed by d_nu and orthogonal to them, the mask (N, L, L) admits (f_nu, f_{g+nu})
-        killed = np.flatnonzero(typ.divisors[nu] % table.orders == 0)
-        orthogonal = ~table.pair[maps[:, :, None], killed].any(axis=1)
-        cand = np.broadcast_to(killed, orthogonal.shape)[orthogonal].reshape(len(maps), -1)
-        hyperbolic = table.pair[basis[nu], basis[g + nu]]
-        return cand, table.pair[cand[:, :, None], cand[:, None, :]] == hyperbolic
-
+    g, m = typ.g, typ.scalar_modulus
     count = 1
-    for nu in range(g):
-        count *= np.count_nonzero(completions(basis[None, np.r_[:nu, g : g + nu]], nu)[1])
+    for nu, d in enumerate(typ.divisors):
+        earlier = table.coords[:, np.r_[:nu, g : g + nu]].any(axis=1)
+        t = table.coords[(d % table.orders == 0) & ~earlier]
+        gens = np.diag(table.divisors // d)[np.r_[nu:g, g + nu : 2 * g]]
+        onto = np.gcd.reduce(t @ table.pair_form @ gens.T % m, axis=1, initial=m) == m // d
+        count *= int(np.count_nonzero(onto)) * (len(t) // d)
         if count > limit:
             raise TooLarge(f"at least {count} symplectic maps of |K| = {table.n} exceed {limit}")
     maps = np.zeros((1, 0), dtype=np.int64)
-    for nu in range(g):
-        cand, ok = completions(maps, nu)
+    for nu, d in enumerate(typ.divisors):
+        # the candidates (N, L) are killed by d_nu and orthogonal to the partial
+        # maps (N, 2nu); the mask (N, L, L) admits (f_nu, f_{g+nu})
+        killed = np.flatnonzero(d % table.orders == 0)
+        images = table.coords[maps] @ table.pair_form
+        orthogonal = ~(images @ table.coords[killed].T % m).any(axis=1)
+        cand = np.broadcast_to(killed, orthogonal.shape)[orthogonal].reshape(len(maps), -1)
+        c = table.coords[cand]
+        ok = c @ table.pair_form @ c.transpose(0, 2, 1) % m == table.pair_form[nu, g + nu] % m
         row, a, b = np.nonzero(ok)
         maps = np.column_stack([maps[row, :nu], cand[row, a], maps[row, nu:], cand[row, b]])
     return maps
@@ -643,20 +643,22 @@ def enumerate_automorphisms(
     m = typ.scalar_modulus
     gen_positions = [int(i) for i in table.basis_ranks()]
     orders = list(typ.divisors) * 2
-    _check_additive(table.coords, table.sum_index, orders)
+    maps = _symplectic_maps(typ, _RELATION_BOUND // table.n**2)
+    sums = table.sums(np.arange(table.n))
+    _check_additive(table.coords, sums, orders)
 
     # the relations of a chunk of maps are solved as one stack and filtered
-    # as one block; objects are built only for the survivors
-    maps = _symplectic_maps(typ, _RELATION_BOUND // table.n**2)
+    # as one block; objects are built only for the survivors.  A map with basis
+    # images E turns W into E W E^T, so beta(z1, z2) = c1 (E W E^T - W) c2^T.
     chunk = max(1, _RELATION_CHUNK // table.n**2)
     owners, blocks = [], []
     for start in range(0, len(maps), chunk):
-        perm = table.rank(table.coords @ table.coords[maps[start : start + chunk]])
-        beta = table.xy_exponent[perm[:, :, None], perm[:, None, :]]
-        beta -= table.xy_exponent
+        eta = table.coords[maps[start : start + chunk]]
+        forms = eta @ table.xy_form @ eta.transpose(0, 2, 1) - table.xy_form
+        beta = table.coords @ forms @ table.coords.T
         beta %= m
         chi, solvable = _solve_twisted_characters(
-            table.coords, gen_positions, orders, table.sum_index, beta, m
+            table.coords, gen_positions, orders, sums, beta, m
         )
         keep = np.repeat(solvable[:, None], chi.shape[1], axis=1)
         if symmetric:
@@ -732,29 +734,32 @@ def maximal_isotropic_subgroups(typ: ThetaType) -> list[tuple[KVector, ...]]:
     prod Z/d_i: the first such tuple, in product order over the elements of
     order dividing d_i, whose span has d elements.  `TooLarge` is raised
     when there are more than `_TUPLE_BOUND` such tuples to try.
+
+    The pairing is bilinear, so a span is isotropic exactly when its
+    generators pair trivially, and tuples are filtered on their g x g
+    generator pairings before any span is built.  An isotropic span H with
+    d elements is Lagrangian: H lies in H-perp, which has |K| / |H| = d
+    elements as the pairing is non-degenerate, so H = H-perp.
     """
     table = _ktable(typ)
-    d = typ.degree
-    # span of gens: sum_i mult_i gens_i for mult in prod range(d_i), added up
-    # through the sum table from multiples[k, z] = rank of k z
-    mult = np.array(
-        list(itertools.product(*(range(o) for o in typ.divisors))), dtype=np.int64
-    )
-    multiples = table.rank(np.arange(max(typ.divisors))[:, None, None] * table.coords)
+    d, m = typ.degree, typ.scalar_modulus
     candidates = [np.flatnonzero(o % table.orders == 0) for o in typ.divisors]
     shape = tuple(len(c) for c in candidates)
     total = prod(shape)
     if total > _TUPLE_BOUND:
         raise TooLarge(f"{total} generating tuples exceed {_TUPLE_BOUND}")
+    # the span of gens is sum_i mult_i gens_i for mult in prod range(d_i)
+    mult = np.array(
+        list(itertools.product(*(range(o) for o in typ.divisors))), dtype=np.int64
+    )
     step = max(1, _SPAN_CHUNK // d)
-    seen: dict[bytes, tuple[int, ...] | None] = {}
+    seen: dict[bytes, tuple[int, ...]] = {}
     for start in range(0, total, step):
         pos = np.unravel_index(np.arange(start, min(start + step, total)), shape)
         gens = np.stack([c[p] for c, p in zip(candidates, pos)], axis=1)
-        spans = multiples[mult[:, 0], gens[:, :1]]
-        for j in range(1, typ.g):
-            spans = table.sum_index[spans, multiples[mult[:, j], gens[:, j : j + 1]]]
-        spans = np.sort(spans, axis=1)
+        gc = table.coords[gens]
+        gens = gens[~(gc @ table.pair_form @ gc.transpose(0, 2, 1) % m).any(axis=(1, 2))]
+        spans = np.sort(table.rank(mult @ table.coords[gens]), axis=1)
         full = (np.diff(spans, axis=1) != 0).all(axis=1)
         # the stable lexsort keeps the first generating tuple of each span in
         # front; small unsigned keys sort by radix
@@ -763,17 +768,10 @@ def maximal_isotropic_subgroups(typ: ThetaType) -> list[tuple[KVector, ...]]:
         gens, spans = gens[full][order], spans[order]
         first = np.ones(len(spans), dtype=bool)
         first[1:] = (spans[1:] != spans[:-1]).any(axis=1)
-        fresh = [i for i in np.flatnonzero(first).tolist() if spans[i].tobytes() not in seen]
-        block = spans[fresh]
-        isotropic = ~table.pair[block[:, :, None], block[:, None, :]].any(axis=(1, 2))
-        lagrangian = isotropic.copy()
-        perp_count = (~table.pair[:, block[isotropic]].any(axis=2)).sum(axis=0)
-        lagrangian[isotropic] = perp_count == d
-        for i, ok in zip(fresh, lagrangian.tolist()):
-            seen[spans[i].tobytes()] = tuple(gens[i].tolist()) if ok else None
+        for i in np.flatnonzero(first).tolist():
+            seen.setdefault(spans[i].tobytes(), tuple(gens[i].tolist()))
     # ranks are lexicographic in the coordinates, so this is the coordinate order
-    found = sorted(gs for gs in seen.values() if gs is not None)
-    return [tuple(table.elements[i] for i in gs) for gs in found]
+    return [tuple(table.elements[i] for i in gs) for gs in sorted(seen.values())]
 
 
 def symmetric_splittings_over(
@@ -804,15 +802,15 @@ def symmetric_splittings_over(
 
     local = np.full(table.n, -1, dtype=np.int64)
     local[gidx] = np.arange(len(gidx))
-    sum_index = local[table.sum_index[np.ix_(gidx, gidx)]]
+    sums = local[table.sums(gidx)]
     neg_index = local[table.neg_index[gidx]]
-    beta = table.xy_exponent[np.ix_(gidx, gidx)]
+    beta = table.coords[gidx] @ table.xy_form @ table.coords[gidx].T % m
     gen_positions = [int(i) for i in local[gen_ranks]]
     elems = [table.elements[i] for i in gidx]
-    _check_additive(coords, sum_index, orders)
+    _check_additive(coords, sums, orders)
 
     chi, solvable = _solve_twisted_characters(
-        coords, gen_positions, orders, sum_index, beta[None], m
+        coords, gen_positions, orders, sums, beta[None], m
     )
     chi = chi[0][(chi[0][:, neg_index] == chi[0]).all(axis=1) & solvable[0]]
     return [

@@ -268,8 +268,8 @@ def _rho_hom_violations(typ: hb.ThetaType) -> int:
     1/modulus with modulus the lcm of their denominators, d and the
     scalar modulus.  Element i = k |K| + r is (e^{2 pi i k / d}, z_r), z_r
     the r-th element of K(delta) in the index-table order, so the product
-    of every pair is read off the index tables: scalars multiply with the
-    group-law scalar <x1, y2>, and K parts add.  Both sides of every pair
+    of every pair is computed from the coordinates: scalars multiply with
+    the group-law scalar <x1, y2>, and K parts add.  Both sides of every pair
     are then compared entry by entry in one integer gather.
     """
     table = hb._ktable(typ)
@@ -286,10 +286,9 @@ def _rho_hom_violations(typ: hb.ThetaType) -> int:
         dtype=np.int64,
     )
     k, r = np.divmod(np.arange(d * n), n)
-    scalar = (k[:, None] + k) * (modulus // d) + table.xy_exponent[np.ix_(r, r)] * (
-        modulus // typ.scalar_modulus
-    )
-    product = scalar % modulus // (modulus // d) * n + table.sum_index[np.ix_(r, r)]
+    xy = table.coords[r] @ table.xy_form @ table.coords[r].T
+    scalar = (k[:, None] + k) * (modulus // d) + xy * (modulus // typ.scalar_modulus)
+    product = scalar % modulus // (modulus // d) * n + table.sums(r)
     # rho(e1) @ rho(e2): column nu of rho(e2) lands in row rows[e2, nu], where
     # rho(e1) moves it on to rows[e1, rows[e2, nu]] and adds exps[e1, rows[e2, nu]]
     first = np.arange(d * n)[:, None, None]

@@ -4,7 +4,7 @@ Each case once ran for minutes or asked for gigabytes.  They run in child
 processes with a wall-clock timeout and an address-space limit, so a
 regression fails this test in seconds instead of stalling the run or
 exhausting the machine's memory.  The largest Heisenberg types get their own
-child with a larger limit, since their index tables alone take about 0.5 GB.
+child.
 """
 
 import os
@@ -82,20 +82,48 @@ def test_reproducers_finish_in_bounded_time_and_memory():
 
 # a type inside the documented domain (|K| <= 2^12) is refused by its
 # enumeration bound, not by an allocation of its index tables
-KTABLE_ADDRESS_SPACE = 5 << 29
+KTABLE_ADDRESS_SPACE = 1 << 30
 
 KTABLE_CHILD = f"""
 import resource
 resource.setrlimit(resource.RLIMIT_AS, ({KTABLE_ADDRESS_SPACE}, {KTABLE_ADDRESS_SPACE}))
 
 from thetalab.cli import main
+from thetalab.heisenberg import ThetaType, TooLarge, maximal_isotropic_subgroups
 
 for divisors in ("2,2,2,2,2,2", "2,2,2,2,4"):
     assert main(["heisenberg", "aut", "--type", divisors]) == 2, divisors
+try:
+    maximal_isotropic_subgroups(ThetaType((2,) * 6))
+except TooLarge:
+    pass
+else:
+    raise AssertionError("maximal_isotropic_subgroups((2,) * 6) answered")
 print("ok")
 """
 
 
 def test_largest_types_are_refused_within_the_address_space_limit():
     done = run_child(KTABLE_CHILD)
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
+
+
+# the index table of the largest type keeps per-element arrays only
+KTABLE_PEAK = 16 << 20
+
+KTABLE_PEAK_CHILD = f"""
+import tracemalloc
+
+from thetalab import heisenberg
+
+tracemalloc.start()
+heisenberg._ktable(heisenberg.ThetaType((2,) * 6))
+peak = tracemalloc.get_traced_memory()[1]
+assert peak < {KTABLE_PEAK}, peak
+print("ok")
+"""
+
+
+def test_largest_index_table_stays_small():
+    done = run_child(KTABLE_PEAK_CHILD)
     assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from thetalab.heisenberg import (
     ThetaType,
     TooLarge,
     TypeMismatch,
+    _xy_exponent,
     canonical_splitting,
     d_minus_one,
     enumerate_automorphisms,
@@ -160,6 +162,31 @@ def stabilizer_oracle(typ, automorphisms):
     return setwise, pointwise
 
 
+def sum_ranks_oracle(typ):
+    """sums[i, j] = rank of z_i + z_j by `KVector.__add__`; ranks are `k_elements` positions."""
+    elements = k_elements(typ)
+    index = {z: i for i, z in enumerate(elements)}
+    return np.array([[index[a + b] for b in elements] for a in elements], dtype=np.int64)
+
+
+def xy_exponents_oracle(typ):
+    """xy[i, j] = M times the exponent of the group-law scalar <x(z_i), y(z_j)>, mod M."""
+    elements, m = k_elements(typ), typ.scalar_modulus
+    return np.array(
+        [[int(_xy_exponent(a.x, b.y, typ) * m) % m for b in elements] for a in elements],
+        dtype=np.int64,
+    )
+
+
+def pair_exponents_oracle(typ):
+    """pair[i, j] = M times the exponent of the pairing <z_i, z_j>."""
+    elements, m = k_elements(typ), typ.scalar_modulus
+    return np.array(
+        [[int(pairing(a, b).exponent * m) for b in elements] for a in elements],
+        dtype=np.int64,
+    )
+
+
 def twisted_characters_oracle(coords, gen_positions, gen_orders, sum_index, beta, modulus):
     """`heisenberg._solve_twisted_characters` with every candidate checked on every pair."""
     n = coords.shape[0]
@@ -213,7 +240,8 @@ def symplectic_images_oracle(typ):
     basis_idx = table.basis_ranks()[order]
     divisors = typ.divisors * 2
     candidates = [np.flatnonzero(divisors[j] % table.orders == 0) for j in order]
-    target = table.pair[np.ix_(basis_idx, basis_idx)]
+    pair = pair_exponents_oracle(typ)
+    target = pair[np.ix_(basis_idx, basis_idx)]
 
     images: list[int] = []
 
@@ -223,7 +251,7 @@ def symplectic_images_oracle(typ):
             return
         cand = candidates[j]
         prev = np.array(images, dtype=np.intp)
-        ok = (table.pair[np.ix_(cand, prev)] == target[j, :j]).all(axis=1)
+        ok = (pair[np.ix_(cand, prev)] == target[j, :j]).all(axis=1)
         for f in cand[ok]:
             images.append(int(f))
             yield from backtrack(j + 1)
@@ -240,13 +268,12 @@ def automorphisms_loop_oracle(typ):
     m = typ.scalar_modulus
     gen_positions = [int(i) for i in table.basis_ranks()]
     orders = list(typ.divisors) * 2
+    sums, xy = sum_ranks_oracle(typ), xy_exponents_oracle(typ)
     out, sym = [], []
     for ranks in symplectic_images_oracle(typ):
         perm = table.rank(table.coords @ table.coords[list(ranks)])
-        beta = (table.xy_exponent[np.ix_(perm, perm)] - table.xy_exponent) % m
-        for values in twisted_characters_oracle(
-            table.coords, gen_positions, orders, table.sum_index, beta, m
-        ):
+        beta = (xy[np.ix_(perm, perm)] - xy) % m
+        for values in twisted_characters_oracle(table.coords, gen_positions, orders, sums, beta, m):
             u = HeisenbergAutomorphism(typ, ranks, tuple(int(v) for v in values))
             out.append(u)
             if np.array_equal(values[table.neg_index], values):
@@ -686,11 +713,11 @@ def test_twisted_characters_match_per_candidate_oracle(divisors, monkeypatch):
 
 def test_twisted_characters_require_additive_coordinates():
     typ = T4
-    table = heisenberg._ktable(typ)
+    coords, sums = heisenberg._ktable(typ).coords, sum_ranks_oracle(typ)
     orders = list(typ.divisors) * 2
-    heisenberg._check_additive(table.coords, table.sum_index, orders)
+    heisenberg._check_additive(coords, sums, orders)
     with pytest.raises(ArithmeticError):
-        heisenberg._check_additive(table.coords, table.sum_index, [2] * len(orders))
+        heisenberg._check_additive(coords, sums, [2] * len(orders))
 
 
 @pytest.mark.parametrize("divisors", ((2,), (2, 2)))
@@ -759,6 +786,25 @@ def test_symplectic_maps_match_the_backtracking_oracle(divisors):
         heisenberg._symplectic_maps(typ, len(rows) - 1)
 
 
+def symplectic_group_order(p, g):
+    """|Sp_2g(F_p)| = p^(g^2) prod_{i=1..g} (p^(2i) - 1)."""
+    return p ** (g * g) * prod(p ** (2 * i) - 1 for i in range(1, g + 1))
+
+
+def test_symplectic_group_order_examples():
+    assert symplectic_group_order(2, 6) == 208_114_637_736_580_743_168_000
+    assert symplectic_group_order(3, 2) == 51_840
+
+
+@pytest.mark.parametrize("p, g", [(2, g) for g in range(1, 7)] + [(3, g) for g in range(1, 4)])
+def test_symplectic_map_count_is_the_symplectic_group_order(p, g):
+    """On (p,)*g the symplectic maps are Sp_2g(F_p): refused one below their
+    number, `_symplectic_maps` names that number exactly."""
+    count = symplectic_group_order(p, g)
+    with pytest.raises(TooLarge, match=f"at least {count} symplectic maps"):
+        heisenberg._symplectic_maps(ThetaType((p,) * g), count - 1)
+
+
 def test_stabilizer_rejects_automorphisms_of_another_type():
     """The automorphisms of (1,4) index tables of the size of those of (2,2),
     and those of (4,) have fewer basis images: neither is read as (2,2)."""
@@ -808,6 +854,7 @@ MAXIMAL_ISOTROPIC_FINGERPRINTS = {
     (3, 3): (40, "3b93813d16a97df7"),
     (2, 6): (60, "d9988a00cd50b337"),
     (4, 4): (120, "72a7ac159d0b6045"),
+    (6, 6): (600, "00a054c41fa7cfdf"),
 }
 
 
