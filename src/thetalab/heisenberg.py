@@ -13,38 +13,22 @@ G(2 delta) -> G(delta), symmetric splittings of H(delta) x {0} and their
 pushforward under doubling, and exhaustive enumeration of the symmetric
 automorphism group together with the stabilizer of the canonical splitting.
 
-Semicharacters are never constructed from a closed form: candidate values
-on generators are solved from the order relations, and the first candidate
-of each map is verified against the defining relation on all pairs (the
-others differ from it by a homomorphism), so the enumerations are
-self-checking.  The intended regimes are small types like (2), (4), (2,2),
-(2,4), (4,4); a hard bound |K(delta)| <= 2^12 is enforced.  Two enumerations
-cost more than |K| says and are bounded by their work as well, raising
-`TooLarge` before it starts: the automorphism enumerations once the
-symplectic maps (counted first) times |K|^2 exceed 2^30 relation entries
-(so (2,4), (3,3) and (2,6) answer, and (2,2,2), (2,8), (4,4) and (64,) do
-not), and `maximal_isotropic_subgroups` above 2^24 generating tuples (the
-Lagrangians of (4,4) and (8,8) are found, those of (2,2,2,2) are not).
-
-All enumeration runs on integer arrays indexed by the rank of an element of
-K(delta) (see `_KTable`), in blocks: the symplectic maps grow one hyperbolic
-pair at a time, all together, the relations of many maps are solved as one
-stack, and the symmetry filter, the ordering, the stabilizer tests and the
-deduplication of subgroup spans each run over a whole block.  Sums, group-law
-scalars and pairings are computed from coordinates, sized to what each call
-reads, so no |K| x |K| table outlives a call.  `KVector` and
-`HeisenbergElement` objects appear only in arguments and results.
+Semicharacters and symmetric lifts are read off in closed form
+(`_semicharacter_values`).  The intended regimes are small types like (2),
+(4), (2,2), (2,4), (3,3), (4,4): |K(delta)| <= 2^12 is enforced, and the
+enumerations raise `TooLarge` before work starts past `_READ_BOUND` or
+`_TUPLE_BOUND`.  Enumeration runs in blocks on integer arrays indexed by rank
+in K(delta) (`_KTable`); automorphisms stay rows of arrays until read.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Sequence
 
 import numpy as np
 
@@ -200,29 +184,20 @@ def k_zero(typ: ThetaType) -> KVector:
 def k_basis(typ: ThetaType) -> list[KVector]:
     """Standard basis e_1..e_g (x-part), e_{g+1}..e_{2g} (y-part)."""
     g = typ.g
-    out = []
-    for i in range(2 * g):
-        coords = [0] * (2 * g)
-        coords[i] = 1
-        out.append(KVector(typ, tuple(coords[:g]), tuple(coords[g:])))
-    return out
+    return [KVector(typ, tuple(e[:g]), tuple(e[g:])) for e in np.eye(2 * g, dtype=int).tolist()]
 
 
 def k_elements(typ: ThetaType) -> list[KVector]:
     """All of K(delta), in lexicographic coordinate order."""
     g = typ.g
     ranges = [range(d) for d in typ.divisors] * 2
-    return [
-        KVector(typ, coords[:g], coords[g:]) for coords in itertools.product(*ranges)
-    ]
+    return [KVector(typ, c[:g], c[g:]) for c in itertools.product(*ranges)]
 
 
 def pairing(z1: KVector, z2: KVector) -> RootOfUnity:
     """Standard symplectic pairing: <e_nu, e_{g+nu}> = zeta_{d_nu}^{-1}."""
     _same_type(z1, z2)
-    return RootOfUnity(
-        _xy_exponent(z1.x, z2.y, z1.type) - _xy_exponent(z2.x, z1.y, z1.type)
-    )
+    return RootOfUnity(_xy_exponent(z1.x, z2.y, z1.type) - _xy_exponent(z2.x, z1.y, z1.type))
 
 
 def _xy_exponent(x: Sequence[int], y: Sequence[int], typ: ThetaType) -> Fraction:
@@ -287,13 +262,10 @@ def h2_map(a: HeisenbergElement) -> HeisenbergElement:
 
 # --- index tables -----------------------------------------------------------------
 #
-# Every enumeration below works on integer arrays indexed by the lexicographic
-# rank of K(delta) elements.  The table keeps per-element arrays only, and two
+# The table keeps per-element arrays, indexed by lexicographic rank, and two
 # 2g x 2g forms: with exponents over the scalar modulus M, the group-law scalar
 # <x(z1), y(z2)> is c1 W c2^T and the pairing <z2, z1> is c1 (W^T - W) c2^T.
-# Callers derive the sums, scalars and pairings they read from coordinates,
-# sized to what they read.  A subgroup, a span or an automorphism is an array
-# of ranks; `KVector`s are looked up in `elements` only for results.
+# Callers derive the sums, scalars and pairings they read from coordinates.
 
 class _KTable:
     def __init__(self, typ: ThetaType):
@@ -302,15 +274,9 @@ class _KTable:
         self.n = len(self.elements)
         self.divisors = np.array(typ.divisors * 2, dtype=np.int64)
         self.coords = np.array([z.coords for z in self.elements], dtype=np.int64)
-        self.orders = np.lcm.reduce(
-            self.divisors // np.gcd(self.coords, self.divisors), axis=1
-        )
+        self.orders = np.lcm.reduce(self.divisors // np.gcd(self.coords, self.divisors), axis=1)
         # mixed-radix place values for ranking a coordinate vector
-        place = np.ones(2 * typ.g, dtype=np.int64)
-        for i in range(2 * typ.g - 2, -1, -1):
-            place[i] = place[i + 1] * self.divisors[i + 1]
-        self.place = place
-        self.neg_index = self.rank(-self.coords)
+        self.place = np.append(np.cumprod(self.divisors[:0:-1])[::-1], 1)
         m = typ.scalar_modulus
         self.xy_form = np.kron([[0, 1], [0, 0]], np.diag([-(m // d) for d in typ.divisors]))
         self.pair_form = self.xy_form.T - self.xy_form
@@ -321,11 +287,6 @@ class _KTable:
     def basis_ranks(self) -> np.ndarray:
         """Ranks of the standard basis e_1..e_2g."""
         return self.rank(np.eye(2 * self.type.g, dtype=np.int64))
-
-    def sums(self, ranks: np.ndarray) -> np.ndarray:
-        """Ranks of z_a + z_b for all a, b in `ranks`, shape (len(ranks), len(ranks))."""
-        c = self.coords[ranks]
-        return self.rank(c[:, None] + c)
 
 
 def _check_bound(typ: ThetaType) -> None:
@@ -339,80 +300,67 @@ def _ktable(typ: ThetaType) -> _KTable:
     return _KTable(typ)
 
 
-def _check_additive(coords: np.ndarray, sums: np.ndarray, orders: Sequence[int]) -> None:
-    """Check coords[a + b] = coords[a] + coords[b] mod the generator orders, all a, b.
+# --- semicharacters in closed form -------------------------------------------------
 
-    `_solve_twisted_characters` relies on this to decide all candidates of a
-    map by checking one; callers run it on each sum table they build.
+def _semicharacter_values(
+    diag: np.ndarray, orders: Sequence[int], m: int, symmetric: bool
+) -> np.ndarray:
+    """Generator values l of the solutions s of a relation, or of the symmetric ones.
+
+    The relation is s(a + b) = s(a) + s(b) + c_a B c_b^T mod M on A = prod Z/o_i,
+    B symmetric with o_i B_ij = 0 and 4 | B_ii: E W E^T - W for a symplectic
+    map with basis images E, or G W G^T for the generators G of an isotropic
+    subgroup.  For diagonals diag (N, k), returns (N, P, k): the P solutions
+    of each form, in product order over the generators, l_i ascending.
+
+    Every solution has the closed form (Mumford, "On the equations defining
+    abelian varieties I", Invent. Math. 1, 1966, section 1)
+
+        s(c) = sum_{i<j} c_i B_ij c_j + sum_i B_ii c_i (c_i - 1) / 2 + l . c,
+
+    l_i = s(e_i), and l gives one exactly when o_i l_i + B_ii o_i (o_i - 1) / 2
+    = 0 mod M.  Proof: the quadratic part q has q(a + b) = q(a) + q(b) + a B b^T
+    on Z^k, so s pulled back to Z^k is q + l . c, whose value at o_i e_i is
+    s(0) = 0.  Conversely F = q + l . c has F(c + o_i e_i) - F(c) = F(o_i e_i)
+    + o_i (c B)_i = 0 mod M, so F descends to A.  So l_i = -B_ii (o_i - 1) / 2
+    mod M / o_i.
+
+    s is symmetric exactly when 2 l = diag(B) mod M.  Proof: phi(z) = 2 s(z) -
+    c B c^T is additive as B is symmetric, and s(z) + s(-z) = c B c^T, from
+    s(0) = 0, gives s(-z) - s(z) = -phi(z), zero exactly when 2 l_i = B_ii.
+    Of the roots B_ii / 2 + eps M / 2, with o_i B_ii = t M, the order relation
+    keeps those with (t + eps) o_i even: both when o_i is even, one when odd
+    (checked, so every form keeps as many rows).
     """
-    for j, o in enumerate(orders):
-        col = coords[:, j]
-        want = np.add.outer(col, col)
-        want %= o
-        if not np.array_equal(col[sums], want):
-            raise ArithmeticError(f"coordinate {j} is not additive mod {o}")
+    diag = diag.astype(np.int64)
+    options = []
+    for i, o in enumerate(orders):
+        step = m // o
+        l = (-(diag[:, i] * (o - 1) // 2) % step)[:, None] + step * np.arange(o)
+        if symmetric:
+            keep = (2 * l - diag[:, i, None]) % m == 0
+            count = 2 - o % 2
+            if not (keep.sum(axis=1) == count).all():
+                raise ArithmeticError(f"generator {i} has no {count} symmetric values")
+            l = l[keep].reshape(len(l), count)
+        options.append(l)
+    grid = np.array(list(itertools.product(*(range(o.shape[1]) for o in options))), dtype=np.intp)
+    values = [opts[:, grid[:, i]] for i, opts in enumerate(options)]
+    return np.stack(values, axis=-1) if values else np.zeros((len(diag), 1, 0), dtype=np.int64)
 
 
-def _solve_twisted_characters(
-    coords: np.ndarray,
-    gen_positions: list[int],
-    gen_orders: list[int],
-    sums: np.ndarray,
-    beta: np.ndarray,
-    modulus: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All integer maps s (mod `modulus`) with s(a+b) = s(a) + s(b) + beta(a, b).
+def _closed_form(coords: np.ndarray, forms: np.ndarray, l: np.ndarray, m: int) -> np.ndarray:
+    """s(c) mod M, shape (R, n), of R solutions (forms, l) on n coordinate rows.
 
-    The group is given by tables over its elements 0..n-1: `coords` holds the
-    exponents of each element with respect to a generating tuple realizing
-    the group as a direct product of cyclic groups of the given orders, the
-    generators themselves sitting at `gen_positions`; `coords` must be
-    additive (`_check_additive`).  `beta` is a stack of B relations, shape
-    (B, n, n), solved together.  Candidate generator values come from the
-    order relations: each ranges over one coset of (modulus / o_j) Z, so two
-    candidates differ by a homomorphism to Z/modulus and either all of them
-    satisfy the relation or none does.  The first candidate is verified on
-    every pair and decides for all.
-
-    Returns (candidates, solvable): candidates[b], shape (prod(gen_orders), n),
-    lists the candidates of beta[b] in product order over the generator
-    values, and they are the solutions exactly when solvable[b].
+    2 s(c) = c B c^T + (2 l - diag(B)) . c over the integers, B symmetric; its
+    terms are integers below 2^53, so the float product and its half are exact.
     """
-    n = coords.shape[0]
-    zero = int(np.flatnonzero((coords == 0).all(axis=1))[0])
-    orders = np.array(gen_orders, dtype=np.int64)
-
-    # order relations: o_j s(g_j) = sum of beta(k g_j, g_j) over 0 < k < o_j
-    c = np.zeros((len(beta), len(gen_orders)), dtype=np.int64)
-    for j, (pos, o) in enumerate(zip(gen_positions, gen_orders)):
-        acc = [pos]
-        for _ in range(o - 1):
-            acc.append(int(sums[acc[-1], pos]))
-        if acc.pop() != zero:
-            raise ValueError("generator order table is inconsistent")
-        c[:, j] = beta[:, acc, pos].sum(axis=1) % modulus
-    solvable = (c % orders == 0).all(axis=1)
-    step = modulus // orders
-    base = (-(c // orders)) % step
-
-    # chain correction: cost of assembling each element generator by generator
-    chain = np.zeros((len(beta), n), dtype=np.int64)
-    acc_idx = np.full(n, zero, dtype=np.int64)
-    for j, pos in enumerate(gen_positions):
-        max_mult = int(coords[:, j].max()) if n else 0
-        for k in range(max_mult):
-            active = coords[:, j] > k
-            chain[:, active] += beta[:, acc_idx[active], pos]
-            acc_idx[active] = sums[acc_idx[active], pos]
-
-    first = (base @ coords.T + chain) % modulus
-    rhs = first[:, :, None] + first[:, None, :]
-    rhs += beta
-    rhs %= modulus
-    solvable &= (first[:, sums] == rhs).all(axis=(1, 2))
-    offsets = np.array(list(itertools.product(*map(range, gen_orders))), dtype=np.int64)
-    candidates = (first[:, None, :] + (offsets * step) @ coords.T) % modulus
-    return candidates, solvable
+    r, k = l.shape
+    forms, l = forms.astype(np.float64), l.astype(np.float64)
+    coef = np.hstack([forms.reshape(r, k * k), 2 * l - np.diagonal(forms, axis1=1, axis2=2)])
+    squares = (coords[:, :, None] * coords[:, None, :]).reshape(len(coords), k * k)
+    terms = np.hstack([squares, coords])
+    return (coef @ terms.T.astype(np.float64) / 2).astype(np.int64) % m
 
 
 # --- symmetric splittings ----------------------------------------------------------
@@ -459,10 +407,7 @@ def enumerate_symmetric_splittings(typ: ThetaType) -> list[SymmetricSplitting]:
     if not typ.is_even:
         raise OddType(f"type {typ.divisors} is not even")
     _check_bound(typ)
-    return [
-        SymmetricSplitting(typ, signs)
-        for signs in itertools.product((1, -1), repeat=typ.g)
-    ]
+    return [SymmetricSplitting(typ, s) for s in itertools.product((1, -1), repeat=typ.g)]
 
 
 def h2_pushforward_splitting(sigma: SymmetricSplitting) -> SymmetricSplitting:
@@ -474,14 +419,10 @@ def h2_pushforward_splitting(sigma: SymmetricSplitting) -> SymmetricSplitting:
     half = sigma.type.half()  # raises TypeMismatch when not a doubled type
     if not half.is_even:
         raise TypeMismatch(f"half type {half.divisors} is not even")
-    signs = []
-    for i in range(sigma.type.g):
-        gen = tuple(1 if j == i else 0 for j in range(sigma.type.g))
-        image = h2_map(sigma.sigma(gen))
-        if image.scalar != ONE:
-            raise ArithmeticError(f"pushforward scalar {image.scalar} is not trivial")
-        signs.append(1)
-    return SymmetricSplitting(half, tuple(signs))
+    for gen in np.eye(sigma.type.g, dtype=np.int64).tolist():
+        if (scalar := h2_map(sigma.sigma(gen)).scalar) != ONE:
+            raise ArithmeticError(f"pushforward scalar {scalar} is not trivial")
+    return canonical_splitting(half)
 
 
 # --- automorphisms ------------------------------------------------------------------
@@ -490,10 +431,9 @@ def h2_pushforward_splitting(sigma: SymmetricSplitting) -> SymmetricSplitting:
 class HeisenbergAutomorphism:
     """An automorphism (lambda, z) -> (lambda chi(z), eta z) fixing the center.
 
-    eta is stored by the ranks (positions in the lexicographic element order,
-    see `_KTable`) of the images of the 2g standard basis vectors; chi by its
-    exponent table over the type's scalar modulus M, in the same order:
-    chi(z_i) = e^{2 pi i chi_exponents[i] / M}.
+    eta is stored by the ranks (lexicographic positions, see `_KTable`) of the
+    images of the 2g basis vectors, chi by its exponents over the scalar
+    modulus M in that order: chi(z_i) = e^{2 pi i chi_exponents[i] / M}.
     """
 
     type: ThetaType
@@ -568,32 +508,18 @@ def inner_automorphism(z: KVector) -> HeisenbergAutomorphism:
     return HeisenbergAutomorphism(z.type, tuple(table.basis_ranks().tolist()), tuple(exps.tolist()))
 
 
-def _symplectic_maps(typ: ThetaType, limit: int) -> np.ndarray:
-    """All pairing-preserving automorphisms of K(delta), counted, then built.
+def _symplectic_map_count(typ: ThetaType) -> int:
+    """The number of `_symplectic_maps`, read off coordinates.
 
-    Row k of the result (N, 2g) holds the ranks of the images f_j of the
-    standard basis e_j under map k: d_j f_j = 0 and <f_j, f_k> = <e_j, e_k>
-    (bijective, as the pairing is non-degenerate).  A partial map sends the
-    hyperbolic pairs (e_mu, e_{g+mu}), mu < nu, and all partial maps extend
-    together by every (f_nu, f_{g+nu}) killed by d_nu, orthogonal to their
-    images and pairing as e_nu with e_{g+nu}.
-
-    Every partial map p has as many completions as the identity's.  Its
-    images span P with a symplectic basis of type (d_1, .., d_{nu-1}), so
-    K = P + P-perp, and P-perp, isomorphic to (Z/d_nu x .. x Z/d_g)^2 by
-    cancellation and non-degenerate, has a symplectic basis of that type.
-    Hence a symplectic automorphism of K sends the identity's partial map to
-    p, and its completions onto those of p.  The number of maps is then the
-    product over nu of the identity's completions, which only grows with nu,
-    so `TooLarge` is raised, before any map is built, once it passes `limit`.
-
-    The identity's completions are counted from coordinates.  Its candidates
-    form T, the elements killed by d_nu with zero coordinates in the earlier
-    pairs (orthogonal to e_mu, e_{g+mu}), generated by the (d_mu / d_nu) e_mu
-    and (d_mu / d_nu) e_{g+mu}, mu >= nu.  For f in T, f' -> <f, f'> is a
-    homomorphism T -> mu_{d_nu}, and <e_nu, e_{g+nu}> is a primitive d_nu-th
-    root, so f has |T| / d_nu partners f' when its pairings with the
-    generators of T generate mu_{d_nu}, and none otherwise.
+    A partial map p on the pairs (e_mu, e_{g+mu}), mu < nu, has as many
+    completions (f_nu, f_{g+nu}) as the identity's: its images span P of type
+    (d_1, .., d_{nu-1}), K = P + P-perp, and P-perp, of type (d_nu, .., d_g)
+    by cancellation, has a symplectic basis, so a symplectic automorphism of
+    K sends the identity's partial map and completions to p's.  The identity's
+    candidates form T, killed by d_nu and zero in the earlier pairs, spanned
+    by the (d_mu / d_nu) e_mu, (d_mu / d_nu) e_{g+mu}, mu >= nu.  As
+    f' -> <f, f'> maps T to mu_{d_nu}, f has |T| / d_nu partners when its
+    pairings with those generate mu_{d_nu}, and none otherwise.
     """
     table = _ktable(typ)
     g, m = typ.g, typ.scalar_modulus
@@ -604,8 +530,18 @@ def _symplectic_maps(typ: ThetaType, limit: int) -> np.ndarray:
         gens = np.diag(table.divisors // d)[np.r_[nu:g, g + nu : 2 * g]]
         onto = np.gcd.reduce(t @ table.pair_form @ gens.T % m, axis=1, initial=m) == m // d
         count *= int(np.count_nonzero(onto)) * (len(t) // d)
-        if count > limit:
-            raise TooLarge(f"at least {count} symplectic maps of |K| = {table.n} exceed {limit}")
+    return count
+
+
+def _symplectic_maps(typ: ThetaType) -> np.ndarray:
+    """All pairing-preserving automorphisms of K(delta), built pair by pair.
+
+    Row k (N, 2g) holds the ranks of the basis images f_j under map k: d_j f_j
+    = 0 and <f_j, f_k> = <e_j, e_k>.  The partial maps extend by every pair
+    killed by d_nu, orthogonal to their images and pairing as e_nu, e_{g+nu}.
+    """
+    table = _ktable(typ)
+    g, m = typ.g, typ.scalar_modulus
     maps = np.zeros((1, 0), dtype=np.int64)
     for nu, d in enumerate(typ.divisors):
         # the candidates (N, L) are killed by d_nu and orthogonal to the partial
@@ -621,104 +557,141 @@ def _symplectic_maps(typ: ThetaType, limit: int) -> np.ndarray:
     return maps
 
 
-_RELATION_CHUNK = 2**16  # beta entries (maps x n x n) solved at once while enumerating
-_RELATION_BOUND = 2**30  # beta entries (maps x n x n) solved in one enumeration
+# chi exponents (automorphisms x |K|) an enumeration yields when read in full,
+# 8 to 10 bytes each in a list: symmetric (2,6), 0.59 x 2^26, peaks at 406 MB.
+# Non-symmetric (14,) .. (20,), (3,3) and (2,6) need 1.2 to 14 times 2^26.
+_READ_BOUND = 2**26
+_CHI_BLOCK = 2**16  # chi exponents computed at once while reading automorphisms
+
+
+class _Automorphisms(Sequence):
+    """Automorphisms as rows, built into `HeisenbergAutomorphism`s when read.
+
+    Row k holds the ranks of the basis images of eta, l_i = chi(e_i), and the
+    form B of eta (`_forms`); chi is the closed form of (B, l).  It equals
+    any sequence of the same automorphisms; `in` builds them one by one.
+    """
+
+    def __init__(self, typ: ThetaType, eta: np.ndarray, l: np.ndarray, forms: np.ndarray):
+        self.type, self.eta, self.l, self.forms = typ, eta, l, forms
+
+    def __len__(self) -> int:
+        return len(self.eta)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._take(index)
+        return next(self._build([range(len(self))[index]]))
+
+    def __iter__(self):
+        step = max(1, _CHI_BLOCK // self.type.k_order)
+        for start in range(0, len(self), step):
+            yield from self._build(slice(start, start + step))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def chi(self, rows) -> np.ndarray:
+        """The chi exponent tables of `rows`, shape (R, |K|)."""
+        coords = _ktable(self.type).coords
+        return _closed_form(coords, self.forms[rows], self.l[rows], self.type.scalar_modulus)
+
+    def _build(self, rows):
+        for eta, chi in zip(self.eta[rows].tolist(), self.chi(rows).tolist()):
+            yield HeisenbergAutomorphism(self.type, tuple(eta), tuple(chi))
+
+    def _take(self, rows) -> "_Automorphisms":
+        return _Automorphisms(self.type, self.eta[rows], self.l[rows], self.forms[rows])
+
+
+def _forms(table: _KTable, maps: np.ndarray) -> np.ndarray:
+    """B = E W E^T - W mod M, symmetric as E preserves W^T - W, for basis images E."""
+    eta = table.coords[maps.astype(np.intp)]
+    forms = eta @ table.xy_form @ eta.transpose(0, 2, 1) - table.xy_form
+    return forms % table.type.scalar_modulus
 
 
 def enumerate_automorphisms(
     typ: ThetaType, symmetric: bool = True
-) -> list[HeisenbergAutomorphism]:
+) -> Sequence[HeisenbergAutomorphism]:
     """All center-fixing automorphisms of G(delta); the symmetric ones by default.
 
     An automorphism is a pair (eta, chi) with eta symplectic on K(delta) and
     chi an eta-semicharacter, i.e. a solution of
 
-        chi(z1 + z2) = chi(z1) chi(z2) <x(eta z1), y(eta z2)> <x(z1), y(z2)>^{-1}.
+        chi(z1 + z2) = chi(z1) chi(z2) <x(eta z1), y(eta z2)> <x(z1), y(z2)>^{-1},
 
-    The symmetric ones are those commuting with the inversion automorphism,
-    which amounts to chi(-z) = chi(z).  `TooLarge` is raised, before any
-    map is built, when the maps times |K|^2 exceed `_RELATION_BOUND`.
+    whose exponents meet s(z1 + z2) = s(z1) + s(z2) + c1 B c2^T (`_forms`).
+    The symmetric ones commute with the inversion: chi(-z) = chi(z).  Each
+    map has |K| solutions, or one per 2-torsion point when symmetric, and
+    `TooLarge` is raised before any map is built when their chi tables
+    together exceed `_READ_BOUND` entries.
+
+    Returns a read-only sequence, not a list, in `sort_key` order: by map
+    (ranks are lexicographic in coordinates), then by l read from its end.
+    Two solutions differ by a homomorphism h; if l_i is their last differing
+    entry, h vanishes below e_i in rank, so their chi tables first differ at e_i.
     """
-    table = _ktable(typ)
-    m = typ.scalar_modulus
-    gen_positions = [int(i) for i in table.basis_ranks()]
-    orders = list(typ.divisors) * 2
-    maps = _symplectic_maps(typ, _RELATION_BOUND // table.n**2)
-    sums = table.sums(np.arange(table.n))
-    _check_additive(table.coords, sums, orders)
-
-    # the relations of a chunk of maps are solved as one stack and filtered
-    # as one block; objects are built only for the survivors.  A map with basis
-    # images E turns W into E W E^T, so beta(z1, z2) = c1 (E W E^T - W) c2^T.
-    chunk = max(1, _RELATION_CHUNK // table.n**2)
-    owners, blocks = [], []
-    for start in range(0, len(maps), chunk):
-        eta = table.coords[maps[start : start + chunk]]
-        forms = eta @ table.xy_form @ eta.transpose(0, 2, 1) - table.xy_form
-        beta = table.coords @ forms @ table.coords.T
-        beta %= m
-        chi, solvable = _solve_twisted_characters(
-            table.coords, gen_positions, orders, sums, beta, m
-        )
-        keep = np.repeat(solvable[:, None], chi.shape[1], axis=1)
-        if symmetric:
-            keep &= (chi[:, :, table.neg_index] == chi).all(axis=2)
-        owners.append(start + np.nonzero(keep)[0])
-        blocks.append(chi[keep].astype(np.min_scalar_type(m - 1)))
-    owner = np.concatenate(owners)
-    chi = np.concatenate(blocks)
-    eta = maps[owner].astype(np.min_scalar_type(table.n - 1))
-    # ranks are lexicographic in the coordinates, so ordering by (eta ranks,
-    # chi) is `sort_key` order; small unsigned keys sort by radix
-    order = np.lexsort((*chi.T[::-1], *eta.T[::-1]))
-    eta_ranks = [tuple(row) for row in maps.tolist()]
-    return [
-        HeisenbergAutomorphism(typ, eta_ranks[k], row)
-        for k, row in zip(owner[order].tolist(), map(tuple, chi[order].tolist()))
-    ]
+    table, m, orders = _ktable(typ), typ.scalar_modulus, typ.divisors * 2
+    per_map = prod(2 - o % 2 for o in orders) if symmetric else table.n
+    count = _symplectic_map_count(typ)
+    if (total := count * per_map * table.n) > _READ_BOUND:
+        size = f"{count} symplectic maps x {per_map} semicharacters x |K| = {table.n}"
+        raise TooLarge(f"{size} = {total} chi exponents exceed {_READ_BOUND}")
+    maps = _symplectic_maps(typ).astype(np.min_scalar_type(table.n - 1))
+    maps = maps[np.lexsort(maps.T[::-1])]  # small unsigned keys sort by radix
+    forms = _forms(table, maps).astype(np.min_scalar_type(m - 1))
+    diag = np.diagonal(forms, axis1=1, axis2=2)
+    l = _semicharacter_values(diag[:, ::-1], orders[::-1], m, symmetric)[..., ::-1]
+    l = l.reshape(-1, 2 * typ.g).astype(forms.dtype)
+    return _Automorphisms(typ, np.repeat(maps, per_map, axis=0), l, np.repeat(forms, per_map, 0))
 
 
-def enumerate_sym_automorphisms(typ: ThetaType) -> list[HeisenbergAutomorphism]:
+def enumerate_sym_automorphisms(typ: ThetaType) -> Sequence[HeisenbergAutomorphism]:
     """The symmetric automorphism group of G(delta), exhaustively."""
     return enumerate_automorphisms(typ, symmetric=True)
 
 
 def stabilizer_u0sym(
     typ: ThetaType,
-    automorphisms: list[HeisenbergAutomorphism] | None = None,
+    automorphisms: Sequence[HeisenbergAutomorphism] | None = None,
     pointwise: bool = False,
-) -> list[HeisenbergAutomorphism]:
+) -> Sequence[HeisenbergAutomorphism]:
     """Stabilizer of the canonical splitting inside the symmetric automorphisms.
 
     The defining condition u . sigma_can(H) <= sigma_can(H) is read setwise:
     u must send each lift (1, h, 0) to some lift (1, h', 0).  The strictly
-    stronger pointwise reading (h' = h) is available for comparison; the two
-    differ in general and tests report both cardinalities.
+    stronger pointwise reading (h' = h) is available for comparison.  Returns
+    the kept automorphisms in input order: given objects in a list, the rows
+    of an enumeration as a read-only sequence.  Objects are converted to rows
+    once (l = chi on the basis); a chi table off the closed form of its
+    (eta, l) raises `ValueError`.
+
+    No chi table is read: eta maps H x 0 into itself when the images of
+    e_1..e_g have zero y-part, and fixes it when they are e_1..e_g; chi
+    vanishes on H x 0 exactly when B_ij = 0 and l_i = 0 for i, j <= g, as
+    B_ij = chi(e_i + e_j) - chi(e_i) - chi(e_j) and l_i = chi(e_i).
     """
-    if automorphisms is None:
-        automorphisms = enumerate_sym_automorphisms(typ)
-    # identity first: comparing every type by value costs 40% of a (2,2) call
-    elif any(u.type is not typ and u.type != typ for u in automorphisms):
-        raise TypeMismatch(f"automorphisms of another type than {typ} given")
-    if not automorphisms:
-        return []
-    table = _ktable(typ)
-    g = typ.g
-    m = typ.scalar_modulus
-    # ranks of the lifts (1, h, 0): the elements with zero y-part
-    hidx = np.flatnonzero(~table.coords[:, g:].any(axis=1))
-    # each distinct map is stacked once
-    slots: dict[tuple[int, ...], int] = {}
-    owner = [slots.setdefault(u.eta_ranks, len(slots)) for u in automorphisms]
-    on_lifts = operator.itemgetter(*hidx.tolist())
-    chi = np.array([on_lifts(u.chi_exponents) for u in automorphisms], dtype=np.int64)
-    chi = chi.reshape(len(automorphisms), len(hidx))
-    image = table.rank(table.coords[hidx] @ table.coords[list(slots)])
-    keep = ~table.coords[image, g:].any(axis=(1, 2))  # eta(H x 0) = H x 0
+    table, g = _ktable(typ), typ.g
+    given = rows = enumerate_sym_automorphisms(typ) if automorphisms is None else automorphisms
+    if not (isinstance(rows, _Automorphisms) and rows.type == typ):
+        # identity first: comparing every type by value costs 40% of a (2,2) call
+        if any(u.type is not typ and u.type != typ for u in rows):
+            raise TypeMismatch(f"automorphisms of another type than {typ} given")
+        eta = np.array([u.eta_ranks for u in rows], dtype=np.int64).reshape(len(rows), 2 * g)
+        chi = np.array([u.chi_exponents for u in rows], dtype=np.int64).reshape(len(rows), table.n)
+        rows = _Automorphisms(typ, eta, chi[:, table.basis_ranks()], _forms(table, eta))
+        if not np.array_equal(rows.chi(slice(None)), chi):
+            raise ValueError("a chi table is not the closed form of its eta and basis values")
+    images = rows.eta[:, :g].astype(np.intp)
+    keep = ~table.coords[images, g:].any(axis=(1, 2))
     if pointwise:
-        keep &= (image == hidx).all(axis=1)
-    keep = keep[owner] & ~(chi % m).any(axis=1)
-    return [u for u, k in zip(automorphisms, keep.tolist()) if k]
+        keep &= (images == table.basis_ranks()[:g]).all(axis=1)
+    keep &= ~rows.forms[:, :g, :g].any(axis=(1, 2)) & ~rows.l[:, :g].any(axis=1)
+    kept = np.flatnonzero(keep)
+    return rows._take(kept) if rows is given else [given[i] for i in kept.tolist()]
 
 
 # --- splitting pairs over arbitrary maximal isotropic subgroups --------------------
@@ -727,45 +700,85 @@ _SPAN_CHUNK = 2**17  # span elements materialized at once while enumerating subg
 _TUPLE_BOUND = 2**24  # generating tuples tried by one subgroup enumeration
 
 
+class _PackedKeys:
+    """Elements of K(delta) as unsigned keys, one b-bit digit per coordinate.
+
+    With H = 2^(b-1) at least every divisor, reduced digits add without
+    carries; a sum is at least D_k when bit b - 1 is set once H - D_k is
+    added, and subtracting D_k there reduces it.  Coordinates of divisor 1
+    take no digit, so keys fit 32 bits when |K| <= 2^12 (worst: (2,2,2,6)).
+    """
+
+    def __init__(self, table: _KTable):
+        live = table.divisors > 1
+        self.b = int(table.divisors.max() - 1).bit_length() + 1
+        self.shift = np.zeros(len(live), dtype=np.int64)
+        self.shift[live] = self.b * np.arange(np.count_nonzero(live))[::-1]
+        self.dtype = np.min_scalar_type((1 << int(self.shift.max() + self.b)) - 1)
+        self.table = table
+        self.divisors = self.dtype.type(np.sum(table.divisors[live] << self.shift[live]))
+        self.high = self.dtype.type(np.sum(1 << (self.b - 1) << self.shift[live]))
+
+    def multiples(self, o: int) -> np.ndarray:
+        """Keys of t z, shape (|K|, o): element z by rank, t < o."""
+        out = np.zeros((self.table.n, o), dtype=np.int64)
+        for c, d, shift in zip(self.table.coords.T, self.table.divisors, self.shift):
+            out += np.multiply.outer(c, np.arange(o)) % d << shift
+        return out.astype(self.dtype)
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Keys of x[r, a] + y[r, b], shape (R, A B), in product order over (a, b)."""
+        s = x[:, :, None] + y[:, None, :]
+        over = (s + (self.high - self.divisors)) & self.high
+        s -= (over >> (self.b - 1)) * ((1 << self.b) - 1) & self.divisors
+        return s.reshape(len(s), x.shape[1] * y.shape[1])
+
+
 def maximal_isotropic_subgroups(typ: ThetaType) -> list[tuple[KVector, ...]]:
     """Subgroups of K(delta) isomorphic to H(delta) with H-perp = H.
 
-    Each subgroup is returned once, as a generating tuple realizing it as
-    prod Z/d_i: the first such tuple, in product order over the elements of
-    order dividing d_i, whose span has d elements.  `TooLarge` is raised
-    when there are more than `_TUPLE_BOUND` such tuples to try.
+    Each subgroup is returned once, as the first generating tuple, in product
+    order over the elements of order dividing d_i, whose span has d elements.
+    `TooLarge` is raised when there are more than `_TUPLE_BOUND` tuples.
 
-    The pairing is bilinear, so a span is isotropic exactly when its
-    generators pair trivially, and tuples are filtered on their g x g
-    generator pairings before any span is built.  An isotropic span H with
-    d elements is Lagrangian: H lies in H-perp, which has |K| / |H| = d
-    elements as the pairing is non-degenerate, so H = H-perp.
+    A span is isotropic exactly when its generators pair trivially, read off
+    the |K| x 2g table coords @ pair_form before any span is built (on
+    `_PackedKeys`).  An isotropic span H with d elements is Lagrangian: H lies
+    in H-perp, which has |K| / |H| = d elements.
     """
     table = _ktable(typ)
-    d, m = typ.degree, typ.scalar_modulus
+    g, d, m = typ.g, typ.degree, typ.scalar_modulus
     candidates = [np.flatnonzero(o % table.orders == 0) for o in typ.divisors]
-    shape = tuple(len(c) for c in candidates)
-    total = prod(shape)
+    total = prod(len(c) for c in candidates)
     if total > _TUPLE_BOUND:
         raise TooLarge(f"{total} generating tuples exceed {_TUPLE_BOUND}")
-    # the span of gens is sum_i mult_i gens_i for mult in prod range(d_i)
-    mult = np.array(
-        list(itertools.product(*(range(o) for o in typ.divisors))), dtype=np.int64
-    )
-    step = max(1, _SPAN_CHUNK // d)
+    keys = _PackedKeys(table)
+    multiples = [keys.multiples(o) for o in typ.divisors]
+    paired = table.coords @ table.pair_form % m
+    last = candidates[-1]
+    # chunks of tuples over the first g - 1 generators keep product order
+    heads = np.array(list(itertools.product(*candidates[:-1])), dtype=np.int64)
+    step = max(1, _SPAN_CHUNK // (d * len(last)))
     seen: dict[bytes, tuple[int, ...]] = {}
-    for start in range(0, total, step):
-        pos = np.unravel_index(np.arange(start, min(start + step, total)), shape)
-        gens = np.stack([c[p] for c, p in zip(candidates, pos)], axis=1)
-        gc = table.coords[gens]
-        gens = gens[~(gc @ table.pair_form @ gc.transpose(0, 2, 1) % m).any(axis=(1, 2))]
-        spans = np.sort(table.rank(mult @ table.coords[gens]), axis=1)
-        full = (np.diff(spans, axis=1) != 0).all(axis=1)
-        # the stable lexsort keeps the first generating tuple of each span in
-        # front; small unsigned keys sort by radix
-        spans = spans[full].astype(np.min_scalar_type(table.n - 1))
+    for start in range(0, len(heads), step):
+        head = heads[start : start + step]
+        ok = np.ones((len(head), len(last)), dtype=bool)
+        for i, j in itertools.combinations(range(g - 1), 2):
+            pairing = (paired[head[:, i]] * table.coords[head[:, j]]).sum(axis=1)
+            ok &= (pairing % m == 0)[:, None]
+        for i in range(g - 1):
+            ok &= paired[head[:, i]] @ table.coords[last].T % m == 0
+        r, q = np.nonzero(ok)
+        span = np.zeros((len(head), 1), dtype=keys.dtype)
+        for i in range(g - 1):
+            span = keys.add(span, multiples[i][head[:, i]])
+        spans = keys.add(span[r], multiples[-1][last[q]])
+        full = np.count_nonzero(spans == 0, axis=1) == 1
+        spans = np.sort(spans[full], axis=1)
+        # the stable radix lexsort keeps the first tuple of each span in front
         order = np.lexsort(spans.T[::-1])
-        gens, spans = gens[full][order], spans[order]
+        gens = np.column_stack([head[r], last[q]])[full][order]
+        spans = spans[order]
         first = np.ones(len(spans), dtype=bool)
         first[1:] = (spans[1:] != spans[:-1]).any(axis=1)
         for i in np.flatnonzero(first).tolist():
@@ -779,41 +792,27 @@ def symmetric_splittings_over(
 ) -> list[dict[KVector, RootOfUnity]]:
     """All symmetric lifts of the subgroup generated by `gens` to G(delta).
 
-    A lift sigma(h) = (s(h), h) is a homomorphism exactly when s satisfies the
-    group-law cocycle relation s(h1 + h2) = s(h1) s(h2) <x(h1), y(h2)>, and is
-    symmetric when s(-h) = s(h).  Returns the scalar maps s.
+    A lift sigma(h) = (s(h), h) is a homomorphism exactly when s(h1 + h2) =
+    s(h1) s(h2) <x(h1), y(h2)>, and symmetric when s(-h) = s(h).  Returns the
+    maps s in product order over their values on the generators G, in closed
+    form for G W G^T (`_semicharacter_values`).  Unless the generators pair
+    trivially, G W G^T is not symmetric, and no lift exists.
     """
-    for g_ in gens:
-        if g_.type != typ:
-            raise TypeMismatch(f"types differ: {g_.type} vs {typ}")
-    table = _ktable(typ)
-    m = typ.scalar_modulus
-    gen_coords = np.array([g_.coords for g_ in gens], dtype=np.int64)
-    gen_ranks = table.rank(gen_coords.reshape(len(gens), 2 * typ.g))
-    orders = [int(o) for o in table.orders[gen_ranks]]
+    if any(g_.type != typ for g_ in gens):
+        raise TypeMismatch(f"generators of another type than {typ} given")
+    table, m = _ktable(typ), typ.scalar_modulus
+    gen_coords = np.array([g_.coords for g_ in gens], dtype=np.int64).reshape(len(gens), 2 * typ.g)
+    orders = [int(o) for o in table.orders[table.rank(gen_coords)]]
     # the element at local coordinates c is sum c_j gens_j, of global rank gidx
-    coords = np.array(
-        list(itertools.product(*(range(o) for o in orders))), dtype=np.int64
-    )
-    gidx = table.rank(coords @ table.coords[gen_ranks])
-    ranks = np.sort(gidx)
+    coords = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+    gidx = table.rank(coords @ gen_coords)
+    ranks = np.sort(gidx)  # np.unique would import numpy.ma
     if (ranks[1:] == ranks[:-1]).any():
         raise ValueError("generators do not realize the subgroup as a direct product")
-
-    local = np.full(table.n, -1, dtype=np.int64)
-    local[gidx] = np.arange(len(gidx))
-    sums = local[table.sums(gidx)]
-    neg_index = local[table.neg_index[gidx]]
-    beta = table.coords[gidx] @ table.xy_form @ table.coords[gidx].T % m
-    gen_positions = [int(i) for i in local[gen_ranks]]
+    form = gen_coords @ table.xy_form @ gen_coords.T % m
+    if (form != form.T).any():
+        return []
+    l = _semicharacter_values(np.diag(form)[None], orders, m, symmetric=True)[0]
+    values = _closed_form(coords, np.broadcast_to(form, (len(l), *form.shape)), l, m)
     elems = [table.elements[i] for i in gidx]
-    _check_additive(coords, sums, orders)
-
-    chi, solvable = _solve_twisted_characters(
-        coords, gen_positions, orders, sums, beta[None], m
-    )
-    chi = chi[0][(chi[0][:, neg_index] == chi[0]).all(axis=1) & solvable[0]]
-    return [
-        {z: RootOfUnity(Fraction(v, m)) for z, v in zip(elems, values)}
-        for values in chi.tolist()
-    ]
+    return [{z: RootOfUnity(Fraction(v, m)) for z, v in zip(elems, r)} for r in values.tolist()]

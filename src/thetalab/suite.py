@@ -286,9 +286,10 @@ def _rho_hom_violations(typ: hb.ThetaType) -> int:
         dtype=np.int64,
     )
     k, r = np.divmod(np.arange(d * n), n)
-    xy = table.coords[r] @ table.xy_form @ table.coords[r].T
+    c = table.coords[r]
+    xy = c @ table.xy_form @ c.T
     scalar = (k[:, None] + k) * (modulus // d) + xy * (modulus // typ.scalar_modulus)
-    product = scalar % modulus // (modulus // d) * n + table.sums(r)
+    product = scalar % modulus // (modulus // d) * n + table.rank(c[:, None] + c)
     # rho(e1) @ rho(e2): column nu of rho(e2) lands in row rows[e2, nu], where
     # rho(e1) moves it on to rows[e1, rows[e2, nu]] and adds exps[e1, rows[e2, nu]]
     first = np.arange(d * n)[:, None, None]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -124,6 +125,23 @@ def test_heisenberg_commands(capsys):
     assert code == 0 and payload["count"] == 4
     serialized = [json.dumps(u, sort_keys=True) for u in payload["automorphisms"]]
     assert serialized == sorted(serialized) or len(serialized) == len(set(serialized))
+
+
+# sha256 of the stdout of `thetalab heisenberg aut`, recorded with the
+# numerical semicharacter solver that the closed form replaced
+HEISENBERG_AUT_STDOUT_SHA256 = {
+    ("--type", "2", "--stabilizer-u0sym"): (
+        "2415a711a1856470e647cdba80d6eab161a480fe865554c4495ec2ea4a6dd23c"
+    ),
+    ("--type", "2,2"): "dbf31a48c7bb5faa36dcb8721ac62fbb2d3bd33b61a5350b599e170af0b7db83",
+}
+
+
+@pytest.mark.parametrize("args", sorted(HEISENBERG_AUT_STDOUT_SHA256))
+def test_heisenberg_aut_stdout_is_pinned(capsys, args):
+    assert main(["heisenberg", "aut", *args]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == HEISENBERG_AUT_STDOUT_SHA256[args]
 
 
 def test_schrodinger_matrix(capsys):

@@ -27,6 +27,7 @@ from thetalab.cli import main
 from thetalab.heisenberg import (
     ThetaType,
     TooLarge,
+    enumerate_automorphisms,
     enumerate_sym_automorphisms,
     maximal_isotropic_subgroups,
 )
@@ -49,7 +50,8 @@ else:
 assert main(["congruence", "index", "--group", "gamma0", "--n", "1000"]) == 2
 assert main(["theta", "eval", "--m", "200000000", "--tau", "3i"]) == 2
 assert main(["heisenberg", "splittings", "--type", ",".join(["2"] * 40)]) == 2
-assert main(["heisenberg", "aut", "--type", "2,2,2"]) == 2
+for divisors in ("2,2,2", "32", "63"):
+    assert main(["heisenberg", "aut", "--type", divisors]) == 2, divisors
 for enumerate_, divisors in (
     (enumerate_sym_automorphisms, (2, 8)),
     (enumerate_sym_automorphisms, (2, 2, 2, 2)),
@@ -62,6 +64,13 @@ for enumerate_, divisors in (
         pass
     else:
         raise AssertionError(enumerate_.__name__ + str(divisors) + " answered")
+for divisors in ((3, 3), (2, 6)):
+    try:
+        enumerate_automorphisms(ThetaType(divisors), symmetric=False)
+    except TooLarge:
+        pass
+    else:
+        raise AssertionError("non-symmetric enumerate_automorphisms" + str(divisors) + " answered")
 print("ok")
 """
 

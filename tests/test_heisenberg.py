@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 from math import prod
 
@@ -187,8 +188,78 @@ def pair_exponents_oracle(typ):
     )
 
 
+def check_additive_oracle(coords, sums, orders):
+    """Check coords[a + b] = coords[a] + coords[b] mod the generator orders, all a, b.
+
+    `solve_twisted_characters_oracle` relies on this to decide all candidates
+    of a relation by checking one.
+    """
+    for j, o in enumerate(orders):
+        col = coords[:, j]
+        want = np.add.outer(col, col)
+        want %= o
+        if not np.array_equal(col[sums], want):
+            raise ArithmeticError(f"coordinate {j} is not additive mod {o}")
+
+
+def solve_twisted_characters_oracle(coords, gen_positions, gen_orders, sums, beta, modulus):
+    """All integer maps s (mod `modulus`) with s(a+b) = s(a) + s(b) + beta(a, b).
+
+    A solver independent of the closed form.  The group is given by tables
+    over its elements 0..n-1: `coords` holds the exponents of each element
+    with respect to a generating tuple realizing the group as a direct
+    product of cyclic groups of the given orders, the generators themselves
+    sitting at `gen_positions`; `coords` must be additive
+    (`check_additive_oracle`).  `beta` is a stack of B relations, shape
+    (B, n, n), solved together.  Candidate generator values come from the
+    order relations: each ranges over one coset of (modulus / o_j) Z, so two
+    candidates differ by a homomorphism to Z/modulus and either all of them
+    satisfy the relation or none does.  The first candidate is verified on
+    every pair and decides for all.
+
+    Returns (candidates, solvable): candidates[b], shape (prod(gen_orders), n),
+    lists the candidates of beta[b] in product order over the generator
+    values, and they are the solutions exactly when solvable[b].
+    """
+    n = coords.shape[0]
+    zero = int(np.flatnonzero((coords == 0).all(axis=1))[0])
+    orders = np.array(gen_orders, dtype=np.int64)
+
+    # order relations: o_j s(g_j) = sum of beta(k g_j, g_j) over 0 < k < o_j
+    c = np.zeros((len(beta), len(gen_orders)), dtype=np.int64)
+    for j, (pos, o) in enumerate(zip(gen_positions, gen_orders)):
+        acc = [pos]
+        for _ in range(o - 1):
+            acc.append(int(sums[acc[-1], pos]))
+        if acc.pop() != zero:
+            raise ValueError("generator order table is inconsistent")
+        c[:, j] = beta[:, acc, pos].sum(axis=1) % modulus
+    solvable = (c % orders == 0).all(axis=1)
+    step = modulus // orders
+    base = (-(c // orders)) % step
+
+    # chain correction: cost of assembling each element generator by generator
+    chain = np.zeros((len(beta), n), dtype=np.int64)
+    acc_idx = np.full(n, zero, dtype=np.int64)
+    for j, pos in enumerate(gen_positions):
+        max_mult = int(coords[:, j].max()) if n else 0
+        for k in range(max_mult):
+            active = coords[:, j] > k
+            chain[:, active] += beta[:, acc_idx[active], pos]
+            acc_idx[active] = sums[acc_idx[active], pos]
+
+    first = (base @ coords.T + chain) % modulus
+    rhs = first[:, :, None] + first[:, None, :]
+    rhs += beta
+    rhs %= modulus
+    solvable &= (first[:, sums] == rhs).all(axis=(1, 2))
+    offsets = np.array(list(itertools.product(*map(range, gen_orders))), dtype=np.int64)
+    candidates = (first[:, None, :] + (offsets * step) @ coords.T) % modulus
+    return candidates, solvable
+
+
 def twisted_characters_oracle(coords, gen_positions, gen_orders, sum_index, beta, modulus):
-    """`heisenberg._solve_twisted_characters` with every candidate checked on every pair."""
+    """`solve_twisted_characters_oracle` with every candidate checked on every pair."""
     n = coords.shape[0]
     zero = int(np.flatnonzero((coords == 0).all(axis=1))[0])
     value_options = []
@@ -269,6 +340,7 @@ def automorphisms_loop_oracle(typ):
     gen_positions = [int(i) for i in table.basis_ranks()]
     orders = list(typ.divisors) * 2
     sums, xy = sum_ranks_oracle(typ), xy_exponents_oracle(typ)
+    neg = table.rank(-table.coords)
     out, sym = [], []
     for ranks in symplectic_images_oracle(typ):
         perm = table.rank(table.coords @ table.coords[list(ranks)])
@@ -276,7 +348,7 @@ def automorphisms_loop_oracle(typ):
         for values in twisted_characters_oracle(table.coords, gen_positions, orders, sums, beta, m):
             u = HeisenbergAutomorphism(typ, ranks, tuple(int(v) for v in values))
             out.append(u)
-            if np.array_equal(values[table.neg_index], values):
+            if np.array_equal(values[neg], values):
                 sym.append(u)
     out.sort(key=lambda u: u.sort_key())
     sym.sort(key=lambda u: u.sort_key())
@@ -624,14 +696,44 @@ def test_enumeration_bound():
         enumerate_sym_automorphisms(ThetaType((64, 64)))
     # the symplectic maps are counted before they are built, so the refusal
     # names their number, |Sp_6(F_2)| at (2,2,2)
-    with pytest.raises(TooLarge, match="at least 1451520 symplectic maps"):
+    with pytest.raises(TooLarge, match="^1451520 symplectic maps x 64 semicharacters"):
         enumerate_sym_automorphisms(ThetaType((2, 2, 2)))
-    with pytest.raises(TooLarge, match="at least 737280 symplectic maps"):
+    with pytest.raises(TooLarge, match="^737280 symplectic maps x 16 semicharacters"):
         enumerate_sym_automorphisms(ThetaType((4, 4)))
+    # the bound is on the chi exponents read: maps times semicharacters (|K|
+    # per map, or one per 2-torsion point when symmetric) times |K|
+    for divisors, maps, per_map, n in (
+        ((2, 8), 36864, 16, 256),
+        ((64,), 196608, 4, 4096),
+        ((32,), 24576, 4, 1024),
+        ((45,), 77760, 1, 2025),
+        ((63,), 217728, 1, 3969),
+    ):
+        message = (
+            f"{maps} symplectic maps x {per_map} semicharacters x |K| = {n}"
+            f" = {maps * per_map * n} chi exponents exceed {2**26}"
+        )
+        with pytest.raises(TooLarge, match=f"^{re.escape(message)}$"):
+            enumerate_sym_automorphisms(ThetaType(divisors))
+    for divisors, maps in (((3, 3), 51840), ((2, 6), 17280), ((14,), 2016), ((16,), 3072)):
+        with pytest.raises(TooLarge, match=f"^{maps} symplectic maps x "):
+            enumerate_automorphisms(ThetaType(divisors), symmetric=False)
     with pytest.raises(TooLarge):
         maximal_isotropic_subgroups(ThetaType((64, 64)))
     with pytest.raises(TooLarge):
         enumerate_symmetric_splittings(ThetaType((2,) * 7))
+
+
+def test_splittings_over_no_generators_is_the_trivial_lift():
+    assert symmetric_splittings_over((), T2) == [{k_zero(T2): ONE}]
+
+
+def test_stabilizer_returns_the_given_objects():
+    auts = list(enumerate_sym_automorphisms(T22))
+    stab = stabilizer_u0sym(T22, auts)
+    assert isinstance(stab, list) and stab == stabilizer_u0sym(T22)
+    assert all(any(u is v for v in auts) for u in stab)
+    assert enumerate_sym_automorphisms(T22) == auts != enumerate_sym_automorphisms(T22)[1:]
 
 
 def test_splittings_over_non_direct_product_rejected():
@@ -657,8 +759,8 @@ def test_enumerations_match_object_oracles(divisors):
 
     auts = automorphism_sample(typ)
     setwise, pointwise = stabilizer_oracle(typ, auts)
-    assert stabilizer_u0sym(typ, auts) == setwise
-    assert stabilizer_u0sym(typ, auts, pointwise=True) == pointwise
+    assert list(stabilizer_u0sym(typ, auts)) == setwise
+    assert list(stabilizer_u0sym(typ, auts, pointwise=True)) == pointwise
 
     m = typ.scalar_modulus
     elems = k_elements(typ)
@@ -671,53 +773,93 @@ def _same_solutions(got, want):
     return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def lagrangian_relation(gens, typ, sums, xy):
+    """The relation of `symmetric_splittings_over` on the span of `gens`, as
+    the solver oracles take it: (coords, gen_positions, orders, sums, beta, m)
+    over the span's own coordinates, with the global ranks of its elements;
+    `sums` and `xy` are the global tables of the object oracles."""
+    table = heisenberg._ktable(typ)
+    m = typ.scalar_modulus
+    gen_ranks = table.rank(np.array([g_.coords for g_ in gens], dtype=np.int64))
+    orders = [int(o) for o in table.orders[gen_ranks]]
+    coords = np.array(list(itertools.product(*(range(o) for o in orders))), dtype=np.int64)
+    gidx = table.rank(coords @ table.coords[gen_ranks])
+    local = np.full(table.n, -1, dtype=np.int64)
+    local[gidx] = np.arange(len(gidx))
+    gen_positions = [int(i) for i in local[gen_ranks]]
+    relation = (coords, gen_positions, orders, local[sums[np.ix_(gidx, gidx)]])
+    return (*relation, xy[np.ix_(gidx, gidx)], m), gidx
+
+
 @pytest.mark.parametrize("divisors", ((2,), (3,), (4,), (6,), (8,), (2, 2), (1, 4)))
-def test_twisted_characters_match_per_candidate_oracle(divisors, monkeypatch):
-    """Checking the first candidate of a map decides all of them: every
-    relation of every stacked solve made by the enumerations gets what the
-    per-candidate check returns."""
-    solve = heisenberg._solve_twisted_characters
-    calls = []
-
-    def per_relation(args):
-        """(solutions, oracle solutions) for each relation of one stacked solve."""
-        coords, gen_positions, orders, sum_index, beta, m = args
-        got, solvable = solve(*args)
-        for b in range(len(beta)):
-            want = twisted_characters_oracle(coords, gen_positions, orders, sum_index, beta[b], m)
-            yield (got[b] if solvable[b] else got[b][:0]), want
-
-    def checked(*args):
-        for got, want in per_relation(args):
-            assert _same_solutions(got, want)
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(heisenberg, "_solve_twisted_characters", checked)
+def test_twisted_characters_match_per_candidate_oracle(divisors):
+    """The closed form gives what the stacked solver and the per-candidate
+    check find: the chi tables of every map, in `sort_key` order, and the
+    lifts over every Lagrangian, in product order over the generator values."""
     typ = ThetaType(divisors)
-    enumerate_automorphisms(typ, symmetric=False)
+    table = heisenberg._ktable(typ)
+    m = typ.scalar_modulus
+    sums, xy = sum_ranks_oracle(typ), xy_exponents_oracle(typ)
+    gen_positions = [int(i) for i in table.basis_ranks()]
+    orders = list(typ.divisors) * 2
+    auts = enumerate_automorphisms(typ, symmetric=False)
+    maps = auts.eta[:: table.n].astype(np.intp)
+    assert (auts.eta.reshape(len(maps), table.n, -1) == maps[:, None]).all()
+    chi = auts.chi(slice(None)).reshape(len(maps), table.n, table.n)
+    perms = table.rank(table.coords @ table.coords[maps])
+    beta = (xy[perms[:, :, None], perms[:, None, :]] - xy) % m
+    got, solvable = solve_twisted_characters_oracle(
+        table.coords, gen_positions, orders, sums, beta, m
+    )
+    assert solvable.all()
+    for k in range(len(maps)):
+        # the solver lists candidates in product order; the rows sort by table
+        assert np.array_equal(chi[k], got[k][np.lexsort(got[k].T[::-1])])
+
     for gens in maximal_isotropic_subgroups(typ):
-        symmetric_splittings_over(gens, typ)
-    assert calls
+        relation, gidx = lagrangian_relation(gens, typ, sums, xy)
+        coords, _, lag_orders, _, lag_beta, _ = relation
+        got, solvable = solve_twisted_characters_oracle(*relation[:4], lag_beta[None], m)
+        assert solvable[0]
+        assert _same_solutions(got[0], twisted_characters_oracle(*relation))
+        neg = np.ravel_multi_index(((-coords) % lag_orders).T, lag_orders)
+        symmetric = got[0][(got[0][:, neg] == got[0]).all(axis=1)]
+        elems = [table.elements[i] for i in gidx]
+        lifts = symmetric_splittings_over(gens, typ)
+        assert [[int(s[z].exponent * m) for z in elems] for s in lifts] == symmetric.tolist()
 
     # break the relation on one pair of non-generators: the order relations
     # still yield candidates, and the pair check must reject all of them
-    coords, gen_positions, orders, sum_index, beta, m = calls[0]
-    others = [i for i in range(len(coords)) if i not in gen_positions and coords[i].any()]
+    others = [i for i in range(table.n) if i not in gen_positions and table.coords[i].any()]
     if others:
-        broken = beta.copy()
+        broken = beta[:1].copy()
         broken[0, others[0], others[-1]] += 1
-        got, want = next(per_relation((coords, gen_positions, orders, sum_index, broken, m)))
-        assert len(got) == 0 == len(want)
+        got, solvable = solve_twisted_characters_oracle(
+            table.coords, gen_positions, orders, sums, broken, m
+        )
+        assert not solvable[0]
+        assert twisted_characters_oracle(
+            table.coords, gen_positions, orders, sums, broken[0], m
+        ) == []
 
 
 def test_twisted_characters_require_additive_coordinates():
+    """Every closed-form chi table of (4,) meets its relation on every pair,
+    read off object-built tables; the index coordinates are additive, as the
+    solver oracles require, and not for the wrong generator orders."""
     typ = T4
-    coords, sums = heisenberg._ktable(typ).coords, sum_ranks_oracle(typ)
+    table = heisenberg._ktable(typ)
+    m = typ.scalar_modulus
+    sums, xy = sum_ranks_oracle(typ), xy_exponents_oracle(typ)
     orders = list(typ.divisors) * 2
-    heisenberg._check_additive(coords, sums, orders)
+    check_additive_oracle(table.coords, sums, orders)
     with pytest.raises(ArithmeticError):
-        heisenberg._check_additive(coords, sums, [2] * len(orders))
+        check_additive_oracle(table.coords, sums, [2] * len(orders))
+    for u in enumerate_automorphisms(typ, symmetric=False):
+        perm = table.rank(table.coords @ table.coords[list(u.eta_ranks)])
+        beta = (xy[np.ix_(perm, perm)] - xy) % m
+        chi = np.array(u.chi_exponents)
+        assert np.array_equal(chi[sums], (chi[:, None] + chi[None, :] + beta) % m)
 
 
 @pytest.mark.parametrize("divisors", ((2,), (2, 2)))
@@ -762,11 +904,11 @@ def test_enumerations_match_loop_oracles(divisors):
     and in the same order."""
     typ = ThetaType(divisors)
     everything, symmetric = automorphisms_loop_oracle(typ)
-    assert enumerate_automorphisms(typ, symmetric=False) == everything
-    assert enumerate_automorphisms(typ, symmetric=True) == symmetric
+    assert list(enumerate_automorphisms(typ, symmetric=False)) == everything
+    assert list(enumerate_automorphisms(typ, symmetric=True)) == symmetric
     assert [u.sort_key() for u in symmetric] == sorted(u.sort_key() for u in symmetric)
     for pointwise in (False, True):
-        assert stabilizer_u0sym(typ, symmetric, pointwise=pointwise) == (
+        assert list(stabilizer_u0sym(typ, symmetric, pointwise=pointwise)) == (
             stabilizer_loop_oracle(typ, symmetric, pointwise)
         )
 
@@ -778,12 +920,11 @@ def test_symplectic_maps_match_the_backtracking_oracle(divisors):
     """The pair-by-pair array holds the maps the backtracking yields, and
     each of its rows once."""
     typ = ThetaType(divisors)
-    maps = heisenberg._symplectic_maps(typ, 2**30)
+    maps = heisenberg._symplectic_maps(typ)
     rows = sorted(map(tuple, maps.tolist()))
     assert rows == sorted(symplectic_images_oracle(typ))
     assert len(set(rows)) == len(rows)
-    with pytest.raises(TooLarge, match=f"at least {len(rows)} symplectic maps"):
-        heisenberg._symplectic_maps(typ, len(rows) - 1)
+    assert heisenberg._symplectic_map_count(typ) == len(rows)
 
 
 def symplectic_group_order(p, g):
@@ -798,11 +939,10 @@ def test_symplectic_group_order_examples():
 
 @pytest.mark.parametrize("p, g", [(2, g) for g in range(1, 7)] + [(3, g) for g in range(1, 4)])
 def test_symplectic_map_count_is_the_symplectic_group_order(p, g):
-    """On (p,)*g the symplectic maps are Sp_2g(F_p): refused one below their
-    number, `_symplectic_maps` names that number exactly."""
+    """On (p,)*g the symplectic maps are Sp_2g(F_p), counted without building
+    them."""
     count = symplectic_group_order(p, g)
-    with pytest.raises(TooLarge, match=f"at least {count} symplectic maps"):
-        heisenberg._symplectic_maps(ThetaType((p,) * g), count - 1)
+    assert heisenberg._symplectic_map_count(ThetaType((p,) * g)) == count
 
 
 def test_stabilizer_rejects_automorphisms_of_another_type():
@@ -823,7 +963,7 @@ def test_automorphism_equality_is_sort_key_equality():
     keys agree, and equal automorphisms hash alike."""
     auts = enumerate_automorphisms(T22, symmetric=False)
     # neighbours in sort order share their map and differ in chi
-    sample = auts[:48] + auts[:: len(auts) // 48]
+    sample = list(auts[:48]) + list(auts[:: len(auts) // 48])
     sample += [rebuilt(u) for u in sample]
     for u in sample:
         for v in sample:
@@ -843,7 +983,7 @@ def test_stabilizer_is_independent_of_input_order():
     shuffled = [rebuilt(auts[i]) for i in perm]
     for pointwise in (False, True):
         kept = set(stabilizer_u0sym(T22, auts, pointwise=pointwise))
-        assert stabilizer_u0sym(T22, shuffled, pointwise=pointwise) == (
+        assert list(stabilizer_u0sym(T22, shuffled, pointwise=pointwise)) == (
             [u for u in shuffled if u in kept]
         )
 
@@ -875,9 +1015,147 @@ def test_type24_orbit_stabilizer():
     setwise = stabilizer_u0sym(typ, auts)
     pointwise = stabilizer_u0sym(typ, auts, pointwise=True)
     assert (len(setwise), len(pointwise)) == (512, 64)
-    assert stabilizer_oracle(typ, setwise) == (setwise, pointwise)
+    assert stabilizer_oracle(typ, setwise) == (list(setwise), list(pointwise))
     subs = maximal_isotropic_subgroups(typ)
     pairs = sum(len(symmetric_splittings_over(gens, typ)) for gens in subs)
     assert len(subs) == 36
     assert len(auts) % len(setwise) == 0
     assert len(auts) // len(setwise) == pairs == 144
+
+
+# count and sha256 prefix of the `sort_key` lists of enumerate_automorphisms
+# ("all" where the enumeration answered, and "sym") and of stabilizer_u0sym
+# ("setwise", "pointwise") on the symmetric list, recorded from the
+# automorphism objects of the solver that the closed form replaced; each key is
+# flattened to little-endian int16: the basis-image coordinates, then chi
+AUTOMORPHISM_FINGERPRINTS = {
+    (2,): {
+        "all": (24, "515dce8ec9f05c39"),
+        "sym": (24, "515dce8ec9f05c39"),
+        "setwise": (4, "8069255776082264"),
+        "pointwise": (4, "8069255776082264"),
+    },
+    (3,): {
+        "all": (216, "650f91f072a78a04"),
+        "sym": (24, "46e5cef6225c8b8a"),
+        "setwise": (6, "462f121377e8242e"),
+        "pointwise": (3, "c8f0c51d0526e9e4"),
+    },
+    (4,): {
+        "all": (768, "a222c86c1b140575"),
+        "sym": (192, "0b5b2eae39c82f49"),
+        "setwise": (16, "2be79f198f202ec0"),
+        "pointwise": (8, "d3dacc738ecfd1ae"),
+    },
+    (6,): {
+        "all": (5184, "46033356b4dca1f7"),
+        "sym": (576, "e195c0e736c4974e"),
+        "setwise": (24, "de53e1f39d54b92d"),
+        "pointwise": (12, "1f9c1b3bfb61a11e"),
+    },
+    (8,): {
+        "all": (24576, "573191171f1c017a"),
+        "sym": (1536, "af03ff74525dee40"),
+        "setwise": (64, "c577ed19835a3f14"),
+        "pointwise": (16, "7f87a7abfceff772"),
+    },
+    (1, 4): {
+        "all": (768, "90fa6fb3790972fe"),
+        "sym": (192, "48f4a87afd0a38df"),
+        "setwise": (16, "99f546bf7112d9c2"),
+        "pointwise": (8, "6f8d8a1b21cfc355"),
+    },
+    (2, 2): {
+        "all": (11520, "62e90e15be477b6f"),
+        "sym": (11520, "62e90e15be477b6f"),
+        "setwise": (192, "a097146ec08fa6ed"),
+        "pointwise": (32, "46b7d7a7316bc131"),
+    },
+    (2, 4): {
+        "all": (294912, "cee12ba147fbbf69"),
+        "sym": (73728, "acbd2d5e62cf102e"),
+        "setwise": (512, "20754c15f3cb394e"),
+        "pointwise": (64, "4a224c2faadfb60d"),
+    },
+    (3, 3): {
+        "sym": (51840, "fa63d8001d0fde9e"),
+        "setwise": (1296, "6acfa70e50edca57"),
+        "pointwise": (27, "84e35fe4c9bb9973"),
+    },
+    (2, 6): {
+        "sym": (276480, "5c5ffeecfeddb27c"),
+        "setwise": (1152, "97aaf1662d6d1677"),
+        "pointwise": (96, "c036bcab38c74122"),
+    },
+}
+
+
+def sort_key_digest(keys):
+    """Count and sha256 prefix of `sort_key`s, flattened as in the table above."""
+    digest, count = hashlib.sha256(), 0
+    for block in keys:
+        digest.update(np.asarray(block, dtype="<i2").tobytes())
+        count += len(block)
+    return count, digest.hexdigest()[:16]
+
+
+def object_sort_keys(auts):
+    """The flattened `sort_key` of each automorphism object, in one block."""
+    return [[[c for img in u.sort_key()[0] for c in img] + list(u.sort_key()[1]) for u in auts]]
+
+
+def row_sort_keys(auts):
+    """The same keys read off the rows, block by block, building no object."""
+    table = heisenberg._ktable(auts.type)
+    for start in range(0, len(auts), 4096):
+        rows = slice(start, start + 4096)
+        eta = table.coords[auts.eta[rows].astype(np.intp)].reshape(-1, 4 * auts.type.g**2)
+        yield np.hstack([eta, auts.chi(rows)])
+
+
+def automorphism_lists(typ, kinds):
+    sym = enumerate_automorphisms(typ)
+    lists = {
+        "sym": sym,
+        "setwise": stabilizer_u0sym(typ, sym),
+        "pointwise": stabilizer_u0sym(typ, sym, pointwise=True),
+    }
+    if "all" in kinds:
+        lists["all"] = enumerate_automorphisms(typ, symmetric=False)
+    return lists
+
+
+@pytest.mark.parametrize("divisors", sorted(AUTOMORPHISM_FINGERPRINTS))
+def test_automorphism_fingerprints(divisors):
+    """The rows give the recorded lists, in the recorded order; up to 12 000
+    elements the objects built from them do as well (larger lists build
+    their objects by the same code, and the loop oracles check (8,))."""
+    want = AUTOMORPHISM_FINGERPRINTS[divisors]
+    for kind, auts in automorphism_lists(ThetaType(divisors), want).items():
+        assert sort_key_digest(row_sort_keys(auts)) == want[kind], kind
+        if len(auts) <= 12_000:
+            assert sort_key_digest(object_sort_keys(auts)) == want[kind], kind
+
+
+def test_type33_orbit_stabilizer():
+    """Orbit-stabilizer on the full symmetric automorphism group of (3,3)."""
+    typ = ThetaType((3, 3))
+    auts = enumerate_sym_automorphisms(typ)
+    stab = stabilizer_u0sym(typ, auts)
+    subs = maximal_isotropic_subgroups(typ)
+    pairs = sum(len(symmetric_splittings_over(gens, typ)) for gens in subs)
+    assert (len(auts), len(stab), len(subs)) == (51_840, 1296, 40)
+    assert len(auts) % len(stab) == 0
+    assert len(auts) // len(stab) == pairs == 40
+
+
+def test_stabilizer_rejects_a_chi_table_off_the_closed_form():
+    """Objects are converted to rows by their basis values; a chi table that
+    is not the closed form of its map and basis values is refused."""
+    auts = list(enumerate_sym_automorphisms(T22)[:8])
+    u = auts.pop()
+    chi = list(u.chi_exponents)
+    chi[-1] = (chi[-1] + 1) % T22.scalar_modulus
+    with pytest.raises(ValueError, match="closed form"):
+        stabilizer_u0sym(T22, auts + [HeisenbergAutomorphism(T22, u.eta_ranks, tuple(chi))])
+    assert len(stabilizer_u0sym(T22, [])) == 0
