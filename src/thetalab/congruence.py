@@ -14,21 +14,26 @@ integer mod 2m, and the root is read from `cyclo`'s cache of immutable
 `Fraction` per call.  `Gamma`, `Gamma0` and `GammaM2M` return one shared
 `Group` per level, so a membership check builds no descriptor either.
 
-The entry-bound pool is enumerated once, as integer rows (a, b, c, d)
-(`_entry_bound_rows`); `sl2_with_entry_bound` wraps each row in an
-`SL2Matrix`, and callers that filter a pool test the rows with `_contains`
-and build matrices only for the rows they keep.
+The entry-bound pool is enumerated once, as one (N, 4) int64 array of
+rows (a, b, c, d) (`_entry_bound_rows`, which imports numpy when called,
+so membership queries load none); `sl2_with_entry_bound` wraps each row in
+an `SL2Matrix` of Python ints.  `_contains` combines its conditions with
+`&`, so one expression tests one matrix or a whole pool at once
+(`_contains(group, *pool.T)` is a boolean mask), and callers that filter a
+pool build matrices only for the rows they keep.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .cyclo import RootOfUnity, _root
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NotUnimodular",
@@ -171,22 +176,24 @@ def _contains(group: Group, a: int, b: int, c: int, d: int) -> bool:
     """Whether the matrix (a b; c d) lies in `group`.
 
     Only the residues of the entries mod `group.modulus` matter, so the
-    same test decides membership of a residue matrix in SL2(Z/L).
+    same test decides membership of a residue matrix in SL2(Z/L).  The
+    conditions are combined with `&`: on ints the answer is a bool, on
+    integer arrays of matching shape a boolean array, one entry per matrix.
     """
     n = group.level
     if group.kind == "gamma":
-        return (a - 1) % n == 0 and (d - 1) % n == 0 and b % n == 0 and c % n == 0
+        return ((a - 1) % n == 0) & ((d - 1) % n == 0) & (b % n == 0) & (c % n == 0)
     if group.kind == "gamma0":
         return c % n == 0
     if group.kind == "gamma_m_2m":
         return (
-            (a - 1) % n == 0
-            and (d - 1) % n == 0
-            and b % (2 * n) == 0
-            and c % (2 * n) == 0
+            ((a - 1) % n == 0)
+            & ((d - 1) % n == 0)
+            & (b % (2 * n) == 0)
+            & (c % (2 * n) == 0)
         )
     if group.kind == "theta12":
-        return (a * b) % 2 == 0 and (c * d) % 2 == 0
+        return ((a * b) % 2 == 0) & ((c * d) % 2 == 0)
     raise ValueError(f"unknown group kind {group.kind!r}")
 
 
@@ -325,53 +332,62 @@ def relative_index(sub: Group, sup: Group, modulus: int) -> int:
 
 def sl2_with_entry_bound(bound: int) -> Iterator[SL2Matrix]:
     """All SL2(Z) matrices with |a|,|b|,|c|,|d| <= bound, in `_entry_bound_rows` order."""
-    for row in _entry_bound_rows(bound):
+    for row in _entry_bound_rows(bound).tolist():
         yield SL2Matrix(*row)
 
 
-def _entry_bound_rows(bound: int) -> list[tuple[int, int, int, int]]:
+def _entry_bound_rows(bound: int) -> np.ndarray:
     """The entries (a, b, c, d) of every SL2(Z) matrix with all |entries| <= bound.
 
-    For each coprime bottom row (c, d) the solutions of a*d - b*c = 1 form
-    the line (a0 + t*c, b0 + t*d); the admissible interval of t is cut out
-    by the entry bound with integer floor division, and t runs through it in
-    ascending order.
+    One (N, 4) int64 array.  For each coprime bottom row (c, d), c-major,
+    the solutions of a*d - b*c = 1 form the line (a0 + t*c, b0 + t*d); the
+    admissible interval of t is cut out by the entry bound with integer
+    floor division, and t runs through it in ascending order.  All lines
+    are found and cut at once.
     """
-    rows = []
-    for c in range(-bound, bound + 1):
-        for d in range(-bound, bound + 1):
-            if math.gcd(c, d) != 1:
-                continue
-            g, x, y = _xgcd(d, -c)
-            a0, b0 = x * g, y * g  # g = +-1, so (a0, b0) solves a*d - b*c = 1
-            # recenter the line (a0 + t c, b0 + t d) so the base point is small
-            if c != 0:
-                shift = -round(a0 / c)
-            else:
-                shift = -round(b0 / d)
-            a0, b0 = a0 + shift * c, b0 + shift * d
-            # after recentering |t| <= bound + 1 covers every admissible entry;
-            # each entry x0 + t*step with step != 0 then bounds t on both sides
-            lo, hi = -(bound + 1), bound + 1
-            for x0, step in ((a0, c), (b0, d)):
-                if step < 0:
-                    x0, step = -x0, -step
-                if step:
-                    lo = max(lo, -((bound + x0) // step))
-                    hi = min(hi, (bound - x0) // step)
-                elif abs(x0) > bound:
-                    hi = lo - 1
-            rows.extend((a0 + t * c, b0 + t * d, c, d) for t in range(lo, hi + 1))
-    return rows
+    import numpy as np  # here, so that membership queries load no numpy
+
+    span = np.arange(-bound, bound + 1, dtype=np.int64)
+    c, d = (x.ravel() for x in np.meshgrid(span, span, indexing="ij"))
+    g, x, y = _xgcd(d, -c)
+    coprime = np.abs(g) == 1
+    c, d, g = c[coprime], d[coprime], g[coprime]
+    a0, b0 = x[coprime] * g, y[coprime] * g  # g = +-1, so (a0, b0) solves a*d - b*c = 1
+    # recenter the line (a0 + t c, b0 + t d) so the base point is small; a
+    # bottom row (0, d) is (0, +-1), and rint rounds half to even, as round does
+    on_c = c != 0
+    shift = -np.rint(np.where(on_c, a0, b0) / np.where(on_c, c, d)).astype(np.int64)
+    a0, b0 = a0 + shift * c, b0 + shift * d
+    # after recentering |t| <= bound + 1 covers every admissible entry;
+    # each entry x0 + t*step with step != 0 then bounds t on both sides
+    lo = np.full(len(c), -(bound + 1))
+    hi = np.full(len(c), bound + 1)
+    for x0, step in ((a0, c), (b0, d)):
+        x0, step = np.where(step < 0, -x0, x0), np.abs(step)
+        moving = step != 0
+        step = np.where(moving, step, 1)
+        lo = np.where(moving, np.maximum(lo, -((bound + x0) // step)), lo)
+        hi = np.where(
+            moving, np.minimum(hi, (bound - x0) // step), np.where(abs(x0) > bound, lo - 1, hi)
+        )
+    counts = np.maximum(hi - lo + 1, 0)
+    line = np.repeat(np.arange(len(c)), counts)
+    t = np.arange(len(line)) - np.repeat(np.cumsum(counts) - counts, counts) + lo[line]
+    c, d = c[line], d[line]
+    return np.stack([a0[line] + t * c, b0[line] + t * d, c, d], axis=1)
 
 
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+def _xgcd(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise (g, s, t) with s x + t y = g = +-gcd(x, y), by the steps of
+    Euclid's algorithm with floor division, each pair stopping at its zero."""
+    import numpy as np
+
     old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
+    old_s, s = np.ones_like(x), np.zeros_like(x)
+    old_t, t = np.zeros_like(x), np.ones_like(x)
+    while (live := r != 0).any():
+        q = old_r // np.where(live, r, 1)
+        old_r, r = np.where(live, r, old_r), np.where(live, old_r - q * r, r)
+        old_s, s = np.where(live, s, old_s), np.where(live, old_s - q * s, s)
+        old_t, t = np.where(live, t, old_t), np.where(live, old_t - q * t, t)
     return old_r, old_s, old_t

@@ -569,7 +569,8 @@ class _Automorphisms(Sequence):
 
     Row k holds the ranks of the basis images of eta, l_i = chi(e_i), and the
     form B of eta (`_forms`); chi is the closed form of (B, l).  It equals
-    any sequence of the same automorphisms; `in` builds them one by one.
+    any sequence of the same automorphisms; `in` looks up the (eta, l) row of
+    its value and builds the chi table of a matching row only.
     """
 
     def __init__(self, typ: ThetaType, eta: np.ndarray, l: np.ndarray, forms: np.ndarray):
@@ -592,6 +593,16 @@ class _Automorphisms(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __contains__(self, value) -> bool:
+        if type(value) is not HeisenbergAutomorphism or value.type != self.type:
+            return False
+        table, eta, chi = _ktable(self.type), value.eta_ranks, value.chi_exponents
+        if len(eta) != 2 * self.type.g or len(chi) != table.n:
+            return False
+        l = [chi[i] for i in table.basis_ranks().tolist()]
+        rows = np.flatnonzero((self.eta == eta).all(axis=1) & (self.l == l).all(axis=1))
+        return bool((self.chi(rows) == chi).all(axis=1).any())
 
     def chi(self, rows) -> np.ndarray:
         """The chi exponent tables of `rows`, shape (R, |K|)."""

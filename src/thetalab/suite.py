@@ -11,12 +11,15 @@ Gamma(m) from Gamma0(m)), and the cocycle identities draw their pairs from
 the filtered lists through one shared loop.  The discriminant oracle
 compares every member's analytic quotient with the exact discriminant, which
 it looks up once per residue class mod 4, the only thing the discriminant
-depends on; theta at the cocycles' fixed base points comes from
-`thetanum`'s bounded theta cache.  The pools are integer rows
-(`congruence._entry_bound_rows`) filtered with `congruence._contains`; an
-`SL2Matrix` is built only for a member a check passes on.  The stabilizer
-sweeps call each action factor once per member and (u1, u2), looked up on
-the `congruence` module, so a patched or wrapped factor is the one called.
+depends on; the quotient is taken over the whole member list at once, with
+theta(g tau) for every member summed in one `thetanum` batch per probe
+point, and theta at the cocycles' fixed base points comes from `thetanum`'s
+bounded theta cache.  Each pool is one (N, 4) integer array
+(`congruence._entry_bound_rows`) filtered by `congruence._contains` masks;
+only the members handed to an `SL2Matrix` or an action factor become Python
+ints.  The stabilizer sweeps call each action factor once per member and
+(u1, u2), looked up on the `congruence` module, so a patched or wrapped
+factor is the one called.
 Random words take one bounded draw for their letters, which gives the same
 letters and generator state as one draw per letter, and are multiplied out
 by `metaplectic.mp_from_word` on integers.
@@ -128,15 +131,30 @@ def check_transformation_law(level: str, rng: np.random.Generator) -> list[dict]
 
 # --- 2. discriminant vs functional equation ----------------------------------------
 
-def _functional_eq_quotient(g: cg.SL2Matrix, taus=tn.PROBE_POINTS) -> RootOfUnity:
-    """The mu_4 snap of (c tau + d) / halfform_cocycle(g, tau)^2, equal at every tau
-    in taus: the quotient is (c tau + d) theta(tau)^2 / theta(g tau)^2, tau-free."""
-    values = {
-        ru_snap((g.c * t + g.d) / tn.halfform_cocycle(g, t) ** 2, 4, 1e-6) for t in taus
-    }
-    if len(values) != 1:
-        raise ArithmeticError(f"probe points disagree: {values}; convention failure")
-    return values.pop()
+def _functional_eq_quotient(members: np.ndarray, taus=tn.PROBE_POINTS) -> list[RootOfUnity]:
+    """The mu_4 snap of (c tau + d) theta(tau)^2 / theta(g tau)^2 for each theta-group
+    row (a, b, c, d) of `members`, equal at every tau in taus: the quotient is tau-free.
+
+    theta(g tau) for every row at one tau comes from one `thetanum` batch, each
+    value the numerator of `halfform_cocycle(g, tau)`, bit for bit.
+    """
+    if not cg._contains(cg.THETA12, *members.T).all():
+        raise cg.NotMember("the functional equation quotient is taken on the theta group")
+    rows = members.tolist()
+    snaps = []
+    for t in taus:
+        moved = [(a * t + b) / (c * t + d) for a, b, c, d in rows]
+        base = tn._riemann_theta_unchecked(t, 1e-13)
+        cocycle = tn._riemann_thetas_unchecked(moved, 1e-13) / base
+        quotient = (members[:, 2] * t + members[:, 3]) / cocycle**2
+        snaps.append([ru_snap(q, 4, 1e-6) for q in quotient.tolist()])
+    for values in snaps[1:]:
+        for row, first, other in zip(rows, snaps[0], values):
+            if first != other:
+                raise ArithmeticError(
+                    f"probe points disagree on {row}: {first}, {other}; convention failure"
+                )
+    return snaps[0]
 
 
 def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict]:
@@ -155,14 +173,14 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
                 count == 1,
             )
         )
-    members = [row for row in cg._entry_bound_rows(bound) if cg._contains(cg.THETA12, *row)]
+    pool = cg._entry_bound_rows(bound)
+    members = pool[cg._contains(cg.THETA12, *pool.T)]
     # `s4.discriminant` reduces its argument mod 4 first, so its value (and its
     # NotMember decision) is looked up once per residue class
     by_class: dict[tuple[int, ...], RootOfUnity] = {}
     mismatches = 0
-    for row in members:
-        quotient = _functional_eq_quotient(cg.SL2Matrix(*row))
-        residues = tuple(x % 4 for x in row)
+    for row, quotient in zip((members % 4).tolist(), _functional_eq_quotient(members)):
+        residues = tuple(row)
         if residues not in by_class:
             a, b, c, d = residues
             by_class[residues] = s4.discriminant([[a, b], [c, d]], "even")
@@ -185,38 +203,38 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
 def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
     bound = 40 if level == "full" else 10
     # Gamma0(4) < Gamma0(2) and Gamma(m) < Gamma0(m): each list is filtered
-    # from the smallest list already known to contain it, in pool order.  The
-    # pool is integer rows, tested with `_contains`; the action factors take
-    # matrices, so each row of Gamma0(2) is paired with one matrix
-    gamma0_members = [
-        (row, cg.SL2Matrix(*row))
-        for row in cg._entry_bound_rows(bound)
-        if cg._contains(cg.Gamma0(2), *row)
-    ]
+    # from the smallest list already known to contain it, in pool order, by a
+    # `_contains` mask over its integer rows.  The action factors take
+    # matrices, so each row of Gamma0(2) is paired with one matrix, built once
+    pool = cg._entry_bound_rows(bound)
+    rows = pool[cg._contains(cg.Gamma0(2), *pool.T)]
+    mats = [cg.SL2Matrix(*row) for row in rows.tolist()]
     results = []
     for m in (2, 4):
         gamma_m, gamma_m2m = cg.Gamma(m), cg.GammaM2M(m)
         gamma0_m, gamma0_2m = cg.Gamma0(m), cg.Gamma0(2 * m)
-        gamma0_members = [x for x in gamma0_members if cg._contains(gamma0_m, *x[0])]
-        theta_members = [x for x in gamma0_members if cg._contains(gamma_m, *x[0])]
+        keep = cg._contains(gamma0_m, *rows.T)
+        rows, mats = rows[keep], list(itertools.compress(mats, keep.tolist()))
+        in_gamma_m = cg._contains(gamma_m, *rows.T)
+        theta_rows = rows[in_gamma_m]
+        theta_mats = list(itertools.compress(mats, in_gamma_m.tolist()))
         theta_bad = sum(
             all(
                 cg.theta_action_factor(g, m, u1, u2).is_one()
                 for u1 in range(m)
                 for u2 in range(m)
             )
-            != cg._contains(gamma_m2m, *row)
-            for row, g in theta_members
+            != stable
+            for g, stable in zip(theta_mats, cg._contains(gamma_m2m, *theta_rows.T).tolist())
         )
         split_bad = sum(
-            all(cg.splitting_action_factor(g, m, u).is_one() for u in range(m))
-            != cg._contains(gamma0_2m, *row)
-            for row, g in gamma0_members
+            all(cg.splitting_action_factor(g, m, u).is_one() for u in range(m)) != stable
+            for g, stable in zip(mats, cg._contains(gamma0_2m, *rows.T).tolist())
         )
         results.append(
             entry(
                 "theta_structure_stabilizer",
-                {"m": m, "entry_bound": bound, "matrices": len(theta_members)},
+                {"m": m, "entry_bound": bound, "matrices": len(theta_mats)},
                 "triviality iff membership",
                 f"{theta_bad} exceptions",
                 float(theta_bad),
@@ -226,7 +244,7 @@ def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
         results.append(
             entry(
                 "splitting_stabilizer",
-                {"m": m, "entry_bound": bound, "matrices": len(gamma0_members)},
+                {"m": m, "entry_bound": bound, "matrices": len(mats)},
                 "triviality iff membership",
                 f"{split_bad} exceptions",
                 float(split_bad),
@@ -515,8 +533,10 @@ def check_cocycle_identities(level: str, rng: np.random.Generator) -> list[dict]
     tol = 1e-8
     pool = cg._entry_bound_rows(12)
     tau0 = 0.1 + 1.3j
-    theta_members = [cg.SL2Matrix(*row) for row in pool if cg._contains(cg.THETA12, *row)]
-    gamma0_members = [cg.SL2Matrix(*row) for row in pool if cg._contains(cg.Gamma0(4), *row)]
+    theta_members, gamma0_members = (
+        [cg.SL2Matrix(*row) for row in pool[cg._contains(group, *pool.T)].tolist()]
+        for group in (cg.THETA12, cg.Gamma0(4))
+    )
     cases = [
         ("halfform_cocycle", {"composites": composites, "tau": str(tau0)},
          theta_members, tn.halfform_cocycle),
@@ -541,7 +561,7 @@ def check_cocycle_identities(level: str, rng: np.random.Generator) -> list[dict]
 
     m = 2
     worst = 0.0
-    small_pool = cg._entry_bound_rows(5)
+    small_pool = cg._entry_bound_rows(5).tolist()
     accepted = 0
     while accepted < composites:
         g1 = cg.SL2Matrix(*small_pool[int(rng.integers(0, len(small_pool)))])

@@ -6,7 +6,8 @@ constants
     theta_{m,nu}(tau) = sum_{r = nu mod m} e^{2 pi i tau r^2 / (2m)},
 
 truncated at a radius whose tail is certified by an explicit geometric
-bound; every returned vector carries its error bound.  The radius is
+bound; every returned vector carries its error bound, that tail plus a
+certified bound on the float rounding of the sum.  The radius is
 searched above a closed-form floor and capped at MAX_RADIUS (TauTooLow
 beyond it), and a non-finite tau or tolerance is rejected, on the one path
 every evaluation takes.  Verification: the mu_4 character of the squared
@@ -26,6 +27,9 @@ reproducible bit for bit run to run.  The Riemann theta sums behind the
 cocycles sit in a bounded LRU cache keyed by (tau, tol), THETA_CACHE_SIZE
 entries, so theta at a fixed base point (the suite's PROBE_POINTS, tau0) is
 summed once per process; a cached value is the stored sum, bit for bit.
+Theta at many taus at once (the suite's discriminant oracle) goes past the
+cache through one `_kernels.riemann_theta_sums` batch, with each tau's own
+radius and reduction, so each value is the one the cache would hold.
 """
 
 from __future__ import annotations
@@ -100,7 +104,13 @@ class ConventionFlip(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class ThetaVector:
-    """Theta constants at tau with a certified truncation error bound."""
+    """Theta constants at tau with a certified error bound.
+
+    `err_bound` bounds |values[nu] - theta_{m,nu}(tau)| for every nu: the
+    truncation tail plus the float rounding of the sum (`_rounding_bound`),
+    so where rounding dominates (large |Re tau| r^2 at small Im tau) it may
+    exceed the tolerance that chose the radius.
+    """
 
     m: int
     tau: complex
@@ -128,6 +138,29 @@ def _tail_bound(m: int, im_tau: float, radius: int) -> float:
     x = math.pi * im_tau / m
     q = math.exp(-x * (2 * radius + 1))
     return 2.0 * math.exp(-x * radius * radius) / (1.0 - q)
+
+
+def _rounding_bound(m: int, tau: complex, radius: int) -> float:
+    """Certified bound on the float rounding of each class sum of
+    `_kernels.theta_class_sums(m, tau, radius)`, for tau already reduced.
+
+    With u = 2^-53, x = pi Im(tau) / m and a = pi (|Re tau| + Im tau) / m:
+    each exponent w r^2 is formed with four roundings, so to first order it
+    is off by at most 4 u a r^2, which grows with |Re tau| r^2; numpy's complex exp
+    adds at most 8 u relative to each term; and the float sum of a class,
+    n <= (2R + 1) // m + 1 terms, adds at most sqrt(2) gamma_n sum|term|,
+    below 1.5 n u sum|term|.
+    The sums over |r| <= R of e^{-x r^2} and r^2 e^{-x r^2} are at most their
+    integrals plus their largest terms, 1 + sqrt(pi / x) and
+    sqrt(pi) / 2 x^{-3/2} + 2 / (e x); the constants carry slack for the
+    second-order terms.
+    """
+    x = math.pi * tau.imag / m
+    a = math.pi * (abs(tau.real) + tau.imag) / m
+    terms = 1.0 + math.sqrt(math.pi / x)
+    weighted = 0.5 * math.sqrt(math.pi) * x**-1.5 + 2.0 / (math.e * x)
+    summands = (2 * radius + 1) // m + 1
+    return 2.0**-53 * ((1.5 * summands + 8.5) * terms + 4.5 * a * weighted)
 
 
 def _radius_unchecked(m: int, tau: complex, tol: float) -> int:
@@ -194,6 +227,13 @@ def _riemann_theta_unchecked(tau: complex, tol: float) -> complex:
     return _kernels.riemann_theta_sum(_reduce_real(tau, 2), radius)
 
 
+def _riemann_thetas_unchecked(taus: list[complex], tol: float) -> np.ndarray:
+    """theta at every tau in taus, each the value `_riemann_theta_unchecked` gives,
+    bit for bit, summed in one `_kernels.riemann_theta_sums` call past the cache."""
+    radii = [_radius_unchecked(1, tau, tol) for tau in taus]
+    return _kernels.riemann_theta_sums([_reduce_real(tau, 2) for tau in taus], radii)
+
+
 def riemann_theta(tau: complex, tol: float = 1e-12) -> complex:
     """theta(tau) = sum_n e^{pi i n^2 tau}, within tol; non-vanishing on the half-plane."""
     if tau.imag < MIN_IM_EVAL:
@@ -212,11 +252,11 @@ def _reduce_real(tau: complex, period: int) -> complex:
     return complex(math.fmod(tau.real, period), tau.imag)
 
 
-def _theta_vector_unchecked(m: int, tau: complex, tol: float) -> tuple[np.ndarray, float]:
+def _theta_vector_unchecked(m: int, tau: complex, tol: float) -> tuple[np.ndarray, int]:
+    """The m theta constants at tau and the truncation radius they were summed to."""
     radius = _radius_unchecked(m, tau, tol)
     # theta_{m,nu}(tau + 2m) = theta_{m,nu}(tau)
-    values = _kernels.theta_class_sums(m, _reduce_real(tau, 2 * m), radius)
-    return values, _tail_bound(m, tau.imag, radius + 1)
+    return _kernels.theta_class_sums(m, _reduce_real(tau, 2 * m), radius), radius
 
 
 def theta_constants(m: int, tau: complex, tol: float = 1e-12) -> ThetaVector:
@@ -225,7 +265,9 @@ def theta_constants(m: int, tau: complex, tol: float = 1e-12) -> ThetaVector:
         raise BadIndex(f"m must be even with 0 < m <= {MAX_THETA_INDEX}, got {m}")
     if tau.imag < MIN_IM_EVAL:
         raise TauTooLow(f"Im(tau)={tau.imag} is below the contract floor {MIN_IM_EVAL}")
-    values, err = _theta_vector_unchecked(m, tau, tol)
+    values, radius = _theta_vector_unchecked(m, tau, tol)
+    rounding = _rounding_bound(m, _reduce_real(tau, 2 * m), radius)
+    err = _tail_bound(m, tau.imag, radius + 1) + rounding
     return ThetaVector(m, tau, values, err)
 
 

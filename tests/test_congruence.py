@@ -252,16 +252,62 @@ def test_entry_bound_enumeration_is_complete_and_valid():
     assert seen == brute
 
 
-def entry_bound_scan_oracle(bound):
-    """The t-scan the enumeration used before its t-interval was computed:
-    every t with |t| <= bound + 1 on each recentered line, kept if in bound."""
-    from thetalab.congruence import _xgcd
+def entry_bound_rows_oracle(bound: int) -> list[tuple[int, int, int, int]]:
+    """The entries (a, b, c, d) of every SL2(Z) matrix with all |entries| <= bound.
 
+    For each coprime bottom row (c, d) the solutions of a*d - b*c = 1 form
+    the line (a0 + t*c, b0 + t*d); the admissible interval of t is cut out
+    by the entry bound with integer floor division, and t runs through it in
+    ascending order.
+    """
+    rows = []
     for c in range(-bound, bound + 1):
         for d in range(-bound, bound + 1):
             if math.gcd(c, d) != 1:
                 continue
-            g, x, y = _xgcd(d, -c)
+            g, x, y = xgcd_oracle(d, -c)
+            a0, b0 = x * g, y * g  # g = +-1, so (a0, b0) solves a*d - b*c = 1
+            # recenter the line (a0 + t c, b0 + t d) so the base point is small
+            if c != 0:
+                shift = -round(a0 / c)
+            else:
+                shift = -round(b0 / d)
+            a0, b0 = a0 + shift * c, b0 + shift * d
+            # after recentering |t| <= bound + 1 covers every admissible entry;
+            # each entry x0 + t*step with step != 0 then bounds t on both sides
+            lo, hi = -(bound + 1), bound + 1
+            for x0, step in ((a0, c), (b0, d)):
+                if step < 0:
+                    x0, step = -x0, -step
+                if step:
+                    lo = max(lo, -((bound + x0) // step))
+                    hi = min(hi, (bound - x0) // step)
+                elif abs(x0) > bound:
+                    hi = lo - 1
+            rows.extend((a0 + t * c, b0 + t * d, c, d) for t in range(lo, hi + 1))
+    return rows
+
+
+def xgcd_oracle(x: int, y: int) -> tuple[int, int, int]:
+    old_r, r = x, y
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def entry_bound_scan_oracle(bound):
+    """The t-scan the enumeration used before its t-interval was computed:
+    every t with |t| <= bound + 1 on each recentered line, kept if in bound."""
+    for c in range(-bound, bound + 1):
+        for d in range(-bound, bound + 1):
+            if math.gcd(c, d) != 1:
+                continue
+            g, x, y = xgcd_oracle(d, -c)
             a0, b0 = x * g, y * g
             shift = -round(a0 / c) if c != 0 else -round(b0 / d)
             a0, b0 = a0 + shift * c, b0 + shift * d
@@ -277,14 +323,40 @@ def test_entry_bound_interval_matches_the_scan(bound):
     assert got == list(entry_bound_scan_oracle(bound))
 
 
-@pytest.mark.parametrize("bound", (0, 1, 5, 12))
-def test_entry_bound_matrices_wrap_the_rows(bound):
-    """The matrices are the integer rows, one `SL2Matrix` each, in row order."""
+def test_entry_bound_array_matches_the_row_oracle():
+    """The (N, 4) int64 pool is the per-line Python enumeration, row for row, in order."""
     from thetalab.congruence import _entry_bound_rows
 
-    rows = _entry_bound_rows(bound)
-    assert list(sl2_with_entry_bound(bound)) == [SL2Matrix(*row) for row in rows]
-    assert all(type(x) is int for row in rows for x in row)
+    for bound in range(61):
+        pool = _entry_bound_rows(bound)
+        assert pool.dtype == np.int64 and pool.shape == (pool.shape[0], 4)
+        assert pool.tolist() == [list(row) for row in entry_bound_rows_oracle(bound)], bound
+
+
+@pytest.mark.parametrize("bound", (0, 1, 5, 12))
+def test_entry_bound_matrices_wrap_the_rows(bound):
+    """The matrices are the integer rows, one `SL2Matrix` of Python ints each, in row order."""
+    from thetalab.congruence import _entry_bound_rows
+
+    rows = _entry_bound_rows(bound).tolist()
+    matrices = list(sl2_with_entry_bound(bound))
+    assert matrices == [SL2Matrix(*row) for row in rows]
+    assert all(type(x) is int for g in matrices for x in g.entries())
+
+
+def test_pool_masks_match_scalar_membership():
+    """`_contains` on the pool's columns is, row by row, its answer on the row's ints."""
+    from thetalab.congruence import _contains, _entry_bound_rows
+
+    pool = _entry_bound_rows(9)
+    groups = (THETA12, Gamma(1), Gamma(2), Gamma(3), Gamma0(4), Gamma0(5), GammaM2M(2))
+    for group in (*groups, GammaM2M(4)):
+        mask = _contains(group, *pool.T)
+        assert mask.dtype == bool
+        answers = [_contains(group, *row) for row in pool.tolist()]
+        assert all(type(x) is bool for x in answers)
+        assert mask.tolist() == answers
+        assert 0 < sum(answers) <= len(pool)
 
 
 def test_groups_are_shared_per_level():

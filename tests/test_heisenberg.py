@@ -1159,3 +1159,25 @@ def test_stabilizer_rejects_a_chi_table_off_the_closed_form():
     with pytest.raises(ValueError, match="closed form"):
         stabilizer_u0sym(T22, auts + [HeisenbergAutomorphism(T22, u.eta_ranks, tuple(chi))])
     assert len(stabilizer_u0sym(T22, [])) == 0
+
+
+def test_membership_looks_up_rows():
+    """`in` on the enumeration agrees with comparing its objects one by one:
+    on sampled members, on one automorphism of another type, on a chi table
+    off the closed form of its row, and on automorphisms that are not
+    symmetric (of (4), as every semicharacter of (2,2) is symmetric)."""
+    for typ, stride in ((T22, 997), (T4, 1)):
+        auts = enumerate_sym_automorphisms(typ)
+        objects = list(auts)
+        members = objects[::stride] + [objects[-1]]
+        others = list(enumerate_automorphisms(typ, symmetric=False))[::stride]
+        u = objects[len(objects) // 2]
+        off = list(u.chi_exponents)
+        off[-1] = (off[-1] + 1) % typ.scalar_modulus
+        swapped = HeisenbergAutomorphism(typ, u.eta_ranks, tuple(off))
+        foreign = enumerate_sym_automorphisms(ThetaType((1, 4)))[3]
+        queries = members + others + [foreign, swapped, u.eta_ranks, None]
+        assert [q in auts for q in queries] == [any(q == a for a in objects) for q in queries]
+        assert all(q in auts for q in members)
+        assert foreign not in auts and swapped not in auts
+    assert any(q not in auts for q in others)

@@ -3,6 +3,8 @@ checks of `verify suite`: their exact report entries, and that the first
 three still report a deliberately broken input (a discriminant wrong on one
 residue class, a perturbed rho matrix, a wrong action factor)."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +151,28 @@ PINNED_WORDS = {
          "residual": 1.517107245493603e-15, "pass": True},
     ],
 }
+
+
+# sha256 of json.dumps(run_suite(level, seed)["checks"], sort_keys=True), recorded
+# while theta(g tau) was summed one matrix at a time and the pools were tuples
+CHECKS_SHA256 = {
+    ("quick", 0): "92becb81bdc07c35d81714ea6981826ea421a18afa61cb98c73db2bcc9ce26e8",
+    ("quick", 1): "0a310291bf93e9ab8ebe764efcf2393ae2a76870e4adaa6bde378de4f3264550",
+    ("quick", 7): "ffd3b80eedaf831abc05db335393ba8e170072a88753bc77593fa8842c9b204c",
+    ("quick", 17): "439da1622b1052fabb446e243c1e22a93fafba2acb21416d4e58e96c4184a417",
+    ("full", 0): "8a2f6bc4326d5bd576108d4a71767d371ce3e74e22623b4e5849b81b4f9f7d14",
+    ("full", 1): "cf6aa567d0db1a6ea211cfbe2736a561121513b422e1a525954cde0270586f5a",
+    ("full", 7): "c675b6cf0955913e5199f13a4be779e27b2855e72442f6f721960f22a2f29067",
+    ("full", 17): "5496edbc3d12f944b8ef169cbbdbd0901db6f0dafbc2ead1843b2df9baba03c7",
+}
+
+
+@pytest.mark.parametrize("level, seed", CHECKS_SHA256)
+def test_suite_checks_are_pinned(level, seed):
+    """Every check entry of the whole battery, residuals included, at four seeds."""
+    checks = suite.run_suite(level, seed)["checks"]
+    digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
+    assert digest == CHECKS_SHA256[level, seed]
 
 
 def run(check, level):

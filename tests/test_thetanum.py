@@ -463,14 +463,77 @@ def test_decisive_queries_are_counted_until_reset():
 
 
 def test_probe_independence_of_functional_eq(monkeypatch):
-    """The suite's analytic quotient (c tau + d) / halfform_cocycle^2 snaps to one
-    mu_4 value at every tau, the exact one; disagreeing taus raise."""
+    """The suite's analytic quotient (c tau + d) theta(tau)^2 / theta(g tau)^2,
+    over a whole member list, snaps to one mu_4 value per member at every tau,
+    the exact one; disagreeing taus raise, and so does a non-member."""
     taus = (2j, 0.3 + 1.1j, 0.5 + 2.5j)
-    for gamma in (SL2_I, SL2_S, SL2Matrix(1, 2, 2, 5), SL2Matrix(3, -2, -4, 3)):
-        assert suite._functional_eq_quotient(gamma, taus) == functional_eq_lambda(gamma)
-    assert suite._functional_eq_quotient(SL2_S, taus) == ZETA4
-    monkeypatch.setattr(
-        suite.tn, "halfform_cocycle", lambda g, t: cmath.sqrt(g.c * t + g.d) * (1j if t == 2j else 1)
-    )
+    gammas = (SL2_I, SL2_S, SL2Matrix(1, 2, 2, 5), SL2Matrix(3, -2, -4, 3))
+    members = np.array([g.entries() for g in gammas])
+    got = suite._functional_eq_quotient(members, taus)
+    assert got == [functional_eq_lambda(g) for g in gammas]
+    assert suite._functional_eq_quotient(members[1:2], taus) == [ZETA4]
+    with pytest.raises(NotMember):
+        suite._functional_eq_quotient(np.array([(1, 1, 0, 1)]), taus)
+    thetas = thetanum._riemann_thetas_unchecked
+    calls = []
+
+    def skewed(moved, tol):
+        """theta(g tau) turned by an eighth at the first tau only: the quotient
+        there turns by a quarter, to another fourth root of unity."""
+        calls.append(len(moved))
+        values = thetas(moved, tol)
+        return values * cmath.exp(0.25j * cmath.pi) if len(calls) == 1 else values
+
+    monkeypatch.setattr(suite.tn, "_riemann_thetas_unchecked", skewed)
     with pytest.raises(ArithmeticError, match="disagree"):
-        suite._functional_eq_quotient(SL2_S, taus)
+        suite._functional_eq_quotient(members, taus)
+    assert calls == [len(gammas)] * len(taus)
+
+
+def test_batched_thetas_are_the_cached_sums():
+    """Each value of the batch is the one `_riemann_theta_unchecked` gives, bit for bit."""
+    pool = [g for g in sl2_with_entry_bound(6) if member(g, THETA12)]
+    moved = [g.moebius(tau) for tau in thetanum.PROBE_POINTS for g in pool]
+    got = thetanum._riemann_thetas_unchecked(moved, 1e-13).tolist()
+    want = [thetanum._riemann_theta_unchecked(t, 1e-13) for t in moved]
+    assert [bits(z) for z in got] == [bits(z) for z in want]
+
+
+def test_err_bound_covers_the_period_shift():
+    """theta_{6,nu} has period 12 in Re tau, and -0.25 and 11.75 both lie in the
+    summed strip: the two values differ by rounding alone (6.9e-17, more than
+    either truncation tail), within the sum of the certified bounds."""
+    near, far = theta_constants(6, -0.25 + 1j), theta_constants(6, 11.75 + 1j)
+    diff = np.abs(far.values - near.values).max()
+    assert diff > _tail_bound(6, 1.0, truncation_radius(6, 1.0, 1e-12) + 1)
+    assert diff <= near.err_bound + far.err_bound
+
+
+def mpmath_theta_vector(m: int, tau: complex) -> list:
+    """theta_{m,nu}(tau) at 40 digits, summed to a tail below 1e-30."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        t = mpmath.mpc(tau.real, tau.imag)
+        out = [mpmath.mpc(0)] * m
+        for r in range(-(radius := _radius_unchecked(m, tau, 1e-30)), radius + 1):
+            out[r % m] += mpmath.exp(1j * mpmath.pi * t * r * r / m)
+        return out
+
+
+@pytest.mark.parametrize("m", (2, 6, 64, 512))
+def test_err_bound_certifies_against_mpmath(m):
+    """An mpmath reference lies within `err_bound` of every theta constant, for
+    Im tau in [0.1, 2] and Re tau in (-2m, 2m), the strip the sums are taken in."""
+    import mpmath
+
+    rng = np.random.default_rng(m)
+    edge = 2 * m - 2.0**-10
+    taus = [complex(re, im) for re in (-edge, edge) for im in (0.1, 2.0)]
+    taus += [complex(rng.uniform(-2 * m, 2 * m), rng.uniform(0.1, 2.0)) for _ in range(4)]
+    for tau in taus:
+        vec = theta_constants(m, tau)
+        with mpmath.workdps(40):
+            ref = mpmath_theta_vector(m, tau)
+            worst = max(float(abs(mpmath.mpc(v) - r)) for v, r in zip(vec.values.tolist(), ref))
+        assert worst <= vec.err_bound, (m, tau, worst, vec.err_bound)
