@@ -7,8 +7,7 @@ along a row is sequential), so every result is deterministic run to run and
 equal, bit for bit, to the plain loop that adds e^{pi i tau r^2 / m} into
 ``out[r % m]`` for r = -R, ..., R.  `riemann_theta_sums` takes many taus
 at once, one pass per distinct radius, and gives each of them the value
-`riemann_theta_sum` gives it.  The tau-free arrays r^2 and r mod m are
-built once per (m, R), read-only, in bounded caches.
+`riemann_theta_sum` gives it.
 `pack_mod4` turns mod-4 matrices into the uint64 keys of `symplectic4`,
 and `mod4_products` gives the products its quotient closure takes.  They
 are exact: they multiply in uint8, which wraps modulo 256, and 4 divides
@@ -18,7 +17,6 @@ are exact: they multiply in uint8, which wraps modulo 256, and 4 divides
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,37 +33,12 @@ __all__ = [
 BACKEND = "numpy"
 
 
-# r^2 and r mod m over r = -R..R depend on (m, R) only, and a run reuses a
-# few dozen radii.  Radii up to CACHED_RADIUS (16 KiB per array) are cached,
-# so the caches hold at most 4 MiB; a larger radius is rebuilt per call.
-CACHED_RADIUS = 1024
-
-
-@lru_cache(maxsize=128)
-def _squares(radius: int) -> np.ndarray:
-    r = np.arange(-radius, radius + 1)
-    squares = r * r
-    squares.flags.writeable = False
-    return squares
-
-
-@lru_cache(maxsize=128)
-def _residues(m: int, radius: int) -> np.ndarray:
-    residues = np.arange(-radius, radius + 1) % m
-    residues.flags.writeable = False
-    return residues
-
-
-def _tau_free(build, *key) -> np.ndarray:
-    """`build(*key)`, from its cache unless the radius (last in key) exceeds CACHED_RADIUS."""
-    return (build if key[-1] <= CACHED_RADIUS else build.__wrapped__)(*key)
-
-
 def theta_class_sums(m: int, tau: complex, radius: int) -> np.ndarray:
     """Sum e^{pi i tau r^2 / m} into residue classes r mod m, |r| <= radius."""
     w = 1j * cmath.pi * tau / m
-    terms = np.exp(w * _tau_free(_squares, radius))
-    classes = _tau_free(_residues, m, radius)
+    r = np.arange(-radius, radius + 1)
+    terms = np.exp(w * (r * r))
+    classes = r % m
     out = np.empty(m, dtype=np.complex128)
     out.real = np.bincount(classes, weights=terms.real, minlength=m)
     out.imag = np.bincount(classes, weights=terms.imag, minlength=m)
@@ -73,34 +46,33 @@ def theta_class_sums(m: int, tau: complex, radius: int) -> np.ndarray:
 
 
 def riemann_theta_sum(tau: complex, radius: int) -> complex:
-    """sum_{|n| <= radius} e^{pi i tau n^2}, the single class sum at m = 1."""
-    terms = np.exp(1j * cmath.pi * tau * _tau_free(_squares, radius))
+    """sum_{|n| <= radius} e^{pi i tau n^2}, the single class sum at m = 1.
+
+    The one-row form of `riemann_theta_sums`, with the same terms added in
+    the same order; the batch's per-call setup would double the cost of
+    these single sums, which the cocycle checks call one at a time.
+    """
+    n = np.arange(-radius, radius + 1)
+    terms = np.exp(1j * cmath.pi * tau * (n * n))
     # adding 0.0 turns an all-(-0.0) sum into the +0.0 a sum from 0.0 gives
     return complex(terms.real.cumsum()[-1] + 0.0, terms.imag.cumsum()[-1] + 0.0)
-
-
-# the most terms one pass of `riemann_theta_sums` holds (16 MiB as complex128)
-PASS_TERMS = 2**20
 
 
 def riemann_theta_sums(taus, radii) -> np.ndarray:
     """riemann_theta_sum(taus[i], radii[i]) for every i, bit for bit, as a complex array.
 
-    The taus of one radius are summed in one pass (or in passes of at most
-    PASS_TERMS terms), each row adding its terms in ascending n by a
-    sequential cumsum, the order `riemann_theta_sum` adds in.
+    The taus of one radius are summed in one pass, each row adding its
+    terms in ascending n by a sequential cumsum, as `riemann_theta_sum` does.
     """
     taus = np.asarray(taus, dtype=np.complex128)
     radii = np.asarray(radii, dtype=np.int64)
-    w = 1j * cmath.pi * taus
     out = np.empty(len(taus), dtype=np.complex128)
-    for radius in sorted(set(radii.tolist())):
-        rows = np.flatnonzero(radii == radius)
-        step = max(1, PASS_TERMS // (2 * radius + 1))
-        for part in (rows[i : i + step] for i in range(0, len(rows), step)):
-            terms = np.exp(w[part, None] * _tau_free(_squares, radius))
-            out.real[part] = terms.real.cumsum(axis=1)[:, -1] + 0.0
-            out.imag[part] = terms.imag.cumsum(axis=1)[:, -1] + 0.0
+    for radius in set(radii.tolist()):
+        rows = radii == radius
+        n = np.arange(-radius, radius + 1)
+        terms = np.exp(1j * cmath.pi * taus[rows, None] * (n * n))
+        out.real[rows] = terms.real.cumsum(axis=1)[:, -1] + 0.0
+        out.imag[rows] = terms.imag.cumsum(axis=1)[:, -1] + 0.0
     return out
 
 

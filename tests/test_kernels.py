@@ -98,34 +98,16 @@ def _bits(values) -> list[tuple[str, str]]:
     repeat=st.integers(1, 3),
 )
 def test_riemann_theta_sums_equal_the_scalar_sums(rows, repeat):
-    """The batch gives each tau the scalar kernel's value bit for bit: shared
-    (duplicate) radii, radius 0, one element and no element at all."""
+    """The batch gives each tau the scalar kernel's value, and the loop
+    oracle's, bit for bit: shared (duplicate) radii, radius 0, one element
+    and no element at all."""
     rows = rows * repeat
     taus = [complex(re, im) for re, im, _ in rows]
     radii = [radius for _, _, radius in rows]
     got = _kernels.riemann_theta_sums(taus, radii)
     assert got.dtype == np.complex128 and got.shape == (len(rows),)
     assert _bits(got) == _bits(_kernels.riemann_theta_sum(t, r) for t, r in zip(taus, radii))
-
-
-def test_riemann_theta_sums_split_a_large_radius_into_passes(monkeypatch):
-    """Passes of at most PASS_TERMS terms give the same bits as one pass."""
-    taus = [complex(0.1 * k, 0.2 + 0.01 * k) for k in range(9)]
-    radii = [40] * 5 + [3] * 4
-    whole = _kernels.riemann_theta_sums(taus, radii)
-    monkeypatch.setattr(_kernels, "PASS_TERMS", 2 * 81)
-    assert _bits(_kernels.riemann_theta_sums(taus, radii)) == _bits(whole)
-
-
-def test_tau_free_arrays_are_cached_read_only_and_bounded():
-    squares = _kernels._tau_free(_kernels._squares, 5)
-    assert squares is _kernels._tau_free(_kernels._squares, 5)
-    assert squares.tolist() == [r * r for r in range(-5, 6)] and not squares.flags.writeable
-    residues = _kernels._tau_free(_kernels._residues, 6, 5)
-    assert residues.tolist() == [r % 6 for r in range(-5, 6)] and not residues.flags.writeable
-    big = _kernels.CACHED_RADIUS + 1
-    rebuilt = _kernels._tau_free(_kernels._squares, big)
-    assert rebuilt is not _kernels._tau_free(_kernels._squares, big)
+    assert _bits(got) == _bits(_riemann_theta_sum_loop(t, r) for t, r in zip(taus, radii))
 
 
 def test_pack_keys_are_injective():
