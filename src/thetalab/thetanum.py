@@ -52,7 +52,7 @@ from .congruence import (
 )
 from .cyclo import RootOfUnity
 from .metaplectic import MpElement, phi_eval, tilde_lambda
-from .weilrep import BadIndex, _check_m, weil_rep
+from .weilrep import _check_m, weil_rep
 
 __all__ = [
     "TauTooLow",
@@ -261,8 +261,7 @@ def _theta_vector_unchecked(m: int, tau: complex, tol: float) -> tuple[np.ndarra
 
 def theta_constants(m: int, tau: complex, tol: float = 1e-12) -> ThetaVector:
     """All m theta constants at tau, with a shared certified error bound."""
-    if m <= 0 or m % 2 != 0 or m > MAX_THETA_INDEX:
-        raise BadIndex(f"m must be even with 0 < m <= {MAX_THETA_INDEX}, got {m}")
+    m = _check_m(m, MAX_THETA_INDEX)
     if tau.imag < MIN_IM_EVAL:
         raise TauTooLow(f"Im(tau)={tau.imag} is below the contract floor {MIN_IM_EVAL}")
     values, radius = _theta_vector_unchecked(m, tau, tol)
@@ -403,7 +402,7 @@ def verify_transformation(
     below tol; all decisive queries in a run must agree, otherwise
     ConventionFlip is raised.
     """
-    _check_m(m)  # rho_m's own bound, before any theta sum
+    m = _check_m(m)  # rho_m's own bound, before any theta sum
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if tau.imag < MIN_IM_VERIFY:

@@ -8,6 +8,10 @@ Shared by the weilrep and thetanum tests.
 
 `allocating_fold` is the FFT fold as it was before `weilrep._fold` worked in
 place: a new block for every token.  It pins the in-place fold bit for bit.
+
+`dense_generators` is `weilrep._generators` as it was before the relation
+check moved to probe rows: S^2, (S T)^3 and S^8 folded over the m x m
+identity.  It pins the probe-row selection bit for bit.
 """
 
 import cmath
@@ -16,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from thetalab.metaplectic import MpElement, mp_lift_word
+from thetalab.weilrep import _fold
 
 
 @lru_cache(maxsize=None)
@@ -92,3 +97,25 @@ def allocating_fold(gens, tokens, rows: np.ndarray) -> np.ndarray:
         else:
             raise ValueError(f"unknown token {name!r}")
     return out if scale == 1 else out * scale
+
+
+def dense_generators(m: int):
+    """(prefactor / sqrt(m), j^2 mod 2m, e^{i pi n / m}), the prefactor being
+    the one candidate for which c^3 (S T)^3 = c^2 S^2 and c^8 S^8 = 1 hold as
+    m x m matrices (largest absolute row sum of the difference below 1e-9)."""
+    j = np.arange(m, dtype=np.int64)
+    squares = (j * j) % (2 * m)
+    phases = np.exp(1j * np.pi * np.arange(2 * m) / m)
+    unit = (1, squares, phases)
+    s2 = _fold(unit, [("S", 2)])
+    st3 = _fold(unit, [("S", 1), ("T", 1)] * 3)
+    s8 = _fold(unit, [("S", 6)], s2)
+    consistent = []
+    for pref in (cmath.exp(-1j * np.pi / 4), cmath.exp(1j * np.pi / 4)):
+        c = pref / m**0.5
+        braid = np.linalg.norm(c**3 * st3 - c**2 * s2, ord=np.inf)
+        octic = np.linalg.norm(c**8 * s8 - np.eye(m), ord=np.inf)
+        if braid < 1e-9 and octic < 1e-9:
+            consistent.append(c)
+    assert len(consistent) == 1
+    return consistent[0], squares, phases

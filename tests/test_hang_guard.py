@@ -136,3 +136,35 @@ print("ok")
 def test_largest_index_table_stays_small():
     done = run_child(KTABLE_PEAK_CHILD)
     assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
+
+
+# the prefactor of rho_512(S) is decided on three probe rows, and verify
+# applies rho to two vectors: neither forms an m x m block (4 MiB at m = 512)
+WEIL_BLOCK = 512 * 512 * 16
+
+WEIL_PEAK_CHILD = f"""
+import tracemalloc
+
+from thetalab import weilrep
+from thetalab.metaplectic import mp_from_word
+from thetalab.thetanum import verify_transformation
+
+tracemalloc.start()
+weilrep._generators(512)
+peak = tracemalloc.get_traced_memory()[1]
+assert peak < 1 << 20, ("cold _generators(512)", peak)
+tracemalloc.stop()
+
+p = mp_from_word([("T", 1), ("S", 1), ("T", -2), ("S", 1)])
+tracemalloc.start()
+check = verify_transformation(512, p, 0.1 + 1.2j)
+peak = tracemalloc.get_traced_memory()[1]
+assert check.passed, check
+assert peak < {WEIL_BLOCK}, ("verify_transformation(512)", peak)
+print("ok")
+"""
+
+
+def test_weil_prefactor_and_verify_form_no_dense_block():
+    done = run_child(WEIL_PEAK_CHILD)
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from thetalab.cli import main
 from thetalab.congruence import SL2Matrix
 from thetalab.metaplectic import MP_I, MP_S, MP_T, MP_Z, MpElement, mp_from_word, mp_mul
+from thetalab.thetanum import theta_constants, verify_transformation
 from thetalab.weilrep import (
     BadIndex,
     _fold,
     _generators,
+    _relation_prefactor,
     det_character,
     det_character_order,
     det_character_square_order,
@@ -20,7 +23,7 @@ from thetalab.weilrep import (
     weil_rep,
 )
 
-from dense_oracle import allocating_fold, dense_weil_rep, dense_word
+from dense_oracle import allocating_fold, dense_generators, dense_weil_rep, dense_word
 
 
 def test_generator_examples_m2():
@@ -36,7 +39,9 @@ def test_generator_examples_m2():
 
 
 def test_relations_define_a_representation():
-    for m in (2, 4, 6, 8, 10):
+    """The relations as dense matrix products, on the generators the probe
+    rows selected, up to the largest m."""
+    for m in (2, 4, 6, 8, 10, 64, 512):
         t = weil_generator(m, "T")
         s = weil_generator(m, "S")
         st = s @ t
@@ -52,6 +57,73 @@ def test_input_validation():
             weil_generator(bad, "T")
     with pytest.raises(ValueError):
         weil_generator(2, "Q")
+
+
+NOT_INTEGERS = (6.0, 6.5, "6", Fraction(6))
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_non_integer_m_is_a_bad_index(bad):
+    """An m that is not an integer is refused as such, even when it equals 6."""
+    calls = (
+        lambda: weil_rep(bad, MP_S),
+        lambda: weil_rep(bad, MP_S, np.ones(6)),
+        lambda: weil_generator(bad, "S"),
+        lambda: verify_transformation(bad, MP_S, 0.1 + 1.2j),
+        lambda: theta_constants(bad, 0.1 + 1.2j),
+        lambda: det_character_order(bad),
+    )
+    for call in calls:
+        with pytest.raises(BadIndex):
+            call()
+
+
+def test_numpy_integer_m_is_the_python_int():
+    """np.int64(6) gives the bytes of 6 everywhere and shares its table entry,
+    which holds Python scalars even when a numpy integer built it."""
+    _generators.cache_clear()
+    m, p, tau = np.int64(6), mp_from_word([("T", 1), ("S", 1), ("T", 3)]), 0.1 + 1.2j
+    dense = weil_rep(m, p)
+    assert type(_generators(6)[0]) is complex and _generators.cache_info().currsize == 1
+    assert _same_bits(dense, weil_rep(6, p))
+    vectors = np.arange(12.0).reshape(2, 6)
+    assert _same_bits(weil_rep(m, p, vectors), weil_rep(6, p, vectors))
+    assert _same_bits(weil_generator(m, "S"), weil_generator(6, "S"))
+    assert verify_transformation(m, p, tau) == verify_transformation(6, p, tau)
+    theta, plain = theta_constants(m, tau), theta_constants(6, tau)
+    assert type(theta.m) is int and theta.err_bound == plain.err_bound
+    assert _same_bits(theta.values, plain.values)
+    assert det_character_order(m) == det_character_order(6)
+    assert _generators.cache_info().currsize == 1
+
+
+# --- the prefactor chosen on probe rows against the dense choice ---------------------
+
+
+@pytest.mark.parametrize("m", [*range(2, 65, 2), 128, 256, 510, 512])
+def test_generators_match_dense_oracle_bit_for_bit(m):
+    c, squares, phases = _generators(m)
+    dense_c, dense_squares, dense_phases = dense_generators(m)
+    assert type(c) is complex and _same_bits(np.array(c), np.array(dense_c))
+    assert _same_bits(squares, dense_squares) and _same_bits(phases, dense_phases)
+    assert _relation_prefactor(squares, phases) == c
+
+
+# tables that break the relations for both prefactors
+MUTANT_TABLES = {
+    # phases of period m instead of 2m: T becomes T^2
+    "period m": lambda j, m: ((j * j) % (2 * m), np.exp(2j * np.pi * np.arange(2 * m) / m)),
+    # T twisted by the modulation e^{2 pi i j / m}
+    "modulated T": lambda j, m: ((j * j + 2 * j) % (2 * m), np.exp(1j * np.pi * np.arange(2 * m) / m)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANT_TABLES))
+@pytest.mark.parametrize("m", (6, 64))
+def test_relation_check_rejects_mutant_tables(m, mutant):
+    squares, phases = MUTANT_TABLES[mutant](np.arange(m, dtype=np.int64), m)
+    with pytest.raises(ArithmeticError, match="selected 0 prefactors"):
+        _relation_prefactor(squares, phases)
 
 
 def test_weil_rep_on_generators_and_center():
