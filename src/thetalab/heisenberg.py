@@ -280,6 +280,9 @@ class _KTable:
         m = typ.scalar_modulus
         self.xy_form = np.kron([[0, 1], [0, 0]], np.diag([-(m // d) for d in typ.divisors]))
         self.pair_form = self.xy_form.T - self.xy_form
+        # `_ktable` caches one table per type for the process
+        for a in (self.divisors, self.coords, self.orders, self.place, self.xy_form, self.pair_form):
+            a.setflags(write=False)
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
         return (coords % self.divisors) @ self.place

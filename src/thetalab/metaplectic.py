@@ -9,9 +9,12 @@ bottom-row entries, corrected for the principal-branch convention; the sign
 is decided in integer arithmetic, with no evaluation at any point.
 
 All products run through one routine on plain integers (`_mul`, five
-integers per element: the entries and the sign).  `mp_mul`, `mp_inv`,
-`mp_pow` and `mp_from_word` call it and build one validated `MpElement`
-for their result, so a word is multiplied out without an object per token.
+integers per element: the entries and the sign), and every word through
+one routine built on it (`_word`).  `mp_mul`, `mp_inv`, `mp_pow` and
+`mp_from_word` call them and build one validated `MpElement` for their
+result, so a word is multiplied out without an object per token; callers
+that only compare products, such as the suite's associativity check, stay
+on the integer tuples and build no element at all.
 
 Also provided: factorization of SL2(Z) matrices into the standard
 generators S and T by a continued-fraction reduction, lifting of words to
@@ -228,8 +231,13 @@ def mp_lift_word(gamma: SL2Matrix, eps: int = 1) -> list[tuple[str, int]]:
 def mp_from_word(tokens: list[tuple[str, int]]) -> MpElement:
     """Multiply out a token word; ("S", k) and ("Z", k) raise their generator to
     the k-th power, any integer k, with k reduced mod the generator's order
-    (S^8 = Z^2 = 1 in Mp2(Z)).  The word is multiplied on integers, and
-    one `MpElement` is built for the result."""
+    (S^8 = Z^2 = 1 in Mp2(Z)).  The word is multiplied on integers by
+    `_word`, and one `MpElement` is built for the result."""
+    return _element(*_word(tokens))
+
+
+def _word(tokens: list[tuple[str, int]]) -> tuple[int, int, int, int, int]:
+    """The product of a token word as five integers (a, b, c, d, eps), see `mp_from_word`."""
     x = (1, 0, 0, 1, 1)
     for name, k in tokens:
         if name == "T":
@@ -242,7 +250,7 @@ def mp_from_word(tokens: list[tuple[str, int]]) -> MpElement:
                 x = (*x[:4], -x[4])  # the central (I, -) flips the sign only
         else:
             raise ValueError(f"unknown token {name!r}")
-    return _element(*x)
+    return x
 
 
 def tilde_lambda(p: MpElement) -> RootOfUnity:

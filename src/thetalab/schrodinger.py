@@ -164,15 +164,17 @@ def intertwiner_space(
         raise ValueError("lists must be index-aligned")
     if not a_mats:
         raise ValueError("need at least one constraint pair")
-    d = a_mats[0].shape[0]
+    a = np.asarray(a_mats, dtype=np.complex128)
+    b = np.asarray(b_mats, dtype=np.complex128)
+    n, d = a.shape[:2]
     eye = np.eye(d)
-    blocks = []
-    for a, b in zip(a_mats, b_mats):
-        a = np.asarray(a, dtype=np.complex128)
-        b = np.asarray(b, dtype=np.complex128)
-        # M A = B M  <=>  (A^T (x) I - I (x) B) vec_col(M) = 0
-        blocks.append(np.kron(a.T, eye) - np.kron(eye, b))
-    basis = _nullspace(np.vstack(blocks))
+    # M A = B M  <=>  (A^T (x) I - I (x) B) vec_col(M) = 0: entry (i d + k, j d + l)
+    # of the block is A[j, i] I[k, l] - I[i, j] B[k, l], for every pair at once
+    blocks = (
+        a.transpose(0, 2, 1)[:, :, None, :, None] * eye[None, None, :, None, :]
+        - eye[None, :, None, :, None] * b[:, None, :, None, :]
+    )
+    basis = _nullspace(blocks.reshape(n * d * d, d * d))
     out = []
     for j in range(basis.shape[1]):
         m = basis[:, j].reshape(d, d, order="F")

@@ -22,7 +22,12 @@ ints.  The stabilizer sweeps call each action factor once per member and
 factor is the one called.
 Random words take one bounded draw for their letters, which gives the same
 letters and generator state as one draw per letter, and are multiplied out
-by `metaplectic.mp_from_word` on integers.
+on integers by `metaplectic`'s word routine; the associativity triples stay
+integer tuples, with `metaplectic._mul` read at call time.  The cocycle
+identities draw their candidate pairs in blocks of as many pairs as are
+still missing, which consumes the pairs, and leaves the generator state,
+of one draw per pair.  The Weil unitarity and multiplicativity checks stack
+the matrices of each m and take one batched product per identity.
 Randomized sweeps draw from a seeded generator (THETA_LAB_SEED in the CLI),
 so a seed fixes every entry, and rejection sampling enforces the
 Im(gamma tau) floor required by the verifier's precision contract.
@@ -443,12 +448,13 @@ def check_metaplectic_weil(level: str, rng: np.random.Generator) -> list[dict]:
         )
     )
     triples = 1000 if level == "full" else 100
+    # the triples stay (a, b, c, d, eps) integer tuples; `_mul` is read here,
+    # from the module, so a patched product is the one checked
+    word, mul = mp._word, mp._mul
     differing = 0
     for _ in range(triples):
-        ps = [mp.mp_from_word(_random_word(rng, 10)) for _ in range(3)]
-        left = mp.mp_mul(mp.mp_mul(ps[0], ps[1]), ps[2])
-        right = mp.mp_mul(ps[0], mp.mp_mul(ps[1], ps[2]))
-        differing += left != right
+        p, q, r = (word(_random_word(rng, 10)) for _ in range(3))
+        differing += mul(*mul(*p, *q), *r) != mul(*p, *mul(*q, *r))
     results.append(
         entry(
             "mp_associativity",
@@ -463,19 +469,17 @@ def check_metaplectic_weil(level: str, rng: np.random.Generator) -> list[dict]:
     worst_unitary = 0.0
     worst_mult = 0.0
     for m in (2, 4, 6, 8):
+        # rho(p), rho(q) and rho(pq) of every pair, stacked: one batched
+        # product per identity, each slice the pair's own matrix product
+        mats = []
         for _ in range(pairs_per_m):
             p = mp.mp_from_word(_random_word(rng, 15))
             q = mp.mp_from_word(_random_word(rng, 15))
-            mat_p = wr.weil_rep(m, p)
-            mat_q = wr.weil_rep(m, q)
-            worst_unitary = max(
-                worst_unitary,
-                float(np.max(np.abs(mat_p @ mat_p.conj().T - np.eye(m)))),
-            )
-            prod = wr.weil_rep(m, mp.mp_mul(p, q))
-            worst_mult = max(
-                worst_mult, float(np.max(np.abs(prod - mat_p @ mat_q)))
-            )
+            mats += [wr.weil_rep(m, p), wr.weil_rep(m, q), wr.weil_rep(m, mp.mp_mul(p, q))]
+        mat_p, mat_q, prod = (np.stack(mats[k::3]) for k in range(3))
+        unitary = mat_p @ mat_p.conj().transpose(0, 2, 1) - np.eye(m)
+        worst_unitary = max(worst_unitary, float(np.max(np.abs(unitary))))
+        worst_mult = max(worst_mult, float(np.max(np.abs(prod - mat_p @ mat_q))))
     results.append(
         entry(
             "weil_unitarity",
@@ -516,15 +520,18 @@ def _cocycle_deviation(
     worst = 0.0
     accepted = 0
     while accepted < composites:
-        i, j = rng.integers(0, len(members), size=2)
-        g1, g2 = members[i], members[j]
-        moved = g2.moebius(tau)
-        if moved.imag < tn.MIN_IM_EVAL:
-            continue
-        accepted += 1
-        lhs = cocycle(g1 * g2, tau)
-        rhs = cocycle(g1, moved) * cocycle(g2, tau)
-        worst = max(worst, abs(lhs - rhs))
+        # each pair is accepted at most once, so the one-pair-per-draw loop
+        # consumes at least the composites - accepted pairs of this block, and
+        # bounded draws do not depend on how they are grouped into calls
+        for i, j in rng.integers(0, len(members), size=(composites - accepted, 2)).tolist():
+            g1, g2 = members[i], members[j]
+            moved = g2.moebius(tau)
+            if moved.imag < tn.MIN_IM_EVAL:
+                continue
+            accepted += 1
+            lhs = cocycle(g1 * g2, tau)
+            rhs = cocycle(g1, moved) * cocycle(g2, tau)
+            worst = max(worst, abs(lhs - rhs))
     return worst
 
 

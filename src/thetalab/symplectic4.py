@@ -297,7 +297,7 @@ def _lookup(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return pos
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupData:
     """Enumerated group with its discriminant character.
 
@@ -308,7 +308,8 @@ class GroupData:
     and every prescribed value: there is one candidate, and `group_data`
     raises `NonUnique` unless it passes; generator_count is the size of the
     generating set, and extended_generators says whether the plane swap is
-    in it.
+    in it.  `group_data` caches one instance per (g, parity) for the
+    process, so the instance is frozen and its arrays are read-only.
     """
 
     g: int
@@ -582,10 +583,13 @@ def group_data(g: int, parity: str) -> GroupData:
             f"discriminant check for g={g}, parity={parity} found "
             f"{solutions} characters instead of one"
         )
+    matrices = _unpack(keys, 2 * g)
+    for a in (matrices, keys, lam):
+        a.setflags(write=False)
     return GroupData(
         g=g,
         parity=parity,
-        matrices=_unpack(keys, 2 * g),
+        matrices=matrices,
         keys=keys,
         lam=lam,
         solution_count=solutions,

@@ -207,9 +207,12 @@ def _radius_too_large(im_tau: float, tol: float) -> TauTooLow:
 
 
 def truncation_radius(m: int, im_tau: float, tol: float) -> int:
-    """Smallest radius whose certified tail bound is below tol (at most MAX_RADIUS)."""
-    if m <= 0 or m % 2 != 0:
-        raise ValueError(f"m must be even positive, got {m}")
+    """Smallest radius whose certified tail bound is below tol (at most MAX_RADIUS).
+
+    m is any even positive integer (`BadIndex` otherwise): a large m is
+    refused by the radius cap, as `TauTooLow`.
+    """
+    m = _check_m(m, None)
     if im_tau < MIN_IM_EVAL:
         raise TauTooLow(f"im_tau={im_tau} is below the contract floor {MIN_IM_EVAL}")
     return _radius_unchecked(m, complex(0.0, im_tau), tol)
@@ -309,10 +312,10 @@ def jacobi_cocycle(
     """Automorphy factor of the index-m/2 line bundle on the universal elliptic curve.
 
     e^{2 pi i m (lam1^2 tau + 2 lam1 z - c (z + lam1 tau + lam2)^2 / (c tau + d))}
-    for the semidirect action of (lam1, lam2; gamma) on (z, tau).
+    for the semidirect action of (lam1, lam2; gamma) on (z, tau).  m is any
+    even positive integer (`BadIndex` otherwise).
     """
-    if m <= 0 or m % 2 != 0:
-        raise ValueError(f"m must be even positive, got {m}")
+    m = _check_m(m, None)
     if tau.imag <= 0:
         raise ValueError("tau must be in the upper half-plane")
     c, d = gamma.c, gamma.d

@@ -59,19 +59,20 @@ class BadIndex(ValueError):
     """m is not an even positive integer within the supported bound."""
 
 
-def _check_m(m: int, bound: int = WEIL_DIM_BOUND) -> int:
+def _check_m(m: int, bound: int | None = WEIL_DIM_BOUND) -> int:
     """m as a Python int; BadIndex unless m is an even integer with 0 < m <= bound.
 
     Integers of any type (numpy integers included) pass through
     `operator.index`; floats, strings and fractions are rejected even when
-    they equal an even integer.
+    they equal an even integer.  A bound of None sets no upper bound.
     """
     try:
         k = operator.index(m)
     except TypeError:
         k = None
-    if k is None or k <= 0 or k % 2 != 0 or k > bound:
-        raise BadIndex(f"m must be even with 0 < m <= {bound}, got {m!r}")
+    if k is None or k <= 0 or k % 2 != 0 or (bound is not None and k > bound):
+        limit = "" if bound is None else f" <= {bound}"
+        raise BadIndex(f"m must be even with 0 < m{limit}, got {m!r}")
     return k
 
 

@@ -400,6 +400,19 @@ def test_type_validation():
         ThetaType((3,)).half()
 
 
+def test_cached_ktable_arrays_cannot_be_written():
+    """`_ktable` hands every caller the one cached table, so its arrays refuse writes."""
+    typ = ThetaType((2, 4))
+    table = heisenberg._ktable(typ)
+    before = table.rank(table.coords).copy()
+    for name in ("divisors", "coords", "orders", "place", "xy_form", "pair_form"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, name)[...] = 0
+    assert heisenberg._ktable(typ) is table
+    assert (table.rank(table.coords) == before).all()
+    assert (before == np.arange(table.n)).all()
+
+
 def test_pairing_examples():
     assert pairing(kv(T2, 1, 0), kv(T2, 0, 1)) == MINUS_ONE
     assert pairing(kv(T2, 1, 0), kv(T2, 1, 0)) == ONE

@@ -1,7 +1,8 @@
-"""The discriminant-oracle, Stone-von Neumann, stabilizer-sweep and cocycle
-checks of `verify suite`: their exact report entries, and that the first
-three still report a deliberately broken input (a discriminant wrong on one
-residue class, a perturbed rho matrix, a wrong action factor)."""
+"""The checks of `verify suite`: their exact report entries, and that the
+discriminant-oracle, Stone-von Neumann, stabilizer-sweep and metaplectic
+checks still report a deliberately broken input (a discriminant wrong on
+one residue class, a perturbed rho matrix, a wrong action factor, a
+non-associative product, a scaled Weil matrix)."""
 
 import hashlib
 import json
@@ -12,7 +13,10 @@ import pytest
 
 from thetalab import congruence as cg
 from thetalab import heisenberg as hb
+from thetalab import metaplectic as mp
 from thetalab import schrodinger as sc
+from thetalab import thetanum as tn
+from thetalab import weilrep as wr
 from thetalab import suite
 from thetalab.cyclo import ONE, RootOfUnity
 
@@ -221,6 +225,77 @@ def test_random_word_matches_scalar_draws(max_len):
             assert suite._random_word(fast, max_len) == scalar_word(slow, max_len)
             assert fast.bit_generator.state == slow.bit_generator.state
             assert fast.uniform(-1, 1) == slow.uniform(-1, 1)
+
+
+def pairwise_deviation(rng, members, composites, tau, cocycle):
+    """The one-pair-per-draw loop: one `integers` call per candidate pair."""
+    worst, accepted = 0.0, 0
+    while accepted < composites:
+        i, j = rng.integers(0, len(members), size=2)
+        g1, g2 = members[i], members[j]
+        moved = g2.moebius(tau)
+        if moved.imag < tn.MIN_IM_EVAL:
+            continue
+        accepted += 1
+        worst = max(worst, abs(cocycle(g1 * g2, tau) - cocycle(g1, moved) * cocycle(g2, tau)))
+    return worst
+
+
+def test_cocycle_block_draws_match_pairwise_draws():
+    """Pairs drawn in blocks of the missing count are the pairs, in order, of
+    one draw per pair: the same worst deviation, the same generator state,
+    and a later `uniform` draw stays aligned.  The stand-in cocycle is not
+    one, so the deviation depends on which pairs were compared."""
+    pool = cg._entry_bound_rows(12)
+    tau = 0.1 + 1.3j
+
+    def cocycle(g, t):
+        return complex(g.a + 3 * g.b, g.d) + g.c * t
+
+    for group in (cg.THETA12, cg.Gamma0(4)):
+        members = [cg.SL2Matrix(*row) for row in pool[cg._contains(group, *pool.T)].tolist()]
+        for composites in (1, 20, 100):
+            for seed in range(50):
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = suite._cocycle_deviation(fast, members, composites, tau, cocycle)
+                assert got == pairwise_deviation(slow, members, composites, tau, cocycle) > 0
+                assert fast.bit_generator.state == slow.bit_generator.state
+                assert fast.uniform(-1, 1) == slow.uniform(-1, 1)
+
+
+def test_associativity_reports_a_non_associative_product(monkeypatch):
+    """A product whose sign drops the branch correction of gamma1 gamma2 is
+    not associative, and the integer-tuple triples catch it."""
+    mul = mp._mul
+
+    def mutant(*args):
+        a, b, c, d, e = mul(*args)
+        return a, b, c, d, -e if c == 0 and d < 0 else e
+
+    monkeypatch.setattr(mp, "_mul", mutant)
+    for level in ("quick", "full"):
+        got = next(e for e in run(suite.check_metaplectic_weil, level)
+                   if e["check_id"] == "mp_associativity")
+        assert 0 < got["residual"] == int(got["observed"].split()[0])
+        assert got["pass"] is False
+
+
+def test_weil_checks_report_a_scaled_matrix(monkeypatch):
+    """rho(I, +) scaled by 2 is not unitary, and rho(p) rho(q) = rho(pq)
+    fails on the pairs it enters: the stacked checks report both."""
+    weil_rep = wr.weil_rep
+
+    def mutant(m, p, vectors=None):
+        mat = weil_rep(m, p, vectors)
+        return 2 * mat if p == mp.MP_I else mat
+
+    monkeypatch.setattr(wr, "weil_rep", mutant)
+    for level in ("quick", "full"):
+        got = {e["check_id"]: e for e in run(suite.check_metaplectic_weil, level)}
+        assert got["weil_unitarity"]["residual"] == pytest.approx(3.0)
+        assert got["weil_multiplicativity"]["residual"] >= 1.0
+        assert not got["weil_unitarity"]["pass"] and not got["weil_multiplicativity"]["pass"]
+        assert got["genuine_center"]["pass"]
 
 
 @pytest.mark.parametrize("field", ("rows", "exps"))

@@ -269,6 +269,20 @@ def test_discriminant_examples():
         discriminant([[1, 1], [0, 1]], "even")
 
 
+@pytest.mark.parametrize("g, parity", [(1, "even"), (1, "odd"), (2, "even"), (2, "odd")])
+def test_cached_group_data_cannot_be_written(g, parity):
+    """`group_data` hands every caller the one cached instance: its fields
+    and arrays refuse writes, so no caller can change later lookups."""
+    data = group_data(g, parity)
+    for name in ("matrices", "keys", "lam"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(data, name)[...] = 0
+        with pytest.raises(AttributeError):
+            setattr(data, name, np.zeros(1))
+    assert discriminant([[0, 3], [1, 0]], "even") == ZETA4
+    assert group_data(g, parity) is data
+
+
 def test_bad_shapes_are_rejected():
     """Vectors must be 1-D of even, non-zero length and matrices 2g x 2g."""
     for bad in ([1, 0, 1], [], [[1, 0], [0, 1]]):

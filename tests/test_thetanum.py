@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -340,6 +341,26 @@ def test_jacobi_cocycle_trivial_cases():
     tau, z = 0.2 + 1.0j, 0.3 + 0.1j
     assert jacobi_cocycle(SL2_I, 0, 0, 2, tau, z) == 1
     assert abs(jacobi_cocycle(SL2_I, 0, 1, 2, tau, z) - 1) < 1e-14
+
+
+def test_non_integer_m_is_a_bad_index_without_an_upper_bound():
+    """`truncation_radius` and `jacobi_cocycle` take m through `operator.index`,
+    like `theta_constants`: 6.0 and 2.0 are refused, numpy integers answer
+    as the Python int, and neither gains an upper bound on m."""
+    tau, z = 0.2 + 1.0j, 0.3 + 0.1j
+    for bad in (6.0, 6.5, "6", Fraction(6), 3, 0, -2):
+        with pytest.raises(BadIndex):
+            truncation_radius(bad, 1.0, 1e-12)
+    for bad in (2.0, 2.5, "2", Fraction(2), 1, 0, -2):
+        with pytest.raises(BadIndex):
+            jacobi_cocycle(SL2_S, 1, 0, bad, tau, z)
+    assert truncation_radius(np.int64(6), 1.0, 1e-12) == truncation_radius(6, 1.0, 1e-12)
+    for m in (2, 4, 6):
+        value = jacobi_cocycle(SL2_S, 1, -1, m, tau, z)
+        assert value != 0 and jacobi_cocycle(SL2_S, 1, -1, np.int64(m), tau, z) == value
+    assert jacobi_cocycle(SL2_S, 1, -1, 10**6, tau, z) == 0  # underflows, no BadIndex
+    with pytest.raises(TauTooLow, match="MAX_RADIUS"):
+        truncation_radius(np.int64(10**9), 0.1, 1e-12)
 
 
 def test_jacobi_cocycle_identity():
