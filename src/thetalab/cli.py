@@ -197,6 +197,13 @@ def _internal_error(exc: Exception) -> tuple[dict, int]:
     return {"error": str(exc), "kind": type(exc).__name__}, 3
 
 
+def _seed() -> int:
+    raw = os.environ.get("THETA_LAB_SEED", "0")
+    if not raw.strip().isdecimal():
+        raise ValueError(f"THETA_LAB_SEED must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _cmd_verify(ns) -> tuple[dict, int]:
     from . import thetanum as tn
 
@@ -229,7 +236,7 @@ def _verify(ns, tn) -> tuple[dict, int]:
         )
     from . import suite as suite_mod
 
-    seed = int(os.environ.get("THETA_LAB_SEED", "0"))
+    seed = _seed()
     report = suite_mod.run_suite(ns.level, seed)
     for check in report["checks"]:
         check["residual"] = _fmt_float(check["residual"])

@@ -270,7 +270,7 @@ def h2_map(a: HeisenbergElement) -> HeisenbergElement:
 class _KTable:
     def __init__(self, typ: ThetaType):
         self.type = typ
-        self.elements = k_elements(typ)
+        self.elements = tuple(k_elements(typ))
         self.n = len(self.elements)
         self.divisors = np.array(typ.divisors * 2, dtype=np.int64)
         self.coords = np.array([z.coords for z in self.elements], dtype=np.int64)
@@ -280,7 +280,8 @@ class _KTable:
         m = typ.scalar_modulus
         self.xy_form = np.kron([[0, 1], [0, 0]], np.diag([-(m // d) for d in typ.divisors]))
         self.pair_form = self.xy_form.T - self.xy_form
-        # `_ktable` caches one table per type for the process
+        # `_ktable` caches one table per type for the process: the elements are
+        # a tuple and the arrays read-only, so no caller can change them
         for a in (self.divisors, self.coords, self.orders, self.place, self.xy_form, self.pair_form):
             a.setflags(write=False)
 

@@ -20,9 +20,10 @@ only the members handed to an `SL2Matrix` or an action factor become Python
 ints.  The stabilizer sweeps call each action factor once per member and
 (u1, u2), looked up on the `congruence` module, so a patched or wrapped
 factor is the one called.
-Random words take one bounded draw for their letters, which gives the same
-letters and generator state as one draw per letter, and are multiplied out
-on integers by `metaplectic`'s word routine; the associativity triples stay
+The random words of a check are decoded from one block of the generator's
+raw 32-bit words (`_random_words`), which gives the words and generator
+state of one bounded draw per value, and are multiplied out on integers by
+`metaplectic`'s word routine; the associativity triples stay
 integer tuples, with `metaplectic._mul` read at call time.  The cocycle
 identities draw their candidate pairs in blocks of as many pairs as are
 still missing, which consumes the pairs, and leaves the generator state,
@@ -70,17 +71,114 @@ def entry(check_id: str, params, expected, observed, residual: float, ok: bool) 
 
 
 _LETTERS = (("S", 1), ("T", 1), ("T", -1))
+_LETTER_TABLE = np.fromiter(_LETTERS, dtype=object, count=3)  # gathers letters by index
+_FLIP = ("Z", 1)  # the central (I, -): flips the sign of a word's product
 
 
-def _random_word(rng: np.random.Generator, max_len: int) -> list[tuple[str, int]]:
-    """A word of up to max_len letters S, T, T^-1: one draw for the length, one for the letters.
+def _bounded(raw: np.ndarray, n: int, offset: int) -> tuple[np.ndarray, set[int]]:
+    """numpy's bounded draws in [0, n) read from raw 32-bit words, and the
+    positions (from `offset`) of the words it would discard instead."""
+    scaled = raw.astype(np.uint64) * n
+    bad = np.flatnonzero((scaled & 0xFFFFFFFF) < 2**32 % n) + offset
+    return scaled >> 32, set(bad.tolist())
 
-    The bounded draw of `length` letters gives the same values, and leaves
-    the generator in the same state, as `length` scalar draws would
-    (tests/test_suite.py pins this against the scalar loop).
+
+def _random_words(
+    rng: np.random.Generator,
+    count: int,
+    max_len: int,
+    flip: bool = False,
+    keep: Callable | None = None,
+    attempts: int | None = None,
+) -> list:
+    """`count` random words of up to max_len letters S, T, T^-1, read from one
+    block of the generator's 32-bit stream.
+
+    A word is one draw in [0, max_len] for its length and one draw in [0, 3)
+    per letter; with `flip`, one more draw in [0, 2) appends ("Z", 1), the
+    central (I, -), when it is 1.  `keep(word)` gives the value kept for a
+    word, or None to draw another, and must not draw from `rng`; the first
+    `count` kept values are returned, the words themselves without `keep`.
+    Needing more than `attempts` words raises RuntimeError.  The words, and
+    the generator state afterwards, are those of one `rng.integers(0, n)`
+    call per draw.
+
+    This relies on numpy's bounded draws: `Generator.integers(0, n)` with
+    n <= 2^32 reads one 32-bit word u of the bit generator and returns
+    (u * n) >> 32 (Lemire's multiply-shift), unless (u * n) mod 2^32 <
+    2^32 mod n, when it discards u and reads the next word; and
+    `integers(0, 2**32, dtype=np.uint32)` returns the words themselves.  So
+    the draws are decoded from a block of raw words, word after word; then
+    the generator state is restored and exactly the decoded number of raw
+    words is drawn again.  A random word holding a raw word that numpy would
+    discard is not decoded: the generator is moved to its start, and it and
+    the rest are drawn per value.
     """
-    length = int(rng.integers(0, max_len + 1))
-    return [_LETTERS[i] for i in rng.integers(0, 3, size=length).tolist()]
+    if max_len < 1:
+        raise ValueError(f"max_len must be positive, got {max_len}")
+    state = rng.bit_generator.state
+    lengths: list[int] = []
+    letters: list[tuple[str, int]] = []
+    flips: list[int] = []
+    bad_lengths: set[int] = set()
+    bad_letters: set[int] = set()
+
+    def extend(words: int) -> None:
+        # a word takes 1 + max_len / 2 (+ 1 with flip) draws on average
+        size = words * (max_len // 2 + 2) + max_len * math.isqrt(words)
+        raw = rng.integers(0, 2**32, size=size, dtype=np.uint32)
+        values, bad = _bounded(raw, max_len + 1, len(lengths))
+        lengths.extend(values.tolist())
+        bad_lengths.update(bad)
+        values, bad = _bounded(raw, 3, len(letters))
+        letters.extend(_LETTER_TABLE[values].tolist())
+        bad_letters.update(bad)
+        if flip:
+            flips.extend((raw >> 31).tolist())  # 2^32 mod 2 = 0: never discarded
+
+    def rewind() -> None:
+        # back to the start, then on by the raw words decoded
+        rng.bit_generator.state = state
+        rng.integers(0, 2**32, size=pos, dtype=np.uint32)
+
+    out: list = []
+    drawn = pos = 0  # random words drawn, raw words decoded
+    blockwise = True
+    try:
+        extend(count)
+        while len(out) < count:
+            if attempts is not None and drawn >= attempts:
+                raise RuntimeError("rejection sampling failed to find enough words")
+            if not blockwise:
+                length = int(rng.integers(0, max_len + 1))
+                word = [_LETTERS[i] for i in rng.integers(0, 3, size=length).tolist()]
+                if flip and int(rng.integers(0, 2)):
+                    word.append(_FLIP)
+            elif pos >= len(lengths) or pos + 1 + lengths[pos] + flip > len(lengths):
+                # the words still missing, at the share kept so far
+                extend((count - len(out)) * (drawn + 1) // (len(out) + 1) + 1)
+                continue
+            else:
+                length = lengths[pos]
+                if (bad_lengths or bad_letters) and (
+                    pos in bad_lengths
+                    or not bad_letters.isdisjoint(range(pos + 1, pos + 1 + length))
+                ):
+                    rewind()
+                    blockwise = False
+                    continue
+                word = letters[pos + 1 : pos + 1 + length]
+                pos += 1 + length + flip
+                if flip and flips[pos - 1]:
+                    word.append(_FLIP)
+            drawn += 1
+            value = word if keep is None else keep(word)
+            if value is not None:
+                out.append(value)
+    finally:
+        if blockwise:
+            rewind()
+    return out
 
 
 def _sample_mp_words(
@@ -91,19 +189,12 @@ def _sample_mp_words(
     Words violating the floor at any probe tau are redrawn, so every sampled
     element satisfies the verifier's precision contract at all probes.
     """
-    out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 500 * count:
-            raise RuntimeError("rejection sampling failed to find enough words")
-        word = _random_word(rng, max_len)
+
+    def keep(word):
         p = mp.mp_from_word(word)
-        if int(rng.integers(0, 2)):
-            p = mp.mp_mul(p, mp.MP_Z)
-        if all(p.gamma.moebius(t).imag >= tn.MIN_IM_EVAL for t in taus):
-            out.append(p)
-    return out
+        return p if all(p.gamma.moebius(t).imag >= tn.MIN_IM_EVAL for t in taus) else None
+
+    return _random_words(rng, count, max_len, flip=True, keep=keep, attempts=500 * count)
 
 
 # --- 1. transformation law ---------------------------------------------------------
@@ -450,10 +541,10 @@ def check_metaplectic_weil(level: str, rng: np.random.Generator) -> list[dict]:
     triples = 1000 if level == "full" else 100
     # the triples stay (a, b, c, d, eps) integer tuples; `_mul` is read here,
     # from the module, so a patched product is the one checked
-    word, mul = mp._word, mp._mul
+    mul = mp._mul
+    words = _random_words(rng, 3 * triples, 10, keep=mp._word)
     differing = 0
-    for _ in range(triples):
-        p, q, r = (word(_random_word(rng, 10)) for _ in range(3))
+    for p, q, r in zip(words[::3], words[1::3], words[2::3]):
         differing += mul(*mul(*p, *q), *r) != mul(*p, *mul(*q, *r))
     results.append(
         entry(
@@ -471,10 +562,9 @@ def check_metaplectic_weil(level: str, rng: np.random.Generator) -> list[dict]:
     for m in (2, 4, 6, 8):
         # rho(p), rho(q) and rho(pq) of every pair, stacked: one batched
         # product per identity, each slice the pair's own matrix product
+        words = _random_words(rng, 2 * pairs_per_m, 15, keep=mp.mp_from_word)
         mats = []
-        for _ in range(pairs_per_m):
-            p = mp.mp_from_word(_random_word(rng, 15))
-            q = mp.mp_from_word(_random_word(rng, 15))
+        for p, q in zip(words[::2], words[1::2]):
             mats += [wr.weil_rep(m, p), wr.weil_rep(m, q), wr.weil_rep(m, mp.mp_mul(p, q))]
         mat_p, mat_q, prod = (np.stack(mats[k::3]) for k in range(3))
         unitary = mat_p @ mat_p.conj().transpose(0, 2, 1) - np.eye(m)

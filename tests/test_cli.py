@@ -245,6 +245,14 @@ def test_verify_suite_seed_env(capsys, monkeypatch):
     assert code == 0 and payload["seed"] == 17 and payload["pass"] is True
 
 
+@pytest.mark.parametrize("raw", ("abc", "1.5", "-1", ""))
+def test_bad_seed_env_exits_2_naming_the_variable(capsys, monkeypatch, raw):
+    monkeypatch.setenv("THETA_LAB_SEED", raw)
+    code, payload, err = run_cli(capsys, "verify", "suite", "--level", "quick")
+    assert code == 2 and payload is None
+    assert f"THETA_LAB_SEED must be a non-negative integer, got {raw!r}" in err
+
+
 def test_outputs_are_deterministic(capsys):
     argv = ["theta", "eval", "--m", "4", "--tau", "0.2+0.9i", "--tol", "1e-10"]
     code1 = main(argv)

@@ -413,6 +413,31 @@ def test_cached_ktable_arrays_cannot_be_written():
     assert (before == np.arange(table.n)).all()
 
 
+def test_cached_ktable_elements_cannot_be_changed():
+    """The cached element sequence refuses appends, reorders and writes, and
+    the readers that index it by rank return the elements of a fresh list."""
+    typ = ThetaType((2, 2))
+    table = heisenberg._ktable(typ)
+    fresh = heisenberg.k_elements(typ)
+    assert isinstance(table.elements, tuple) and list(table.elements) == fresh
+    for name in ("append", "sort", "reverse"):
+        assert not hasattr(table.elements, name)
+    with pytest.raises(TypeError):
+        table.elements[0] = fresh[1]
+    assert heisenberg._ktable(typ) is table and list(table.elements) == fresh
+    zero = heisenberg.k_zero(typ)
+    for u in heisenberg.enumerate_sym_automorphisms(typ)[::97]:
+        assert u.eta_images == tuple(fresh[i] for i in u.eta_ranks)
+        for z in fresh:
+            want = sum((img.scale(c) for c, img in zip(z.coords, u.eta_images)), zero)
+            assert u.eta(z) == want
+    subgroups = heisenberg.maximal_isotropic_subgroups(typ)
+    assert subgroups and all(z in fresh for gens in subgroups for z in gens)
+    for gens in subgroups:
+        for s in heisenberg.symmetric_splittings_over(gens, typ):
+            assert set(s) <= set(fresh)
+
+
 def test_pairing_examples():
     assert pairing(kv(T2, 1, 0), kv(T2, 0, 1)) == MINUS_ONE
     assert pairing(kv(T2, 1, 0), kv(T2, 1, 0)) == ONE

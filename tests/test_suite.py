@@ -213,18 +213,131 @@ def scalar_word(rng, max_len):
     return [[("S", 1), ("T", 1), ("T", -1)][int(rng.integers(0, 3))] for _ in range(length)]
 
 
+def scalar_words(rng, count, max_len, flip=False, keep=None, attempts=None):
+    """The per-value loop: `scalar_word`, then one scalar flip draw, until `count` are kept."""
+    out, drawn = [], 0
+    while len(out) < count:
+        if attempts is not None and drawn >= attempts:
+            raise RuntimeError("rejection sampling failed to find enough words")
+        word = scalar_word(rng, max_len)
+        if flip and int(rng.integers(0, 2)):
+            word.append(("Z", 1))
+        drawn += 1
+        value = word if keep is None else keep(word)
+        if value is not None:
+            out.append(value)
+    return out
+
+
+def every_third_length(word):
+    """A stand-in rejection rule: drops the words whose length is a multiple of 3."""
+    return word if len(word) % 3 else None
+
+
 @pytest.mark.parametrize("max_len", (10, 12, 15))
 def test_random_word_matches_scalar_draws(max_len):
-    """One bounded draw of `length` letters gives the values of `length`
-    scalar draws and leaves the generator in the same state, so the suite's
-    entries do not depend on which of the two draws it makes; interleaved
-    `uniform` draws, as in the cocycle checks, stay aligned too."""
+    """Words read from one block of the 32-bit stream are the words of one
+    scalar draw per value, and leave the generator in the same state, with
+    and without the flip draw and a rejection rule; a later `uniform` draw,
+    as in the cocycle checks, stays aligned."""
     for seed in range(50):
+        for flip in (False, True):
+            for keep in (None, every_third_length):
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                for count in (1, 20, 150):
+                    got = suite._random_words(fast, count, max_len, flip, keep)
+                    assert got == scalar_words(slow, count, max_len, flip, keep)
+                    assert fast.bit_generator.state == slow.bit_generator.state
+                    assert fast.uniform(-1, 1) == slow.uniform(-1, 1)
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_word_state(seed, step):
+    """A PCG64 state whose 64-bit output number `step` has a zero low half, so
+    that 32-bit word number 2 (step - 1) of its stream is 0: a word every
+    bounded draw with n not a power of 2 discards."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    hi, y = (int(v) for v in rng.integers(0, 2**64, size=2, dtype=np.uint64))
+    rot = hi >> 58  # XSL-RR: the output is hi ^ lo rotated right by the top 6 bits
+    y &= ~0xFFFFFFFF
+    x = ((y << rot) | (y >> (64 - rot))) & (2**64 - 1)
+    s = (hi << 64) | (hi ^ x)
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(step):
+        s = (s - state["state"]["inc"]) * inverse % 2**128
+    state["state"]["state"] = s
+    return state
+
+
+def generator_at(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_random_words_fall_back_to_per_value_draws_on_a_discarded_word():
+    """A raw word that numpy discards, placed at many points of the stream,
+    still gives the words and generator state of the per-value loop."""
+    discarded = 0
+    for step in range(1, 80, 3):
+        state = zero_word_state(step, step)
+        raw = generator_at(state).integers(0, 2**32, size=2 * step, dtype=np.uint32)
+        assert raw[2 * (step - 1)] == 0
+        for max_len in (10, 12, 15):
+            for flip in (False, True):
+                seen = []
+
+                def keep(word):
+                    seen.append(word)
+                    return every_third_length(word)
+
+                fast, slow = generator_at(state), generator_at(state)
+                got = suite._random_words(fast, 20, max_len, flip, every_third_length)
+                assert got == scalar_words(slow, 20, max_len, flip, keep)
+                assert fast.bit_generator.state == slow.bit_generator.state
+                assert fast.uniform(-1, 1) == slow.uniform(-1, 1)
+                # the per-value loop read one raw word more than it made draws
+                # exactly when numpy discarded the zero word
+                draws = sum(1 + len(w) - (w[-1:] == [("Z", 1)]) + flip for w in seen)
+                probe = generator_at(state)
+                probe.integers(0, 2**32, size=draws, dtype=np.uint32)
+                discarded += probe.bit_generator.state != slow.bit_generator.state
+    assert discarded >= 140
+
+
+def test_random_words_attempt_bound():
+    """More than `attempts` words raise, with the generator past those words."""
+    fast, slow = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(RuntimeError, match="enough words"):
+        suite._random_words(fast, 2, 12, True, lambda word: None, attempts=7)
+    with pytest.raises(RuntimeError, match="enough words"):
+        scalar_words(slow, 2, 12, True, lambda word: None, attempts=7)
+    assert fast.bit_generator.state == slow.bit_generator.state
+    with pytest.raises(ValueError, match="max_len"):
+        suite._random_words(fast, 2, 0)
+
+
+def test_sampled_elements_match_the_per_word_loop():
+    """`_sample_mp_words` keeps the elements of the per-word loop it replaces,
+    which multiplied by (I, -) after the word instead of appending ("Z", 1)."""
+
+    def per_word(rng, count, max_len):
+        out = []
+        while len(out) < count:
+            p = mp.mp_from_word(scalar_word(rng, max_len))
+            if int(rng.integers(0, 2)):
+                p = mp.mp_mul(p, mp.MP_Z)
+            if all(p.gamma.moebius(t).imag >= tn.MIN_IM_EVAL for t in suite.TRANSFORM_TAUS):
+                out.append(p)
+        return out
+
+    for seed in range(20):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            assert suite._random_word(fast, max_len) == scalar_word(slow, max_len)
-            assert fast.bit_generator.state == slow.bit_generator.state
-            assert fast.uniform(-1, 1) == slow.uniform(-1, 1)
+        assert suite._sample_mp_words(fast, 50, 12) == per_word(slow, 50, 12)
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def pairwise_deviation(rng, members, composites, tau, cocycle):
