@@ -5,17 +5,15 @@ On the group ring of Z/m (m even) the two generators act by
     T  |->  diag(e^{pi i k^2 / m})
     S  |->  (prefactor / sqrt(m)) (e^{-2 pi i k l / m})_{k,l}
 
-with the prefactor an eighth root of unity.  Its sign is *measured*, not
-assumed: of the two candidates e^{+- i pi/4} exactly one makes the defining
-relations (S T)^3 = S^2 and S^8 = 1 hold as matrices, and the constructor
-selects that one at runtime (it is e^{-i pi/4}, the square root of -i, for
-every even m; an error is raised if the relation check ever fails to single
-out one candidate).  The relations are checked on three probe rows, e_0, e_1
-and one generic row, not on the m x m identity: both sides of a relation
-normalize the translations and modulations of C^m, which act irreducibly
-(Stone-von Neumann), so the two sides differ by a scalar times a
-translation-modulation, and e_0 and e_1 detect any such factor but 1 (proof
-in `_relation_prefactor`).
+with the prefactor e^{-i pi/4}, the square root of -i, for every even m.
+It is the one eighth root of unity for which the defining relations
+(S T)^3 = S^2 and S^8 = 1 hold, by the quadratic Gauss sum
+sum_{j mod m} e^{pi i j^2 / m} = sqrt(m) e^{i pi/4} (Landsberg-Schaar; see
+Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998); the proof is in
+`_generators`.  The determinants of T and S are exact as well: det T from
+sum k^2, det S from the eigenvalue multiplicities of the unit DFT
+(McClellan and Parks, 1972), and `det_character` is exact from an
+element's word, with no matrix formed.
 
 No generator is stored as a matrix.  A word over T^k, S^k and the central
 Z = S^4 = -1 (the continued-fraction factorization from the metaplectic
@@ -32,6 +30,7 @@ forming rho.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cyclo import RootOfUnity, ru_snap
+from .cyclo import RootOfUnity
 from .metaplectic import MpElement, mp_lift_word
 
 __all__ = [
@@ -78,77 +77,33 @@ def _check_m(m: int, bound: int | None = WEIL_DIM_BOUND) -> int:
 
 @lru_cache(maxsize=None)
 def _generators(m: int) -> tuple[complex, np.ndarray, np.ndarray]:
-    """(prefactor / sqrt(m), j^2 mod 2m for j < m, e^{i pi n / m} for n < 2m).
+    """(e^{-i pi/4} / sqrt(m), j^2 mod 2m for j < m, e^{i pi n / m} for n < 2m).
 
-    The prefactor is the one candidate for which (S T)^3 = S^2 and S^8 = 1
-    hold as matrices; `_relation_prefactor` decides that on three probe
-    rows, so no m x m block is formed here.  Callers pass m through
-    `_check_m` first, so that every integer type shares one cache entry.
+    Callers pass m through `_check_m` first, so that every integer type
+    shares one cache entry.
+
+    Why S = c' F with c' = e^{-i pi/4} satisfies (S T)^3 = S^2 and S^8 = 1,
+    F the unit DFT (e^{-2 pi i k l / m} / sqrt(m)) and T = diag(e^{pi i k^2 / m}).
+    F^2 is the permutation e_k -> e_{-k} and F^4 = 1, so S^8 = c'^8 = 1.  As m
+    is even, e^{pi i j^2 / m} has period m in j, so sum_{j mod m}
+    e^{pi i (j - n)^2 / m} is the Gauss sum G = sqrt(m) e^{i pi/4} for every
+    integer n, and completing the square gives
+
+        (F T F)_{kl} = (1/m) sum_j e^{pi i (j^2 - 2 j (k + l)) / m}
+                     = (G/m) e^{-pi i (k + l)^2 / m} = e^{i pi/4} (T^-1 F T^-1)_{kl}.
+
+    So S T S = c' e^{i pi/4} T^-1 S T^-1, and (S T)^3 = S^2 holds exactly
+    when c' e^{i pi/4} = 1: then T S T S T = S, and multiplying by S on the
+    left gives (S T)^3 = S^2.  The other eighth root e^{+i pi/4} gives
+    (S T)^3 = i S^2.
     """
     m = _check_m(m)
     j = np.arange(m, dtype=np.int64)
     squares = (j * j) % (2 * m)
     phases = np.exp(1j * np.pi * np.arange(2 * m) / m)
-    c = _relation_prefactor(squares, phases)
     for a in (squares, phases):
         a.setflags(write=False)
-    return c, squares, phases
-
-
-def _relation_prefactor(squares: np.ndarray, phases: np.ndarray) -> complex:
-    """The one c = e^{-+ i pi/4} / sqrt(m) for which S = c F satisfies the relations.
-
-    F is the unit DFT (e^{-2 pi i k l / m}) and T the diagonal read from the
-    tables.  S^2, (S T)^3 and S^8 are folded with a unit S scale over the
-    probe rows e_0, e_1 and (j + 1) / m, and a candidate is kept when both
-    c^3 (S T)^3 - c^2 S^2 and c^8 S^8 - 1 have largest absolute row sum
-    below 1e-9 there.  ArithmeticError unless exactly one candidate is kept.
-
-    Why the probe rows decide the relations as matrices.  Let X e_j = e_{j+1}
-    (translation) and Y e_j = zeta^j e_j (modulation, zeta = e^{2 pi i / m}),
-    and let N be the group of the lambda X^a Y^b, lambda a nonzero scalar.
-    N acts irreducibly on C^m (an operator commuting with Y is diagonal, and
-    one commuting with X too is scalar), and S and T normalize it: S X S^-1
-    and S Y S^-1 are modulations and translations, T Y T^-1 = Y and
-    T X T^-1 = e^{-i pi / m} Y X (m even, so j^2 mod 2m is well defined on
-    Z/m).  Conjugation by a word in S and T therefore acts on N modulo
-    scalars through the word's image in SL2(Z/m).  Let A = B be one of the
-    relations and Q = A B^-1.  The relation holds in SL2(Z), so Q n Q^-1 =
-    chi(n) n for a character chi of N / scalars, and some h0 in N has the
-    same commutators: h0^-1 Q commutes with N and is a scalar (Schur).  So
-    Q = lambda X^a Y^b.  A row v gives v A - v B = v (Q - 1) B, and B is
-    unitary, so the residual on v is at least |v (Q - 1)|_2.  On e_0 that is
-    sqrt(2) when a != 0 (a translation moves e_0) and |lambda - 1| when
-    a = 0; then on e_1 it is |lambda zeta^b - 1|, at least 2 sin(pi / m) -
-    |lambda - 1| >= 0.012 - |lambda - 1| (m <= 512) when b != 0.  Residuals
-    below 1e-9 on both rows thus leave Q = lambda with |lambda - 1| < 1e-9,
-    and the residual of the dense check is |lambda - 1| as well.  The
-    generic row, with no zero entry, is a further witness on every column.
-    """
-    m = len(squares)
-    unit = (1, squares, phases)
-    probe = np.zeros((3, m))
-    probe[0, 0] = probe[1, 1] = 1
-    probe[2] = (np.arange(m) + 1) / m
-    s2 = _fold(unit, [("S", 2)], probe)
-    st3 = _fold(unit, [("S", 1), ("T", 1)] * 3, probe)
-    s8 = _fold(unit, [("S", 6)], s2)
-
-    def residual(a):  # the largest absolute row sum
-        return np.abs(a).sum(axis=1).max()
-
-    consistent = []
-    for pref in (cmath.exp(-1j * np.pi / 4), cmath.exp(1j * np.pi / 4)):
-        c = pref / m**0.5
-        braid = residual(c**3 * st3 - c**2 * s2)
-        octic = residual(c**8 * s8 - probe)
-        if braid < 1e-9 and octic < 1e-9:
-            consistent.append(c)
-    if len(consistent) != 1:
-        raise ArithmeticError(
-            f"relation check selected {len(consistent)} prefactors for m={m}"
-        )
-    return consistent[0]
+    return cmath.exp(-1j * np.pi / 4) / m**0.5, squares, phases
 
 
 def _fold(
@@ -227,37 +182,37 @@ def weil_rep(m: int, p: MpElement, vectors: np.ndarray | None = None) -> np.ndar
 
 
 def det_character(m: int, p: MpElement) -> complex:
-    """Determinant of the representation at p."""
-    return complex(np.linalg.det(weil_rep(m, p)))
+    """det rho_m(p), exact from the word of p: T^k and S^k multiply it by
+    det(T)^k and det(S)^k, and Z = -1 by (-1)^m = 1.  No matrix is formed."""
+    q_t, q_s = _det_exponents(m)
+    exponents = {"T": q_t, "S": q_s, "Z": 0}
+    word = mp_lift_word(p.gamma, p.eps)
+    return RootOfUnity(sum(k * exponents[name] for name, k in word)).value
 
 
 def _det_exponents(m: int) -> tuple[Fraction, Fraction]:
     """Exact exponents in Q/Z of det(T) and det(S).
 
-    det(T) is exact from the diagonal; det(S) is computed numerically and
-    snapped into mu_24, which is safe because the determinant character of
-    the double cover has order dividing 24.
+    det T = e^{pi i sum_{k<m} k^2 / m}, and sum k^2 / 2m = (m-1)(2m-1)/12.
+    det S = e^{-i pi m/4} det F, F the unit DFT, whose eigenvalues 1, -1, -i
+    and i have multiplicities floor((m+4)/4), b = floor((m+2)/4),
+    c = floor((m+1)/4) and d = floor((m-1)/4) (McClellan and Parks, IEEE
+    Trans. Audio Electroacoustics 20, 1972), so det F = (-1)^b (-i)^c i^d.
     """
     m = _check_m(m)
-    q_t = Fraction(sum(k * k for k in range(m)), 2 * m) % 1
-    det_s = complex(np.linalg.det(weil_generator(m, "S")))
-    q_s = ru_snap(det_s, 24, 1e-6).exponent
+    b, c, d = (m + 2) // 4, (m + 1) // 4, (m - 1) // 4
+    q_t = Fraction((m - 1) * (2 * m - 1), 12) % 1
+    q_s = (Fraction(-m, 8) + Fraction(b, 2) + Fraction(3 * c, 4) + Fraction(d, 4)) % 1
     return q_t, q_s
 
 
 def det_character_order(m: int) -> int:
     """Order of the determinant character: least n killing both generator dets."""
     q_t, q_s = _det_exponents(m)
-    order = np.lcm(q_t.denominator, q_s.denominator)
-    for n in range(1, int(order) + 1):  # brute-force cross-check of the lcm
-        if (q_t * n) % 1 == 0 and (q_s * n) % 1 == 0:
-            if n != order:
-                raise ArithmeticError("lcm disagrees with brute-force order")
-            break
-    return int(order)
+    return math.lcm(q_t.denominator, q_s.denominator)
 
 
 def det_character_square_order(m: int) -> int:
     """Order of the squared determinant character."""
     q_t, q_s = _det_exponents(m)
-    return int(np.lcm(((2 * q_t) % 1).denominator, ((2 * q_s) % 1).denominator))
+    return math.lcm(((2 * q_t) % 1).denominator, ((2 * q_s) % 1).denominator)

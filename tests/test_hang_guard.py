@@ -138,8 +138,9 @@ def test_largest_index_table_stays_small():
     assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
 
 
-# the prefactor of rho_512(S) is decided on three probe rows, and verify
-# applies rho to two vectors: neither forms an m x m block (4 MiB at m = 512)
+# the tables of rho_512 hold the closed-form prefactor and two length-m
+# arrays, verify applies rho to two vectors, and the determinant character is
+# read from the element's word: none forms an m x m block (4 MiB at m = 512)
 WEIL_BLOCK = 512 * 512 * 16
 
 WEIL_PEAK_CHILD = f"""
@@ -161,6 +162,18 @@ check = verify_transformation(512, p, 0.1 + 1.2j)
 peak = tracemalloc.get_traced_memory()[1]
 assert check.passed, check
 assert peak < {WEIL_BLOCK}, ("verify_transformation(512)", peak)
+tracemalloc.stop()
+
+tracemalloc.start()
+weilrep.det_character_order(512)
+peak = tracemalloc.get_traced_memory()[1]
+assert peak < {WEIL_BLOCK}, ("det_character_order(512)", peak)
+tracemalloc.stop()
+
+tracemalloc.start()
+weilrep.det_character(512, p)
+peak = tracemalloc.get_traced_memory()[1]
+assert peak < {WEIL_BLOCK}, ("det_character(512, p)", peak)
 print("ok")
 """
 

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 from fractions import Fraction
@@ -9,13 +10,22 @@ from hypothesis import strategies as st
 
 from thetalab.cli import main
 from thetalab.congruence import SL2Matrix
-from thetalab.metaplectic import MP_I, MP_S, MP_T, MP_Z, MpElement, mp_from_word, mp_mul
+from thetalab.metaplectic import (
+    MP_I,
+    MP_S,
+    MP_T,
+    MP_Z,
+    MpElement,
+    mp_from_word,
+    mp_lift_word,
+    mp_mul,
+)
 from thetalab.thetanum import theta_constants, verify_transformation
 from thetalab.weilrep import (
     BadIndex,
     _fold,
+    _det_exponents,
     _generators,
-    _relation_prefactor,
     det_character,
     det_character_order,
     det_character_square_order,
@@ -23,7 +33,15 @@ from thetalab.weilrep import (
     weil_rep,
 )
 
-from dense_oracle import allocating_fold, dense_generators, dense_weil_rep, dense_word
+from dense_oracle import (
+    allocating_fold,
+    dense_det_exponents,
+    dense_generators,
+    dense_weil_rep,
+    dense_word,
+    generator_tables,
+    probe_prefactor,
+)
 
 
 def test_generator_examples_m2():
@@ -97,16 +115,50 @@ def test_numpy_integer_m_is_the_python_int():
     assert _generators.cache_info().currsize == 1
 
 
-# --- the prefactor chosen on probe rows against the dense choice ---------------------
+# --- the closed-form prefactor and determinants against the numeric choices ---------
+
+ORACLE_DIMS = [*range(2, 65, 2), 128, 256, 510, 512]
 
 
-@pytest.mark.parametrize("m", [*range(2, 65, 2), 128, 256, 510, 512])
+@pytest.mark.parametrize("m", ORACLE_DIMS)
 def test_generators_match_dense_oracle_bit_for_bit(m):
     c, squares, phases = _generators(m)
     dense_c, dense_squares, dense_phases = dense_generators(m)
     assert type(c) is complex and _same_bits(np.array(c), np.array(dense_c))
     assert _same_bits(squares, dense_squares) and _same_bits(phases, dense_phases)
-    assert _relation_prefactor(squares, phases) == c
+    assert probe_prefactor(squares, phases) == c
+
+
+@pytest.mark.parametrize("m", (1024, 4096, 65536))
+def test_probe_picks_the_closed_form_prefactor_beyond_the_dense_bound(m):
+    assert probe_prefactor(*generator_tables(m)) == cmath.exp(-1j * np.pi / 4) / m**0.5
+
+
+@pytest.mark.parametrize("m", ORACLE_DIMS)
+def test_det_exponents_match_dense_oracle(m):
+    assert _det_exponents(m) == dense_det_exponents(m)
+
+
+def _det_sample() -> list[MpElement]:
+    """Seeded words over S^+-1, T^k and Z, and both lifts of the identity."""
+    rng = np.random.default_rng(31)
+    letters = [("S", 1), ("S", -1), ("T", 1), ("T", -1), ("T", 3), ("Z", 1)]
+    words = [
+        [letters[i] for i in rng.integers(0, len(letters), rng.integers(1, 9))]
+        for _ in range(10)
+    ]
+    identity = SL2Matrix(1, 0, 0, 1)
+    return [mp_from_word(w) for w in words] + [MpElement(identity, 1), MpElement(identity, -1)]
+
+
+@pytest.mark.parametrize("m", (2, 6, 64, 512))
+def test_det_character_matches_dense_determinant(m):
+    sample = _det_sample()
+    assert mp_lift_word(sample[-1].gamma, sample[-1].eps)[-1] == ("Z", 1)
+    for p in sample:
+        det = det_character(m, p)
+        assert type(det) is complex
+        assert abs(det - np.linalg.det(dense_weil_rep(m, p))) < 1e-12
 
 
 # tables that break the relations for both prefactors
@@ -123,7 +175,7 @@ MUTANT_TABLES = {
 def test_relation_check_rejects_mutant_tables(m, mutant):
     squares, phases = MUTANT_TABLES[mutant](np.arange(m, dtype=np.int64), m)
     with pytest.raises(ArithmeticError, match="selected 0 prefactors"):
-        _relation_prefactor(squares, phases)
+        probe_prefactor(squares, phases)
 
 
 def test_weil_rep_on_generators_and_center():
