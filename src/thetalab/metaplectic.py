@@ -10,7 +10,10 @@ is decided in integer arithmetic, with no evaluation at any point.
 
 All products run through one routine on plain integers (`_mul`, five
 integers per element: the entries and the sign), and every word through
-one routine built on it (`_word`).  `mp_mul`, `mp_inv`, `mp_pow` and
+one routine built on it (`_word`), which takes one product per run of S
+or T tokens: a T run by T to the sum of its exponents, an S run by one
+entry of the table S^0 .. S^7 (S^8 = 1), and the central Z tokens as one
+sign flip.  `mp_mul`, `mp_inv`, `mp_pow` and
 `mp_from_word` call them and build one validated `MpElement` for their
 result, so a word is multiplied out without an object per token; callers
 that only compare products, such as the suite's associativity check, stay
@@ -232,25 +235,55 @@ def mp_from_word(tokens: list[tuple[str, int]]) -> MpElement:
     """Multiply out a token word; ("S", k) and ("Z", k) raise their generator to
     the k-th power, any integer k, with k reduced mod the generator's order
     (S^8 = Z^2 = 1 in Mp2(Z)).  The word is multiplied on integers by
-    `_word`, and one `MpElement` is built for the result."""
+    `_word`, one product per run of S or T tokens, and one `MpElement` is
+    built for the result; an unknown token raises `ValueError`."""
     return _element(*_word(tokens))
 
 
 def _word(tokens: list[tuple[str, int]]) -> tuple[int, int, int, int, int]:
-    """The product of a token word as five integers (a, b, c, d, eps), see `mp_from_word`."""
+    """The product of a token word as five integers (a, b, c, d, eps), see `mp_from_word`.
+
+    Each run of consecutive T tokens is one `_mul` by T^(sum of exponents),
+    and each run of S tokens one `_mul` by `_S_POWERS[sum mod 8]`: T^j T^k =
+    T^(j+k) and S^8 = (I, +) hold in Mp2(Z), and `_mul` is its group law, so
+    the runs multiply to the letter-by-letter product exactly.  Z = (I, -) is
+    central, so a Z token may sit anywhere, and an odd power of it flips the
+    sign of the product once, at the end.
+    """
     x = (1, 0, 0, 1, 1)
+    t = s = flip = 0  # the pending T and S run exponents; at most one is nonzero
     for name, k in tokens:
         if name == "T":
-            x = _mul(*x, 1, k, 0, 1, 1)
+            if s:
+                x = _mul(*x, *_S_POWERS[s])
+                s = 0
+            t += k
         elif name == "S":
-            for _ in range(k % 8):
-                x = _mul(*x, 0, -1, 1, 0, 1)
+            if t:
+                x = _mul(*x, 1, t, 0, 1, 1)
+                t = 0
+            s = (s + k) % 8
         elif name == "Z":
-            if k % 2:
-                x = (*x[:4], -x[4])  # the central (I, -) flips the sign only
+            flip ^= k % 2
         else:
             raise ValueError(f"unknown token {name!r}")
+    if t:
+        x = _mul(*x, 1, t, 0, 1, 1)
+    elif s:
+        x = _mul(*x, *_S_POWERS[s])
+    if flip:
+        x = (*x[:4], -x[4])  # the central (I, -) flips the sign only
     return x
+
+
+def _s_powers() -> tuple[tuple[int, int, int, int, int], ...]:
+    powers = [(1, 0, 0, 1, 1)]
+    for _ in range(7):
+        powers.append(_mul(*powers[-1], 0, -1, 1, 0, 1))
+    return tuple(powers)
+
+
+_S_POWERS = _s_powers()  # S^0 .. S^7 as five integers each
 
 
 def tilde_lambda(p: MpElement) -> RootOfUnity:

@@ -17,13 +17,16 @@ point, and theta at the cocycles' fixed base points comes from `thetanum`'s
 bounded theta cache.  Each pool is one (N, 4) integer array
 (`congruence._entry_bound_rows`) filtered by `congruence._contains` masks;
 only the members handed to an `SL2Matrix` or an action factor become Python
-ints.  The stabilizer sweeps call each action factor once per member and
-(u1, u2), looked up on the `congruence` module, so a patched or wrapped
+ints.  The stabilizer sweeps call each action factor once per residue class
+mod 2m and (u1, u2), on the class's first member, and broadcast the class's
+verdict to its members (the factors depend only on the entries mod 2m); the
+factors are looked up on the `congruence` module, so a patched or wrapped
 factor is the one called.
 The random words of a check are decoded from one block of the generator's
 raw 32-bit words (`_random_words`), which gives the words and generator
 state of one bounded draw per value, and are multiplied out on integers by
-`metaplectic`'s word routine; the associativity triples stay
+`metaplectic`'s word routine, one product per run of S or T letters; the
+associativity triples stay
 integer tuples, with `metaplectic._mul` read at call time.  The cocycle
 identities draw their candidate pairs in blocks of as many pairs as are
 still missing, which consumes the pairs, and leaves the generator state,
@@ -296,41 +299,67 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
 
 # --- 3. stabilizer sweeps -----------------------------------------------------------
 
+def _class_verdicts(rows: np.ndarray, modulus: int, trivial: Callable) -> np.ndarray:
+    """`trivial(g)` for every row (a, b, c, d) of `rows`, evaluated on the first
+    row of each residue class mod `modulus` and broadcast to the rest of it.
+
+    Each row's residues are packed into one int64 key, digits base `modulus`,
+    so rows share a key exactly when they share a residue class.
+    """
+    keys = (rows % modulus) @ modulus ** np.arange(3, -1, -1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    verdicts = np.array([trivial(cg.SL2Matrix(*row)) for row in rows[first].tolist()], bool)
+    return verdicts[inverse]
+
+
 def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
+    """Triviality of the action factors on Gamma(m) and Gamma0(m) against
+    membership in the stabilizers Gamma(m, 2m) and Gamma0(2m), m = 2 and 4.
+
+    Each factor is e^{-2 pi i e / 2m} with e an integer polynomial in the
+    entries a, b, c, d (and u), so e mod 2m, and the factor, depend only on
+    the entries mod 2m; the factors' `NotMember` pre-checks on Gamma(m) and
+    Gamma0(m) depend only on the entries mod m.  So every member of a residue
+    class mod 2m gets the verdict of the class's first member: the all-u
+    triviality test runs once per class, and each member's verdict is still
+    compared with that member's own membership.  A factor that is wrong on
+    one class is counted on every member of it.  The factors are looked up
+    on the `congruence` module at call time, so a patched or wrapped factor
+    is the one called.
+    """
     bound = 40 if level == "full" else 10
     # Gamma0(4) < Gamma0(2) and Gamma(m) < Gamma0(m): each list is filtered
     # from the smallest list already known to contain it, in pool order, by a
-    # `_contains` mask over its integer rows.  The action factors take
-    # matrices, so each row of Gamma0(2) is paired with one matrix, built once
+    # `_contains` mask over its integer rows; the action factors see one
+    # `SL2Matrix` per residue class mod 2m
     pool = cg._entry_bound_rows(bound)
     rows = pool[cg._contains(cg.Gamma0(2), *pool.T)]
-    mats = [cg.SL2Matrix(*row) for row in rows.tolist()]
     results = []
     for m in (2, 4):
-        gamma_m, gamma_m2m = cg.Gamma(m), cg.GammaM2M(m)
-        gamma0_m, gamma0_2m = cg.Gamma0(m), cg.Gamma0(2 * m)
-        keep = cg._contains(gamma0_m, *rows.T)
-        rows, mats = rows[keep], list(itertools.compress(mats, keep.tolist()))
-        in_gamma_m = cg._contains(gamma_m, *rows.T)
-        theta_rows = rows[in_gamma_m]
-        theta_mats = list(itertools.compress(mats, in_gamma_m.tolist()))
-        theta_bad = sum(
-            all(
+        rows = rows[cg._contains(cg.Gamma0(m), *rows.T)]
+        theta_rows = rows[cg._contains(cg.Gamma(m), *rows.T)]
+        theta_trivial = _class_verdicts(
+            theta_rows,
+            2 * m,
+            lambda g: all(
                 cg.theta_action_factor(g, m, u1, u2).is_one()
                 for u1 in range(m)
                 for u2 in range(m)
-            )
-            != stable
-            for g, stable in zip(theta_mats, cg._contains(gamma_m2m, *theta_rows.T).tolist())
+            ),
         )
-        split_bad = sum(
-            all(cg.splitting_action_factor(g, m, u).is_one() for u in range(m)) != stable
-            for g, stable in zip(mats, cg._contains(gamma0_2m, *rows.T).tolist())
+        split_trivial = _class_verdicts(
+            rows,
+            2 * m,
+            lambda g: all(cg.splitting_action_factor(g, m, u).is_one() for u in range(m)),
         )
+        theta_bad = int(
+            np.count_nonzero(theta_trivial != cg._contains(cg.GammaM2M(m), *theta_rows.T))
+        )
+        split_bad = int(np.count_nonzero(split_trivial != cg._contains(cg.Gamma0(2 * m), *rows.T)))
         results.append(
             entry(
                 "theta_structure_stabilizer",
-                {"m": m, "entry_bound": bound, "matrices": len(theta_mats)},
+                {"m": m, "entry_bound": bound, "matrices": len(theta_rows)},
                 "triviality iff membership",
                 f"{theta_bad} exceptions",
                 float(theta_bad),
@@ -340,7 +369,7 @@ def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
         results.append(
             entry(
                 "splitting_stabilizer",
-                {"m": m, "entry_bound": bound, "matrices": len(mats)},
+                {"m": m, "entry_bound": bound, "matrices": len(rows)},
                 "triviality iff membership",
                 f"{split_bad} exceptions",
                 float(split_bad),

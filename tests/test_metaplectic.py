@@ -247,11 +247,65 @@ def test_word_powers_of_s_and_z_are_group_powers():
     """("S", k) and ("Z", k) are k-th powers for every integer k, inverse
     powers included, not k-fold repetitions that skip k <= 0."""
     assert mp_pow(MP_S, 8) == MP_I and mp_pow(MP_Z, 2) == MP_I
-    for k in range(-9, 10):
+    for k in range(-16, 17):
         assert mp_from_word([("S", k)]) == mp_pow(MP_S, k)
         assert mp_from_word([("Z", k)]) == mp_pow(MP_Z, k)
     assert mp_from_word([("S", -1)]) == mp_inv(MP_S) != MP_I
     assert mp_from_word([("S", 10**12 + 1)]) == MP_S
+
+
+def letter_word(tokens):
+    """The product of a token word, one `_mul` per letter: S^k as k mod 8
+    factors S, T^k as one factor, and (I, -) flipping the sign in place."""
+    x = (1, 0, 0, 1, 1)
+    for name, k in tokens:
+        if name == "T":
+            x = metaplectic._mul(*x, 1, k, 0, 1, 1)
+        elif name == "S":
+            for _ in range(k % 8):
+                x = metaplectic._mul(*x, 0, -1, 1, 0, 1)
+        elif name == "Z":
+            if k % 2:
+                x = (*x[:4], -x[4])
+        else:
+            raise ValueError(f"unknown token {name!r}")
+    return x
+
+
+def run_words(rng, count):
+    """Words of runs of S^k (k in [-17, 17]) and T^k (k = 0 included), with
+    Z^k tokens between and inside runs."""
+    out = [[]]
+    for _ in range(count):
+        word = []
+        for _ in range(rng.integers(0, 8)):
+            name = ("S", "T")[rng.integers(0, 2)]
+            for _ in range(rng.integers(1, 4)):
+                word.append((name, int(rng.integers(-17, 18))))
+                if rng.random() < 0.2:
+                    word.append(("Z", int(rng.integers(-3, 4))))
+        out.append(word)
+    return out
+
+
+def test_run_products_match_the_letter_by_letter_product():
+    rng = np.random.default_rng(32)
+    words = run_words(rng, 400)
+    assert any(("T", 0) in w for w in words) and any(("Z", 0) in w for w in words)
+    for word in words:
+        assert metaplectic._word(word) == letter_word(word), word
+    lifts = [mp_lift_word(g, eps) for g in sl2_with_entry_bound(6) for eps in (1, -1)]
+    for word in lifts:
+        assert metaplectic._word(word) == letter_word(word), word
+
+
+def test_s_power_table_and_unknown_tokens():
+    assert [metaplectic._element(*x) for x in metaplectic._S_POWERS] == [
+        mp_pow(MP_S, k) for k in range(8)
+    ]
+    for word in ([("X", 1)], [("T", 1), ("S", 1), ("s", 1)], [("S", 2), ("Y", 0), ("S", 1)]):
+        with pytest.raises(ValueError, match="unknown token"):
+            mp_from_word(word)
 
 
 def test_tilde_lambda_basics():

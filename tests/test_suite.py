@@ -508,3 +508,93 @@ def test_oracle_counts_every_member_of_a_wrong_residue_class(monkeypatch, level)
     assert in_class > 0
     assert got["observed"] == f"{in_class} mismatches"
     assert got["residual"] == in_class and got["pass"] is False
+
+
+# the stabilizer sweeps' lists, rebuilt from `SL2Matrix` objects: (factor
+# name, m) -> (the group whose members the factor is swept over, the check id)
+SWEEP_LISTS = {
+    ("theta_action_factor", 2): (cg.Gamma(2), "theta_structure_stabilizer"),
+    ("splitting_action_factor", 2): (cg.Gamma0(2), "splitting_stabilizer"),
+    ("theta_action_factor", 4): (cg.Gamma(4), "theta_structure_stabilizer"),
+    ("splitting_action_factor", 4): (cg.Gamma0(4), "splitting_stabilizer"),
+}
+SWEEP_BOUND = {"quick": 10, "full": 40}
+
+
+def all_u_trivial(name, g, m):
+    """The per-(member, u) triviality test, one factor call per u."""
+    if name == "theta_action_factor":
+        return all(
+            cg.theta_action_factor(g, m, u1, u2).is_one() for u1 in range(m) for u2 in range(m)
+        )
+    return all(cg.splitting_action_factor(g, m, u).is_one() for u in range(m))
+
+
+def sweep_members(level, name, m):
+    group, _ = SWEEP_LISTS[name, m]
+    return [g for g in cg.sl2_with_entry_bound(SWEEP_BOUND[level]) if cg.member(g, group)]
+
+
+@pytest.mark.parametrize("level", ("quick", "full"))
+@pytest.mark.parametrize("name, m", SWEEP_LISTS)
+def test_class_verdicts_match_the_per_member_loop(level, name, m):
+    """Every member of both lists gets the verdict of its own per-u loop."""
+    members = sweep_members(level, name, m)
+    rows = np.array([g.entries() for g in members], dtype=np.int64)
+    got = suite._class_verdicts(rows, 2 * m, lambda g: all_u_trivial(name, g, m))
+    assert got.tolist() == [all_u_trivial(name, g, m) for g in members]
+
+
+@pytest.mark.parametrize("level", ("quick", "full"))
+@pytest.mark.parametrize("name, m", SWEEP_LISTS)
+@pytest.mark.parametrize("cls", ("identity", "moved"))
+def test_sweep_counts_every_member_of_a_wrong_residue_class(monkeypatch, level, name, m, cls):
+    """A factor that is wrong on one residue class mod 2m (negated on the
+    identity class, which the factor fixes, or 1 on a class it moves) makes
+    every member of that class an exception, and no other member."""
+    if cls == "identity":
+        residues, wrong = (1, 0, 0, 1), lambda value: value * RootOfUnity(Fraction(1, 2))
+    else:
+        moved = (1, m, 0, 1) if name == "theta_action_factor" else (1, 0, m, 1)
+        residues, wrong = moved, lambda value: ONE
+    factor = getattr(cg, name)
+
+    def mutant(g, mm, *u):
+        value = factor(g, mm, *u)
+        if mm == m and tuple(x % (2 * m) for x in g.entries()) == residues:
+            return wrong(value)
+        return value
+
+    in_class = sum(
+        tuple(x % (2 * m) for x in g.entries()) == residues for g in sweep_members(level, name, m)
+    )
+    assert in_class > 0
+    monkeypatch.setattr(cg, name, mutant)
+    _, check_id = SWEEP_LISTS[name, m]
+    for e in run(suite.check_stabilizer_sweeps, level):
+        hit = e["check_id"] == check_id and e["params"]["m"] == m
+        assert e["residual"] == (in_class if hit else 0), e
+        assert e["observed"] == f"{in_class if hit else 0} exceptions"
+
+
+def test_full_sweep_calls_each_factor_once_per_class_and_u(monkeypatch):
+    """The sweep evaluates each factor at most once per (residue class mod 2m, u),
+    and each at least once, so the factors' traced spans keep opening."""
+    calls = {name: 0 for name, _ in SWEEP_LISTS}
+    allowed = dict.fromkeys(calls, 0)
+    for name, m in SWEEP_LISTS:
+        classes = {tuple(x % (2 * m) for x in g.entries()) for g in sweep_members("full", name, m)}
+        allowed[name] += len(classes) * (m * m if name == "theta_action_factor" else m)
+
+    def counting(name, factor):
+        def wrapper(*args):
+            calls[name] += 1
+            return factor(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cg, name, counting(name, getattr(cg, name)))
+    entries = run(suite.check_stabilizer_sweeps, "full")
+    assert all(e["pass"] for e in entries)
+    assert all(1 <= calls[name] <= allowed[name] for name in calls), (calls, allowed)
