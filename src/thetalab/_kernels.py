@@ -6,7 +6,8 @@ r (``np.bincount`` accumulates its weights in input order, ``np.cumsum``
 along a row is sequential), so every result is deterministic run to run and
 equal, bit for bit, to the plain loop that adds e^{pi i tau r^2 / m} into
 ``out[r % m]`` for r = -R, ..., R.  `riemann_theta_sums` takes many taus
-at once, one pass per distinct radius, and gives each of them the value
+at once, one pass per distinct radius that computes each term once for
+n >= 0 and mirrors it to -n, and gives each tau the value
 `riemann_theta_sum` gives it.
 `pack_mod4` turns mod-4 matrices into the uint64 keys of `symplectic4`,
 and `mod4_products` gives the products its quotient closure takes.  They
@@ -61,18 +62,26 @@ def riemann_theta_sum(tau: complex, radius: int) -> complex:
 def riemann_theta_sums(taus, radii) -> np.ndarray:
     """riemann_theta_sum(taus[i], radii[i]) for every i, bit for bit, as a complex array.
 
-    The taus of one radius are summed in one pass, each row adding its
-    terms in ascending n by a sequential cumsum, as `riemann_theta_sum` does.
+    One stable sort groups the rows by radius, and the taus of one radius are
+    summed in one pass over one block of terms.  The term of n is computed
+    once, for n >= 0, into the block's right half and mirrored to -n (it
+    depends on n^2 only); each row then adds its terms in ascending n by one
+    sequential complex cumsum, taken in place, which adds the real and
+    imaginary parts as `riemann_theta_sum`'s two cumsums do.
     """
     taus = np.asarray(taus, dtype=np.complex128)
     radii = np.asarray(radii, dtype=np.int64)
     out = np.empty(len(taus), dtype=np.complex128)
-    for radius in set(radii.tolist()):
-        rows = radii == radius
-        n = np.arange(-radius, radius + 1)
-        terms = np.exp(1j * cmath.pi * taus[rows, None] * (n * n))
-        out.real[rows] = terms.real.cumsum(axis=1)[:, -1] + 0.0
-        out.imag[rows] = terms.imag.cumsum(axis=1)[:, -1] + 0.0
+    order = np.argsort(radii, kind="stable")
+    ordered = radii[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1)).tolist()
+    for start, stop in zip(starts, starts[1:] + [len(order)]):
+        rows, radius = order[start:stop], int(ordered[start])
+        k = np.arange(radius + 1)
+        terms = np.empty((len(rows), 2 * radius + 1), dtype=np.complex128)
+        np.exp(1j * cmath.pi * taus[rows, None] * (k * k), out=terms[:, radius:])
+        terms[:, :radius] = terms[:, : radius : -1]
+        out[rows] = np.cumsum(terms, axis=1, out=terms)[:, -1] + 0.0
     return out
 
 

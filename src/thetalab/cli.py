@@ -19,17 +19,26 @@ A subcommand loads only the library modules it uses: each handler imports
 them when it runs, so `congruence` and `mp` never load numpy.  Handlers
 call through the module (`hb.enumerate_sym_automorphisms(...)`), so a
 function rebound on its module is the one called.
+
+`python -m thetalab.cli` and the `thetalab` script both exit through `run`:
+it calls `main()`, then `gc.freeze()`, then `sys.exit` with main's code.
+Freezing moves every live object out of the collector's reach, so
+interpreter shutdown skips the cyclic collection that would otherwise walk
+numpy's and thetalab's whole heap just before the process ends.  Atexit
+handlers, stream flushing, output and exit codes are unchanged.  `main`
+itself does not freeze, since in-process callers keep running after it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from fractions import Fraction
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _fmt_float(x: float) -> float:
@@ -374,5 +383,15 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code
 
 
+def run() -> None:
+    """The process entry point: `main()` on sys.argv, then exit with its code.
+
+    The heap is frozen first, so that shutdown skips its full collection.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

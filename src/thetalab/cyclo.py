@@ -72,15 +72,7 @@ class RootOfUnity:
 
     @property
     def value(self) -> complex:
-        # quarter points embed exactly; everything else through exp
-        if self.exponent.denominator in (1, 2, 4):
-            return {
-                Fraction(0): 1 + 0j,
-                Fraction(1, 4): 1j,
-                Fraction(1, 2): -1 + 0j,
-                Fraction(3, 4): -1j,
-            }[self.exponent]
-        return cmath.exp(1j * _TWO_PI * float(self.exponent))
+        return _embed(self.exponent)
 
     def is_one(self) -> bool:
         return self.exponent == 0
@@ -107,6 +99,21 @@ class RootOfUnity:
         return cls(Fraction(obj["num"], obj["den"]))
 
 
+_QUARTERS = {
+    Fraction(0): 1 + 0j,
+    Fraction(1, 4): 1j,
+    Fraction(1, 2): -1 + 0j,
+    Fraction(3, 4): -1j,
+}
+
+
+def _embed(q: Fraction) -> complex:
+    """e^{2 pi i q} for q in [0, 1): quarter points exactly, everything else through exp."""
+    if q.denominator in (1, 2, 4):
+        return _QUARTERS[q]
+    return cmath.exp(1j * _TWO_PI * float(q))
+
+
 ONE = RootOfUnity(0)
 MINUS_ONE = RootOfUnity(Fraction(1, 2))
 ZETA4 = RootOfUnity(Fraction(1, 4))
@@ -129,12 +136,14 @@ def ru_snap(z: complex, order: int, tol: float) -> RootOfUnity:
     order-th roots of unity are at distance >= 2*sin(pi/order) > 4*tol apart.
     Raises NoSnap when z is not within tolerance of any such root, which
     downstream code treats as a convention or precision failure, never as a
-    value to be guessed.
+    value to be guessed; a non-finite z is within tolerance of none.
     """
     if order <= 0:
         raise ValueError(f"order must be positive, got {order}")
     if not 0 < tol < 1.0 / (4 * order):
         raise ValueError(f"tol={tol} violates 0 < tol < 1/(4*order) for order {order}")
+    if not cmath.isfinite(z):
+        raise NoSnap(f"{z} is not within {tol} of any {order}-th root of unity")
     k = round(cmath.phase(z) / _TWO_PI * order) % order
     # int / int rounds correctly, so k / order is the float of Fraction(k, order)
     if abs(z - cmath.exp(1j * _TWO_PI * (k / order))) >= tol:

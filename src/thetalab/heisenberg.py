@@ -32,7 +32,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .cyclo import ONE, RootOfUnity
+from .cyclo import ONE, RootOfUnity, _root
 
 __all__ = [
     "TypeMismatch",
@@ -811,7 +811,8 @@ def symmetric_splittings_over(
     s(h1) s(h2) <x(h1), y(h2)>, and symmetric when s(-h) = s(h).  Returns the
     maps s in product order over their values on the generators G, in closed
     form for G W G^T (`_semicharacter_values`).  Unless the generators pair
-    trivially, G W G^T is not symmetric, and no lift exists.
+    trivially, G W G^T is not symmetric, and no lift exists.  The values are
+    the shared `cyclo._root` instances.
     """
     if any(g_.type != typ for g_ in gens):
         raise TypeMismatch(f"generators of another type than {typ} given")
@@ -830,4 +831,4 @@ def symmetric_splittings_over(
     l = _semicharacter_values(np.diag(form)[None], orders, m, symmetric=True)[0]
     values = _closed_form(coords, np.broadcast_to(form, (len(l), *form.shape)), l, m)
     elems = [table.elements[i] for i in gidx]
-    return [{z: RootOfUnity(Fraction(v, m)) for z, v in zip(elems, r)} for r in values.tolist()]
+    return [{z: _root(v, m) for z, v in zip(elems, r)} for r in values.tolist()]

@@ -11,25 +11,26 @@ and scalar exponent per column) and embedded into numpy only for the linear
 algebra: joint invariant subspaces of lifted subgroups and intertwiner
 spaces between representations, whose dimensions realize the uniqueness
 statements of the Stone-von Neumann theory at this finite scale.
+
+`rho` reads each matrix off one integer table per type (`_rho_table`): the
+translation permutations of H(delta) and the exponents of <x, nu> in units
+of the scalar modulus.  `Fraction`s are built only for the exponents of the
+returned matrix, one per distinct value, and `to_numpy` embeds each distinct
+exponent once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import RootOfUnity
-from .heisenberg import (
-    HeisenbergElement,
-    SymmetricSplitting,
-    ThetaType,
-    TooLarge,
-    _xy_exponent,
-)
+from .cyclo import _embed
+from .heisenberg import HeisenbergElement, SymmetricSplitting, ThetaType, TooLarge
 
 __all__ = [
     "RHO_BOUND",
@@ -77,8 +78,8 @@ class SchrodingerMatrix:
 
     def to_numpy(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for nu, (r, q) in enumerate(zip(self.row_of_col, self.exponents)):
-            out[r, nu] = RootOfUnity(q).value
+        values = {q: _embed(q % 1) for q in set(self.exponents)}
+        out[self.row_of_col, range(self.dim)] = [values[q] for q in self.exponents]
         return out
 
     def is_permutation_consistent(self) -> bool:
@@ -99,16 +100,42 @@ def rho(a: HeisenbergElement) -> SchrodingerMatrix:
     typ = a.type
     if typ.degree > RHO_BOUND:
         raise TooLarge(f"|H| = {typ.degree} exceeds {RHO_BOUND}")
-    basis = h_basis(typ)
-    index = {h: i for i, h in enumerate(basis)}
-    x, y = a.z.x, a.z.y
-    rows = []
-    exps = []
-    for nu in basis:
-        target = tuple((n + yy) % d for n, yy, d in zip(nu, y, typ.divisors))
-        rows.append(index[target])
-        exps.append((a.scalar.exponent + _xy_exponent(x, nu, typ)) % 1)
-    return SchrodingerMatrix(typ, tuple(rows), tuple(exps))
+    shift, pair, place = _rho_table(typ)
+    # exponents in units of 1/n, n the lcm of the scalar modulus and the scalar's order
+    m, q = typ.scalar_modulus, a.scalar.exponent
+    n = math.lcm(m, q.denominator)
+    k, s = n // m, q.numerator * (n // q.denominator)
+    units = [(p * k + s) % n for p in pair[_rank(a.z.x, place)].tolist()]
+    fractions = {u: Fraction(u, n) for u in set(units)}
+    return SchrodingerMatrix(
+        typ, tuple(shift[_rank(a.z.y, place)].tolist()), tuple(map(fractions.__getitem__, units))
+    )
+
+
+def _rank(h: tuple[int, ...], place: tuple[int, ...]) -> int:
+    """Position of the reduced h in `h_basis` order."""
+    return sum(c * p for c, p in zip(h, place))
+
+
+@lru_cache(maxsize=None)
+def _rho_table(typ: ThetaType) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(shift, pair, place) over H(delta) in `h_basis` order.
+
+    shift[y, nu] is the index of nu + y, pair[x, nu] is M times the exponent
+    of <x, nu> reduced mod M, M the scalar modulus, and place holds the
+    mixed-radix place values that index an element.
+    """
+    divisors = np.array(typ.divisors, dtype=np.int64)
+    coords = np.array(h_basis(typ), dtype=np.int64).reshape(typ.degree, typ.g)
+    place = np.append(np.cumprod(divisors[:0:-1])[::-1], 1)
+    m = typ.scalar_modulus
+    shift = np.zeros((typ.degree, typ.degree), dtype=np.int64)
+    for c, d, p in zip(coords.T, divisors, place):
+        shift += (c[:, None] + c) % d * p
+    pair = (coords * -(m // divisors)) @ coords.T % m
+    for a in (shift, pair):
+        a.setflags(write=False)
+    return shift, pair, tuple(place.tolist())
 
 
 def _nullspace(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:

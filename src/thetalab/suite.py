@@ -13,8 +13,10 @@ compares every member's analytic quotient with the exact discriminant, which
 it looks up once per residue class mod 4, the only thing the discriminant
 depends on; the quotient is taken over the whole member list at once, with
 theta(g tau) for every member summed in one `thetanum` batch per probe
-point, and theta at the cocycles' fixed base points comes from `thetanum`'s
-bounded theta cache.  Each pool is one (N, 4) integer array
+point and the quotients of a probe point snapped to mu_4 in one array step
+(`_snap_mu4`, `ru_snap`'s rule), and theta at the cocycles' fixed base
+points comes from `thetanum`'s bounded theta cache.  Each pool is one
+(N, 4) integer array
 (`congruence._entry_bound_rows`) filtered by `congruence._contains` masks;
 only the members handed to an `SL2Matrix` or an action factor become Python
 ints.  The stabilizer sweeps call each action factor once per residue class
@@ -39,6 +41,7 @@ Im(gamma tau) floor required by the verifier's precision contract.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import platform
@@ -55,7 +58,7 @@ from . import schrodinger as sc
 from . import symplectic4 as s4
 from . import thetanum as tn
 from . import weilrep as wr
-from .cyclo import ONE, RootOfUnity, mu_group, ru_snap
+from .cyclo import _TWO_PI, ONE, NoSnap, RootOfUnity, _root, mu_group
 
 __all__ = ["CHECK_ORDER", "run_suite", "entry"]
 
@@ -230,12 +233,33 @@ def check_transformation_law(level: str, rng: np.random.Generator) -> list[dict]
 
 # --- 2. discriminant vs functional equation ----------------------------------------
 
+# e^{2 pi i k / 4} as `ru_snap` computes it, for its distance test
+_MU4 = np.array([cmath.exp(1j * _TWO_PI * (k / 4)) for k in range(4)])
+
+
+def _snap_mu4(z: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """k in 0..3 with |z - e^{2 pi i k / 4}| < tol for every entry of z, by
+    `ru_snap(z, 4, tol)`'s rule in one array step: the nearest k by phase,
+    then the distance to that root, measured against `ru_snap`'s own roots.
+    The first entry within tol of none, a non-finite one included, raises
+    the `NoSnap` that `ru_snap` would raise on it."""
+    finite = np.isfinite(z)
+    k = np.zeros(len(z), dtype=np.int64)
+    k[finite] = np.round(np.angle(z[finite]) / _TWO_PI * 4) % 4
+    bad = ~finite | (np.abs(z - _MU4[k]) >= tol)
+    if bad.any():
+        first = complex(z[np.argmax(bad)])
+        raise NoSnap(f"{first} is not within {tol} of any 4-th root of unity")
+    return k
+
+
 def _functional_eq_quotient(members: np.ndarray, taus=tn.PROBE_POINTS) -> list[RootOfUnity]:
     """The mu_4 snap of (c tau + d) theta(tau)^2 / theta(g tau)^2 for each theta-group
     row (a, b, c, d) of `members`, equal at every tau in taus: the quotient is tau-free.
 
     theta(g tau) for every row at one tau comes from one `thetanum` batch, each
-    value the numerator of `halfform_cocycle(g, tau)`, bit for bit.
+    value the numerator of `halfform_cocycle(g, tau)`, bit for bit, and the
+    quotients of one tau are snapped in one array step (`_snap_mu4`).
     """
     if not cg._contains(cg.THETA12, *members.T).all():
         raise cg.NotMember("the functional equation quotient is taken on the theta group")
@@ -245,15 +269,15 @@ def _functional_eq_quotient(members: np.ndarray, taus=tn.PROBE_POINTS) -> list[R
         moved = [(a * t + b) / (c * t + d) for a, b, c, d in rows]
         base = tn._riemann_theta_unchecked(t, 1e-13)
         cocycle = tn._riemann_thetas_unchecked(moved, 1e-13) / base
-        quotient = (members[:, 2] * t + members[:, 3]) / cocycle**2
-        snaps.append([ru_snap(q, 4, 1e-6) for q in quotient.tolist()])
+        snaps.append(_snap_mu4((members[:, 2] * t + members[:, 3]) / cocycle**2))
     for values in snaps[1:]:
-        for row, first, other in zip(rows, snaps[0], values):
-            if first != other:
-                raise ArithmeticError(
-                    f"probe points disagree on {row}: {first}, {other}; convention failure"
-                )
-    return snaps[0]
+        if (differ := np.flatnonzero(values != snaps[0])).size:
+            i = int(differ[0])
+            first, other = _root(int(snaps[0][i]), 4), _root(int(values[i]), 4)
+            raise ArithmeticError(
+                f"probe points disagree on {rows[i]}: {first}, {other}; convention failure"
+            )
+    return [_root(k, 4) for k in snaps[0].tolist()]
 
 
 def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict]:

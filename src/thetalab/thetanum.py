@@ -7,7 +7,9 @@ constants
 
 truncated at a radius whose tail is certified by an explicit geometric
 bound; every returned vector carries its error bound, that tail plus a
-certified bound on the float rounding of the sum.  The radius is
+certified bound on the float rounding of the sum.  `theta_constants` sums
+at tau - k, Re(tau - k) in [-1/2, 1/2), and moves the sum to tau by the
+Weil T^k phases, so its rounding does not grow with |Re tau|.  The radius is
 searched above a closed-form floor and capped at MAX_RADIUS (TauTooLow
 beyond it), and a non-finite tau or tolerance is rejected, on the one path
 every evaluation takes.  Verification: the mu_4 character of the squared
@@ -52,7 +54,7 @@ from .congruence import (
 )
 from .cyclo import RootOfUnity
 from .metaplectic import MpElement, phi_eval, tilde_lambda
-from .weilrep import _check_m, weil_rep
+from .weilrep import _check_m, _t_phases, weil_rep
 
 __all__ = [
     "TauTooLow",
@@ -107,9 +109,10 @@ class ThetaVector:
     """Theta constants at tau with a certified error bound.
 
     `err_bound` bounds |values[nu] - theta_{m,nu}(tau)| for every nu: the
-    truncation tail plus the float rounding of the sum (`_rounding_bound`),
-    so where rounding dominates (large |Re tau| r^2 at small Im tau) it may
-    exceed the tolerance that chose the radius.
+    truncation tail plus the float rounding of the sum at Re tau in
+    [-1/2, 1/2) (`_rounding_bound`) and of the phase product that moves it
+    to tau, so it may exceed the tolerance that chose the radius only where
+    that rounding is above the tolerance (small Im tau, large m).
     """
 
     m: int
@@ -262,14 +265,50 @@ def _theta_vector_unchecked(m: int, tau: complex, tol: float) -> tuple[np.ndarra
     return _kernels.theta_class_sums(m, _reduce_real(tau, 2 * m), radius), radius
 
 
+# bound, in units of max |value|, on the rounding that the T phase multiply in
+# `theta_constants` adds (`_unit_shift`)
+_PHASE_ROUNDING = 32 * 2.0**-53
+
+
+def _unit_shift(tau: complex) -> tuple[int, complex]:
+    """(k, tau - k) with k an integer and Re(tau - k) in [-1/2, 1/2).
+
+    tau - k is exact: k = round(Re tau) lies within a factor of two of
+    Re tau unless it is 0, so the subtraction has no rounding (Sterbenz).
+    Called after `_radius_unchecked` has rejected non-finite tau.
+    """
+    k = round(tau.real)
+    if tau.real - k == 0.5:  # round() breaks the tie to the even neighbour
+        k += 1
+    if k == 0:
+        return 0, tau
+    return k, complex(tau.real - k, tau.imag)
+
+
 def theta_constants(m: int, tau: complex, tol: float = 1e-12) -> ThetaVector:
-    """All m theta constants at tau, with a shared certified error bound."""
+    """All m theta constants at tau, with a shared certified error bound.
+
+    The series is summed at tau0 = tau - k, Re tau0 in [-1/2, 1/2), and moved
+    to tau by theta_{m,nu}(tau0 + k) = e^{pi i nu^2 k / m} theta_{m,nu}(tau0)
+    (m is even), the phase read as the Weil T^k fold reads it, at the exact
+    index (nu^2 k) mod 2m.  The rounding of the sum at tau0 then no longer
+    grows with |Re tau|; the product adds at most `_PHASE_ROUNDING` times the
+    largest value (the phase's argument and exp, about 23 u, and the complex
+    product, sqrt(5) u).  Where every phase is 1 (2m divides k, k = 0
+    included) nothing is multiplied.
+    """
     m = _check_m(m, MAX_THETA_INDEX)
     if tau.imag < MIN_IM_EVAL:
         raise TauTooLow(f"Im(tau)={tau.imag} is below the contract floor {MIN_IM_EVAL}")
-    values, radius = _theta_vector_unchecked(m, tau, tol)
-    rounding = _rounding_bound(m, _reduce_real(tau, 2 * m), radius)
-    err = _tail_bound(m, tau.imag, radius + 1) + rounding
+    radius = _radius_unchecked(m, tau, tol)
+    k, tau0 = _unit_shift(tau)
+    values = _kernels.theta_class_sums(m, tau0, radius)
+    err = _tail_bound(m, tau.imag, radius + 1) + _rounding_bound(m, tau0, radius)
+    two_m = 2 * m
+    if k % two_m:
+        nu = np.arange(m, dtype=np.int64)
+        err += _PHASE_ROUNDING * float(np.abs(values).max())
+        values *= _t_phases(nu * nu % two_m * (k % two_m) % two_m, m)
     return ThetaVector(m, tau, values, err)
 
 

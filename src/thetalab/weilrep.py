@@ -100,10 +100,15 @@ def _generators(m: int) -> tuple[complex, np.ndarray, np.ndarray]:
     m = _check_m(m)
     j = np.arange(m, dtype=np.int64)
     squares = (j * j) % (2 * m)
-    phases = np.exp(1j * np.pi * np.arange(2 * m) / m)
+    phases = _t_phases(np.arange(2 * m), m)
     for a in (squares, phases):
         a.setflags(write=False)
     return cmath.exp(-1j * np.pi / 4) / m**0.5, squares, phases
+
+
+def _t_phases(n: np.ndarray, m: int) -> np.ndarray:
+    """e^{i pi n / m} at the integers n, each entry the phase table's entry at n, bit for bit."""
+    return np.exp(1j * np.pi * n / m)
 
 
 def _fold(

@@ -7,6 +7,9 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from test_imports import run_child
@@ -101,6 +104,56 @@ def test_traced_full_suite_opens_every_span_the_benchmark_reads():
     counts = json.loads(done.stdout)
     assert [n for n, k in counts["suite"].items() if k == 0] == []
     assert [n for n, k in counts["verify"].items() if k == 0] == []
+
+
+TRACED_THETA_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+import thetalab.cli, thetalab.suite
+from thetalab import thetanum
+tracer = tracing.Tracer("contract")
+tracing.instrument(tracer)
+for re in (0.3, 1023.999):
+    with tracer.span("bench.theta.m6"):
+        thetanum.theta_constants(6, complex(re, 0.12))
+print(json.dumps({
+    n: len(tracer.spans(n, under="bench.theta.m6"))
+    for n in ("thetanum.theta_constants", "_kernels.theta_class_sums")
+}))
+"""
+
+
+def test_traced_theta_constants_opens_the_class_sum_span():
+    """Numeric-verify reads `kernels.theta_class_sums.m*_us` from the
+    `_kernels.theta_class_sums` spans under `bench.theta.m*`: a traced
+    `theta_constants` must open one per call, Re tau shifted or not."""
+    workloads = (PERFBENCH / "workloads.py").read_text()
+    assert '"_kernels.theta_class_sums", under=under' in workloads
+    assert 'under = f"bench.theta.m{m}"' in workloads
+    done = run_child(TRACED_THETA_CHILD, str(PERFBENCH))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "thetanum.theta_constants": 2,
+        "_kernels.theta_class_sums": 2,
+    }
+
+
+def test_cli_launch_ends_stderr_with_the_speed_marks():
+    """suite-cli times `thetalab.cli` under `cli_launch.py`, whose atexit
+    handler writes the speed marks as stderr's last line; the CLI's exit path
+    must leave that handler running."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", THETA_LAB_SEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "cli_launch.py"), "verify", "suite", "--level", "quick"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["pass"] is True
+    last = done.stderr.splitlines()[-1]
+    assert last.startswith("SPEED ") and isinstance(json.loads(last[len("SPEED "):]), dict)
 
 
 def test_every_suite_check_has_a_layer_metric():

@@ -73,6 +73,75 @@ def test_closed_stdout_exits_quietly_with_the_command_code(mode, argv, code, err
     assert (done.returncode, done.stderr) == (code, err)
 
 
+# a `thetalab` process with an atexit handler registered before the CLI
+# starts; argv[1] picks the exit path ("run": `thetalab.cli` as `__main__`,
+# as `python -m` and the benchmark's launcher run it; "main": the exit path
+# before `run`, `sys.exit(main())`), argv[2] whether `congruence des` fails
+# internally
+EXIT_CHILD = """
+import atexit, gc, runpy, sys
+
+@atexit.register
+def _report():
+    print(f"atexit ran, frozen: {gc.get_freeze_count() > 0}", file=sys.stderr)
+
+if sys.argv[2] == "fail":
+    from thetalab import congruence
+
+    def des_hom(g, m):
+        raise ArithmeticError("forced")
+
+    congruence.des_hom = des_hom
+entry, sys.argv = sys.argv[1], ["thetalab.cli", *sys.argv[3:]]
+if entry == "run":
+    runpy.run_module("thetalab.cli", run_name="__main__", alter_sys=True)
+else:
+    from thetalab.cli import main
+    sys.exit(main(sys.argv[1:]))
+"""
+
+EXIT_CASES = (
+    ("ok", ("congruence", "member", "--group", "theta12", "--gamma", "0,-1,1,0"), 0),
+    ("ok", ("verify", "transform", "--m", "2", "--mp", "1,1,0,1:+", "--tau", "0.1+1i",
+            "--tol", "1e-20"), 1),
+    ("ok", ("congruence", "member", "--group", "nope", "--gamma", "1,0,0,1"), 2),
+    ("ok", ("congruence", "member", "--group", "theta12", "--gamma", "1,0,0"), 2),
+    ("fail", ("congruence", "des", "--m", "2", "--gamma", "1,1,4,5"), 3),
+)
+
+
+def run_process(*argv):
+    src = os.path.dirname(os.path.dirname(thetalab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("mode, argv, code", EXIT_CASES)
+def test_process_exit_path_keeps_output_and_codes(mode, argv, code):
+    """`thetalab.cli` as `__main__` exits through `run`: the same stdout,
+    stderr and exit code as `sys.exit(main())`, for codes 0 to 3, with an
+    atexit handler registered before it still run last, and the heap frozen
+    by then.  `python -m thetalab.cli` gives the same output."""
+    old = run_process("-c", EXIT_CHILD, "main", mode, *argv)
+    new = run_process("-c", EXIT_CHILD, "run", mode, *argv)
+    assert old[0] == code
+    assert old[2].endswith("atexit ran, frozen: False\n")
+    assert new == (old[0], old[1], old[2].replace("frozen: False", "frozen: True"))
+    if mode == "ok":
+        plain = old[2].removesuffix("atexit ran, frozen: False\n")
+        assert run_process("-m", "thetalab.cli", *argv) == (old[0], old[1], plain)
+
+
+def test_console_script_exits_through_run():
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    with open(pyproject) as fh:
+        assert 'thetalab = "thetalab.cli:run"\n' in fh.read()
+
+
 def test_congruence_index_and_des(capsys):
     code, payload, _ = run_cli(capsys, "congruence", "index", "--group", "gamma0", "--n", "4")
     assert code == 0 and payload["index"] == 6

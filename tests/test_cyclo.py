@@ -44,6 +44,26 @@ def test_snap_examples():
         ru_snap(0.7071 + 0.7072j, 4, 1e-3)
 
 
+NON_FINITE = (
+    complex("nan"),
+    complex("inf"),
+    complex("nan+nanj"),
+    complex(float("-inf"), 0.0),
+    complex(0.0, float("inf")),
+    complex(1.0, float("nan")),
+    complex(float("inf"), float("nan")),
+)
+
+
+@pytest.mark.parametrize("z", NON_FINITE)
+@pytest.mark.parametrize("order", (1, 4, 6))
+def test_snap_refuses_non_finite_values(z, order):
+    """A non-finite z lies within tolerance of no root: NoSnap, never the
+    ValueError or OverflowError that rounding its phase would raise."""
+    with pytest.raises(NoSnap, match="is not within"):
+        ru_snap(z, order, 1e-9)
+
+
 def test_snap_tolerance_contract():
     with pytest.raises(ValueError):
         ru_snap(1 + 0j, 4, 0.3)  # tol >= 1/(4*order)

@@ -25,6 +25,21 @@ def _riemann_theta_sum_loop(tau: complex, radius: int) -> complex:
     return acc
 
 
+def _riemann_theta_sums_full_range(taus, radii) -> np.ndarray:
+    """`riemann_theta_sums` as it was: per distinct radius, every term of
+    n = -R..R computed, the real and imaginary parts summed by two cumsums."""
+    taus = np.asarray(taus, dtype=np.complex128)
+    radii = np.asarray(radii, dtype=np.int64)
+    out = np.empty(len(taus), dtype=np.complex128)
+    for radius in set(radii.tolist()):
+        rows = radii == radius
+        n = np.arange(-radius, radius + 1)
+        terms = np.exp(1j * cmath.pi * taus[rows, None] * (n * n))
+        out.real[rows] = terms.real.cumsum(axis=1)[:, -1] + 0.0
+        out.imag[rows] = terms.imag.cumsum(axis=1)[:, -1] + 0.0
+    return out
+
+
 def _mod4_products_einsum(mats: np.ndarray, gens: np.ndarray) -> np.ndarray:
     prod = np.einsum("nab,gbc->ngac", mats.astype(np.int64), gens.astype(np.int64))
     n, g, k, _ = prod.shape
@@ -108,6 +123,34 @@ def test_riemann_theta_sums_equal_the_scalar_sums(rows, repeat):
     assert got.dtype == np.complex128 and got.shape == (len(rows),)
     assert _bits(got) == _bits(_kernels.riemann_theta_sum(t, r) for t, r in zip(taus, radii))
     assert _bits(got) == _bits(_riemann_theta_sum_loop(t, r) for t, r in zip(taus, radii))
+
+
+def test_riemann_theta_sums_equal_the_full_range_batch():
+    """The mirrored half-range batch equals the full-range one bit for bit:
+    random taus with Im tau from 1e-3 to 3 at the radii `thetanum` picks for
+    them, radius 1, duplicate taus, and rows whose imaginary parts are all
+    -0.0 (Im tau so large that every term but n = 0 underflows, and a tiny
+    negative Re tau, which gives every term a negative zero imaginary part),
+    whose sum the final + 0.0 turns into +0.0."""
+    from thetalab.thetanum import _radius_unchecked
+
+    rng = np.random.default_rng(33)
+    taus = rng.uniform(-1.0, 1.0, 400) + 1j * 10 ** rng.uniform(-3.0, np.log10(3.0), 400)
+    radii = [_radius_unchecked(1, t, 1e-13) for t in taus.tolist()]
+    cases = [
+        (taus, radii),
+        (taus[:50], [1] * 50),
+        (np.repeat(taus[:20], 3), np.repeat(radii[:20], 3)),
+        ([complex(-1e-300, 1e3)] * 3 + [complex(-0.5, 1e3), -0j], [1, 3, 7, 2, 0]),
+        ([], []),
+    ]
+    for case_taus, case_radii in cases:
+        got = _kernels.riemann_theta_sums(case_taus, case_radii)
+        assert _bits(got) == _bits(_riemann_theta_sums_full_range(case_taus, case_radii))
+    n = np.arange(-3, 4)
+    assert np.signbit(np.exp(1j * cmath.pi * complex(-1e-300, 1e3) * (n * n)).imag).all()
+    zeros = _kernels.riemann_theta_sums([complex(-1e-300, 1e3)], [3])
+    assert _bits(zeros) == [((1.0).hex(), (0.0).hex())]
 
 
 def test_pack_keys_are_injective():

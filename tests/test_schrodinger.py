@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from thetalab.cyclo import ONE, ZETA4, mu_group
+from thetalab.cyclo import ONE, ZETA4, RootOfUnity, _root, mu_group
 from thetalab.heisenberg import (
     HeisenbergElement,
     KVector,
@@ -14,9 +16,12 @@ from thetalab.heisenberg import (
     hmul,
     k_elements,
     k_zero,
+    maximal_isotropic_subgroups,
+    symmetric_splittings_over,
 )
 from thetalab.schrodinger import (
     SchrodingerMatrix,
+    h_basis,
     intertwiner_space,
     invariant_subspace,
     rho,
@@ -152,3 +157,70 @@ def test_exact_matrix_equality_semantics():
     a = rho(he(T2, ONE, 1, 0))
     b = rho(he(T2, ONE, 1, 0))
     assert a == b and a @ b == rho(hmul(he(T2, ONE, 1, 0), he(T2, ONE, 1, 0)))
+
+
+def fraction_rho(a: HeisenbergElement) -> SchrodingerMatrix:
+    """`rho` as it was before the integer tables: one `Fraction` sum per column."""
+    typ = a.type
+    basis = h_basis(typ)
+    index = {h: i for i, h in enumerate(basis)}
+    x, y = a.z.x, a.z.y
+    rows, exps = [], []
+    for nu in basis:
+        target = tuple((n + yy) % d for n, yy, d in zip(nu, y, typ.divisors))
+        rows.append(index[target])
+        xy = Fraction(sum(Fraction(-c * n, d) for c, n, d in zip(x, nu, typ.divisors)))
+        exps.append((a.scalar.exponent + xy) % 1)
+    return SchrodingerMatrix(typ, tuple(rows), tuple(exps))
+
+
+def fraction_to_numpy(mat: SchrodingerMatrix) -> np.ndarray:
+    """`to_numpy` as it was: one `RootOfUnity` per column."""
+    out = np.zeros((mat.dim, mat.dim), dtype=np.complex128)
+    for nu, (r, q) in enumerate(zip(mat.row_of_col, mat.exponents)):
+        out[r, nu] = RootOfUnity(q).value
+    return out
+
+
+# scalars of orders 1, 2, 3, 4, 5, 8, 12, a large prime and a denominator past 2^64
+SCALARS = tuple(
+    RootOfUnity(q)
+    for q in (
+        Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1, 5),
+        Fraction(7, 8), Fraction(5, 12), Fraction(12345, 1000003), Fraction(1, 2**64 + 13),
+    )
+)
+
+
+@pytest.mark.parametrize("divisors", ((2,), (4,), (2, 2), (2, 4), (4, 4)))
+def test_rho_equals_the_fraction_oracle(divisors):
+    """The integer-table rho equals the `Fraction`-based one on every element
+    of K(delta) with every scalar: rows, exponents (equal and of type
+    Fraction) and the dense embedding, bit for bit."""
+    typ = ThetaType(divisors)
+    for scalar in SCALARS:
+        for z in k_elements(typ):
+            a = HeisenbergElement(scalar, z)
+            got, want = rho(a), fraction_rho(a)
+            assert got == want, (divisors, scalar, z)
+            assert all(type(q) is Fraction for q in got.exponents)
+            assert got.to_numpy().tobytes() == fraction_to_numpy(want).tobytes()
+
+
+def test_to_numpy_reduces_exponents_like_root_of_unity():
+    """A matrix built by hand with exponents outside [0, 1) embeds as
+    RootOfUnity would embed them."""
+    exps = (Fraction(5, 4), Fraction(-1, 3), Fraction(2), Fraction(-7, 8))
+    mat = SchrodingerMatrix(T4, (1, 0, 3, 2), exps)
+    assert mat.to_numpy().tobytes() == fraction_to_numpy(mat).tobytes()
+
+
+def test_splittings_over_hand_out_shared_roots():
+    """Every value of a lift is the shared `cyclo._root` instance of its root."""
+    for typ in (T2, T22, ThetaType((2, 4))):
+        m = typ.scalar_modulus
+        for gens in maximal_isotropic_subgroups(typ):
+            for lift in symmetric_splittings_over(gens, typ):
+                for value in lift.values():
+                    q = value.exponent
+                    assert value is _root(q.numerator * (m // q.denominator), m)

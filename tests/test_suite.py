@@ -4,6 +4,7 @@ checks still report a deliberately broken input (a discriminant wrong on
 one residue class, a perturbed rho matrix, a wrong action factor, a
 non-associative product, a scaled Weil matrix)."""
 
+import cmath
 import hashlib
 import json
 from fractions import Fraction
@@ -18,7 +19,7 @@ from thetalab import schrodinger as sc
 from thetalab import thetanum as tn
 from thetalab import weilrep as wr
 from thetalab import suite
-from thetalab.cyclo import ONE, RootOfUnity
+from thetalab.cyclo import ONE, NoSnap, RootOfUnity, _root, ru_snap
 
 SVN = "exact homomorphism, commutant 1, invariants delta_0, line per splitting"
 SVN_OK = "hom violations 0, commutant 1, canonical delta_0, dims "
@@ -508,6 +509,107 @@ def test_oracle_counts_every_member_of_a_wrong_residue_class(monkeypatch, level)
     assert in_class > 0
     assert got["observed"] == f"{in_class} mismatches"
     assert got["residual"] == in_class and got["pass"] is False
+
+
+def scalar_functional_eq_quotient(members, taus=tn.PROBE_POINTS):
+    """`suite._functional_eq_quotient` as it was: one `ru_snap` per quotient,
+    the probe points compared root by root."""
+    rows = members.tolist()
+    snaps = []
+    for t in taus:
+        moved = [(a * t + b) / (c * t + d) for a, b, c, d in rows]
+        base = tn._riemann_theta_unchecked(t, 1e-13)
+        cocycle = tn._riemann_thetas_unchecked(moved, 1e-13) / base
+        quotient = (members[:, 2] * t + members[:, 3]) / cocycle**2
+        snaps.append([ru_snap(q, 4, 1e-6) for q in quotient.tolist()])
+    for values in snaps[1:]:
+        for row, first, other in zip(rows, snaps[0], values):
+            if first != other:
+                raise ArithmeticError(
+                    f"probe points disagree on {row}: {first}, {other}; convention failure"
+                )
+    return snaps[0]
+
+
+def theta_members(bound):
+    pool = cg._entry_bound_rows(bound)
+    return pool[cg._contains(cg.THETA12, *pool.T)]
+
+
+def test_functional_eq_quotient_equals_the_scalar_snaps():
+    """The array snap gives every member the root the per-quotient
+    `ru_snap` gives it, as the shared `_root` instance, at entry bound 20 and
+    at other probe points."""
+    members = theta_members(20)
+    got = suite._functional_eq_quotient(members)
+    assert got == scalar_functional_eq_quotient(members)
+    assert all(q is _root(int(q.exponent * 4), 4) for q in got)
+    taus = (0.1 + 0.9j, -0.45 + 1.7j)
+    assert suite._functional_eq_quotient(members, taus) == scalar_functional_eq_quotient(
+        members, taus
+    )
+
+
+def broken_thetas(monkeypatch, call, row, factor):
+    """Make `thetanum._riemann_thetas_unchecked` multiply `row` by factor on
+    its call number `call` (from 0)."""
+    batch = tn._riemann_thetas_unchecked
+    calls = []
+
+    def patched(taus, tol):
+        out = batch(taus, tol)
+        if len(calls) == call:
+            out[row] *= factor
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(tn, "_riemann_thetas_unchecked", patched)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "call, factor, error",
+    (
+        (0, 1.01, NoSnap),
+        (1, 0.999, NoSnap),
+        (0, complex("nan"), NoSnap),
+        (1, float("inf"), NoSnap),
+        (1, cmath.exp(1j * cmath.pi / 4), ArithmeticError),
+    ),
+)
+def test_functional_eq_quotient_failures_match_the_scalar_snaps(monkeypatch, call, factor, error):
+    """A quotient off every root, a non-finite one, and probe points that
+    disagree (theta times e^{i pi/4} turns the quotient by -i) raise what the
+    scalar snaps raise, with the same message."""
+    members = theta_members(6)
+    broken_thetas(monkeypatch, call, 17, factor)
+    with pytest.raises(error) as want:
+        scalar_functional_eq_quotient(members)
+    broken_thetas(monkeypatch, call, 17, factor)
+    with pytest.raises(error) as got:
+        suite._functional_eq_quotient(members)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_snap_mu4_follows_ru_snap():
+    """`_snap_mu4` snaps each entry as `ru_snap(z, 4, tol)` does: near the four
+    roots, between them, on the unit circle and off it, non-finite; an array
+    with a miss raises NoSnap naming its first miss."""
+    rng = np.random.default_rng(4)
+    roots = np.exp(0.5j * np.pi * rng.integers(0, 4, 2000))
+    offsets = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+    near = roots + offsets * 10 ** rng.uniform(-12, -5, 2000)
+    anywhere = np.exp(2j * np.pi * rng.uniform(size=500)) * rng.uniform(0.5, 1.5, 500)
+    special = [complex("nan"), complex("inf"), complex("nan+nanj"), complex(0, float("-inf")), 0j]
+    for z in [*near.tolist(), *anywhere.tolist(), *special]:
+        try:
+            want = ru_snap(z, 4, 1e-6)
+        except NoSnap as exc:
+            with pytest.raises(NoSnap) as got:
+                suite._snap_mu4(np.array([1.0, z]))
+            assert str(got.value) == str(exc)
+        else:
+            assert suite._snap_mu4(np.array([z])).tolist() == [int(want.exponent * 4)]
 
 
 # the stabilizer sweeps' lists, rebuilt from `SL2Matrix` objects: (factor

@@ -521,13 +521,12 @@ def test_batched_thetas_are_the_cached_sums():
 
 
 def test_err_bound_covers_the_period_shift():
-    """theta_{6,nu} has period 12 in Re tau, and -0.25 and 11.75 both lie in the
-    summed strip: the two values differ by rounding alone (6.9e-17, more than
-    either truncation tail), within the sum of the certified bounds."""
+    """theta_{6,nu} has period 12 in Re tau: 11.75 is summed at -0.25, and the
+    phase of the shift by 12 is 1 for every nu, so nothing is multiplied and
+    the two vectors and bounds are the same, bit for bit."""
     near, far = theta_constants(6, -0.25 + 1j), theta_constants(6, 11.75 + 1j)
-    diff = np.abs(far.values - near.values).max()
-    assert diff > _tail_bound(6, 1.0, truncation_radius(6, 1.0, 1e-12) + 1)
-    assert diff <= near.err_bound + far.err_bound
+    assert far.values.tobytes() == near.values.tobytes()
+    assert far.err_bound == near.err_bound
 
 
 def mpmath_theta_vector(m: int, tau: complex) -> list:
@@ -545,16 +544,92 @@ def mpmath_theta_vector(m: int, tau: complex) -> list:
 @pytest.mark.parametrize("m", (2, 6, 64, 512))
 def test_err_bound_certifies_against_mpmath(m):
     """An mpmath reference lies within `err_bound` of every theta constant, for
-    Im tau in [0.1, 2] and Re tau in (-2m, 2m), the strip the sums are taken in."""
+    Im tau in [0.1, 2], Re tau in (-2m, 2m), and Re tau far outside it (up to
+    1e6, and the half-integer ties of the shift to [-1/2, 1/2))."""
     import mpmath
 
     rng = np.random.default_rng(m)
     edge = 2 * m - 2.0**-10
     taus = [complex(re, im) for re in (-edge, edge) for im in (0.1, 2.0)]
     taus += [complex(rng.uniform(-2 * m, 2 * m), rng.uniform(0.1, 2.0)) for _ in range(4)]
+    far = (2 * m - 0.001, -37.3 * m, 8 * m + 0.5, -3.5, 1e6 + 0.25, rng.uniform(-1e4, 1e4))
+    taus += [complex(re, im) for re in far for im in (0.1, 0.7)]
     for tau in taus:
         vec = theta_constants(m, tau)
         with mpmath.workdps(40):
             ref = mpmath_theta_vector(m, tau)
             worst = max(float(abs(mpmath.mpc(v) - r)) for v, r in zip(vec.values.tolist(), ref))
         assert worst <= vec.err_bound, (m, tau, worst, vec.err_bound)
+
+
+def test_err_bound_meets_the_tolerance_at_large_re_tau():
+    """Summed at Re tau in [-1/2, 1/2), the rounding no longer grows with
+    |Re tau|: the bounds that read 1.9e-10 and 6.0e-13 when Re tau was only
+    reduced into (-2m, 2m)."""
+    assert theta_constants(512, 1023.999 + 0.1j, tol=1e-12).err_bound <= 1e-12
+    assert theta_constants(64, 37.3 + 0.3j).err_bound <= 6.0e-13
+
+
+def direct_theta_vector(m: int, tau: complex, tol: float = 1e-12):
+    """`theta_constants` as it was: summed at Re tau reduced into (-2m, 2m)
+    alone; its values and certified bound."""
+    radius = _radius_unchecked(m, tau, tol)
+    reduced = complex(math.fmod(tau.real, 2 * m), tau.imag)
+    values = _kernels.theta_class_sums(m, reduced, radius)
+    err = _tail_bound(m, tau.imag, radius + 1) + thetanum._rounding_bound(m, reduced, radius)
+    return values, err
+
+
+@pytest.mark.parametrize("m", (2, 6, 64, 512))
+def test_shifted_sum_agrees_with_the_direct_sum(m):
+    """Values summed at tau - k and moved by the T phase agree with the
+    direct sum within the sum of both bounds, for |Re tau| up to 4m; where
+    |Re tau| < 1/2 they are the direct sum, bit for bit."""
+    rng = np.random.default_rng(m + 1)
+    for _ in range(12):
+        tau = complex(rng.uniform(-4 * m, 4 * m), rng.uniform(0.1, 2.0))
+        vec = theta_constants(m, tau)
+        values, err = direct_theta_vector(m, tau)
+        assert np.abs(vec.values - values).max() <= vec.err_bound + err, (m, tau)
+    for tau in (complex(0.4999, 0.1), complex(-0.5, 1.3), complex(-0.0, 0.2), 0.3 + 1.1j):
+        vec = theta_constants(m, tau)
+        values, err = direct_theta_vector(m, tau)
+        assert vec.values.tobytes() == values.tobytes() and vec.err_bound == err
+
+
+@pytest.mark.parametrize("m", (2, 6, 64, 512))
+def test_shift_by_k_is_the_weil_t_fold(m):
+    """theta(tau + k) is T^k applied to theta(tau), bit for bit: the phases
+    are those `weilrep`'s fold multiplies by, at the index (nu^2 k) mod 2m."""
+    from thetalab.weilrep import _fold, _generators
+
+    for re in (0.25, -0.375, -0.5):
+        tau = complex(re, 0.6)
+        base = theta_constants(m, tau)
+        for k in (1, -1, 3, -7, 2 * m + 1, 4 * m, 10**6 + 3, -(10**9) - 1):
+            shifted = theta_constants(m, complex(re + k, 0.6))
+            want = _fold(_generators(m), [("T", k)], base.values)
+            assert shifted.values.tobytes() == want.tobytes(), (m, re, k)
+            if k % (2 * m) == 0:
+                assert shifted.err_bound == base.err_bound
+
+
+def test_t_phases_are_the_phase_table():
+    """`_t_phases` at any index array gives the phase table's entries, bit for bit."""
+    from thetalab.weilrep import _generators, _t_phases
+
+    rng = np.random.default_rng(5)
+    for m in range(2, 514, 2):
+        table = _generators(m)[2]
+        index = rng.integers(0, 2 * m, 3 * m)
+        assert _t_phases(index, m).tobytes() == table[index].tobytes()
+
+
+def test_unit_shift_lands_in_the_half_open_strip():
+    """tau - k is exact and Re(tau - k) lies in [-1/2, 1/2), ties included."""
+    from thetalab.thetanum import _unit_shift
+
+    for re in (0.5, -0.5, 1.5, 2.5, -2.5, 0.49999999999999994, 1e17, -1e300, 3.75, -0.0, 7.0):
+        k, shifted = _unit_shift(complex(re, 1.0))
+        assert -0.5 <= shifted.real < 0.5 and shifted.imag == 1.0, re
+        assert shifted.real + k == re and isinstance(k, int)
