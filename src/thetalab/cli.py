@@ -35,6 +35,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -53,7 +54,10 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _parse_complex(text: str) -> complex:
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    """A complex number written as Python writes one, with a trailing imaginary
+    unit i or j, optionally in parentheses; only that last letter is read as
+    the unit, so "inf" and "nan" keep their i and n."""
+    cleaned = re.sub(r"i(\)?)$", r"j\1", text.strip().replace(" ", ""))
     return complex(cleaned)
 
 

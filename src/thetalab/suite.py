@@ -11,7 +11,8 @@ Gamma(m) from Gamma0(m)), and the cocycle identities draw their pairs from
 the filtered lists through one shared loop.  The discriminant oracle
 compares every member's analytic quotient with the exact discriminant, which
 it looks up once per residue class mod 4, the only thing the discriminant
-depends on; the quotient is taken over the whole member list at once, with
+depends on, in one array comparison of mu_4 exponents; the quotient is
+taken over the whole member list at once, with
 theta(g tau) for every member summed in one `thetanum` batch per probe
 point and the quotients of a probe point snapped to mu_4 in one array step
 (`_snap_mu4`, `ru_snap`'s rule), and theta at the cocycles' fixed base
@@ -32,8 +33,9 @@ associativity triples stay
 integer tuples, with `metaplectic._mul` read at call time.  The cocycle
 identities draw their candidate pairs in blocks of as many pairs as are
 still missing, which consumes the pairs, and leaves the generator state,
-of one draw per pair.  The Weil unitarity and multiplicativity checks stack
-the matrices of each m and take one batched product per identity.
+of one draw per pair.  The Weil unitarity and multiplicativity checks get
+the matrices of each m from one stacked fold (`weilrep._weil_reps`) and
+take one batched product per identity.
 Randomized sweeps draw from a seeded generator (THETA_LAB_SEED in the CLI),
 so a seed fixes every entry, and rejection sampling enforces the
 Im(gamma tau) floor required by the verifier's precision contract.
@@ -58,7 +60,7 @@ from . import schrodinger as sc
 from . import symplectic4 as s4
 from . import thetanum as tn
 from . import weilrep as wr
-from .cyclo import _TWO_PI, ONE, NoSnap, RootOfUnity, _root, mu_group
+from .cyclo import _TWO_PI, ONE, NoSnap, _root, mu_group
 
 __all__ = ["CHECK_ORDER", "run_suite", "entry"]
 
@@ -253,9 +255,10 @@ def _snap_mu4(z: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return k
 
 
-def _functional_eq_quotient(members: np.ndarray, taus=tn.PROBE_POINTS) -> list[RootOfUnity]:
-    """The mu_4 snap of (c tau + d) theta(tau)^2 / theta(g tau)^2 for each theta-group
-    row (a, b, c, d) of `members`, equal at every tau in taus: the quotient is tau-free.
+def _functional_eq_exponents(members: np.ndarray, taus=tn.PROBE_POINTS) -> np.ndarray:
+    """k in 0..3 for each theta-group row (a, b, c, d) of `members`, with
+    e^{2 pi i k / 4} the mu_4 snap of (c tau + d) theta(tau)^2 / theta(g tau)^2,
+    equal at every tau in taus: the quotient is tau-free.
 
     theta(g tau) for every row at one tau comes from one `thetanum` batch, each
     value the numerator of `halfform_cocycle(g, tau)`, bit for bit, and the
@@ -277,11 +280,25 @@ def _functional_eq_quotient(members: np.ndarray, taus=tn.PROBE_POINTS) -> list[R
             raise ArithmeticError(
                 f"probe points disagree on {rows[i]}: {first}, {other}; convention failure"
             )
-    return [_root(k, 4) for k in snaps[0].tolist()]
+    return snaps[0]
+
+
+def _class_values(rows: np.ndarray, modulus: int, value: Callable) -> np.ndarray:
+    """`value(g)` for every row (a, b, c, d) of `rows`, as an array, evaluated on
+    the first row of each residue class mod `modulus` and broadcast to the rest
+    of it.
+
+    Each row's residues are packed into one int64 key, digits base `modulus`,
+    so rows share a key exactly when they share a residue class.
+    """
+    keys = (rows % modulus) @ modulus ** np.arange(3, -1, -1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    values = np.array([value(cg.SL2Matrix(*row)) for row in rows[first].tolist()])
+    return values[inverse]
 
 
 def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict]:
-    """The exact mod-4 discriminant against the analytic `_functional_eq_quotient`."""
+    """The exact mod-4 discriminant against the analytic `_functional_eq_exponents`."""
     bound = 20 if level == "full" else 6
     results = []
     for parity in ("even", "odd"):
@@ -298,16 +315,17 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
         )
     pool = cg._entry_bound_rows(bound)
     members = pool[cg._contains(cg.THETA12, *pool.T)]
+    quotients = _functional_eq_exponents(members)
+
+    def exponent(g: cg.SL2Matrix) -> int:
+        """k with e^{2 pi i k / 4} the discriminant of g, or -1 (matching no
+        quotient) for a value outside mu_4."""
+        value = s4.discriminant([[g.a % 4, g.b % 4], [g.c % 4, g.d % 4]], "even").exponent * 4
+        return int(value) if value.denominator == 1 else -1
+
     # `s4.discriminant` reduces its argument mod 4 first, so its value (and its
     # NotMember decision) is looked up once per residue class
-    by_class: dict[tuple[int, ...], RootOfUnity] = {}
-    mismatches = 0
-    for row, quotient in zip((members % 4).tolist(), _functional_eq_quotient(members)):
-        residues = tuple(row)
-        if residues not in by_class:
-            a, b, c, d = residues
-            by_class[residues] = s4.discriminant([[a, b], [c, d]], "even")
-        mismatches += quotient != by_class[residues]
+    mismatches = int(np.count_nonzero(quotients != _class_values(members, 4, exponent)))
     results.append(
         entry(
             "discriminant_oracle",
@@ -322,19 +340,6 @@ def check_discriminant_oracle(level: str, rng: np.random.Generator) -> list[dict
 
 
 # --- 3. stabilizer sweeps -----------------------------------------------------------
-
-def _class_verdicts(rows: np.ndarray, modulus: int, trivial: Callable) -> np.ndarray:
-    """`trivial(g)` for every row (a, b, c, d) of `rows`, evaluated on the first
-    row of each residue class mod `modulus` and broadcast to the rest of it.
-
-    Each row's residues are packed into one int64 key, digits base `modulus`,
-    so rows share a key exactly when they share a residue class.
-    """
-    keys = (rows % modulus) @ modulus ** np.arange(3, -1, -1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    verdicts = np.array([trivial(cg.SL2Matrix(*row)) for row in rows[first].tolist()], bool)
-    return verdicts[inverse]
-
 
 def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
     """Triviality of the action factors on Gamma(m) and Gamma0(m) against
@@ -362,7 +367,7 @@ def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
     for m in (2, 4):
         rows = rows[cg._contains(cg.Gamma0(m), *rows.T)]
         theta_rows = rows[cg._contains(cg.Gamma(m), *rows.T)]
-        theta_trivial = _class_verdicts(
+        theta_trivial = _class_values(
             theta_rows,
             2 * m,
             lambda g: all(
@@ -371,7 +376,7 @@ def check_stabilizer_sweeps(level: str, rng: np.random.Generator) -> list[dict]:
                 for u2 in range(m)
             ),
         )
-        split_trivial = _class_verdicts(
+        split_trivial = _class_values(
             rows,
             2 * m,
             lambda g: all(cg.splitting_action_factor(g, m, u).is_one() for u in range(m)),
@@ -613,13 +618,14 @@ def check_metaplectic_weil(level: str, rng: np.random.Generator) -> list[dict]:
     worst_unitary = 0.0
     worst_mult = 0.0
     for m in (2, 4, 6, 8):
-        # rho(p), rho(q) and rho(pq) of every pair, stacked: one batched
+        # rho(p), rho(q) and rho(pq) of every pair from one stacked fold (read
+        # from the module, so a patched fold is the one checked): one batched
         # product per identity, each slice the pair's own matrix product
         words = _random_words(rng, 2 * pairs_per_m, 15, keep=mp.mp_from_word)
-        mats = []
-        for p, q in zip(words[::2], words[1::2]):
-            mats += [wr.weil_rep(m, p), wr.weil_rep(m, q), wr.weil_rep(m, mp.mp_mul(p, q))]
-        mat_p, mat_q, prod = (np.stack(mats[k::3]) for k in range(3))
+        ps, qs = words[::2], words[1::2]
+        mat_p, mat_q, prod = np.split(
+            wr._weil_reps(m, ps + qs + [mp.mp_mul(p, q) for p, q in zip(ps, qs)]), 3
+        )
         unitary = mat_p @ mat_p.conj().transpose(0, 2, 1) - np.eye(m)
         worst_unitary = max(worst_unitary, float(np.max(np.abs(unitary))))
         worst_mult = max(worst_mult, float(np.max(np.abs(prod - mat_p @ mat_q))))

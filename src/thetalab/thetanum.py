@@ -29,9 +29,14 @@ reproducible bit for bit run to run.  The Riemann theta sums behind the
 cocycles sit in a bounded LRU cache keyed by (tau, tol), THETA_CACHE_SIZE
 entries, so theta at a fixed base point (the suite's PROBE_POINTS, tau0) is
 summed once per process; a cached value is the stored sum, bit for bit.
+The level-m theta vectors behind the transformation-law check sit in a
+second such cache, keyed by (m, tau, tol), so a sweep of many words at a
+few taus sums theta at each tau once; a cached vector is read-only.
 Theta at many taus at once (the suite's discriminant oracle) goes past the
 cache through one `_kernels.riemann_theta_sums` batch, with each tau's own
-radius and reduction, so each value is the one the cache would hold.
+radius and reduction, so each value is the one the cache would hold; the
+radii of the batch are found in one array pass (`_radii_unchecked`), equal
+to the scalar search's.
 """
 
 from __future__ import annotations
@@ -202,6 +207,62 @@ def _radius_unchecked(m: int, tau: complex, tol: float) -> int:
     return hi
 
 
+def _tail_bounds(x: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_tail_bound` at every (x, radius), x = pi Im(tau) / m, and its ratio q:
+    the scalar's expressions, in its order, with numpy's exp."""
+    q = np.exp(-x * (2 * radii + 1))
+    return 2.0 * np.exp(-x * radii * radii) / (1.0 - q), q
+
+
+# relative distance from tol, in units of (1 + 1 / (1 - q)), within which an
+# array tail bound may lie on the other side of tol from `_tail_bound`'s:
+# the two exps may differ by an ulp or two, and 1 - q magnifies q's error
+_TAIL_SLACK = 16 * 2.0**-52
+
+
+def _radii_unchecked(m: int, taus: np.ndarray, tol: float) -> np.ndarray:
+    """`_radius_unchecked(m, tau, tol)` for every tau of the complex array, in array steps.
+
+    The search starts where the scalar's does, and the radius is bisected
+    below a closed-form upper bound: for r at or above the start, q(r) is at
+    most q(start), so the tail is below tol once x r^2 > log(2 / tol) -
+    log(1 - q(start)).  A radius r is kept where the array bound at r lies
+    clearly below tol and, unless r is the start, the bound at r - 1 clearly
+    at or above it: the tail bound decreases in r, so r is then the scalar's
+    answer.  Any other radius, and every radius of a batch holding an input
+    the scalar refuses (non-finite, Im tau <= 0, tol <= 0, a radius above
+    MAX_RADIUS), comes from `_radius_unchecked`, tau by tau in order, so the
+    batch raises what the scalar loop raises.
+    """
+    im = taus.imag
+    valid = math.isfinite(tol) and tol > 0 and np.isfinite(taus).all() and (im > 0).all()
+    if valid:
+        x = math.pi * im / m
+        log_ratio = max(math.log(2.0 / tol), 0.0)
+        valid = not (log_ratio >= x * MAX_RADIUS**2).any()
+    if not valid:
+        return np.array([_radius_unchecked(m, t, tol) for t in taus.tolist()], dtype=np.int64)
+    lo = start = np.floor(np.sqrt(log_ratio / x)) + 1
+    _, q_start = _tail_bounds(x, start)
+    hi = np.maximum(start, np.floor(np.sqrt((log_ratio - np.log1p(-q_start)) / x)) + 2)
+    while (lo < hi).any():
+        mid = np.floor((lo + hi) / 2)
+        below = (_tail_bounds(x, mid)[0] < tol) | (lo >= hi)
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid + 1)
+    tail, q = _tail_bounds(x, hi)
+    prev, q_prev = _tail_bounds(x, np.maximum(hi - 1, 1))
+    clear = (
+        (tail < tol * (1 - _TAIL_SLACK * (1 + 1 / (1 - q))))
+        & ((hi == start) | (prev >= tol * (1 + _TAIL_SLACK * (1 + 1 / (1 - q_prev)))))
+        & (hi <= MAX_RADIUS)
+    )
+    radii = hi.astype(np.int64)
+    for i in np.flatnonzero(~clear).tolist():
+        radii[i] = _radius_unchecked(m, complex(taus[i]), tol)
+    return radii
+
+
 def _radius_too_large(im_tau: float, tol: float) -> TauTooLow:
     return TauTooLow(
         f"Im(tau)={im_tau} with tol={tol} needs a truncation radius above "
@@ -221,9 +282,11 @@ def truncation_radius(m: int, im_tau: float, tol: float) -> int:
     return _radius_unchecked(m, complex(0.0, im_tau), tol)
 
 
-# theta(tau) for the most recent (tau, tol) queries: the cocycles divide by
-# theta at a fixed base point on every call, and a pair identity
-# c(g1 g2, tau) = c(g1, g2 tau) c(g2, tau) evaluates theta(g2 tau) twice
+# theta(tau) and the level-m theta vectors for the most recent queries, each
+# cache THETA_CACHE_SIZE entries: the cocycles divide by theta at a fixed
+# base point on every call, a pair identity c(g1 g2, tau) = c(g1, g2 tau)
+# c(g2, tau) evaluates theta(g2 tau) twice, and the transformation-law sweep
+# checks many words at the same few taus; a cached vector is read-only
 THETA_CACHE_SIZE = 64
 
 
@@ -235,9 +298,12 @@ def _riemann_theta_unchecked(tau: complex, tol: float) -> complex:
 
 def _riemann_thetas_unchecked(taus: list[complex], tol: float) -> np.ndarray:
     """theta at every tau in taus, each the value `_riemann_theta_unchecked` gives,
-    bit for bit, summed in one `_kernels.riemann_theta_sums` call past the cache."""
-    radii = [_radius_unchecked(1, tau, tol) for tau in taus]
-    return _kernels.riemann_theta_sums([_reduce_real(tau, 2) for tau in taus], radii)
+    bit for bit, summed in one `_kernels.riemann_theta_sums` call past the cache;
+    the radii come from one `_radii_unchecked` pass."""
+    taus = np.array(taus, dtype=np.complex128)
+    radii = _radii_unchecked(1, taus, tol)
+    taus.real = np.fmod(taus.real, 2)  # `_reduce_real(tau, 2)`, exact as well
+    return _kernels.riemann_theta_sums(taus, radii)
 
 
 def riemann_theta(tau: complex, tol: float = 1e-12) -> complex:
@@ -258,11 +324,15 @@ def _reduce_real(tau: complex, period: int) -> complex:
     return complex(math.fmod(tau.real, period), tau.imag)
 
 
+@lru_cache(maxsize=THETA_CACHE_SIZE)
 def _theta_vector_unchecked(m: int, tau: complex, tol: float) -> tuple[np.ndarray, int]:
-    """The m theta constants at tau and the truncation radius they were summed to."""
+    """The m theta constants at tau, read-only, and the truncation radius
+    they were summed to."""
     radius = _radius_unchecked(m, tau, tol)
     # theta_{m,nu}(tau + 2m) = theta_{m,nu}(tau)
-    return _kernels.theta_class_sums(m, _reduce_real(tau, 2 * m), radius), radius
+    values = _kernels.theta_class_sums(m, _reduce_real(tau, 2 * m), radius)
+    values.setflags(write=False)
+    return values, radius
 
 
 # bound, in units of max |value|, on the rounding that the T phase multiply in
@@ -456,9 +526,10 @@ def verify_transformation(
     theta_here, _ = _theta_vector_unchecked(m, tau, eval_tol)
     theta_moved, _ = _theta_vector_unchecked(m, gt, eval_tol)
     phi = phi_eval(p, tau)
-    direct, conj = weil_rep(m, p, np.array([theta_here, theta_here.conj()]))
-    r_direct = float(np.abs(theta_moved - phi * direct).max())
-    r_conj = float(np.abs(theta_moved - phi * conj.conj()).max())
+    # rows: rho theta and conj(rho) theta = conj(rho conj(theta))
+    images = weil_rep(m, p, np.array([theta_here, theta_here.conj()]))
+    np.conjugate(images[1], out=images[1])
+    r_direct, r_conj = np.abs(theta_moved - phi * images).max(axis=1).tolist()
     if r_direct <= r_conj:
         residual, convention = r_direct, "direct"
     else:

@@ -19,17 +19,29 @@ No generator is stored as a matrix.  A word over T^k, S^k and the central
 Z = S^4 = -1 (the continued-fraction factorization from the metaplectic
 module) acts on a block of rows by one fold, token by token: T^k scales the
 columns by a cached phase table at the exact index (j^2 k) mod 2m, S is an
-FFT along the rows, and Z flips a sign.  The fold allocates its block once
-(the identity, or a copy of the given rows) and applies every token to it in
-place.  `weil_rep(m, p)` folds the word over the identity; since every
-generator is symmetric, rho(p) v is the fold of the reversed word over the
-row v, which is how `weil_rep(m, p, vectors)` transforms vectors without
-forming rho.
+FFT along the rows, and Z flips a sign.  The fold takes a stack of words and
+an (n, k, m) block, word i acting on block[i], and walks the words token
+position by token position: at each position every T^k of the stack is one
+gathered phase multiply, every S^k is k mod 8 FFTs of the sub-stack with
+that count, and Z^k is a sign.  Each word's S and Z scalars are collected in
+the order its tokens come and applied once at the end, to the words whose
+scalar is not 1.  So every block sees exactly the operations, in the same
+order, that folding its word alone gives it, elementwise products and
+row-wise FFTs of the same values, and the stacked result equals the
+one-word folds bit for bit.  A step at which every word of the stack has the
+same token (always, for a stack of one) is the one-word fold's step, in
+place on the whole block with no per-word bookkeeping, so a dense
+`weil_rep(m, p)` is folded in place with no copy; a step at which every
+word has a T, or an S with the same count, works in place too.  `weil_rep(m, p)`
+folds the word over the identity; since every generator is symmetric,
+rho(p) v is the fold of the reversed word over the row v, which is how
+`weil_rep(m, p, vectors)` transforms vectors without forming rho.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -118,38 +130,104 @@ def _fold(
 ) -> np.ndarray:
     """rows @ X_1 @ ... @ X_n, X_i the generator matrix of the i-th token.
 
-    The fold allocates one complex128 block, the identity when `rows` is
-    None and otherwise a copy of `rows` (the caller's array is never
-    written), and applies every token to that block in place.  T^k scales
-    column j by e^{i pi j^2 k / m}, read from the phase table at the exact
-    integer index (j^2 k) mod 2m; S is the FFT along the rows (its kernel
-    e^{-2 pi i k l / m} is symmetric) times prefactor / sqrt(m), and S^k is
-    k mod 8 of them (S^8 = 1); Z^k is (-1)^k.  Negative k are inverse
-    powers.  The scalars of S and Z commute with everything and are applied
-    once, at the end.
+    `_fold_words` on a stack of one: the block is the identity when `rows`
+    is None and otherwise a copy of `rows`, one row (m,) or a (k, m) stack
+    of them (the caller's array is never written).
+    """
+    if rows is None:
+        block = np.eye(len(gens[1]), dtype=np.complex128)
+    else:
+        block = np.array(rows, dtype=np.complex128)
+    _fold_words(gens, [tokens], block[(None,) * (3 - block.ndim)])
+    return block
+
+
+def _fold_words(
+    gens: tuple[complex, np.ndarray, np.ndarray],
+    words: list[Iterable[tuple[str, int]]],
+    block: np.ndarray,
+) -> np.ndarray:
+    """block[i] @ X_1 @ ... @ X_n for the tokens X_j of words[i], in place on
+    the (n, k, m) complex128 block; returns the block.
+
+    T^k scales column j by e^{i pi j^2 k / m}, read from the phase table at
+    the exact integer index (j^2 k) mod 2m; S is the FFT along the rows (its
+    kernel e^{-2 pi i k l / m} is symmetric) times prefactor / sqrt(m), and
+    S^k is k mod 8 of them (S^8 = 1); Z^k is (-1)^k.  Negative k are inverse
+    powers.  The scalars of S and Z commute with everything; each word's is
+    collected token by token and applied once, at the end.  The words are
+    walked position by position, and each step touches only the sub-stack
+    of words with that kind of token there (in place when that is all of
+    them), so every block gets the operations of its own word, in order.
+    A step whose token is the same for every word skips the sorting of
+    words by token and applies that token to the whole block.
     """
     s_scale, squares, phases = gens
     two_m = len(phases)
-    if rows is None:
-        out = np.eye(len(squares), dtype=np.complex128)
+    n = len(block)
+    # the target of a step that touches every word; numpy's FFT takes less
+    # time on the one (k, m) block of a stack of one than on the stack
+    whole = block[0] if n == 1 else block
+    scales = [1] * n
+    for step in itertools.zip_longest(*words):
+        token = step[0]
+        if token is not None and step.count(token) == n:
+            # every word has this token here (always, for a stack of one):
+            # the one-word fold's step, in place on the whole block
+            name, k = token
+            if name == "T":
+                np.multiply(whole, phases[(squares * (k % two_m)) % two_m], out=whole)
+                continue
+            if name == "S":
+                for _ in range(k % 8):
+                    np.fft.fft(whole, axis=-1, out=whole)
+            for i in range(n):
+                scales[i] = _scaled(scales[i], s_scale, name, k)
+            continue
+        t_rows, t_powers = [], []
+        s_rows: dict[int, list[int]] = {}  # FFT count -> rows
+        for i, token in enumerate(step):
+            if token is None:  # word i has ended
+                continue
+            name, k = token
+            if name == "T":
+                t_rows.append(i)
+                t_powers.append(k % two_m)
+                continue
+            scales[i] = _scaled(scales[i], s_scale, name, k)
+            if name == "S" and k % 8:
+                s_rows.setdefault(k % 8, []).append(i)
+        if t_rows:
+            gathered = phases[(squares * np.array(t_powers)[:, None]) % two_m][:, None]
+            if len(t_rows) == n:
+                np.multiply(whole, gathered, out=whole)
+            else:
+                block[t_rows] *= gathered
+        for count, rows in s_rows.items():
+            sub = whole if len(rows) == n else block[rows]
+            for _ in range(count):
+                np.fft.fft(sub, axis=-1, out=sub)
+            if sub is not whole:
+                block[rows] = sub
+    for i, scale in enumerate(scales):
+        if scale != 1:
+            word_block = block[i]
+            word_block *= scale
+    return block
+
+
+def _scaled(scale: complex, s_scale: complex, name: str, k: int) -> complex:
+    """A word's S and Z scalar after its token (name, k), which is not a T^k:
+    times the S prefactor k mod 8 times for S^k, negated for odd Z^k."""
+    if name == "S":
+        for _ in range(k % 8):
+            scale *= s_scale
+    elif name == "Z":
+        if k % 2:
+            scale = -scale
     else:
-        out = np.array(rows, dtype=np.complex128)
-    scale = 1
-    for name, k in tokens:
-        if name == "T":
-            np.multiply(out, phases[(squares * (k % two_m)) % two_m], out=out)
-        elif name == "S":
-            for _ in range(k % 8):
-                np.fft.fft(out, axis=-1, out=out)
-                scale *= s_scale
-        elif name == "Z":
-            if k % 2:
-                scale = -scale
-        else:
-            raise ValueError(f"unknown token {name!r}")
-    if scale != 1:
-        out *= scale
-    return out
+        raise ValueError(f"unknown token {name!r}")
+    return scale
 
 
 def weil_generator(m: int, which: str) -> np.ndarray:
@@ -184,6 +262,17 @@ def weil_rep(m: int, p: MpElement, vectors: np.ndarray | None = None) -> np.ndar
             f"vectors must have shape (m,) or (k, m) with m={m}, got {vectors.shape}"
         )
     return _fold(gens, word[::-1], vectors)
+
+
+def _weil_reps(m: int, ps: list[MpElement]) -> np.ndarray:
+    """rho_m(p) for every p in ps as an (n, m, m) stack, slice i equal to
+    `weil_rep(m, ps[i])` bit for bit: all the words folded at once over one
+    stack of identity blocks."""
+    m = _check_m(m)
+    block = np.empty((len(ps), m, m), dtype=np.complex128)
+    block[:] = np.eye(m, dtype=np.complex128)
+    words = [mp_lift_word(p.gamma, p.eps) for p in ps]
+    return _fold_words(_generators(m), words, block)
 
 
 def det_character(m: int, p: MpElement) -> complex:

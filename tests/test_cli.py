@@ -9,7 +9,7 @@ import pytest
 
 import thetalab
 from thetalab import metaplectic, suite, symplectic4, thetanum
-from thetalab.cli import main
+from thetalab.cli import _parse_complex, main
 
 
 def run_cli(capsys, *argv):
@@ -362,6 +362,49 @@ def test_non_finite_and_oversized_input_exits_2(capsys):
         assert code == 2 and "finite" in err and payload is None, argv
     code, payload, err = run_cli(capsys, "congruence", "index", "--group", "gamma0", "--n", "1000")
     assert code == 2 and "bound" in err and payload is None
+
+
+def test_infinite_tau_reaches_the_finiteness_error(capsys):
+    """Only a trailing i is read as the imaginary unit, so the i of "inf" is
+    left alone: an infinite tau is refused by the library's finiteness check
+    (exit 2), not as a malformed string."""
+    for argv in (
+        ("theta", "eval", "--m", "4", "--tau", "0.3+infi"),
+        ("theta", "eval", "--m", "4", "--tau=-inf+1i"),
+        ("verify", "transform", "--m", "4", "--mp", "0,-1,1,0:+", "--tau", "inf+1i"),
+        ("verify", "transform", "--m", "4", "--mp", "1,0,0,1:+", "--tau", "0.3+infi"),
+    ):
+        code, payload, err = run_cli(capsys, *argv)
+        assert code == 2 and payload is None, argv
+        assert "tau and tol must be finite" in err and "malformed" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    (
+        ("0.3+1.1i", 0.3 + 1.1j),
+        ("2i", 2j),
+        ("i", 1j),
+        ("-0.4 + 0.8 i", -0.4 + 0.8j),
+        ("1e-3-2.5e1i", 1e-3 - 25j),
+        ("0.3+1.1j", 0.3 + 1.1j),
+        ("1.5", 1.5 + 0j),
+        ("0.3+infi", complex(0.3, float("inf"))),
+        ("-inf-infi", complex(float("-inf"), float("-inf"))),
+        ("(0.3+1.1i)", 0.3 + 1.1j),
+        ("( 0.3 + infi )", complex(0.3, float("inf"))),
+    ),
+)
+def test_parse_complex_reads_only_a_trailing_unit(text, value):
+    assert _parse_complex(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ("1i+0.3", "0.3+1.1k", "0.3+i1", "0.3+1.1ii", "(0.3+1.1i", "(0.3+1.1)i")
+)
+def test_parse_complex_rejects_malformed_strings(text):
+    with pytest.raises(ValueError):
+        _parse_complex(text)
 
 
 def test_json_round_trips(capsys):

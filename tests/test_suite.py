@@ -396,14 +396,19 @@ def test_associativity_reports_a_non_associative_product(monkeypatch):
 
 def test_weil_checks_report_a_scaled_matrix(monkeypatch):
     """rho(I, +) scaled by 2 is not unitary, and rho(p) rho(q) = rho(pq)
-    fails on the pairs it enters: the stacked checks report both."""
-    weil_rep = wr.weil_rep
+    fails on the pairs it enters: the stacked checks report both.  The
+    mutant is the stacked fold the checks call, with the slices whose
+    element is (I, +) scaled."""
+    weil_reps = wr._weil_reps
 
-    def mutant(m, p, vectors=None):
-        mat = weil_rep(m, p, vectors)
-        return 2 * mat if p == mp.MP_I else mat
+    def mutant(m, ps):
+        mats = weil_reps(m, ps)
+        for i, p in enumerate(ps):
+            if p == mp.MP_I:
+                mats[i] *= 2
+        return mats
 
-    monkeypatch.setattr(wr, "weil_rep", mutant)
+    monkeypatch.setattr(wr, "_weil_reps", mutant)
     for level in ("quick", "full"):
         got = {e["check_id"]: e for e in run(suite.check_metaplectic_weil, level)}
         assert got["weil_unitarity"]["residual"] == pytest.approx(3.0)
@@ -511,8 +516,68 @@ def test_oracle_counts_every_member_of_a_wrong_residue_class(monkeypatch, level)
     assert got["residual"] == in_class and got["pass"] is False
 
 
+ORACLE_BOUND = {"quick": 6, "full": 20}
+# the residue classes mod 4 of the theta group, each met at both levels
+ORACLE_CLASSES = sorted(
+    {tuple(x % 4 for x in g.entries()) for g in cg.sl2_with_entry_bound(6) if cg.member(g, cg.THETA12)}
+)
+
+
+@pytest.mark.parametrize("level", ("quick", "full"))
+@pytest.mark.parametrize(
+    "wrong", [None, *ORACLE_CLASSES], ids=lambda w: "".join(map(str, w)) if w else "right"
+)
+def test_oracle_mismatches_are_the_wrong_class_members(monkeypatch, level, wrong):
+    """A discriminant turned by a quarter on one residue class mod 4 gives as
+    many mismatches as that class has members; one right everywhere gives 0.
+    It is looked up once per class."""
+    discriminant = suite.s4.discriminant
+    calls = []
+
+    def mutant(gamma, parity):
+        residues = tuple(int(x) % 4 for x in np.ravel(gamma))
+        calls.append(residues)
+        value = discriminant(gamma, parity)
+        return value * RootOfUnity(Fraction(1, 4)) if residues == wrong else value
+
+    monkeypatch.setattr(suite.s4, "discriminant", mutant)
+    got = run(suite.check_discriminant_oracle, level)[-1]
+    classes = [
+        tuple(x % 4 for x in g.entries())
+        for g in cg.sl2_with_entry_bound(ORACLE_BOUND[level])
+        if cg.member(g, cg.THETA12)
+    ]
+    assert sorted(calls) == sorted(set(classes))
+    in_class = classes.count(wrong)
+    assert (in_class > 0) == (wrong is not None)
+    assert got["params"] == {"entry_bound": ORACLE_BOUND[level], "matrices": len(classes)}
+    assert got["observed"] == f"{in_class} mismatches"
+    assert got["residual"] == in_class and got["pass"] is (in_class == 0)
+
+
+def test_oracle_counts_a_value_outside_mu4_as_a_mismatch(monkeypatch):
+    """A discriminant value of order 8 matches no quotient in mu_4."""
+    discriminant = suite.s4.discriminant
+    wrong = (1, 0, 0, 1)
+
+    def mutant(gamma, parity):
+        value = discriminant(gamma, parity)
+        if tuple(int(x) % 4 for x in np.ravel(gamma)) == wrong:
+            return value * RootOfUnity(Fraction(1, 8))
+        return value
+
+    monkeypatch.setattr(suite.s4, "discriminant", mutant)
+    got = run(suite.check_discriminant_oracle, "quick")[-1]
+    in_class = sum(
+        tuple(x % 4 for x in g.entries()) == wrong
+        for g in cg.sl2_with_entry_bound(6)
+        if cg.member(g, cg.THETA12)
+    )
+    assert got["observed"] == f"{in_class} mismatches" and not got["pass"]
+
+
 def scalar_functional_eq_quotient(members, taus=tn.PROBE_POINTS):
-    """`suite._functional_eq_quotient` as it was: one `ru_snap` per quotient,
+    """The suite's functional-equation quotient as it was: one `ru_snap` per quotient,
     the probe points compared root by root."""
     rows = members.tolist()
     snaps = []
@@ -537,17 +602,16 @@ def theta_members(bound):
 
 
 def test_functional_eq_quotient_equals_the_scalar_snaps():
-    """The array snap gives every member the root the per-quotient
-    `ru_snap` gives it, as the shared `_root` instance, at entry bound 20 and
-    at other probe points."""
+    """The array snap gives every member the exponent of the root the
+    per-quotient `ru_snap` gives it, at entry bound 20 and at other probe
+    points."""
     members = theta_members(20)
-    got = suite._functional_eq_quotient(members)
-    assert got == scalar_functional_eq_quotient(members)
-    assert all(q is _root(int(q.exponent * 4), 4) for q in got)
+    got = suite._functional_eq_exponents(members)
+    assert got.dtype == np.int64
+    assert [_root(k, 4) for k in got.tolist()] == scalar_functional_eq_quotient(members)
     taus = (0.1 + 0.9j, -0.45 + 1.7j)
-    assert suite._functional_eq_quotient(members, taus) == scalar_functional_eq_quotient(
-        members, taus
-    )
+    got = suite._functional_eq_exponents(members, taus).tolist()
+    assert [_root(k, 4) for k in got] == scalar_functional_eq_quotient(members, taus)
 
 
 def broken_thetas(monkeypatch, call, row, factor):
@@ -587,7 +651,7 @@ def test_functional_eq_quotient_failures_match_the_scalar_snaps(monkeypatch, cal
         scalar_functional_eq_quotient(members)
     broken_thetas(monkeypatch, call, 17, factor)
     with pytest.raises(error) as got:
-        suite._functional_eq_quotient(members)
+        suite._functional_eq_exponents(members)
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
@@ -643,7 +707,7 @@ def test_class_verdicts_match_the_per_member_loop(level, name, m):
     """Every member of both lists gets the verdict of its own per-u loop."""
     members = sweep_members(level, name, m)
     rows = np.array([g.entries() for g in members], dtype=np.int64)
-    got = suite._class_verdicts(rows, 2 * m, lambda g: all_u_trivial(name, g, m))
+    got = suite._class_values(rows, 2 * m, lambda g: all_u_trivial(name, g, m))
     assert got.tolist() == [all_u_trivial(name, g, m) for g in members]
 
 

@@ -38,12 +38,14 @@ from thetalab.thetanum import (
     theta_constants,
     truncation_radius,
     verify_transformation,
+    _radii_unchecked,
     _radius_unchecked,
+    _riemann_thetas_unchecked,
     _tail_bound,
     _theta_vector_unchecked,
 )
 
-from thetalab.weilrep import BadIndex
+from thetalab.weilrep import BadIndex, weil_rep
 
 from dense_oracle import dense_weil_rep
 
@@ -490,11 +492,12 @@ def test_probe_independence_of_functional_eq(monkeypatch):
     taus = (2j, 0.3 + 1.1j, 0.5 + 2.5j)
     gammas = (SL2_I, SL2_S, SL2Matrix(1, 2, 2, 5), SL2Matrix(3, -2, -4, 3))
     members = np.array([g.entries() for g in gammas])
-    got = suite._functional_eq_quotient(members, taus)
-    assert got == [functional_eq_lambda(g) for g in gammas]
-    assert suite._functional_eq_quotient(members[1:2], taus) == [ZETA4]
+    got = suite._functional_eq_exponents(members, taus).tolist()
+    assert [RootOfUnity(Fraction(k, 4)) for k in got] == [functional_eq_lambda(g) for g in gammas]
+    assert RootOfUnity(Fraction(got[1], 4)) == ZETA4
+    assert suite._functional_eq_exponents(members[1:2], taus).tolist() == [1]
     with pytest.raises(NotMember):
-        suite._functional_eq_quotient(np.array([(1, 1, 0, 1)]), taus)
+        suite._functional_eq_exponents(np.array([(1, 1, 0, 1)]), taus)
     thetas = thetanum._riemann_thetas_unchecked
     calls = []
 
@@ -507,8 +510,200 @@ def test_probe_independence_of_functional_eq(monkeypatch):
 
     monkeypatch.setattr(suite.tn, "_riemann_thetas_unchecked", skewed)
     with pytest.raises(ArithmeticError, match="disagree"):
-        suite._functional_eq_quotient(members, taus)
+        suite._functional_eq_exponents(members, taus)
     assert calls == [len(gammas)] * len(taus)
+
+
+# --- the batch radii against the scalar search --------------------------------------
+
+
+def scalar_radii(m, taus, tol):
+    return [_radius_unchecked(m, t, tol) for t in taus]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7, 17))
+@pytest.mark.parametrize("level", ("quick", "full"))
+def test_batch_radii_equal_the_scalar_on_the_suites_moved_taus(monkeypatch, level, seed):
+    """The discriminant oracle's moved taus, at both probe points: every
+    radius of the batch is the scalar search's."""
+    batches = []
+    thetas = thetanum._riemann_thetas_unchecked
+
+    def spy(taus, tol):
+        batches.append((list(taus), tol))
+        return thetas(taus, tol)
+
+    monkeypatch.setattr(suite.tn, "_riemann_thetas_unchecked", spy)
+    suite.check_discriminant_oracle(level, np.random.default_rng(seed))
+    assert len(batches) == len(thetanum.PROBE_POINTS)
+    for taus, tol in batches:
+        got = _radii_unchecked(1, np.array(taus), tol)
+        assert got.dtype == np.int64
+        assert got.tolist() == scalar_radii(1, taus, tol)
+
+
+def radius_boundaries(m, tol, low, high):
+    """Pairs (a, b) of adjacent floats with a < b and a larger scalar radius at
+    Im tau = a than at b, one pair for every radius step between Im = low and
+    Im = high, found by bisection on the scalar search."""
+
+    def radius(y):
+        return _radius_unchecked(m, complex(0.3, y), tol)
+
+    pairs = []
+    b = high
+    while radius(b) < radius(low):
+        a, target = low, radius(b)
+        while (mid := (a + b) / 2) not in (a, b):
+            if radius(mid) == target:
+                b = mid
+            else:
+                a = mid
+        pairs.append((a, b))
+        b = a
+    return pairs
+
+
+@pytest.mark.parametrize("m", (1, 6))
+def test_batch_radii_straddle_every_radius_boundary(monkeypatch, m):
+    """At tol 1e-13, Im values on both sides of every radius step, one ulp
+    apart, and their outer neighbours: the batch gives the scalar's radius,
+    deciding by the scalar where its own bound lies within a few ulps of tol."""
+    tol = 1e-13
+    pairs = radius_boundaries(m, tol, 5e-4, 20.0)
+    assert len(pairs) > 100
+    ims = [
+        y
+        for a, b in pairs
+        for y in (np.nextafter(a, 0), a, b, np.nextafter(b, np.inf))
+    ]
+    taus = [complex(0.3, float(y)) for y in ims]
+    want = scalar_radii(m, taus, tol)
+    scalar = thetanum._radius_unchecked
+    fallbacks = []
+
+    def counting(*args):
+        fallbacks.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(thetanum, "_radius_unchecked", counting)
+    assert _radii_unchecked(m, np.array(taus), tol).tolist() == want
+    # most of these lie within a few ulps of a step, so the scalar decides
+    # them; Im values spread over the same range need it on none
+    assert len(taus) // 2 < len(fallbacks) < len(taus)
+    fallbacks.clear()
+    spread = 0.3 + 1j * np.geomspace(5e-4, 20.0, 2000)
+    assert _radii_unchecked(m, spread, tol).tolist() == scalar_radii(m, spread.tolist(), tol)
+    assert fallbacks == []
+
+
+def test_batch_radii_raise_what_the_scalar_loop_raises():
+    """Non-finite input, Im tau <= 0, tol <= 0 and radii above the cap (by
+    the start check and by the search) raise the scalar loop's exception,
+    with its message, for the first such tau of the batch."""
+    nan, inf = float("nan"), float("inf")
+    good = [0.3 + 1.1j, -0.2 + 0.01j]
+    cases = [
+        ([complex(nan, 1.0)], 1e-13),
+        ([complex(0.3, nan)], 1e-13),
+        ([complex(inf, 1.0)], 1e-13),
+        ([complex(0.3, inf)], 1e-13),
+        ([complex(0.3, -inf)], 1e-13),
+        ([0.3 + 0j], 1e-13),
+        ([0.3 - 1j], 1e-13),
+        ([complex(0.3, 1e-12)], 1e-13),  # the cap, by the start check
+        ([complex(0.3, 1e-9)], 1e-13),  # the cap, by the search
+        ([complex(0.3, 1e-12), complex(nan, 1.0)], 1e-13),
+        ([complex(0.3, 1e-9), 0.3 - 1j], 1e-13),
+        ([], nan),
+        ([], inf),
+        ([], 0.0),
+        ([], -1e-13),
+    ]
+    for bad, tol in cases:
+        taus = good + bad + good
+        with pytest.raises(Exception) as want:
+            scalar_radii(1, taus, tol)
+        assert isinstance(want.value, ValueError)
+        for call in (
+            lambda: _radii_unchecked(1, np.array(taus), tol),
+            lambda: _riemann_thetas_unchecked(taus, tol),
+        ):
+            with pytest.raises(Exception) as got:
+                call()
+            assert type(got.value) is type(want.value), (bad, tol)
+            assert str(got.value) == str(want.value), (bad, tol)
+
+
+def test_batch_radii_of_an_empty_batch():
+    assert _radii_unchecked(1, np.array([], dtype=np.complex128), 1e-13).tolist() == []
+    assert _riemann_thetas_unchecked([], 1e-13).tolist() == []
+
+
+# --- the transformation law's theta vectors and residuals -----------------------------
+
+
+def test_theta_vectors_are_cached_read_only():
+    """A cached theta vector is the kernel's sum, bit for bit, handed out as
+    the same read-only array on every hit."""
+    _theta_vector_unchecked.cache_clear()
+    values, radius = _theta_vector_unchecked(6, 12.3 + 1.1j, 1e-12)
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 0
+    want = _kernels.theta_class_sums(6, complex(math.fmod(12.3, 12), 1.1), radius)
+    assert values.tobytes() == want.tobytes()
+    again, _ = _theta_vector_unchecked(6, 12.3 + 1.1j, 1e-12)
+    assert again is values
+    assert _theta_vector_unchecked.cache_info().maxsize == thetanum.THETA_CACHE_SIZE
+
+
+def two_step_residuals(m, p, tau, tol):
+    """`verify_transformation`'s residuals as two reductions of their own,
+    from uncached theta sums."""
+    eval_tol = min(tol * 1e-3, 1e-12)
+
+    def vector(t):
+        radius = _radius_unchecked(m, t, eval_tol)
+        return _kernels.theta_class_sums(m, complex(math.fmod(t.real, 2 * m), t.imag), radius)
+
+    here, moved = vector(tau), vector(p.gamma.moebius(tau))
+    phi = phi_eval(p, tau)
+    direct, conj = weil_rep(m, p, np.array([here, here.conj()]))
+    return (
+        float(np.abs(moved - phi * direct).max()),
+        float(np.abs(moved - phi * conj.conj()).max()),
+    )
+
+
+def test_verify_sweep_is_the_same_with_a_cold_and_a_warm_vector_cache():
+    """The suite's word sweep through `verify_transformation` gives the same
+    checks and decisive count with the vector cache cleared before every call
+    as with it warm, and both residuals are the two-step reductions', bit
+    for bit."""
+    words = suite._sample_mp_words(np.random.default_rng(5), 30, 12)
+    runs = []
+    for cold in (False, True):
+        reset_convention()
+        _theta_vector_unchecked.cache_clear()
+        checks = []
+        for m in (2, 4, 6):
+            for p in words:
+                for tau in suite.TRANSFORM_TAUS:
+                    if cold:
+                        _theta_vector_unchecked.cache_clear()
+                    checks.append(verify_transformation(m, p, tau, 1e-9))
+        runs.append((checks, thetanum.decisive_count()))
+    assert runs[0] == runs[1]
+    assert _theta_vector_unchecked.cache_info().hits == 0
+    checks = iter(runs[0][0])
+    for m in (2, 4, 6):
+        for p in words:
+            for tau in suite.TRANSFORM_TAUS:
+                check = next(checks)
+                r_direct, r_conj = two_step_residuals(m, p, tau, 1e-9)
+                assert check.residual_direct.hex() == r_direct.hex()
+                assert check.residual_conjugate.hex() == r_conj.hex()
 
 
 def test_batched_thetas_are_the_cached_sums():

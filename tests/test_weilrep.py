@@ -24,8 +24,10 @@ from thetalab.thetanum import theta_constants, verify_transformation
 from thetalab.weilrep import (
     BadIndex,
     _fold,
+    _fold_words,
     _det_exponents,
     _generators,
+    _weil_reps,
     det_character,
     det_character_order,
     det_character_square_order,
@@ -371,6 +373,189 @@ def test_fold_in_place_is_bit_identical_to_allocating_fold(case, rows, seed):
     assert _same_bits(_fold(gens, word, block), allocating_fold(gens, word, block))
     vector = block[0].copy()
     assert _same_bits(_fold(gens, word, vector), allocating_fold(gens, word, vector))
+
+
+# --- the stacked fold against the one-word fold, bit for bit --------------------------
+
+
+def one_word_fold(gens, tokens, rows: np.ndarray | None = None) -> np.ndarray:
+    """rows @ X_1 @ ... @ X_n by the FFT fold of one word, in place on one
+    block: the fold as it was before `_fold_words` folded a stack of words.
+
+    The block is the identity when `rows` is None and otherwise a copy of
+    `rows`; T^k a column phase at the exact index (j^2 k) mod 2m, S an FFT
+    along the rows, S^k and Z^k reduced mod 8 and mod 2, the S and Z scalars
+    applied once at the end.
+    """
+    s_scale, squares, phases = gens
+    two_m = len(phases)
+    if rows is None:
+        out = np.eye(len(squares), dtype=np.complex128)
+    else:
+        out = np.array(rows, dtype=np.complex128)
+    scale = 1
+    for name, k in tokens:
+        if name == "T":
+            np.multiply(out, phases[(squares * (k % two_m)) % two_m], out=out)
+        elif name == "S":
+            for _ in range(k % 8):
+                np.fft.fft(out, axis=-1, out=out)
+                scale *= s_scale
+        elif name == "Z":
+            if k % 2:
+                scale = -scale
+        else:
+            raise ValueError(f"unknown token {name!r}")
+    if scale != 1:
+        out *= scale
+    return out
+
+
+def seeded_elements(seed: int, count: int) -> list[MpElement]:
+    """`count` elements from random words of up to 15 letters S, T, T^-1,
+    each times (I, -) half the time, as the suite draws them."""
+    rng = np.random.default_rng(seed)
+    letters = (("S", 1), ("T", 1), ("T", -1))
+    out = []
+    for _ in range(count):
+        p = mp_from_word([letters[i] for i in rng.integers(0, 3, rng.integers(0, 16)).tolist()])
+        out.append(mp_mul(p, MP_Z) if rng.integers(0, 2) else p)
+    return out
+
+
+def fold_stack(m: int, words, rows: np.ndarray | None = None) -> np.ndarray:
+    """`_fold_words` over identity blocks, or over copies of the (n, k, m) `rows`."""
+    if rows is None:
+        block = np.empty((len(words), m, m), dtype=np.complex128)
+        block[:] = np.eye(m)
+    else:
+        block = rows.astype(np.complex128)
+    out = _fold_words(_generators(m), words, block)
+    assert out is block
+    return out
+
+
+def assert_stack_is_the_one_word_folds(m: int, words, rows: np.ndarray | None = None) -> None:
+    before = None if rows is None else rows.copy()
+    got = fold_stack(m, words, rows)
+    gens = _generators(m)
+    for i, word in enumerate(words):
+        want = one_word_fold(gens, word, None if rows is None else rows[i])
+        assert _same_bits(got[i], want), (m, i, word)
+    if rows is not None:
+        assert _same_bits(rows, before)
+
+
+@pytest.mark.parametrize("m", (2, 4, 6, 8, 64))
+def test_stacked_lift_words_equal_the_one_word_fold(m):
+    """400 seeded lift words, stacked 100 at a time over identity blocks and
+    all at once over (2, m) vector blocks, give every word the one-word
+    fold's bytes, signed zeros included."""
+    words = [mp_lift_word(p.gamma, p.eps) for p in seeded_elements(m, 400)]
+    assert len({len(w) for w in words}) > 3  # the stacks mix lengths
+    for start in range(0, 400, 100):
+        assert_stack_is_the_one_word_folds(m, words[start : start + 100])
+    rng = np.random.default_rng(m)
+    rows = rng.standard_normal((400, 2, m)) + 1j * rng.standard_normal((400, 2, m))
+    assert_stack_is_the_one_word_folds(m, words, rows)
+
+
+def test_stacked_lift_words_equal_the_one_word_fold_at_512():
+    words = [mp_lift_word(p.gamma, p.eps) for p in seeded_elements(512, 6)]
+    assert_stack_is_the_one_word_folds(512, words[:3])
+    rng = np.random.default_rng(512)
+    rows = rng.standard_normal((6, 2, 512)) + 1j * rng.standard_normal((6, 2, 512))
+    assert_stack_is_the_one_word_folds(512, words, rows)
+
+
+# words of every token kind and power the fold reads: the empty word, S^k for
+# k in [-17, 17], T^0, large T^k and Z^k, alone and mixed, of mixed lengths
+TOKEN_WORDS = (
+    [[], [("T", 0)], [("Z", 2)], [("Z", -3)], [("T", 0), ("Z", 1), ("T", 0)]]
+    + [[("S", k)] for k in range(-17, 18)]
+    + [[("S", k), ("T", k * 37), ("Z", k), ("S", -k)] for k in range(-17, 18, 3)]
+    + [[("T", 5), ("S", 2), ("T", -1500), ("S", 9), ("Z", 1), ("T", 0), ("S", -3)]]
+)
+
+
+# entries whose products with a phase of 1 do not keep every signed zero
+SIGNED_ZEROS = (complex(-0.0, -1.0), complex(-0.0, -0.0), complex(1.0, -0.0), complex(-2.0, 0.0))
+
+
+@pytest.mark.parametrize("m", FOLD_DIMS)
+def test_stacked_token_words_equal_the_one_word_fold(m):
+    """One stack of all TOKEN_WORDS, and its halves, over identity blocks
+    (vector blocks at 512) and over vector blocks that hold signed zeros, so
+    that a skipped T^0 or a phase applied to the wrong word shows."""
+    rng = np.random.default_rng(m + 1)
+    rows = rng.standard_normal((len(TOKEN_WORDS), 3, m))
+    rows = rows + 1j * rng.standard_normal(rows.shape)
+    rows[:, 0, :2] = SIGNED_ZEROS[:2]
+    rows[:, 1, -2:] = SIGNED_ZEROS[2:]
+    assert_stack_is_the_one_word_folds(m, TOKEN_WORDS, rows)
+    half = len(TOKEN_WORDS) // 2
+    assert_stack_is_the_one_word_folds(m, TOKEN_WORDS[half:], rows[half:])
+    if m < 512:
+        assert_stack_is_the_one_word_folds(m, TOKEN_WORDS)
+        assert_stack_is_the_one_word_folds(m, TOKEN_WORDS[::-1])
+
+
+@pytest.mark.parametrize("m", (2, 6, 64))
+def test_steps_with_one_token_for_every_word_are_the_one_word_fold(m):
+    """Stacks whose words share a token at some positions and not at others
+    (copies of one word, a shared prefix, words that end early, every word a
+    T of its own power or an S of one count mod 8), so that a step applying
+    one token to the whole block and a step sorting the words by token both
+    come, in either order, over identity and vector blocks."""
+    base = [("S", 1), ("T", 3), ("S", 5), ("Z", 1), ("T", -2), ("S", 2)]
+    stacks = (
+        [base] * 4,
+        [base, base[:3], base[:3] + [("T", 7)], base[:2] + [("S", 2)], base[:4] + [("Z", 2)]],
+        [base[:k] for k in range(len(base), -1, -1)],
+        [[("T", k), ("S", 3), ("T", 1)] for k in range(-2, 3)],
+        [[("S", 1 + 8 * k), ("T", 1), ("S", 2 - 8 * k)] for k in range(-2, 3)],
+        [[("Z", k), ("S", 4), ("Z", 1)] for k in range(4)],
+    )
+    rng = np.random.default_rng(m + 2)
+    for words in stacks:
+        shape = (len(words), 2, m)
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows[:, 0, :2] = SIGNED_ZEROS[:2]
+        assert_stack_is_the_one_word_folds(m, words, rows)
+        assert_stack_is_the_one_word_folds(m, words)
+
+
+def test_fold_is_the_one_word_fold():
+    """`_fold`, a stack of one, keeps the one-word fold's shapes and bytes on
+    the identity, (k, m) rows and 1-D rows, and leaves the caller's rows alone."""
+    rng = np.random.default_rng(9)
+    for m in (2, 6, 64):
+        gens = _generators(m)
+        rows = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        before = rows.copy()
+        for word in TOKEN_WORDS:
+            assert _same_bits(_fold(gens, word), one_word_fold(gens, word))
+            assert _same_bits(_fold(gens, word, rows), one_word_fold(gens, word, rows))
+            assert _same_bits(_fold(gens, iter(word), rows[1]), one_word_fold(gens, word, rows[1]))
+        assert _same_bits(rows, before)
+
+
+@pytest.mark.parametrize("m", (2, 8, 64))
+def test_weil_reps_are_the_dense_weil_reps(m):
+    """Slice i of `_weil_reps(m, ps)` is `weil_rep(m, ps[i])`, bit for bit;
+    an empty list gives an empty stack."""
+    ps = [MP_I, MP_Z, MP_S, *seeded_elements(m + 5, 60)]
+    got = _weil_reps(m, ps)
+    assert got.shape == (len(ps), m, m) and got.dtype == np.complex128
+    for p, mat in zip(ps, got):
+        assert _same_bits(mat, weil_rep(m, p))
+    assert _weil_reps(m, []).shape == (0, m, m)
+
+
+def test_fold_words_rejects_an_unknown_token():
+    for words in ([[("S", 1)], [("T", 1), ("X", 1)]], [[("X", 1)]], [[("X", 2)]] * 3):
+        with pytest.raises(ValueError, match="unknown token 'X'"):
+            fold_stack(6, words)
 
 
 with open(os.path.join(os.path.dirname(__file__), "weilrep_cli_pins.json")) as _pins:
