@@ -24,7 +24,11 @@ which is tested against rho_m and its entrywise conjugate, both applied to
 the theta vector by the Weil-representation word fold without forming the
 matrix.  Which of the two conventions holds is measured, not asserted; it
 must be the same for every decisive query in a run, and a flip raises an
-error.  The summation order is fixed (r ascending), so results are
+error.  The check runs in batches of (word, tau) queries, a single query
+being a batch of one: every query's input is checked before any sum, each
+word is lifted once, all are folded in one stacked fold, the residuals are
+taken in one array step, and the queries are observed in word-major
+order.  The summation order is fixed (r ascending), so results are
 reproducible bit for bit run to run.  The Riemann theta sums behind the
 cocycles sit in a bounded LRU cache keyed by (tau, tol), THETA_CACHE_SIZE
 entries, so theta at a fixed base point (the suite's PROBE_POINTS, tau0) is
@@ -418,11 +422,16 @@ def shimura_cocycle(gamma: SL2Matrix, k: int, tau: complex) -> complex:
 def jacobi_cocycle(
     gamma: SL2Matrix, lam1: int, lam2: int, m: int, tau: complex, z: complex
 ) -> complex:
-    """Automorphy factor of the index-m/2 line bundle on the universal elliptic curve.
+    """Automorphy factor of index m on the universal elliptic curve, reciprocal convention.
 
     e^{2 pi i m (lam1^2 tau + 2 lam1 z - c (z + lam1 tau + lam2)^2 / (c tau + d))}
-    for the semidirect action of (lam1, lam2; gamma) on (z, tau).  m is any
-    even positive integer (`BadIndex` otherwise).
+    for the semidirect action of (lam1, lam2; gamma) on (z, tau).  On the
+    lattice (gamma = I) it is the inverse square of the lattice factor of
+    theta_{m,nu}(tau, z) = sum_{r = nu mod m} e^{2 pi i (tau r^2 / (2m) + r z)},
+    which has index m/2 (Eichler and Zagier, The Theory of Jacobi Forms,
+    1985, section 1):
+    theta(tau, z + lam1 tau + lam2) = e^{-2 pi i (m/2)(lam1^2 tau + 2 lam1 z)} theta(tau, z).
+    m is any even positive integer (`BadIndex` otherwise).
     """
     m = _check_m(m, None)
     if tau.imag <= 0:
@@ -510,37 +519,63 @@ def verify_transformation(
     Both rho_m(p) and its entrywise conjugate are tried, each applied to
     theta(tau) by `weil_rep`'s word fold, which forms no matrix (and
     conj(rho) theta = conj(rho conj(theta))); the residual is the smaller
-    max-norm deviation and the convention records which side achieved it.  A query is decisive when exactly one side is
-    below tol; all decisive queries in a run must agree, otherwise
-    ConventionFlip is raised.
+    max-norm deviation and the convention records which side achieved it.
+    A query is decisive when exactly one side is below tol; all decisive
+    queries in a run must agree, otherwise ConventionFlip is raised.  This
+    is the batch of one of `_verify_words`, which checks every query's m,
+    tol, Im tau and Im(gamma tau) before any theta sum and observes its
+    queries in word-major order, as a loop of single queries would.
+    """
+    return _verify_words(m, [p], [tau], tol)[0]
+
+
+def _verify_words(
+    m: int, ps: list[MpElement], taus: list[complex], tol: float
+) -> list[TransformCheck]:
+    """`verify_transformation(m, p, tau, tol)` for every p in ps and tau in
+    taus, word-major (taus inner), each check bit for bit the query's own.
+
+    Every query's input is checked before any theta sum; each word is lifted
+    once, and all are folded at once (`weil_rep` on the list).  The
+    residuals are taken in one array step, and the decisive queries
+    observed in word-major order, so a ConventionFlip is raised by the query
+    the one-query loop would raise it at.
     """
     m = _check_m(m)  # rho_m's own bound, before any theta sum
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if tau.imag < MIN_IM_VERIFY:
-        raise TauTooLow(f"Im(tau)={tau.imag} is below {MIN_IM_VERIFY}")
-    gt = p.gamma.moebius(tau)
-    if gt.imag < MIN_IM_EVAL:
-        raise TauTooLow(f"Im(gamma tau)={gt.imag} is below {MIN_IM_EVAL}")
+    moved, phis = [], []
+    for p in ps:
+        for tau in taus:
+            if tau.imag < MIN_IM_VERIFY:
+                raise TauTooLow(f"Im(tau)={tau.imag} is below {MIN_IM_VERIFY}")
+            gt = p.gamma.moebius(tau)
+            if gt.imag < MIN_IM_EVAL:
+                raise TauTooLow(f"Im(gamma tau)={gt.imag} is below {MIN_IM_EVAL}")
+            moved.append(gt)
+            phis.append(phi_eval(p, tau))
+    if not moved:
+        return []
     eval_tol = min(tol * 1e-3, 1e-12)
-    theta_here, _ = _theta_vector_unchecked(m, tau, eval_tol)
-    theta_moved, _ = _theta_vector_unchecked(m, gt, eval_tol)
-    phi = phi_eval(p, tau)
-    # rows: rho theta and conj(rho) theta = conj(rho conj(theta))
-    images = weil_rep(m, p, np.array([theta_here, theta_here.conj()]))
-    np.conjugate(images[1], out=images[1])
-    r_direct, r_conj = np.abs(theta_moved - phi * images).max(axis=1).tolist()
-    if r_direct <= r_conj:
-        residual, convention = r_direct, "direct"
-    else:
-        residual, convention = r_conj, "conjugate"
-    decisive = residual < tol <= max(r_direct, r_conj)
-    if decisive:
-        _CONVENTION.observe(convention)
-    return TransformCheck(
-        residual=residual,
-        convention=convention,
-        passed=residual < tol,
-        residual_direct=r_direct,
-        residual_conjugate=r_conj,
-    )
+    # rows: theta and conj(theta) at each tau, which the fold takes to
+    # rho theta and rho conj(theta), and conj(rho) theta = conj(rho conj(theta))
+    rows = []
+    for tau in taus:
+        here = _theta_vector_unchecked(m, tau, eval_tol)[0]
+        rows += (here, here.conj())
+    theta_moved = np.array([_theta_vector_unchecked(m, gt, eval_tol)[0] for gt in moved])
+    images = weil_rep(m, ps, np.array(rows)).reshape(-1, 2, m)
+    conj_rows = images[:, 1]
+    np.conjugate(conj_rows, out=conj_rows)
+    phis = np.array(phis)[:, None, None]
+    residuals = np.abs(theta_moved[:, None] - phis * images).max(axis=2)
+    checks = []
+    for r_direct, r_conj in residuals.tolist():
+        if r_direct <= r_conj:
+            residual, convention = r_direct, "direct"
+        else:
+            residual, convention = r_conj, "conjugate"
+        if residual < tol <= max(r_direct, r_conj):
+            _CONVENTION.observe(convention)
+        checks.append(TransformCheck(residual, convention, residual < tol, r_direct, r_conj))
+    return checks

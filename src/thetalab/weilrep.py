@@ -35,7 +35,9 @@ place on the whole block with no per-word bookkeeping, so a dense
 word has a T, or an S with the same count, works in place too.  `weil_rep(m, p)`
 folds the word over the identity; since every generator is symmetric,
 rho(p) v is the fold of the reversed word over the row v, which is how
-`weil_rep(m, p, vectors)` transforms vectors without forming rho.
+`weil_rep(m, p, vectors)` transforms vectors without forming rho, and
+`weil_rep(m, ps, vectors)` folds every word of a list over its own copy of
+the vectors in one stacked fold.
 """
 
 from __future__ import annotations
@@ -238,7 +240,9 @@ def weil_generator(m: int, which: str) -> np.ndarray:
     return _fold(_generators(_check_m(m)), [tokens[which]])
 
 
-def weil_rep(m: int, p: MpElement, vectors: np.ndarray | None = None) -> np.ndarray:
+def weil_rep(
+    m: int, p: MpElement | list[MpElement], vectors: np.ndarray | None = None
+) -> np.ndarray:
     """Matrix of an arbitrary metaplectic element, folded along its word.
 
     The word comes from the continued-fraction factorization of gamma into
@@ -249,19 +253,27 @@ def weil_rep(m: int, p: MpElement, vectors: np.ndarray | None = None) -> np.ndar
     Given `vectors` (one vector of length m or a (k, m) stack of them), the
     result has their shape and holds rho_m(p) v for each vector v, that is
     vectors @ rho_m(p).T: the reversed word is folded over the vectors, and
-    the matrix is never formed.
+    the matrix is never formed.  Given a list of n elements and `vectors`,
+    slice i of the result is `weil_rep(m, p[i], vectors)`, bit for bit: each
+    word is lifted once and all are folded at once (`_fold_words`).
     """
     m = _check_m(m)
     gens = _generators(m)
-    word = mp_lift_word(p.gamma, p.eps)
-    if vectors is None:
-        return _fold(gens, word)
+    one = isinstance(p, MpElement)
+    if one and vectors is None:
+        return _fold(gens, mp_lift_word(p.gamma, p.eps))
     vectors = np.asarray(vectors)
     if vectors.ndim not in (1, 2) or vectors.shape[-1] != m:
         raise ValueError(
             f"vectors must have shape (m,) or (k, m) with m={m}, got {vectors.shape}"
         )
-    return _fold(gens, word[::-1], vectors)
+    if one:
+        return _fold(gens, mp_lift_word(p.gamma, p.eps)[::-1], vectors)
+    block = np.empty((len(p), *vectors.shape), dtype=np.complex128)
+    block[:] = vectors
+    words = [mp_lift_word(q.gamma, q.eps)[::-1] for q in p]
+    _fold_words(gens, words, block if vectors.ndim == 2 else block[:, None])
+    return block
 
 
 def _weil_reps(m: int, ps: list[MpElement]) -> np.ndarray:

@@ -57,7 +57,8 @@ def test_cli_and_suite_imports_load_every_traced_layer():
 
 # what `workloads.layer_samples` reads from the traced spans: for suite-cli,
 # spans of these functions anywhere in a full suite run; for numeric-verify,
-# spans of the metaplectic ones under `verify_transformation`
+# spans of these under the `bench.verify.m*` span around each direct
+# `verify_transformation` call (the metaplectic ones under `bench.verify.m6`)
 SUITE_SPANS = (
     "congruence.theta_action_factor",
     "congruence.splitting_action_factor",
@@ -69,6 +70,8 @@ SUITE_SPANS = (
     "metaplectic.mp_from_word",
 )
 VERIFY_SPANS = (
+    "thetanum.verify_transformation",
+    "weilrep.weil_rep",
     "metaplectic.mp_lift_word",
     "metaplectic.phi_eval",
     "metaplectic.mp_mul",
@@ -82,13 +85,7 @@ import thetalab.cli, thetalab.suite
 tracer = tracing.Tracer("contract")
 tracing.instrument(tracer)
 thetalab.suite.run_suite("full", 0)
-suite_spans, verify_spans = sys.argv[2].split(","), sys.argv[3].split(",")
-print(json.dumps({
-    "suite": {n: len(tracer.spans(n)) for n in suite_spans},
-    "verify": {
-        n: len(tracer.spans(n, under="thetanum.verify_transformation")) for n in verify_spans
-    },
-}))
+print(json.dumps({n: len(tracer.spans(n)) for n in sys.argv[2].split(",")}))
 """
 
 
@@ -97,13 +94,39 @@ def test_traced_full_suite_opens_every_span_the_benchmark_reads():
     loop moved onto integers, say) makes `run.py --trace 1` fail with "traced
     run did not yield ..."; here it fails a test instead.  The suite runs
     traced in a fresh process, as in the benchmark's traced worker."""
-    done = run_child(
-        TRACED_SUITE_CHILD, str(PERFBENCH), ",".join(SUITE_SPANS), ",".join(VERIFY_SPANS)
-    )
+    done = run_child(TRACED_SUITE_CHILD, str(PERFBENCH), ",".join(SUITE_SPANS))
     assert done.returncode == 0, done.stderr
     counts = json.loads(done.stdout)
-    assert [n for n, k in counts["suite"].items() if k == 0] == []
-    assert [n for n, k in counts["verify"].items() if k == 0] == []
+    assert [n for n, k in counts.items() if k == 0] == []
+
+
+TRACED_VERIFY_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+import thetalab.cli, thetalab.suite
+from thetalab import metaplectic, thetanum
+tracer = tracing.Tracer("contract")
+tracing.instrument(tracer)
+p = metaplectic.mp_from_word([("S", 1), ("T", 1), ("S", 1), ("T", -1)])
+with tracer.span("bench.verify.m6"):
+    thetanum.verify_transformation(6, p, 0.3 + 1.1j)
+print(json.dumps({n: len(tracer.spans(n, under="bench.verify.m6")) for n in sys.argv[2].split(",")}))
+"""
+
+
+def test_traced_verify_opens_every_span_numeric_verify_reads():
+    """Numeric-verify reads `thetanum.verify_transformation.m*`,
+    `weilrep.weil_rep.m*` and the `metaplectic.*_us` metrics from the spans
+    under `bench.verify.m*`, around its direct `verify_transformation`
+    calls: one traced call must open each of them at least once."""
+    workloads = (PERFBENCH / "workloads.py").read_text()
+    assert 'under = f"bench.verify.m{m}"' in workloads
+    assert 'under="bench.verify.m6"' in workloads
+    done = run_child(TRACED_VERIFY_CHILD, str(PERFBENCH), ",".join(VERIFY_SPANS))
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    assert [n for n, k in counts.items() if k == 0] == []
 
 
 TRACED_THETA_CHILD = """

@@ -764,3 +764,20 @@ def test_full_sweep_calls_each_factor_once_per_class_and_u(monkeypatch):
     entries = run(suite.check_stabilizer_sweeps, "full")
     assert all(e["pass"] for e in entries)
     assert all(1 <= calls[name] <= allowed[name] for name in calls), (calls, allowed)
+
+
+@pytest.mark.parametrize("level, lifts", [("quick", 18), ("full", 150)])
+def test_transformation_law_lifts_each_word_once(monkeypatch, level, lifts):
+    """The stage lifts each of its words once (6 or 50 words at each of
+    m = 2, 4, 6), not once per (word, tau) query."""
+    calls = []
+    lift = wr.mp_lift_word
+
+    def counting(gamma, eps=1):
+        calls.append((gamma, eps))
+        return lift(gamma, eps)
+
+    monkeypatch.setattr(wr, "mp_lift_word", counting)
+    entries = run(suite.check_transformation_law, level)
+    assert all(e["pass"] for e in entries)
+    assert len(calls) == sum(e["params"]["words"] for e in entries) == lifts

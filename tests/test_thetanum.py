@@ -828,3 +828,199 @@ def test_unit_shift_lands_in_the_half_open_strip():
         k, shifted = _unit_shift(complex(re, 1.0))
         assert -0.5 <= shifted.real < 0.5 and shifted.imag == 1.0, re
         assert shifted.real + k == re and isinstance(k, int)
+
+
+# --- the transformation law in batches ----------------------------------------------
+
+
+def one_query_check(m, p, tau, tol=1e-9):
+    """`verify_transformation` as it was before `_verify_words` batched it:
+    one query, its own checks, theta sums, fold, residuals and observation."""
+    m = thetanum._check_m(m)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if tau.imag < thetanum.MIN_IM_VERIFY:
+        raise TauTooLow(f"Im(tau)={tau.imag} is below {thetanum.MIN_IM_VERIFY}")
+    gt = p.gamma.moebius(tau)
+    if gt.imag < thetanum.MIN_IM_EVAL:
+        raise TauTooLow(f"Im(gamma tau)={gt.imag} is below {thetanum.MIN_IM_EVAL}")
+    eval_tol = min(tol * 1e-3, 1e-12)
+    theta_here, _ = _theta_vector_unchecked(m, tau, eval_tol)
+    theta_moved, _ = _theta_vector_unchecked(m, gt, eval_tol)
+    phi = phi_eval(p, tau)
+    images = thetanum.weil_rep(m, p, np.array([theta_here, theta_here.conj()]))
+    np.conjugate(images[1], out=images[1])
+    r_direct, r_conj = np.abs(theta_moved - phi * images).max(axis=1).tolist()
+    if r_direct <= r_conj:
+        residual, convention = r_direct, "direct"
+    else:
+        residual, convention = r_conj, "conjugate"
+    if residual < tol <= max(r_direct, r_conj):
+        _CONVENTION.observe(convention)
+    return thetanum.TransformCheck(residual, convention, residual < tol, r_direct, r_conj)
+
+
+def check_fields(check) -> tuple:
+    return (
+        check.residual.hex(),
+        check.convention,
+        check.passed,
+        check.residual_direct.hex(),
+        check.residual_conjugate.hex(),
+    )
+
+
+def suite_words(seed: int) -> dict:
+    """The full suite's words at `seed`: its first stage draws them per m."""
+    rng = np.random.default_rng(seed)
+    return {m: suite._sample_mp_words(rng, 50, 12) for m in (2, 4, 6)}
+
+
+def seeded_taus(seed: int, words, count: int = 3) -> list:
+    """`count` seeded taus with Re tau in [-3, 3) and Im tau in [0.5, 2), at
+    which every word keeps Im(gamma tau) above the evaluation floor."""
+    rng = np.random.default_rng(seed)
+    taus = []
+    while len(taus) < count:
+        tau = complex(rng.uniform(-3, 3), rng.uniform(0.5, 2))
+        if all(p.gamma.moebius(tau).imag >= thetanum.MIN_IM_EVAL for p in words):
+            taus.append(tau)
+    return taus
+
+
+def loop_and_batch(m, words, taus, tol=1e-9):
+    """(checks, decisive count) of the one-query loop, word-major, and of
+    `_verify_words`, each from a reset convention."""
+    runs = []
+    for batch in (False, True):
+        reset_convention()
+        if batch:
+            checks = thetanum._verify_words(m, words, taus, tol)
+        else:
+            checks = [one_query_check(m, p, tau, tol) for p in words for tau in taus]
+        runs.append(([check_fields(c) for c in checks], thetanum.decisive_count()))
+    return runs
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7, 17))
+def test_verify_words_are_the_one_query_loop(seed):
+    """On the full suite's words at the suite's taus, and on seeded taus off
+    them, every field of every check and the decisive count equal the
+    one-query loop's, bit for bit, at m = 2, 4, 6, 64 and 512."""
+    words = suite_words(seed)
+    words[64], words[512] = words[6][:20], words[6][:6]
+    for m, ws in words.items():
+        for taus in (list(suite.TRANSFORM_TAUS), seeded_taus(seed + m, ws)):
+            looped, batched = loop_and_batch(m, ws, taus)
+            assert batched == looped, (seed, m, taus)
+            assert len(batched[0]) == len(ws) * len(taus) and batched[1] > 0
+
+
+def test_verify_transformation_is_the_one_query_check():
+    words = suite_words(3)[4][:10]
+    for m in (2, 6, 64):
+        for p in words:
+            for tau in seeded_taus(m, words, 2):
+                reset_convention()
+                want = check_fields(one_query_check(m, p, tau))
+                reset_convention()
+                assert check_fields(verify_transformation(m, p, tau)) == want
+
+
+def conjugating_weil_rep(monkeypatch, target):
+    """Patch `thetanum.weil_rep` so that `target` acts by conj(rho): its
+    queries then decide the conjugate convention."""
+    real = thetanum.weil_rep
+
+    def mutant(m, p, vectors=None):
+        if isinstance(p, MpElement):
+            if p == target:
+                return real(m, p, np.conj(vectors)).conj()
+            return real(m, p, vectors)
+        out = real(m, p, vectors)
+        for i, q in enumerate(p):
+            if q == target:
+                out[i] = real(m, q, np.conj(vectors)).conj()
+        return out
+
+    monkeypatch.setattr(thetanum, "weil_rep", mutant)
+
+
+def test_verify_words_flip_at_the_loops_query(monkeypatch):
+    """With one word acting by conj(rho), the batch raises ConventionFlip at
+    the query the one-query loop raises it at: same message, same decisive
+    count (observations are made word-major, and the count includes the
+    query that raises)."""
+    words = suite_words(0)[6]
+    conjugating_weil_rep(monkeypatch, words[20])
+    raised = []
+    for batch in (False, True):
+        reset_convention()
+        with pytest.raises(ConventionFlip) as flip:
+            if batch:
+                thetanum._verify_words(6, words, suite.TRANSFORM_TAUS, 1e-9)
+            else:
+                for p in words:
+                    for tau in suite.TRANSFORM_TAUS:
+                        one_query_check(6, p, tau)
+        raised.append((str(flip.value), thetanum.decisive_count()))
+    assert raised[0] == raised[1]
+    assert raised[1][0] == "convention flipped from direct to conjugate"
+    reset_convention()
+    checks = thetanum._verify_words(6, words[20:21], suite.TRANSFORM_TAUS, 1e-9)
+    assert {c.convention for c in checks} == {"conjugate"} and get_convention() == "conjugate"
+
+
+def test_verify_words_check_every_query_before_summing(monkeypatch):
+    """A bad m or tol, or one query with Im tau or Im(gamma tau) below its
+    floor, raises before any theta vector is summed or word folded, wherever
+    the bad query sits in the batch."""
+
+    def no_work(*args):
+        raise AssertionError("summed or folded before every query was checked")
+
+    monkeypatch.setattr(thetanum, "_theta_vector_unchecked", no_work)
+    monkeypatch.setattr(thetanum, "weil_rep", no_work)
+    words = suite_words(1)[2][:5]
+    low = mp_from_word([("S", 1), ("T", 30), ("S", 1)])  # Im(gamma 2i) < 0.1
+    cases = [
+        (BadIndex, 7, words, [2j], 1e-9),
+        (BadIndex, 1024, words, [2j], 1e-9),
+        (ValueError, 6, words, [2j], float("nan")),
+        (ValueError, 6, words, [2j], 0.0),
+        (TauTooLow, 6, words, [2j, 0.3 + 0.3j], 1e-9),
+        (TauTooLow, 6, words + [low], [0.3 + 1.1j, 2j], 1e-9),
+    ]
+    for error, m, ps, taus, tol in cases:
+        with pytest.raises(error):
+            thetanum._verify_words(m, ps, taus, tol)
+    assert thetanum._verify_words(6, [], [2j], 1e-9) == []
+    assert thetanum._verify_words(6, words, [], 1e-9) == []
+    assert thetanum.decisive_count() == 0
+
+
+def test_jacobi_cocycle_is_the_inverse_square_of_the_theta_lattice_factor():
+    """theta_{m,nu}(tau, z) = sum_{r = nu mod m} e^{2 pi i (tau r^2 / (2m) + r z)}
+    has index m/2: theta(tau, z + l1 tau + l2) = f theta(tau, z) with
+    f = e^{-2 pi i (m/2)(l1^2 tau + 2 l1 z)} (mpmath, 40 digits).  On the
+    lattice (gamma = I), `jacobi_cocycle` is 1 / f^2, the factor of index m
+    in the reciprocal convention."""
+    import mpmath
+
+    m, tau, z = 6, 0.3 + 1.1j, 0.17 - 0.05j
+    with mpmath.workdps(40):
+        t, w = mpmath.mpc(tau.real, tau.imag), mpmath.mpc(z.real, z.imag)
+
+        def theta(nu, zz):
+            return mpmath.fsum(
+                mpmath.exp(2j * mpmath.pi * (t * r * r / (2 * m) + r * zz))
+                for r in range(nu - 40 * m, nu + 40 * m + 1, m)
+            )
+
+        for l1, l2 in ((1, 0), (1, 1), (2, -1), (-1, 3)):
+            f = mpmath.exp(-2j * mpmath.pi * mpmath.mpf(m) / 2 * (l1 * l1 * t + 2 * l1 * w))
+            for nu in range(m):
+                lhs = theta(nu, w + l1 * t + l2)
+                assert abs(lhs - f * theta(nu, w)) < mpmath.mpf(10) ** -30 * abs(lhs)
+            got = complex(jacobi_cocycle(SL2_I, l1, l2, m, tau, z))
+            assert abs(got * complex(f * f) - 1) < 1e-13, (l1, l2)
