@@ -23,6 +23,7 @@ from thetalab.metaplectic import (
 from thetalab.thetanum import theta_constants, verify_transformation
 from thetalab.weilrep import (
     BadIndex,
+    _fft,
     _fold,
     _fold_words,
     _det_exponents,
@@ -538,6 +539,20 @@ def test_fold_is_the_one_word_fold():
             assert _same_bits(_fold(gens, word, rows), one_word_fold(gens, word, rows))
             assert _same_bits(_fold(gens, iter(word), rows[1]), one_word_fold(gens, word, rows[1]))
         assert _same_bits(rows, before)
+
+
+@pytest.mark.parametrize("m", (2, 6, 64, 512))
+def test_fold_fft_is_numpys_fft(m):
+    """The fold's direct call of numpy's FFT kernel, in place along the last
+    axis, gives `np.fft.fft(a, axis=-1)` bit for bit, signed zeros included,
+    on one row, a (k, m) block and an (n, k, m) stack."""
+    rng = np.random.default_rng(m)
+    for shape in ((m,), (3, m), (4, 2, m)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a.reshape(-1)[:2] = SIGNED_ZEROS[:2]
+        want = np.fft.fft(a, axis=-1)
+        assert _fft(a, 1, out=a) is a
+        assert _same_bits(a, want)
 
 
 @pytest.mark.parametrize("m", (2, 8, 64))
