@@ -16,7 +16,9 @@ Principal branch convention: square roots take arg in (-pi, pi], so
 sqrt(-1) = i; every branch sign in `mp` and `verify` output depends on it.
 
 A subcommand loads only the library modules it uses: each handler imports
-them when it runs, so `congruence` and `mp` never load numpy.  Handlers
+them when it runs, so `congruence` and `mp` never load numpy, and the
+value classes are written out by hand (`cyclo._Value`), so they load no
+class-generating module and no `inspect` either.  Handlers
 call through the module (`hb.enumerate_sym_automorphisms(...)`), so a
 function rebound on its module is the one called.
 

@@ -25,12 +25,12 @@ pool build matrices only for the rows they keep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index as _index
 from typing import TYPE_CHECKING, Iterator
 
-from .cyclo import RootOfUnity, _root
+from .cyclo import RootOfUnity, _root, _set, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,23 +65,41 @@ MODULUS_BOUND = 64
 
 
 class NotUnimodular(ValueError):
-    """Matrix does not have determinant one."""
+    """Matrix has an entry that is not an integer, or its determinant is not one."""
 
 
 class NotMember(ValueError):
     """Matrix is outside the congruence subgroup required by the operation."""
 
 
-@dataclass(frozen=True, slots=True)
-class SL2Matrix:
-    a: int
-    b: int
-    c: int
-    d: int
+class SL2Matrix(_Value):
+    """The matrix (a b; c d) in SL2(Z); its entries are stored as Python ints."""
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise NotUnimodular(f"det {self.entries()} != 1")
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        try:
+            a, b, c, d = _index(a), _index(b), _index(c), _index(d)
+        except TypeError:
+            for name, x in zip("abcd", (a, b, c, d)):
+                if not hasattr(type(x), "__index__"):
+                    raise NotUnimodular(f"entry {name}={x!r} is not an integer") from None
+            raise
+        if a * d - b * c != 1:
+            raise NotUnimodular(f"det {(a, b, c, d)} != 1")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+
+    # `_Value`'s equality and hash, written out: each call costs about half the generic one
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -115,12 +133,14 @@ SL2_S = SL2Matrix(0, -1, 1, 0)
 SL2_T = SL2Matrix(1, 1, 0, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Group:
+class Group(_Value):
     """Descriptor for one of the supported congruence subgroup families."""
 
-    kind: str  # "gamma" | "gamma0" | "gamma_m_2m" | "theta12"
-    level: int = 1
+    __slots__ = ("kind", "level")
+
+    def __init__(self, kind: str, level: int = 1):
+        _set(self, "kind", kind)  # "gamma" | "gamma0" | "gamma_m_2m" | "theta12"
+        _set(self, "level", level)
 
     def __str__(self) -> str:
         if self.kind == "gamma":

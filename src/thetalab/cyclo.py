@@ -9,6 +9,8 @@ boundary, and `ru_snap` is the inverse direction: it reads an exact root
 of unity off a float that is known to be one.  Instances are immutable, so
 `ru_snap` and the congruence action factors hand out one cached instance
 per (k, order) (`_root`) instead of building a `Fraction` per call.
+`_Value` gives the package's immutable value classes their equality,
+hash, repr and pickling from the field names in `__slots__`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Union
 
 __all__ = [
@@ -40,14 +43,55 @@ class NoSnap(ValueError):
     """No root of unity of the requested order lies within tolerance."""
 
 
-class RootOfUnity:
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of an immutable value class whose `__slots__` name its fields, in order.
+
+    A subclass's `__init__` sets the fields through `_set`.  Instances are
+    equal when they have the same class and equal fields, hash as the tuple
+    of their fields, print as `Name(field=value, ...)`, refuse assignment and
+    deletion, and pickle and copy by calling the class on their fields.  No
+    code is generated: importing a subclass costs what a plain class does.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class RootOfUnity(_Value):
     """The complex number e^{2*pi*i*q}, stored as the reduced rational q with 0 <= q < 1."""
 
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: Fraction | int | str = 0):
         q = Fraction(exponent) % 1
-        object.__setattr__(self, "exponent", q)
+        _set(self, "exponent", q)
 
     @classmethod
     def of(cls, num: int, den: int = 1) -> "RootOfUnity":
@@ -84,9 +128,6 @@ class RootOfUnity:
 
     def __hash__(self) -> int:
         return hash(("RootOfUnity", self.exponent))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootOfUnity is immutable")
 
     def __repr__(self) -> str:
         return f"RootOfUnity({self.exponent})"

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
 import numpy as np
 
-from .cyclo import ONE, RootOfUnity, _root
+from .cyclo import ONE, RootOfUnity, _root, _set, _Value
 
 __all__ = [
     "TypeMismatch",
@@ -79,15 +78,14 @@ class TooLarge(ValueError):
     """Enumeration exceeds the supported size bound."""
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaType:
+class ThetaType(_Value):
     """A divisor chain (d_1 | d_2 | ... | d_g) of positive integers."""
 
-    divisors: tuple[int, ...]
+    __slots__ = ("divisors",)
 
-    def __post_init__(self):
-        ds = tuple(int(d) for d in self.divisors)
-        object.__setattr__(self, "divisors", ds)
+    def __init__(self, divisors: tuple[int, ...]):
+        ds = tuple(int(d) for d in divisors)
+        _set(self, "divisors", ds)
         if not ds:
             raise ValueError("type must have at least one divisor")
         if any(d <= 0 for d in ds):
@@ -95,6 +93,16 @@ class ThetaType:
         for small, big in zip(ds, ds[1:]):
             if big % small != 0:
                 raise ValueError(f"divisor chain violated: {small} does not divide {big}")
+
+    # `_Value`'s equality and hash, written out: each call costs about half the generic
+    # one, and every `KVector` hash makes one
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.divisors,) == (other.divisors,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.divisors,))
 
     @property
     def g(self) -> int:
@@ -129,20 +137,27 @@ class ThetaType:
         return f"ThetaType({self.divisors})"
 
 
-@dataclass(frozen=True, slots=True)
-class KVector:
+class KVector(_Value):
     """Element z = (x, y) of K(delta) = H(delta) x H(delta), reduced componentwise."""
 
-    type: ThetaType
-    x: tuple[int, ...]
-    y: tuple[int, ...]
+    __slots__ = ("type", "x", "y")
 
-    def __post_init__(self):
-        ds = self.type.divisors
-        if len(self.x) != len(ds) or len(self.y) != len(ds):
+    def __init__(self, type: ThetaType, x: tuple[int, ...], y: tuple[int, ...]):
+        ds = type.divisors
+        if len(x) != len(ds) or len(y) != len(ds):
             raise TypeMismatch(f"coordinate length does not match type {ds}")
-        object.__setattr__(self, "x", tuple(c % d for c, d in zip(self.x, ds)))
-        object.__setattr__(self, "y", tuple(c % d for c, d in zip(self.y, ds)))
+        _set(self, "type", type)
+        _set(self, "x", tuple(c % d for c, d in zip(x, ds)))
+        _set(self, "y", tuple(c % d for c, d in zip(y, ds)))
+
+    # `_Value`'s equality and hash, written out: each call costs about half the generic one
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.type, self.x, self.y) == (other.type, other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.type, self.x, self.y))
 
     def __add__(self, other: "KVector") -> "KVector":
         _same_type(self, other)
@@ -205,12 +220,14 @@ def _xy_exponent(x: Sequence[int], y: Sequence[int], typ: ThetaType) -> Fraction
     return Fraction(sum(Fraction(-a * b, d) for a, b, d in zip(x, y, typ.divisors)))
 
 
-@dataclass(frozen=True, slots=True)
-class HeisenbergElement:
+class HeisenbergElement(_Value):
     """Triple (lambda, x, y) in the Heisenberg group of z.type."""
 
-    scalar: RootOfUnity
-    z: KVector
+    __slots__ = ("scalar", "z")
+
+    def __init__(self, scalar: RootOfUnity, z: KVector):
+        _set(self, "scalar", scalar)
+        _set(self, "z", z)
 
     @property
     def type(self) -> ThetaType:
@@ -369,25 +386,25 @@ def _closed_form(coords: np.ndarray, forms: np.ndarray, l: np.ndarray, m: int) -
 
 # --- symmetric splittings ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SymmetricSplitting:
+class SymmetricSplitting(_Value):
     """A symmetric lift of H(delta) x {0}: sigma(h) = (sigma_*(h), h, 0).
 
     sigma_* is a homomorphism H(delta) -> mu_2, stored by its signs on the g
     standard generators.
     """
 
-    type: ThetaType
-    star_signs: tuple[int, ...]
+    __slots__ = ("type", "star_signs")
 
-    def __post_init__(self):
-        if len(self.star_signs) != self.type.g:
+    def __init__(self, type: ThetaType, star_signs: tuple[int, ...]):
+        if len(star_signs) != type.g:
             raise TypeMismatch("need one sign per generator")
-        if any(s not in (1, -1) for s in self.star_signs):
-            raise ValueError(f"signs must be +-1: {self.star_signs}")
-        for s, d in zip(self.star_signs, self.type.divisors):
+        if any(s not in (1, -1) for s in star_signs):
+            raise ValueError(f"signs must be +-1: {star_signs}")
+        for s, d in zip(star_signs, type.divisors):
             if s == -1 and d % 2 != 0:
                 raise OddType(f"no sign character on Z/{d}")
+        _set(self, "type", type)
+        _set(self, "star_signs", star_signs)
 
     def sigma_star(self, h: Sequence[int]) -> RootOfUnity:
         e = sum(hi for hi, s in zip(h, self.star_signs) if s == -1)
@@ -431,8 +448,7 @@ def h2_pushforward_splitting(sigma: SymmetricSplitting) -> SymmetricSplitting:
 
 # --- automorphisms ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeisenbergAutomorphism:
+class HeisenbergAutomorphism(_Value):
     """An automorphism (lambda, z) -> (lambda chi(z), eta z) fixing the center.
 
     eta is stored by the ranks (lexicographic positions, see `_KTable`) of the
@@ -440,9 +456,12 @@ class HeisenbergAutomorphism:
     modulus M in that order: chi(z_i) = e^{2 pi i chi_exponents[i] / M}.
     """
 
-    type: ThetaType
-    eta_ranks: tuple[int, ...]
-    chi_exponents: tuple[int, ...]
+    __slots__ = ("type", "eta_ranks", "chi_exponents")
+
+    def __init__(self, type: ThetaType, eta_ranks: tuple[int, ...], chi_exponents: tuple[int, ...]):
+        _set(self, "type", type)
+        _set(self, "eta_ranks", eta_ranks)
+        _set(self, "chi_exponents", chi_exponents)
 
     @property
     def eta_images(self) -> tuple[KVector, ...]:

@@ -30,10 +30,10 @@ pinned generator values, with no theta series evaluated.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from operator import index as _index
 
 from .congruence import SL2Matrix, SL2_I, SL2_S, SL2_T, THETA12, NotMember, member
-from .cyclo import MINUS_ONE, ONE, RootOfUnity
+from .cyclo import MINUS_ONE, ONE, RootOfUnity, _set, _Value
 
 __all__ = [
     "MpElement",
@@ -52,16 +52,31 @@ __all__ = [
     "tilde_lambda",
 ]
 
-@dataclass(frozen=True, slots=True)
-class MpElement:
+class MpElement(_Value):
     """(gamma, eps): the square root phi(tau) = eps * principal sqrt(c tau + d)."""
 
-    gamma: SL2Matrix
-    eps: int = 1
+    __slots__ = ("gamma", "eps")
 
-    def __post_init__(self):
-        if self.eps not in (1, -1):
-            raise ValueError(f"eps must be +-1, got {self.eps}")
+    def __init__(self, gamma: SL2Matrix, eps: int = 1):
+        sign = eps
+        if sign.__class__ is not int:  # other integer types (numpy's) pass, bool and float do not
+            try:
+                sign = None if sign.__class__ is bool else _index(sign)
+            except TypeError:
+                sign = None
+        if sign != 1 and sign != -1:
+            raise ValueError(f"eps must be the integer 1 or -1, got {eps!r}")
+        _set(self, "gamma", gamma)
+        _set(self, "eps", sign)
+
+    # `_Value`'s equality and hash, written out: each call costs about half the generic one
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gamma, self.eps) == (other.gamma, other.eps)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gamma, self.eps))
 
     def as_string(self) -> str:
         sign = "+" if self.eps == 1 else "-"

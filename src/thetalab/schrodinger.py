@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import _embed
+from .cyclo import _embed, _set, _Value
 from .heisenberg import HeisenbergElement, SymmetricSplitting, ThetaType, TooLarge
 
 __all__ = [
@@ -50,17 +49,21 @@ def h_basis(typ: ThetaType) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*(range(d) for d in typ.divisors)))
 
 
-@dataclass(frozen=True, slots=True)
-class SchrodingerMatrix:
+class SchrodingerMatrix(_Value):
     """A monomial d x d matrix with exact root-of-unity entries.
 
     Column nu holds its single nonzero entry in row `row_of_col[nu]`, with
     value e^{2 pi i exponents[nu]}.
     """
 
-    type: ThetaType
-    row_of_col: tuple[int, ...]
-    exponents: tuple[Fraction, ...]
+    __slots__ = ("type", "row_of_col", "exponents")
+
+    def __init__(
+        self, type: ThetaType, row_of_col: tuple[int, ...], exponents: tuple[Fraction, ...]
+    ):
+        _set(self, "type", type)
+        _set(self, "row_of_col", row_of_col)
+        _set(self, "exponents", exponents)
 
     @property
     def dim(self) -> int:

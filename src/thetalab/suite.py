@@ -52,7 +52,6 @@ import itertools
 import math
 import platform
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -41,14 +41,13 @@ Only g <= 2 is supported; the largest group (g = 2, odd parity) has
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .cyclo import RootOfUnity
+from .cyclo import RootOfUnity, _set, _Value
 
 __all__ = [
     "BadShape",
@@ -162,11 +161,15 @@ def preserves_quad_form(mbar, parity: str) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class MembershipReport:
-    in_sp4: bool
-    in_gamma_pm: bool
-    in_gamma2: bool
+class MembershipReport(_Value):
+    """Whether a matrix is symplectic mod 4, preserves the quadratic form and is 1 mod 2."""
+
+    __slots__ = ("in_sp4", "in_gamma_pm", "in_gamma2")
+
+    def __init__(self, in_sp4: bool, in_gamma_pm: bool, in_gamma2: bool):
+        _set(self, "in_sp4", in_sp4)
+        _set(self, "in_gamma_pm", in_gamma_pm)
+        _set(self, "in_gamma2", in_gamma2)
 
 
 def reduce_mod2_and_membership(mat, parity: str) -> MembershipReport:
@@ -297,8 +300,7 @@ def _lookup(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return pos
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(_Value):
     """Enumerated group with its discriminant character.
 
     The elements are stored in increasing order of their packed keys, the
@@ -312,14 +314,26 @@ class GroupData:
     process, so the instance is frozen and its arrays are read-only.
     """
 
-    g: int
-    parity: str
-    matrices: np.ndarray
-    keys: np.ndarray
-    lam: np.ndarray
-    solution_count: int
-    generator_count: int
-    extended_generators: bool
+    __slots__ = (
+        "g", "parity", "matrices", "keys", "lam",
+        "solution_count", "generator_count", "extended_generators",
+    )
+
+    def __init__(
+        self,
+        g: int,
+        parity: str,
+        matrices: np.ndarray,
+        keys: np.ndarray,
+        lam: np.ndarray,
+        solution_count: int,
+        generator_count: int,
+        extended_generators: bool,
+    ):
+        for name, value in zip(self.__slots__, (
+            g, parity, matrices, keys, lam, solution_count, generator_count, extended_generators
+        )):
+            _set(self, name, value)
 
     @property
     def order(self) -> int:

@@ -48,7 +48,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,7 +60,7 @@ from .congruence import (
     NotMember,
     member,
 )
-from .cyclo import RootOfUnity
+from .cyclo import RootOfUnity, _set, _Value
 from .metaplectic import MpElement, phi_eval, tilde_lambda
 from .weilrep import _check_m, _t_phases, weil_rep
 
@@ -113,8 +112,7 @@ class ConventionFlip(RuntimeError):
     """Two decisive verification queries in one run disagreed on the convention."""
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaVector:
+class ThetaVector(_Value):
     """Theta constants at tau with a certified error bound.
 
     `err_bound` bounds |values[nu] - theta_{m,nu}(tau)| for every nu: the
@@ -124,19 +122,51 @@ class ThetaVector:
     that rounding is above the tolerance (small Im tau, large m).
     """
 
-    m: int
-    tau: complex
-    values: np.ndarray
-    err_bound: float
+    __slots__ = ("m", "tau", "values", "err_bound")
+
+    def __init__(self, m: int, tau: complex, values: np.ndarray, err_bound: float):
+        _set(self, "m", m)
+        _set(self, "tau", tau)
+        _set(self, "values", values)
+        _set(self, "err_bound", err_bound)
 
 
-@dataclass(frozen=True, slots=True)
-class TransformCheck:
-    residual: float
-    convention: str  # "direct" | "conjugate"
-    passed: bool
-    residual_direct: float
-    residual_conjugate: float
+class TransformCheck(_Value):
+    """One transformation-law query: the smaller residual, its convention, and both residuals."""
+
+    __slots__ = ("residual", "convention", "passed", "residual_direct", "residual_conjugate")
+
+    def __init__(
+        self,
+        residual: float,
+        convention: str,  # "direct" | "conjugate"
+        passed: bool,
+        residual_direct: float,
+        residual_conjugate: float,
+    ):
+        _set(self, "residual", residual)
+        _set(self, "convention", convention)
+        _set(self, "passed", passed)
+        _set(self, "residual_direct", residual_direct)
+        _set(self, "residual_conjugate", residual_conjugate)
+
+    # `_Value`'s equality and hash, written out: each call costs about half the generic one
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.residual, self.convention, self.passed, self.residual_direct,
+                self.residual_conjugate,
+            ) == (
+                other.residual, other.convention, other.passed, other.residual_direct,
+                other.residual_conjugate,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((
+            self.residual, self.convention, self.passed, self.residual_direct,
+            self.residual_conjugate,
+        ))
 
 
 def _tail_bound(m: int, im_tau: float, radius: int) -> float:

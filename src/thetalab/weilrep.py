@@ -258,16 +258,17 @@ def weil_rep(
     Given `vectors` (one vector of length m or a (k, m) stack of them), the
     result has their shape and holds rho_m(p) v for each vector v, that is
     vectors @ rho_m(p).T: the reversed word is folded over the vectors, and
-    the matrix is never formed.  Given a list of n elements and `vectors`,
-    the n results are stacked, slice i being `weil_rep(m, p[i], vectors)`:
-    each word is lifted once and all are folded over one stack of copies of
-    the vectors (`_fold_words`), of which a single element is the stack of one.
+    the matrix is never formed.  Given a list of n elements, the n results
+    are stacked, slice i being `weil_rep(m, p[i], vectors)`: each word is
+    lifted once and all are folded over one stack of copies of the vectors
+    (`_fold_words`), of which a single element is the stack of one, or with
+    no vectors over identity blocks (`_weil_reps`).
     """
     m = _check_m(m)
     gens = _generators(m)
     one = isinstance(p, MpElement)
-    if one and vectors is None:
-        return _fold(gens, mp_lift_word(p.gamma, p.eps))
+    if vectors is None:
+        return _fold(gens, mp_lift_word(p.gamma, p.eps)) if one else _weil_reps(m, p)
     vectors = np.asarray(vectors)
     if vectors.ndim not in (1, 2) or vectors.shape[-1] != m:
         raise ValueError(

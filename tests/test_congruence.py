@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,24 @@ from thetalab.cyclo import ONE, MINUS_ONE, RootOfUnity
 def test_determinant_enforced():
     with pytest.raises(NotUnimodular):
         SL2Matrix(1, 0, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "entries, bad",
+    (((0.5, 0, 0, 2), "a=0.5"), ((1, Fraction(0), 0, 1), "b=Fraction(0, 1)"), ((1, 0, 0, "1"), "d='1'")),
+)
+def test_entries_must_be_integers(entries, bad):
+    """(0.5 0; 0 2) has determinant 1.0 but is not in SL2(Z): the constructor
+    names the entry, where the matrix used to pass into `member` and make
+    `mp_lift_word` fail its own factorization check."""
+    with pytest.raises(NotUnimodular, match=re.escape(f"entry {bad} is not an integer")):
+        SL2Matrix(*entries)
+
+
+def test_integer_entries_are_stored_as_python_ints():
+    g = SL2Matrix(np.int64(2), True, np.int8(1), 1)
+    assert g == SL2Matrix(2, 1, 1, 1) and {type(x) for x in g.entries()} == {int}
+    assert repr(g) == "SL2Matrix(2, 1, 1, 1)"
 
 
 def test_membership_examples():

@@ -71,6 +71,19 @@ elements = st.builds(
 )
 
 
+@pytest.mark.parametrize("eps", (True, False, 1.0, -1.0, 0, 2, np.int64(2), np.True_, "1"))
+def test_branch_sign_must_be_an_integer_one_or_minus_one(eps):
+    with pytest.raises(ValueError, match="eps must be the integer 1 or -1"):
+        MpElement(SL2_I, eps)
+
+
+@pytest.mark.parametrize("eps", (np.int64(-1), np.int8(1)))
+def test_integer_branch_signs_are_stored_as_python_ints(eps):
+    p = MpElement(SL2_I, eps)
+    assert p == MpElement(SL2_I, int(eps)) and type(p.eps) is int
+    assert mp_from_word(mp_lift_word(SL2_S, eps)) == MpElement(SL2_S, int(eps))
+
+
 def test_string_round_trip():
     p = MpElement(SL2Matrix(1, -2, 3, -5), -1)
     assert MpElement.from_string(p.as_string()) == p

@@ -642,8 +642,9 @@ def test_generator_tables_stay_read_only():
 @pytest.mark.parametrize("m", (2, 6, 64))
 def test_weil_rep_of_a_list_is_each_elements_weil_rep(m):
     """`weil_rep(m, ps, vectors)` stacks `weil_rep(m, p, vectors)` over ps, bit
-    for bit, for one vector and for a (k, m) stack holding signed zeros; it
-    leaves the caller's vectors alone, and refuses misshapen vectors or none."""
+    for bit, for one vector, for a (k, m) stack holding signed zeros and for
+    no vectors (the matrices); it leaves the caller's vectors alone, and
+    refuses misshapen vectors."""
     ps = [MP_I, MP_Z, MP_S, *seeded_elements(m + 11, 40)]
     rng = np.random.default_rng(m)
     rows = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
@@ -656,6 +657,11 @@ def test_weil_rep_of_a_list_is_each_elements_weil_rep(m):
             assert _same_bits(out, weil_rep(m, p, vectors))
     assert _same_bits(rows, before)
     assert weil_rep(m, [], rows).shape == (0, 3, m)
-    for bad in (None, np.zeros((1, 3, m)), np.zeros(m + 1)):
+    stack = weil_rep(m, ps)
+    assert stack.shape == (len(ps), m, m)
+    for p, out in zip(ps, stack):
+        assert _same_bits(out, weil_rep(m, p))
+    assert weil_rep(m, []).shape == (0, m, m)
+    for bad in (np.zeros((1, 3, m)), np.zeros(m + 1)):
         with pytest.raises(ValueError):
             weil_rep(m, ps, bad)
