@@ -50,8 +50,10 @@ def riemann_theta_sum(tau: complex, radius: int) -> complex:
     """sum_{|n| <= radius} e^{pi i tau n^2}, the single class sum at m = 1.
 
     The one-row form of `riemann_theta_sums`, with the same terms added in
-    the same order; the batch's per-call setup would double the cost of
-    these single sums, which the cocycle checks call one at a time.
+    the same order.  The cocycle checks call these single sums one at a
+    time, and the batch's per-call setup makes a batch of one cost
+    23.3-24.7 us against 5.0-5.3 us for this sum (radius 3, warm, best of
+    15 repeats in each of 6 processes, numpy 2.4.6 on a 2-vCPU Xeon VM).
     """
     n = np.arange(-radius, radius + 1)
     terms = np.exp(1j * cmath.pi * tau * (n * n))

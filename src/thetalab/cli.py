@@ -7,7 +7,9 @@ suite` adds.
 Exit codes: 0 success (and every suite check passed), 1 a suite check
 failed, 2 malformed input or an input outside the documented domain, 3 an
 internal failure (an ArithmeticError such as an unresolved branch sign or a
-non-unique solve, or a ConventionFlip), reported on stdout as
+non-unique solve, a ConventionFlip, or any ValueError or KeyError raised
+inside `verify suite`, whose inputs are checked before it starts), reported
+on stdout as
 {"error": <message>, "kind": <exception class name>}.  A reader that
 closes stdout before the JSON is written gets the same exit code and no
 traceback.  THETA_LAB_SEED fixes the generator for sampled sweeps.
@@ -252,7 +254,12 @@ def _verify(ns, tn) -> tuple[dict, int]:
     from . import suite as suite_mod
 
     seed = _seed()
-    report = suite_mod.run_suite(ns.level, seed)
+    # argparse has checked the level and `_seed` the seed, so a ValueError or
+    # KeyError from inside the suite (a failed root-of-unity snap, say) is internal
+    try:
+        report = suite_mod.run_suite(ns.level, seed)
+    except (ValueError, KeyError) as exc:
+        return _internal_error(exc)
     for check in report["checks"]:
         check["residual"] = _fmt_float(check["residual"])
         status = "pass" if check["pass"] else "FAIL"

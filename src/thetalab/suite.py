@@ -34,8 +34,8 @@ integer tuples, with `metaplectic._mul` read at call time.  The cocycle
 identities draw their candidate pairs in blocks of as many pairs as are
 still missing, which consumes the pairs, and leaves the generator state,
 of one draw per pair.  The Weil unitarity and multiplicativity checks get
-the matrices of each m from one stacked fold (`weilrep._weil_reps`) and
-take one batched product per identity.
+the matrices of each m from one stacked fold (`weilrep.weil_rep` of the
+list of elements) and take one batched product per identity.
 The transformation law checks each m's (word, tau) queries as one batch
 (`thetanum._verify_words`): each word lifted once, one stacked fold, one
 array step for the residuals, the queries observed in the order of the
@@ -623,7 +623,7 @@ def check_metaplectic_weil(level: str, rng: np.random.Generator) -> list[dict]:
         words = _random_words(rng, 2 * pairs_per_m, 15, keep=mp.mp_from_word)
         ps, qs = words[::2], words[1::2]
         mat_p, mat_q, prod = np.split(
-            wr._weil_reps(m, ps + qs + [mp.mp_mul(p, q) for p, q in zip(ps, qs)]), 3
+            wr.weil_rep(m, ps + qs + [mp.mp_mul(p, q) for p, q in zip(ps, qs)]), 3
         )
         unitary = mat_p @ mat_p.conj().transpose(0, 2, 1) - np.eye(m)
         worst_unitary = max(worst_unitary, float(np.max(np.abs(unitary))))

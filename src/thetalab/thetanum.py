@@ -38,9 +38,9 @@ second such cache, keyed by (m, tau, tol), so a sweep of many words at a
 few taus sums theta at each tau once; a cached vector is read-only.
 Theta at many taus at once (the suite's discriminant oracle) goes past the
 cache through one `_kernels.riemann_theta_sums` batch, with each tau's own
-radius and reduction, so each value is the one the cache would hold; the
-radii of the batch are found in one array pass (`_radii_unchecked`), equal
-to the scalar search's.
+radius and reduction, so each value is the one the cache would hold.  There
+is one truncation-radius rule, `_radius_unchecked`; a batch runs it once
+per distinct Im tau, on which alone the radius of a finite tau depends.
 """
 
 from __future__ import annotations
@@ -241,59 +241,18 @@ def _radius_unchecked(m: int, tau: complex, tol: float) -> int:
     return hi
 
 
-def _tail_bounds(x: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_tail_bound` at every (x, radius), x = pi Im(tau) / m, and its ratio q:
-    the scalar's expressions, in its order, with numpy's exp."""
-    q = np.exp(-x * (2 * radii + 1))
-    return 2.0 * np.exp(-x * radii * radii) / (1.0 - q), q
-
-
-# relative distance from tol, in units of (1 + 1 / (1 - q)), within which an
-# array tail bound may lie on the other side of tol from `_tail_bound`'s:
-# the two exps may differ by an ulp or two, and 1 - q magnifies q's error
-_TAIL_SLACK = 16 * 2.0**-52
-
-
-def _radii_unchecked(m: int, taus: np.ndarray, tol: float) -> np.ndarray:
-    """`_radius_unchecked(m, tau, tol)` for every tau of the complex array, in array steps.
-
-    The search starts where the scalar's does, and the radius is bisected
-    below a closed-form upper bound: for r at or above the start, q(r) is at
-    most q(start), so the tail is below tol once x r^2 > log(2 / tol) -
-    log(1 - q(start)).  A radius r is kept where the array bound at r lies
-    clearly below tol and, unless r is the start, the bound at r - 1 clearly
-    at or above it: the tail bound decreases in r, so r is then the scalar's
-    answer.  Any other radius, and every radius of a batch holding an input
-    the scalar refuses (non-finite, Im tau <= 0, tol <= 0, a radius above
-    MAX_RADIUS), comes from `_radius_unchecked`, tau by tau in order, so the
-    batch raises what the scalar loop raises.
-    """
-    im = taus.imag
-    valid = math.isfinite(tol) and tol > 0 and np.isfinite(taus).all() and (im > 0).all()
-    if valid:
-        x = math.pi * im / m
-        log_ratio = max(math.log(2.0 / tol), 0.0)
-        valid = not (log_ratio >= x * MAX_RADIUS**2).any()
-    if not valid:
-        return np.array([_radius_unchecked(m, t, tol) for t in taus.tolist()], dtype=np.int64)
-    lo = start = np.floor(np.sqrt(log_ratio / x)) + 1
-    _, q_start = _tail_bounds(x, start)
-    hi = np.maximum(start, np.floor(np.sqrt((log_ratio - np.log1p(-q_start)) / x)) + 2)
-    while (lo < hi).any():
-        mid = np.floor((lo + hi) / 2)
-        below = (_tail_bounds(x, mid)[0] < tol) | (lo >= hi)
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid + 1)
-    tail, q = _tail_bounds(x, hi)
-    prev, q_prev = _tail_bounds(x, np.maximum(hi - 1, 1))
-    clear = (
-        (tail < tol * (1 - _TAIL_SLACK * (1 + 1 / (1 - q))))
-        & ((hi == start) | (prev >= tol * (1 + _TAIL_SLACK * (1 + 1 / (1 - q_prev)))))
-        & (hi <= MAX_RADIUS)
-    )
-    radii = hi.astype(np.int64)
-    for i in np.flatnonzero(~clear).tolist():
-        radii[i] = _radius_unchecked(m, complex(taus[i]), tol)
+def _radii_unchecked(m: int, taus: list[complex], tol: float) -> list[int]:
+    """`_radius_unchecked(m, tau, tol)` for every tau, in order, the search run
+    once per distinct Im tau: past its finiteness check the radius depends on
+    Im tau alone.  A tau that is not finite is searched, so the batch raises
+    at the first tau the scalar loop would raise at, with its message."""
+    found: dict[float, int] = {}
+    radii = []
+    for tau in taus:
+        radius = found.get(tau.imag) if cmath.isfinite(tau) else None
+        if radius is None:
+            radius = found[tau.imag] = _radius_unchecked(m, tau, tol)
+        radii.append(radius)
     return radii
 
 
@@ -333,9 +292,9 @@ def _riemann_theta_unchecked(tau: complex, tol: float) -> complex:
 def _riemann_thetas_unchecked(taus: list[complex], tol: float) -> np.ndarray:
     """theta at every tau in taus, each the value `_riemann_theta_unchecked` gives,
     bit for bit, summed in one `_kernels.riemann_theta_sums` call past the cache;
-    the radii come from one `_radii_unchecked` pass."""
-    taus = np.array(taus, dtype=np.complex128)
+    the radius is searched once per distinct Im tau (`_radii_unchecked`)."""
     radii = _radii_unchecked(1, taus, tol)
+    taus = np.array(taus, dtype=np.complex128)
     taus.real = np.fmod(taus.real, 2)  # `_reduce_real(tau, 2)`, exact as well
     return _kernels.riemann_theta_sums(taus, radii)
 

@@ -32,12 +32,16 @@ one-word folds bit for bit.  A step at which every word of the stack has the
 same token (always, for a stack of one) is the one-word fold's step, in
 place on the whole block with no per-word bookkeeping, so a dense
 `weil_rep(m, p)` is folded in place with no copy; a step at which every
-word has a T, or an S with the same count, works in place too.  `weil_rep(m, p)`
-folds the word over the identity; since every generator is symmetric,
-rho(p) v is the fold of the reversed word over the row v, which is how
-`weil_rep(m, p, vectors)` transforms vectors without forming rho, and
-`weil_rep(m, ps, vectors)` folds every word of a list over its own copy of
-the vectors in one stacked fold.
+word has a T, or an S with the same count, works in place too.
+
+`weil_rep` is the one entry point of the fold, for one element or a list,
+with or without vectors.  `weil_rep(m, p)` folds the word over the
+identity; since every generator is symmetric, rho(p) v is the fold of the
+reversed word over the row v, which is how `weil_rep(m, p, vectors)`
+transforms vectors without forming rho.  Given a list, every word is folded
+over its own identity block or copy of the vectors in one stacked fold; a
+single element is the stack of one.  `weil_generator` is `weil_rep` of
+MP_T, MP_S or MP_Z, whose words are the one token T, S or Z.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import numpy as np
 from numpy.fft._pocketfft_umath import fft as _fft
 
 from .cyclo import RootOfUnity
-from .metaplectic import MpElement, mp_lift_word
+from .metaplectic import MP_S, MP_T, MP_Z, MpElement, mp_lift_word
 
 __all__ = [
     "BadIndex",
@@ -128,25 +132,6 @@ def _generators(m: int) -> tuple[complex, np.ndarray, np.ndarray]:
 def _t_phases(n: np.ndarray, m: int) -> np.ndarray:
     """e^{i pi n / m} at the integers n, each entry the phase table's entry at n, bit for bit."""
     return np.exp(1j * np.pi * n / m)
-
-
-def _fold(
-    gens: tuple[complex, np.ndarray, np.ndarray],
-    tokens: Iterable[tuple[str, int]],
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """rows @ X_1 @ ... @ X_n, X_i the generator matrix of the i-th token.
-
-    `_fold_words` on a stack of one: the block is the identity when `rows`
-    is None and otherwise a copy of `rows`, one row (m,) or a (k, m) stack
-    of them (the caller's array is never written).
-    """
-    if rows is None:
-        block = np.eye(len(gens[1]), dtype=np.complex128)
-    else:
-        block = np.array(rows, dtype=np.complex128)
-    _fold_words(gens, [tokens], block[(None,) * (3 - block.ndim)])
-    return block
 
 
 def _fold_words(
@@ -238,11 +223,12 @@ def _scaled(scale: complex, s_scale: complex, name: str, k: int) -> complex:
 
 
 def weil_generator(m: int, which: str) -> np.ndarray:
-    """Generator matrix: 'T', 'S', or 'Zminus' (the central element, S^4 = -1)."""
-    tokens = {"T": ("T", 1), "S": ("S", 1), "Zminus": ("Z", 1)}
-    if which not in tokens:
+    """Generator matrix: 'T', 'S', or 'Zminus' (the central element, S^4 = -1),
+    `weil_rep` of MP_T, MP_S or MP_Z, whose words are that one token."""
+    elements = {"T": MP_T, "S": MP_S, "Zminus": MP_Z}
+    if which not in elements:
         raise ValueError(f"which must be 'T', 'S' or 'Zminus', got {which!r}")
-    return _fold(_generators(_check_m(m)), [tokens[which]])
+    return weil_rep(m, elements[which])
 
 
 def weil_rep(
@@ -259,38 +245,31 @@ def weil_rep(
     result has their shape and holds rho_m(p) v for each vector v, that is
     vectors @ rho_m(p).T: the reversed word is folded over the vectors, and
     the matrix is never formed.  Given a list of n elements, the n results
-    are stacked, slice i being `weil_rep(m, p[i], vectors)`: each word is
-    lifted once and all are folded over one stack of copies of the vectors
-    (`_fold_words`), of which a single element is the stack of one, or with
-    no vectors over identity blocks (`_weil_reps`).
+    are stacked, slice i being `weil_rep(m, p[i], vectors)`.  Either way
+    each word is lifted once and all are folded in one `_fold_words` call,
+    over identity blocks or over copies of the vectors; a single element is
+    the stack of one.
     """
     m = _check_m(m)
-    gens = _generators(m)
     one = isinstance(p, MpElement)
-    if vectors is None:
-        return _fold(gens, mp_lift_word(p.gamma, p.eps)) if one else _weil_reps(m, p)
-    vectors = np.asarray(vectors)
-    if vectors.ndim not in (1, 2) or vectors.shape[-1] != m:
-        raise ValueError(
-            f"vectors must have shape (m,) or (k, m) with m={m}, got {vectors.shape}"
-        )
     ps = [p] if one else p
-    block = np.empty((len(ps), *vectors.shape), dtype=np.complex128)
-    block[:] = vectors
-    words = [mp_lift_word(q.gamma, q.eps)[::-1] for q in ps]
-    _fold_words(gens, words, block if vectors.ndim == 2 else block[:, None])
+    if vectors is None:
+        block = np.zeros((len(ps), m, m), dtype=np.complex128)
+        block.reshape(len(ps), m * m)[:, :: m + 1] = 1  # identity blocks
+        words = [mp_lift_word(q.gamma, q.eps) for q in ps]
+        stack = block
+    else:
+        vectors = np.asarray(vectors)
+        if vectors.ndim not in (1, 2) or vectors.shape[-1] != m:
+            raise ValueError(
+                f"vectors must have shape (m,) or (k, m) with m={m}, got {vectors.shape}"
+            )
+        block = np.empty((len(ps), *vectors.shape), dtype=np.complex128)
+        block[:] = vectors
+        words = [mp_lift_word(q.gamma, q.eps)[::-1] for q in ps]
+        stack = block if vectors.ndim == 2 else block[:, None]
+    _fold_words(_generators(m), words, stack)
     return block[0] if one else block
-
-
-def _weil_reps(m: int, ps: list[MpElement]) -> np.ndarray:
-    """rho_m(p) for every p in ps as an (n, m, m) stack, slice i equal to
-    `weil_rep(m, ps[i])` bit for bit: all the words folded at once over one
-    stack of identity blocks."""
-    m = _check_m(m)
-    block = np.empty((len(ps), m, m), dtype=np.complex128)
-    block[:] = np.eye(m, dtype=np.complex128)
-    words = [mp_lift_word(p.gamma, p.eps) for p in ps]
-    return _fold_words(_generators(m), words, block)
 
 
 def det_character(m: int, p: MpElement) -> complex:

@@ -6,7 +6,11 @@ exponent, Z as -I) and multiplied along a token word, |k| times for S^k and
 Z^k (S^{-1} as the adjoint), independently of the FFT fold in `weilrep`.
 Shared by the weilrep and thetanum tests.
 
-`allocating_fold` is the FFT fold as it was before `weilrep._fold` worked in
+`fold` is `weilrep._fold_words` on a stack of one token word, over the
+identity or over a copy of the caller's rows: the fold of any token word,
+which `weilrep.weil_rep` reaches only through an element's lift word.
+
+`allocating_fold` is the FFT fold as it was before the fold worked in
 place: a new block for every token.  It pins the in-place fold bit for bit.
 
 `dense_generators` is `weilrep._generators` as it was before the relation
@@ -28,7 +32,7 @@ import numpy as np
 
 from thetalab.cyclo import ru_snap
 from thetalab.metaplectic import MpElement, mp_lift_word
-from thetalab.weilrep import _fold
+from thetalab.weilrep import _fold_words
 
 
 @lru_cache(maxsize=None)
@@ -80,10 +84,23 @@ def dense_weil_rep(m: int, p: MpElement) -> np.ndarray:
     return dense_word(m, mp_lift_word(p.gamma, p.eps))
 
 
+def fold(gens, tokens, rows: np.ndarray | None = None) -> np.ndarray:
+    """rows @ X_1 @ ... @ X_n, X_i the generator matrix of the i-th token:
+    `_fold_words` on a stack of one, over the identity when `rows` is None and
+    otherwise over a copy of `rows`, one row (m,) or a (k, m) stack of them
+    (the caller's array is never written)."""
+    if rows is None:
+        block = np.eye(len(gens[1]), dtype=np.complex128)
+    else:
+        block = np.array(rows, dtype=np.complex128)
+    _fold_words(gens, [tokens], block[(None,) * (3 - block.ndim)])
+    return block
+
+
 def allocating_fold(gens, tokens, rows: np.ndarray) -> np.ndarray:
     """rows @ X_1 @ ... @ X_n by the FFT fold, allocating a new block per token.
 
-    Same token semantics and order of operations as `weilrep._fold`: T^k a
+    Same token semantics and order of operations as `fold`: T^k a
     column phase at the exact index (j^2 k) mod 2m, S an FFT along the rows,
     S^k and Z^k reduced mod 8 and mod 2, the S and Z scalars applied once
     at the end.
@@ -119,9 +136,9 @@ def dense_generators(m: int):
     m x m matrices (largest absolute row sum of the difference below 1e-9)."""
     squares, phases = generator_tables(m)
     unit = (1, squares, phases)
-    s2 = _fold(unit, [("S", 2)])
-    st3 = _fold(unit, [("S", 1), ("T", 1)] * 3)
-    s8 = _fold(unit, [("S", 6)], s2)
+    s2 = fold(unit, [("S", 2)])
+    st3 = fold(unit, [("S", 1), ("T", 1)] * 3)
+    s8 = fold(unit, [("S", 6)], s2)
     consistent = []
     for pref in (cmath.exp(-1j * np.pi / 4), cmath.exp(1j * np.pi / 4)):
         c = pref / m**0.5
@@ -169,9 +186,9 @@ def probe_prefactor(squares: np.ndarray, phases: np.ndarray) -> complex:
     probe = np.zeros((3, m))
     probe[0, 0] = probe[1, 1] = 1
     probe[2] = (np.arange(m) + 1) / m
-    s2 = _fold(unit, [("S", 2)], probe)
-    st3 = _fold(unit, [("S", 1), ("T", 1)] * 3, probe)
-    s8 = _fold(unit, [("S", 6)], s2)
+    s2 = fold(unit, [("S", 2)], probe)
+    st3 = fold(unit, [("S", 1), ("T", 1)] * 3, probe)
+    s8 = fold(unit, [("S", 6)], s2)
 
     def residual(a):  # the largest absolute row sum
         return np.abs(a).sum(axis=1).max()

@@ -463,3 +463,29 @@ def test_convention_flip_exits_3(capsys, monkeypatch):
         "error": "convention flipped from direct to conjugate",
         "kind": "ConventionFlip",
     }
+
+
+def test_a_value_error_inside_the_suite_exits_3(capsys, monkeypatch):
+    """The suite's level and seed are checked before it starts, so a
+    ValueError or KeyError from inside it (here a skewed discriminant oracle
+    whose quotients snap to no fourth root of unity) is an internal failure:
+    exit 3 with the error on stdout, not 2.  A bad seed still exits 2."""
+    batch = thetanum._riemann_thetas_unchecked
+    monkeypatch.setattr(
+        thetanum, "_riemann_thetas_unchecked", lambda taus, tol: batch(taus, tol) * 1.001
+    )
+    code, payload, err = run_cli(capsys, "verify", "suite", "--level", "quick")
+    assert code == 3 and "internal error" in err
+    assert set(payload) == {"error", "kind"} and payload["kind"] == "NoSnap"
+    assert "4-th root of unity" in payload["error"]
+
+    def missing(level, seed):
+        raise KeyError("no such check")
+
+    monkeypatch.setattr(suite, "run_suite", missing)
+    code, payload, _ = run_cli(capsys, "verify", "suite", "--level", "full")
+    assert code == 3 and payload == {"error": "'no such check'", "kind": "KeyError"}
+    monkeypatch.setenv("THETA_LAB_SEED", "-1")
+    code, payload, err = run_cli(capsys, "verify", "suite", "--level", "quick")
+    assert code == 2 and payload is None
+    assert "THETA_LAB_SEED must be a non-negative integer" in err

@@ -397,18 +397,19 @@ def test_associativity_reports_a_non_associative_product(monkeypatch):
 def test_weil_checks_report_a_scaled_matrix(monkeypatch):
     """rho(I, +) scaled by 2 is not unitary, and rho(p) rho(q) = rho(pq)
     fails on the pairs it enters: the stacked checks report both.  The
-    mutant is the stacked fold the checks call, with the slices whose
-    element is (I, +) scaled."""
-    weil_reps = wr._weil_reps
+    mutant is `weil_rep`'s list form, which the checks call, with the slices
+    whose element is (I, +) scaled; one element is left alone."""
+    weil_rep = wr.weil_rep
 
-    def mutant(m, ps):
-        mats = weil_reps(m, ps)
-        for i, p in enumerate(ps):
-            if p == mp.MP_I:
-                mats[i] *= 2
+    def mutant(m, ps, vectors=None):
+        mats = weil_rep(m, ps, vectors)
+        if isinstance(ps, list):
+            for i, p in enumerate(ps):
+                if p == mp.MP_I:
+                    mats[i] *= 2
         return mats
 
-    monkeypatch.setattr(wr, "_weil_reps", mutant)
+    monkeypatch.setattr(wr, "weil_rep", mutant)
     for level in ("quick", "full"):
         got = {e["check_id"]: e for e in run(suite.check_metaplectic_weil, level)}
         assert got["weil_unitarity"]["residual"] == pytest.approx(3.0)

@@ -47,7 +47,7 @@ from thetalab.thetanum import (
 
 from thetalab.weilrep import BadIndex, weil_rep
 
-from dense_oracle import dense_weil_rep
+from dense_oracle import dense_weil_rep, fold
 
 
 @pytest.fixture(autouse=True)
@@ -521,25 +521,55 @@ def scalar_radii(m, taus, tol):
     return [_radius_unchecked(m, t, tol) for t in taus]
 
 
+def counting_search(monkeypatch):
+    """Rebind `thetanum._radius_unchecked` to a wrapper that records the Im tau
+    of every search; returns the record."""
+    scalar = thetanum._radius_unchecked
+    searched = []
+
+    def counting(m, tau, tol):
+        searched.append(tau.imag)
+        return scalar(m, tau, tol)
+
+    monkeypatch.setattr(thetanum, "_radius_unchecked", counting)
+    return searched
+
+
 @pytest.mark.parametrize("seed", (0, 1, 7, 17))
 @pytest.mark.parametrize("level", ("quick", "full"))
 def test_batch_radii_equal_the_scalar_on_the_suites_moved_taus(monkeypatch, level, seed):
     """The discriminant oracle's moved taus, at both probe points: every
-    radius of the batch is the scalar search's."""
+    radius of the batch is the scalar search's, and the batch runs that
+    search once per distinct Im tau, in the order the Im values first come."""
     batches = []
     thetas = thetanum._riemann_thetas_unchecked
+    radius_sums = _kernels.riemann_theta_sums
+    searched = counting_search(monkeypatch)
 
     def spy(taus, tol):
-        batches.append((list(taus), tol))
-        return thetas(taus, tol)
+        searched.clear()
+        values = thetas(taus, tol)
+        batches.append((list(taus), tol, list(searched)))
+        return values
+
+    def radii_spy(taus, radii):
+        batches.append(list(radii))
+        return radius_sums(taus, radii)
 
     monkeypatch.setattr(suite.tn, "_riemann_thetas_unchecked", spy)
+    monkeypatch.setattr(_kernels, "riemann_theta_sums", radii_spy)
     suite.check_discriminant_oracle(level, np.random.default_rng(seed))
-    assert len(batches) == len(thetanum.PROBE_POINTS)
-    for taus, tol in batches:
-        got = _radii_unchecked(1, np.array(taus), tol)
-        assert got.dtype == np.int64
-        assert got.tolist() == scalar_radii(1, taus, tol)
+    monkeypatch.undo()
+    assert len(batches) == 2 * len(thetanum.PROBE_POINTS)
+    for radii, (taus, tol, searches) in zip(batches[::2], batches[1::2]):
+        assert radii == scalar_radii(1, taus, tol)
+        assert all(type(r) is int for r in radii)
+        distinct = list(dict.fromkeys(t.imag for t in taus))
+        assert searches == distinct and len(distinct) < len(taus)
+
+
+def scalar_radii(m, taus, tol):
+    return [_radius_unchecked(m, t, tol) for t in taus]
 
 
 def radius_boundaries(m, tol, low, high):
@@ -567,8 +597,9 @@ def radius_boundaries(m, tol, low, high):
 @pytest.mark.parametrize("m", (1, 6))
 def test_batch_radii_straddle_every_radius_boundary(monkeypatch, m):
     """At tol 1e-13, Im values on both sides of every radius step, one ulp
-    apart, and their outer neighbours: the batch gives the scalar's radius,
-    deciding by the scalar where its own bound lies within a few ulps of tol."""
+    apart, and their outer neighbours, each at two real parts: the batch
+    gives the scalar's radius, and searches once per distinct Im tau, as it
+    does on Im values spread over the same range."""
     tol = 1e-13
     pairs = radius_boundaries(m, tol, 5e-4, 20.0)
     assert len(pairs) > 100
@@ -577,30 +608,24 @@ def test_batch_radii_straddle_every_radius_boundary(monkeypatch, m):
         for a, b in pairs
         for y in (np.nextafter(a, 0), a, b, np.nextafter(b, np.inf))
     ]
-    taus = [complex(0.3, float(y)) for y in ims]
+    taus = [complex(re, float(y)) for y in ims for re in (0.3, -17.25)]
     want = scalar_radii(m, taus, tol)
-    scalar = thetanum._radius_unchecked
-    fallbacks = []
-
-    def counting(*args):
-        fallbacks.append(args)
-        return scalar(*args)
-
-    monkeypatch.setattr(thetanum, "_radius_unchecked", counting)
-    assert _radii_unchecked(m, np.array(taus), tol).tolist() == want
-    # most of these lie within a few ulps of a step, so the scalar decides
-    # them; Im values spread over the same range need it on none
-    assert len(taus) // 2 < len(fallbacks) < len(taus)
-    fallbacks.clear()
-    spread = 0.3 + 1j * np.geomspace(5e-4, 20.0, 2000)
-    assert _radii_unchecked(m, spread, tol).tolist() == scalar_radii(m, spread.tolist(), tol)
-    assert fallbacks == []
+    spread = (0.3 + 1j * np.geomspace(5e-4, 20.0, 2000)).tolist()
+    want_spread = scalar_radii(m, spread, tol)
+    searched = counting_search(monkeypatch)
+    assert _radii_unchecked(m, taus, tol) == want
+    assert searched == list(dict.fromkeys(ims))
+    searched.clear()
+    assert _radii_unchecked(m, spread + spread[::-1], tol) == want_spread + want_spread[::-1]
+    assert searched == [t.imag for t in spread]
 
 
 def test_batch_radii_raise_what_the_scalar_loop_raises():
     """Non-finite input, Im tau <= 0, tol <= 0 and radii above the cap (by
     the start check and by the search) raise the scalar loop's exception,
-    with its message, for the first such tau of the batch."""
+    with its message, for the first such tau of the batch, also where a
+    non-finite tau repeats the Im of an earlier finite one, or a refused Im
+    repeats."""
     nan, inf = float("nan"), float("inf")
     good = [0.3 + 1.1j, -0.2 + 0.01j]
     cases = [
@@ -615,6 +640,13 @@ def test_batch_radii_raise_what_the_scalar_loop_raises():
         ([complex(0.3, 1e-9)], 1e-13),  # the cap, by the search
         ([complex(0.3, 1e-12), complex(nan, 1.0)], 1e-13),
         ([complex(0.3, 1e-9), 0.3 - 1j], 1e-13),
+        # the Im of an earlier finite tau, with a non-finite real part
+        ([complex(nan, 1.1)], 1e-13),
+        ([complex(inf, 0.01)], 1e-13),
+        ([complex(-inf, 1.1), complex(nan, 0.01)], 1e-13),
+        # a refused Im, repeated
+        ([complex(0.3, 1e-9), complex(-0.4, 1e-9)], 1e-13),
+        ([0.3 - 1j, 0.7 - 1j], 1e-13),
         ([], nan),
         ([], inf),
         ([], 0.0),
@@ -626,7 +658,7 @@ def test_batch_radii_raise_what_the_scalar_loop_raises():
             scalar_radii(1, taus, tol)
         assert isinstance(want.value, ValueError)
         for call in (
-            lambda: _radii_unchecked(1, np.array(taus), tol),
+            lambda: _radii_unchecked(1, taus, tol),
             lambda: _riemann_thetas_unchecked(taus, tol),
         ):
             with pytest.raises(Exception) as got:
@@ -636,7 +668,7 @@ def test_batch_radii_raise_what_the_scalar_loop_raises():
 
 
 def test_batch_radii_of_an_empty_batch():
-    assert _radii_unchecked(1, np.array([], dtype=np.complex128), 1e-13).tolist() == []
+    assert _radii_unchecked(1, [], 1e-13) == []
     assert _riemann_thetas_unchecked([], 1e-13).tolist() == []
 
 
@@ -796,14 +828,14 @@ def test_shifted_sum_agrees_with_the_direct_sum(m):
 def test_shift_by_k_is_the_weil_t_fold(m):
     """theta(tau + k) is T^k applied to theta(tau), bit for bit: the phases
     are those `weilrep`'s fold multiplies by, at the index (nu^2 k) mod 2m."""
-    from thetalab.weilrep import _fold, _generators
+    from thetalab.weilrep import _generators
 
     for re in (0.25, -0.375, -0.5):
         tau = complex(re, 0.6)
         base = theta_constants(m, tau)
         for k in (1, -1, 3, -7, 2 * m + 1, 4 * m, 10**6 + 3, -(10**9) - 1):
             shifted = theta_constants(m, complex(re + k, 0.6))
-            want = _fold(_generators(m), [("T", k)], base.values)
+            want = fold(_generators(m), [("T", k)], base.values)
             assert shifted.values.tobytes() == want.tobytes(), (m, re, k)
             if k % (2 * m) == 0:
                 assert shifted.err_bound == base.err_bound

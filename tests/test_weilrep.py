@@ -24,11 +24,9 @@ from thetalab.thetanum import theta_constants, verify_transformation
 from thetalab.weilrep import (
     BadIndex,
     _fft,
-    _fold,
     _fold_words,
     _det_exponents,
     _generators,
-    _weil_reps,
     det_character,
     det_character_order,
     det_character_square_order,
@@ -42,6 +40,7 @@ from dense_oracle import (
     dense_generators,
     dense_weil_rep,
     dense_word,
+    fold,
     generator_tables,
     probe_prefactor,
 )
@@ -325,7 +324,7 @@ def test_fold_matches_dense_oracle_on_blocks(case, rows, seed):
     rng = np.random.default_rng(seed)
     block = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
     expected = block @ dense_word(m, word)
-    assert np.max(np.abs(_fold(_generators(m), word, block) - expected)) < 1e-10
+    assert np.max(np.abs(fold(_generators(m), word, block) - expected)) < 1e-10
 
 
 NEGATIVE_POWER_WORDS = (
@@ -342,7 +341,7 @@ def test_negative_s_and_z_powers_match_dense_oracle(m):
     for word in NEGATIVE_POWER_WORDS:
         dense = dense_word(m, word)
         assert np.max(np.abs(weil_rep(m, mp_from_word(word)) - dense)) < 1e-10
-        assert np.max(np.abs(_fold(_generators(m), word, eye) - dense)) < 1e-10
+        assert np.max(np.abs(fold(_generators(m), word, eye) - dense)) < 1e-10
     s_inv = weil_rep(m, mp_from_word([("S", -1)]))
     assert np.max(np.abs(s_inv @ weil_generator(m, "S") - eye)) < 1e-10
 
@@ -368,12 +367,12 @@ def test_fold_in_place_is_bit_identical_to_allocating_fold(case, rows, seed):
     m, word = case
     gens = _generators(m)
     eye = np.eye(m, dtype=np.complex128)
-    assert _same_bits(_fold(gens, word), allocating_fold(gens, word, eye))
+    assert _same_bits(fold(gens, word), allocating_fold(gens, word, eye))
     rng = np.random.default_rng(seed)
     block = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
-    assert _same_bits(_fold(gens, word, block), allocating_fold(gens, word, block))
+    assert _same_bits(fold(gens, word, block), allocating_fold(gens, word, block))
     vector = block[0].copy()
-    assert _same_bits(_fold(gens, word, vector), allocating_fold(gens, word, vector))
+    assert _same_bits(fold(gens, word, vector), allocating_fold(gens, word, vector))
 
 
 # --- the stacked fold against the one-word fold, bit for bit --------------------------
@@ -527,18 +526,37 @@ def test_steps_with_one_token_for_every_word_are_the_one_word_fold(m):
 
 
 def test_fold_is_the_one_word_fold():
-    """`_fold`, a stack of one, keeps the one-word fold's shapes and bytes on
-    the identity, (k, m) rows and 1-D rows, and leaves the caller's rows alone."""
+    """A stack of one keeps the one-word fold's shapes and bytes: the token
+    words over the identity, (k, m) rows and 1-D rows (the word read once,
+    as an iterator), and `weil_rep` of one element, whose lift word is folded
+    over the identity and, reversed, over the vectors; the caller's rows are
+    left alone."""
     rng = np.random.default_rng(9)
     for m in (2, 6, 64):
         gens = _generators(m)
         rows = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
         before = rows.copy()
         for word in TOKEN_WORDS:
-            assert _same_bits(_fold(gens, word), one_word_fold(gens, word))
-            assert _same_bits(_fold(gens, word, rows), one_word_fold(gens, word, rows))
-            assert _same_bits(_fold(gens, iter(word), rows[1]), one_word_fold(gens, word, rows[1]))
+            assert _same_bits(fold(gens, word), one_word_fold(gens, word))
+            assert _same_bits(fold(gens, word, rows), one_word_fold(gens, word, rows))
+            assert _same_bits(fold(gens, iter(word), rows[1]), one_word_fold(gens, word, rows[1]))
+        for p in (MP_I, MP_Z, MP_S, *seeded_elements(m + 3, 20)):
+            word = mp_lift_word(p.gamma, p.eps)
+            assert _same_bits(weil_rep(m, p), one_word_fold(gens, word))
+            for vectors in (rows, rows[1]):
+                want = one_word_fold(gens, word[::-1], vectors)
+                assert _same_bits(weil_rep(m, p, vectors), want)
         assert _same_bits(rows, before)
+
+
+@pytest.mark.parametrize("m", (2, 6, 64, 512))
+def test_weil_generator_is_the_weil_rep_of_its_element(m):
+    """`weil_generator(m, w)` is `weil_rep` of MP_T, MP_S or MP_Z bit for bit,
+    and each of those elements lifts to the one token of its generator."""
+    for which, p, token in (("T", MP_T, "T"), ("S", MP_S, "S"), ("Zminus", MP_Z, "Z")):
+        assert mp_lift_word(p.gamma, p.eps) == [(token, 1)]
+        assert _same_bits(weil_generator(m, which), weil_rep(m, p))
+        assert _same_bits(weil_generator(m, which), one_word_fold(_generators(m), [(token, 1)]))
 
 
 @pytest.mark.parametrize("m", (2, 6, 64, 512))
@@ -555,18 +573,6 @@ def test_fold_fft_is_numpys_fft(m):
         assert _same_bits(a, want)
 
 
-@pytest.mark.parametrize("m", (2, 8, 64))
-def test_weil_reps_are_the_dense_weil_reps(m):
-    """Slice i of `_weil_reps(m, ps)` is `weil_rep(m, ps[i])`, bit for bit;
-    an empty list gives an empty stack."""
-    ps = [MP_I, MP_Z, MP_S, *seeded_elements(m + 5, 60)]
-    got = _weil_reps(m, ps)
-    assert got.shape == (len(ps), m, m) and got.dtype == np.complex128
-    for p, mat in zip(ps, got):
-        assert _same_bits(mat, weil_rep(m, p))
-    assert _weil_reps(m, []).shape == (0, m, m)
-
-
 def test_fold_words_rejects_an_unknown_token():
     for words in ([[("S", 1)], [("T", 1), ("X", 1)]], [[("X", 1)]], [[("X", 2)]] * 3):
         with pytest.raises(ValueError, match="unknown token 'X'"):
@@ -580,7 +586,7 @@ with open(os.path.join(os.path.dirname(__file__), "weilrep_cli_pins.json")) as _
 @pytest.mark.parametrize("key", sorted(CLI_PINS))
 def test_weilrep_cli_stdout_is_pinned(capsys, key):
     """`thetalab weilrep --m M --mp P` stdout, byte for byte.  The pins were
-    recorded with the allocating fold, before `_fold` worked in place; they
+    recorded with the allocating fold, before the fold worked in place; they
     hold the fold's signed zeros (e.g. "-0+0i" from T over the identity)."""
     m, mp = key.split()
     assert main(["weilrep", "--m", m, "--mp", mp]) == 0
@@ -596,29 +602,28 @@ ALIAS_WORDS = ([], [("Z", 1)], [("T", 3)], [("S", 1), ("T", -2), ("Z", 1), ("S",
 @pytest.mark.parametrize("shape", ((6,), (2, 6)))
 def test_fold_and_weil_rep_leave_the_callers_array_alone(word, shape):
     """The fold works on its own copy: the caller's rows, writeable or
-    read-only, come back unchanged and share no memory with the result."""
-    gens = _generators(6)
+    read-only, come back unchanged and share no memory with the result, for
+    one element and for a list."""
     p = mp_from_word(word)
     rng = np.random.default_rng(3)
     for writeable in (True, False):
         rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         before = rows.copy()
         rows.setflags(write=writeable)
-        for out in (_fold(gens, word, rows), weil_rep(6, p, rows)):
+        for out in (weil_rep(6, p, rows), weil_rep(6, [p, MP_S], rows)):
             assert out.flags.writeable and not np.shares_memory(out, rows)
             assert np.array_equal(rows, before) and rows.flags.writeable == writeable
 
 
 @pytest.mark.parametrize("word", ALIAS_WORDS)
 def test_integer_and_float_rows_are_promoted_to_complex128(word):
-    gens = _generators(6)
     p = mp_from_word(word)
     rows = np.arange(12, dtype=np.int64).reshape(2, 6) - 5
     for real in (rows, rows.astype(np.float64)):
         cast = real.astype(np.complex128)
-        assert _same_bits(_fold(gens, word, real), _fold(gens, word, cast))
         assert _same_bits(weil_rep(6, p, real), weil_rep(6, p, cast))
-        assert _fold(gens, word, real).dtype == np.complex128
+        assert _same_bits(weil_rep(6, [p, MP_S], real), weil_rep(6, [p, MP_S], cast))
+        assert weil_rep(6, p, real).dtype == np.complex128
 
 
 def test_dense_weil_rep_returns_a_fresh_writeable_block_per_call():
@@ -642,9 +647,8 @@ def test_generator_tables_stay_read_only():
 @pytest.mark.parametrize("m", (2, 6, 64))
 def test_weil_rep_of_a_list_is_each_elements_weil_rep(m):
     """`weil_rep(m, ps, vectors)` stacks `weil_rep(m, p, vectors)` over ps, bit
-    for bit, for one vector, for a (k, m) stack holding signed zeros and for
-    no vectors (the matrices); it leaves the caller's vectors alone, and
-    refuses misshapen vectors."""
+    for bit, for one vector and for a (k, m) stack holding signed zeros; it
+    leaves the caller's vectors alone, and refuses misshapen vectors."""
     ps = [MP_I, MP_Z, MP_S, *seeded_elements(m + 11, 40)]
     rng = np.random.default_rng(m)
     rows = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
@@ -657,11 +661,22 @@ def test_weil_rep_of_a_list_is_each_elements_weil_rep(m):
             assert _same_bits(out, weil_rep(m, p, vectors))
     assert _same_bits(rows, before)
     assert weil_rep(m, [], rows).shape == (0, 3, m)
-    stack = weil_rep(m, ps)
-    assert stack.shape == (len(ps), m, m)
-    for p, out in zip(ps, stack):
-        assert _same_bits(out, weil_rep(m, p))
-    assert weil_rep(m, []).shape == (0, m, m)
     for bad in (np.zeros((1, 3, m)), np.zeros(m + 1)):
         with pytest.raises(ValueError):
             weil_rep(m, ps, bad)
+
+
+@pytest.mark.parametrize("m", (2, 8, 64))
+def test_weil_reps_are_the_dense_weil_reps(m):
+    """`weil_rep(m, ps)` with no vectors stacks the matrices `weil_rep(m, p)`,
+    bit for bit, each also the one-word fold over the identity (the matrices
+    as the Weil checks fold them); an empty list gives an empty stack."""
+    ps = [MP_I, MP_Z, MP_S, *seeded_elements(m + 11, 40), *seeded_elements(m + 5, 60)]
+    stack = weil_rep(m, ps)
+    assert stack.shape == (len(ps), m, m) and stack.dtype == np.complex128
+    gens = _generators(m)
+    for p, out in zip(ps, stack):
+        assert _same_bits(out, weil_rep(m, p))
+        assert _same_bits(out, one_word_fold(gens, mp_lift_word(p.gamma, p.eps)))
+    empty = weil_rep(m, [])
+    assert empty.shape == (0, m, m) and empty.dtype == np.complex128
